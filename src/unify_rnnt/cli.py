@@ -13,22 +13,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import replace
 
-import numpy as np
 import yaml
 
 from .contexts import ContextSets, ContextSpec, latency_of
 from .corpus import CorpusConfig, generate_corpus, load_manifest
-from .decoding import evaluate_utterances, mean_ter, write_utterance_csv
+from .decoding import write_utterance_csv
 from .errors import CorruptCheckpointError, ManifestMismatchError, NumericalError
+from .experiments import evaluate_model, sweep_model
 from .mcr import MCRConfig, mcr_memory_probe
-from .model import ModelConfig, OFFLINE, TransducerModel, streaming_mode
-from .training import (ModeWeights, TrainConfig, load_checkpoint, run_training,
-                       save_checkpoint, AdamW)
+from .model import ModelConfig, TransducerModel
+from .training import ModeWeights, TrainConfig, load_checkpoint, run_training
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,6 +34,7 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 LOCK_NAME = ".unify-rnnt.lock"
+EVAL_KEYS = ("manifest", "left", "specs", "frame_ms", "budgets")
 
 
 class ConfigError(ValueError):
@@ -92,6 +91,9 @@ def parse_config(data: dict) -> dict:
                                  "seed": train_raw.get("seed", seed)}, "train")
 
     eval_raw = dict(data.get("eval", {}))
+    unknown = sorted(set(eval_raw) - set(EVAL_KEYS))
+    if unknown:
+        raise ConfigError(f"bad eval section: unknown keys {unknown}")
     eval_cfg = {
         "manifest": eval_raw.get("manifest", manifest),
         "left": int(eval_raw.get("left", 70)),
@@ -99,8 +101,6 @@ def parse_config(data: dict) -> dict:
                   eval_raw.get("specs", [[1, 0], [1, 1], [2, 2], [4, 4]])],
         "frame_ms": float(eval_raw.get("frame_ms", 40.0)),
         "budgets": [int(b) for b in eval_raw.get("budgets", [2, 4])],
-        "extra_left_margin": int(eval_raw.get("extra_left_margin", 0)),
-        "workers": int(eval_raw.get("workers", 0)),
     }
     for chunk, right in eval_cfg["specs"]:
         ContextSpec(eval_cfg["left"], chunk, right)
@@ -110,23 +110,44 @@ def parse_config(data: dict) -> dict:
 
 
 class OutputLock:
-    """One process owns an output directory at a time (pid lock file)."""
+    """One process owns an output directory at a time (pid lock file).
+
+    The lock file is created atomically (``O_CREAT | O_EXCL``).  A lock left
+    by a dead or unparsable pid is removed and creation retried once; a lock
+    held by a live pid raises ``OSError``.
+    """
 
     def __init__(self, out_dir):
         self.path = os.path.join(out_dir, LOCK_NAME)
 
     def __enter__(self):
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        if os.path.exists(self.path):
-            try:
-                pid = int(open(self.path).read().strip())
-            except ValueError:
-                pid = -1
-            if pid > 0 and _pid_alive(pid):
-                raise OSError(f"output directory locked by running pid {pid}")
-        with open(self.path, "w") as fh:
-            fh.write(str(os.getpid()))
+        try:
+            self._create()
+        except FileExistsError:
+            self._remove_stale()
+            self._create()
         return self
+
+    def _create(self) -> None:
+        fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(str(os.getpid()))
+
+    def _remove_stale(self) -> None:
+        try:
+            with open(self.path) as fh:
+                pid = int(fh.read().strip())
+        except FileNotFoundError:
+            return
+        except ValueError:
+            pid = -1
+        if pid > 0 and _pid_alive(pid):
+            raise OSError(f"output directory locked by running pid {pid}")
+        try:
+            os.remove(self.path)
+        except FileNotFoundError:
+            pass
 
     def __exit__(self, *exc):
         try:
@@ -195,62 +216,50 @@ def cmd_train(args) -> int:
         metrics = os.path.join(out_dir, "metrics.jsonl")
         ckpt = os.path.join(out_dir, "checkpoint.urnt")
         start_step = 0
-        opt = None
+        opt = rng = None
         if args.resume:
-            model, start_step, opt = load_checkpoint(args.resume,
-                                                     expected_config=bundle["model"])
+            model, start_step, opt, rng = load_checkpoint(args.resume,
+                                                          expected_config=bundle["model"])
             print(f"resumed from {args.resume} at step {start_step}")
         else:
             model = TransducerModel(bundle["model"])
             open(metrics, "w").close()
         last = run_training(model, utts, cfg, metrics_path=metrics,
-                            checkpoint_path=ckpt, start_step=start_step, opt=opt)
+                            checkpoint_path=ckpt, start_step=start_step, opt=opt,
+                            rng=rng)
     print(f"trained to step {cfg.steps}; final report: {json.dumps(last)}")
     print(f"checkpoint: {ckpt}")
     return EXIT_OK
-
-
-def _eval_rows(model, utts, bundle, specs, extra_left_margin):
-    """Summary rows, offline first, then streaming by latency descending."""
-    frame_ms = bundle["eval"]["frame_ms"]
-    left = bundle["eval"]["left"]
-    rows = []
-    per_utt = evaluate_utterances(model, utts, OFFLINE, frame_ms)
-    rows.append({"mode": "offline", "chunk_s": "", "right_s": "",
-                 "latency_s": "inf", "ter": mean_ter(per_utt)})
-    ordered = sorted(specs, key=lambda cr: (cr[0] + cr[1], cr[0]), reverse=True)
-    all_per_utt = list(per_utt)
-    for chunk, right in ordered:
-        spec = ContextSpec(left, chunk, right)
-        mode = streaming_mode(spec)
-        per = evaluate_utterances(model, utts, mode, frame_ms,
-                                  extra_left_margin=extra_left_margin)
-        all_per_utt.extend(per)
-        rows.append({"mode": "streaming", "chunk_s": chunk * frame_ms / 1000.0,
-                     "right_s": right * frame_ms / 1000.0,
-                     "latency_s": latency_of(spec, frame_ms),
-                     "ter": mean_ter(per)})
-    return rows, all_per_utt
 
 
 def cmd_eval(args) -> int:
     bundle = parse_config(_load_yaml(args.config))
     out_dir = args.out or bundle["out"]
     _check_writable(out_dir)
-    model, step, _opt = load_checkpoint(args.checkpoint,
-                                        expected_config=bundle["model"])
+    model, _step, _opt, _rng = load_checkpoint(args.checkpoint,
+                                               expected_config=bundle["model"])
     utts = _load_eval_utterances(bundle, args.manifest)
-    specs = bundle["eval"]["specs"]
+    frame_ms = bundle["eval"]["frame_ms"]
+    left = bundle["eval"]["left"]
+    # summary rows: offline first, then streaming by latency descending
+    specs = sorted(bundle["eval"]["specs"], key=lambda cr: (cr[0] + cr[1], cr[0]),
+                   reverse=True)
     with OutputLock(out_dir):
-        rows, per_utt = _eval_rows(model, utts, bundle, specs,
-                                   bundle["eval"]["extra_left_margin"])
+        ev = evaluate_model(model, utts, specs, left, frame_ms)
+        rows = [{"mode": "offline", "chunk_s": "", "right_s": "",
+                 "latency_s": "inf", "ter": ev["offline"]}]
+        rows += [{"mode": "streaming", "chunk_s": chunk * frame_ms / 1000.0,
+                  "right_s": right * frame_ms / 1000.0,
+                  "latency_s": latency_of(ContextSpec(left, chunk, right), frame_ms),
+                  "ter": ev["specs"][f"{chunk},{right}"]} for chunk, right in specs]
         summary = os.path.join(out_dir, "eval_summary.csv")
         with open(summary, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["mode", "chunk_s", "right_s",
                                                     "latency_s", "ter"])
             writer.writeheader()
             writer.writerows(rows)
-        write_utterance_csv(os.path.join(out_dir, "eval_utterances.csv"), per_utt)
+        write_utterance_csv(os.path.join(out_dir, "eval_utterances.csv"),
+                            ev["utterances"])
     for row in rows:
         print(f"{row['mode']:10s} latency={row['latency_s']} ter={row['ter']:.4f}")
     print(f"summary: {summary}")
@@ -261,27 +270,23 @@ def cmd_sweep_latency(args) -> int:
     bundle = parse_config(_load_yaml(args.config))
     out_dir = args.out or bundle["out"]
     _check_writable(out_dir)
-    model, _step, _opt = load_checkpoint(args.checkpoint,
-                                         expected_config=bundle["model"])
+    model, _step, _opt, _rng = load_checkpoint(args.checkpoint,
+                                               expected_config=bundle["model"])
     utts = _load_eval_utterances(bundle, args.manifest)
     budgets = [int(b) for b in args.budgets.split(",")] if args.budgets \
         else bundle["eval"]["budgets"]
-    frame_ms = bundle["eval"]["frame_ms"]
-    left = bundle["eval"]["left"]
     with OutputLock(out_dir):
+        rows = sweep_model(model, utts, budgets, bundle["eval"]["left"],
+                           bundle["eval"]["frame_ms"])
         path = os.path.join(out_dir, "sweep_latency.csv")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["budget_s", "chunk_s", "right_s", "ter"])
-            for budget in budgets:
-                for chunk in range(1, budget + 1):
-                    right = budget - chunk
-                    mode = streaming_mode(ContextSpec(left, chunk, right))
-                    ter = mean_ter(evaluate_utterances(model, utts, mode, frame_ms))
-                    writer.writerow([budget * frame_ms / 1000.0,
-                                     chunk * frame_ms / 1000.0,
-                                     right * frame_ms / 1000.0, f"{ter:.6f}"])
-                    print(f"budget={budget} C={chunk} R={right} ter={ter:.4f}")
+            for row in rows:
+                writer.writerow([row["budget_s"], row["chunk_s"], row["right_s"],
+                                 f"{row['ter']:.6f}"])
+                print(f"budget={row['budget']} C={row['chunk']} R={row['right']} "
+                      f"ter={row['ter']:.4f}")
     print(f"sweep: {path}")
     return EXIT_OK
 

@@ -9,7 +9,7 @@ frames throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class ContextSets:
         return cls(tuple(int(v) for v in nested[0]),
                    tuple(int(v) for v in nested[1]),
                    tuple(int(v) for v in nested[2]))
-
-    def to_nested(self) -> list[list[int]]:
-        return [list(self.left_set), list(self.chunk_set), list(self.right_set)]
 
 
 @dataclass(frozen=True)
@@ -132,10 +129,6 @@ def build_attention_mask(T: int, spec: ContextSpec, offset: int = 0) -> np.ndarr
 
 def sample_context(sets: ContextSets, rng: np.random.Generator) -> ContextSpec:
     """Independent uniform draw from each candidate set (left, chunk, right order)."""
-    for name, values in (("left_set", sets.left_set), ("chunk_set", sets.chunk_set),
-                         ("right_set", sets.right_set)):
-        if len(values) == 0:
-            raise EmptyContextSetError(f"{name} is empty")
     left = int(sets.left_set[rng.integers(len(sets.left_set))])
     chunk = int(sets.chunk_set[rng.integers(len(sets.chunk_set))])
     right = int(sets.right_set[rng.integers(len(sets.right_set))])
@@ -171,14 +164,6 @@ def plan_conv_chunks(T: int, spec: ContextSpec, k: int, right_mode: str = "real"
                                       keep_lo, keep_hi, right_mode))
         s += C
     return ConvChunkPlan(tuple(windows), k, T)
-
-
-def full_conv_plan(T: int, k: int) -> ConvChunkPlan:
-    """Single-window plan equivalent to offline same-padded convolution."""
-    if k % 2 == 0:
-        raise EvenKernelError(f"kernel length {k} is even")
-    halo = (k - 1) // 2
-    return ConvChunkPlan((ConvWindow(-halo, T + halo, 0, T, "real"),), k, T)
 
 
 def latency_of(spec: ContextSpec, frame_ms: float) -> float:

@@ -2,9 +2,9 @@
 
 Streaming decoding re-encodes a window of raw features per chunk step from a
 buffer truncated at the window end, so no computation can read past the
-visible horizon by construction.  The predictor state and the last emitted
-token carry across steps.  Only theoretical worst-case latency (chunk plus
-right context) is reported.
+visible horizon by construction.  The predictor state carries across steps;
+the last emitted token does not.  Only theoretical worst-case latency (chunk
+plus right context) is reported.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ class DecodeResult:
 
 
 def _greedy_over_frames(model: TransducerModel, enc: np.ndarray, frame_base: int,
-                        state: np.ndarray, last_token: int | None,
-                        result: DecodeResult, max_symbols: int) -> tuple[np.ndarray, int | None]:
+                        state: np.ndarray, result: DecodeResult,
+                        max_symbols: int) -> np.ndarray:
     """Run the greedy emit loop over encoder frames, mutating ``result``.
 
     Ties in the argmax resolve to the lowest token id (np.argmax convention).
@@ -49,9 +49,8 @@ def _greedy_over_frames(model: TransducerModel, enc: np.ndarray, frame_base: int
             result.tokens.append(k)
             result.emit_frame.append(frame_base + i)
             pred_vec, state = model.predict(k, state)
-            last_token = k
             emitted += 1
-    return state, last_token
+    return state
 
 
 def greedy_decode_offline(model: TransducerModel, features: np.ndarray,
@@ -60,23 +59,20 @@ def greedy_decode_offline(model: TransducerModel, features: np.ndarray,
     enc = model.encode(features, OFFLINE).data
     result = DecodeResult()
     state = model.predictor_start()
-    _greedy_over_frames(model, enc, 0, state, None, result, max_symbols_per_frame)
+    _greedy_over_frames(model, enc, 0, state, result, max_symbols_per_frame)
     return result
 
 
 def greedy_decode_streaming(model: TransducerModel, features: np.ndarray,
                             spec: ContextSpec, frame_ms: float,
                             conv_right_mode: str = "real",
-                            max_symbols_per_frame: int = MAX_SYMBOLS_PER_FRAME,
-                            extra_left_margin: int = 0) -> DecodeResult:
+                            max_symbols_per_frame: int = MAX_SYMBOLS_PER_FRAME) -> DecodeResult:
     """Stateful chunked decode with step size C.
 
-    Each step re-encodes the window [s - L - extra_left_margin, s + C + R)
-    from a truncated feature buffer, keeps encoder frames [s, s + C), and
-    continues the greedy loop with the carried predictor state.  The window
-    is re-encoded from scratch every step; there is no hidden-state cache.
-    ``extra_left_margin`` widens only the left recompute margin so the
-    left-context frames see more of their own history.
+    Each step re-encodes the window [s - L, s + C + R) from a truncated
+    feature buffer, keeps encoder frames [s, s + C), and continues the greedy
+    loop with the carried predictor state.  The window is re-encoded from
+    scratch every step; there is no hidden-state cache.
     """
     features = np.asarray(features)
     q = model.cfg.subsample_factor
@@ -86,15 +82,13 @@ def greedy_decode_streaming(model: TransducerModel, features: np.ndarray,
         return result
     mode = streaming_mode(spec, conv_right_mode)
     state = model.predictor_start()
-    last = None
     for s in range(0, total, spec.chunk):
-        w0 = max(0, s - spec.left - extra_left_margin)
+        w0 = max(0, s - spec.left)
         w1 = min(total, s + spec.chunk + spec.right)
         window = features[w0 * q:w1 * q]
         enc = model.encode(window, mode, grid_offset=w0).data
         keep = enc[s - w0:min(s + spec.chunk, total) - w0]
-        state, last = _greedy_over_frames(model, keep, s, state, last, result,
-                                          max_symbols_per_frame)
+        state = _greedy_over_frames(model, keep, s, state, result, max_symbols_per_frame)
         result.steps += 1
     return result
 
@@ -122,16 +116,15 @@ def token_error_rate(hyp, ref) -> float:
 
 
 def decode_mode(model: TransducerModel, features: np.ndarray, mode: ModeSelector,
-                frame_ms: float, extra_left_margin: int = 0) -> DecodeResult:
+                frame_ms: float) -> DecodeResult:
     if mode.kind == "offline":
         return greedy_decode_offline(model, features)
     return greedy_decode_streaming(model, features, mode.spec, frame_ms,
-                                   conv_right_mode=mode.conv_right_mode,
-                                   extra_left_margin=extra_left_margin)
+                                   conv_right_mode=mode.conv_right_mode)
 
 
 def evaluate_utterances(model: TransducerModel, utterances, mode: ModeSelector,
-                        frame_ms: float, extra_left_margin: int = 0) -> list[dict]:
+                        frame_ms: float) -> list[dict]:
     """One row per utterance: id, mode label, latency, TER, token count."""
     rows = []
     if mode.kind == "offline":
@@ -140,7 +133,7 @@ def evaluate_utterances(model: TransducerModel, utterances, mode: ModeSelector,
         label = f"streaming_C{mode.spec.chunk}_R{mode.spec.right}"
         latency = latency_of(mode.spec, frame_ms)
     for utt in utterances:
-        res = decode_mode(model, utt.features, mode, frame_ms, extra_left_margin)
+        res = decode_mode(model, utt.features, mode, frame_ms)
         rows.append({
             "utt_id": utt.id,
             "mode": label,

@@ -20,8 +20,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .contexts import ContextSets, ContextSpec
 from .corpus import CorpusConfig, generate_utterances
 from .decoding import evaluate_utterances, mean_ter
@@ -104,14 +102,18 @@ def strategy_train_config(setup: ToySetup, strategy: str, seed: int) -> TrainCon
 
 def evaluate_model(model: TransducerModel, utterances, specs, left: int,
                    frame_ms: float) -> dict:
-    """Offline TER plus TER at each (chunk, right) spec."""
-    out = {"offline": mean_ter(evaluate_utterances(model, utterances, OFFLINE, frame_ms))}
-    by_spec = {}
+    """Offline TER plus TER at each (chunk, right) spec, in the order given.
+
+    ``utterances`` holds the per-utterance rows: offline first, then each
+    spec in turn.
+    """
+    per_utt = evaluate_utterances(model, utterances, OFFLINE, frame_ms)
+    out = {"offline": mean_ter(per_utt), "specs": {}, "utterances": list(per_utt)}
     for chunk, right in specs:
         mode = streaming_mode(ContextSpec(left, chunk, right))
-        by_spec[f"{chunk},{right}"] = mean_ter(
-            evaluate_utterances(model, utterances, mode, frame_ms))
-    out["specs"] = by_spec
+        per_utt = evaluate_utterances(model, utterances, mode, frame_ms)
+        out["specs"][f"{chunk},{right}"] = mean_ter(per_utt)
+        out["utterances"].extend(per_utt)
     return out
 
 
@@ -141,9 +143,10 @@ def run_one(job: tuple) -> dict:
     cfg = strategy_train_config(setup, strategy, seed)
     model = TransducerModel(replace(setup.model, seed=seed))
     last = run_training(model, train_utts, cfg)
-    result = {"strategy": strategy, "seed": seed, "final": last}
-    result.update(evaluate_model(model, eval_utts, setup.eval_specs,
-                                 setup.eval_left, setup.frame_ms))
+    ev = evaluate_model(model, eval_utts, setup.eval_specs, setup.eval_left,
+                        setup.frame_ms)
+    result = {"strategy": strategy, "seed": seed, "final": last,
+              "offline": ev["offline"], "specs": ev["specs"]}
     if want_sweep:
         result["sweep"] = sweep_model(model, eval_utts, setup.budgets,
                                       setup.eval_left, setup.frame_ms)

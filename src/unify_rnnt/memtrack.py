@@ -39,11 +39,9 @@ class MemoryMeter:
     def __init__(self) -> None:
         self.current = 0
         self.peak = 0
-        self.n_allocs = 0
 
     def _on_alloc(self, nbytes: int) -> None:
         self.current += nbytes
-        self.n_allocs += 1
         if self.current > self.peak:
             self.peak = self.current
 

@@ -1,9 +1,9 @@
 """Toy unified transducer: encoder, predictor and additive joint network.
 
 One parameter set serves both offline and streaming forward passes.  Offline
-mode is the streaming machinery with an all-true attention mask and a single
-full-sequence convolution window, so full-context streaming reproduces the
-offline pass bit for bit.
+mode is full-context streaming: the spec ``(T, T, 0)`` at offset 0, one chunk
+that spans the whole utterance, so it gives an all-true attention mask and a
+single full-sequence convolution window.
 
 The encoder subsamples by frame stacking, then applies blocks of
 layernorm -> masked attention -> residual -> layernorm -> depthwise
@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as tz
-from .contexts import ContextSpec, ConvChunkPlan, build_attention_mask, full_conv_plan, plan_conv_chunks
+from .contexts import ContextSpec, build_attention_mask, plan_conv_chunks
 from .errors import BadTokenError, InputTooShortError
 from .tensor import Tensor
 
@@ -73,6 +73,9 @@ class ModeSelector:
 
 OFFLINE = ModeSelector("offline")
 
+# gated recurrent predictor weights, in the argument order of tensor.gru_cell
+GRU_WEIGHTS = ("wz", "uz", "bz", "wr", "ur", "br", "wc", "uc", "bc")
+
 
 def streaming_mode(spec: ContextSpec, conv_right_mode: str = "real") -> ModeSelector:
     return ModeSelector("streaming", spec, conv_right_mode)
@@ -84,8 +87,7 @@ class TransducerModel:
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
         self.params: dict[str, Tensor] = {}
-        self._plan_cache: dict = {}
-        self._mask_cache: dict = {}
+        self._context_cache: dict = {}
         rng = np.random.default_rng(cfg.seed)
         dt = np.float32 if cfg.dtype == "float32" else np.float64
 
@@ -134,6 +136,7 @@ class TransducerModel:
         par("joint.w_pred", (P, H), P ** -0.5)
         par("joint.b", (H,))
         par("joint.w_out", (H, cfg.vocab_size), H ** -0.5)
+        self._gru_weights = [self.params["pred." + nm] for nm in GRU_WEIGHTS]
 
     # -- parameter access ---------------------------------------------------
 
@@ -153,34 +156,20 @@ class TransducerModel:
 
     # -- encoder ------------------------------------------------------------
 
-    def _mask_for(self, T: int, mode: ModeSelector, offset: int) -> np.ndarray:
+    def _context_for(self, T: int, mode: ModeSelector, offset: int) -> tuple:
+        """Cached attention mask and realized convolution windows for one encode."""
         if mode.kind == "offline":
-            key = ("offline", T)
-            if key not in self._mask_cache:
-                m = np.ones((T, T), dtype=bool)
-                m.flags.writeable = False
-                self._mask_cache[key] = m
-            return self._mask_cache[key]
-        key = (T, mode.spec, offset)
-        if key not in self._mask_cache:
-            m = build_attention_mask(T, mode.spec, offset=offset)
-            m.flags.writeable = False
-            self._mask_cache[key] = m
-        return self._mask_cache[key]
-
-    def _plan_for(self, T: int, mode: ModeSelector, offset: int) -> ConvChunkPlan:
-        k = self.cfg.conv_kernel
-        if mode.kind == "offline":
-            key = ("offline", T)
-            if key not in self._plan_cache:
-                self._plan_cache[key] = full_conv_plan(T, k)
-            return self._plan_cache[key]
-        key = (T, mode.spec, mode.conv_right_mode, offset)
-        if key not in self._plan_cache:
-            self._plan_cache[key] = plan_conv_chunks(T, mode.spec, k,
-                                                     right_mode=mode.conv_right_mode,
-                                                     offset=offset)
-        return self._plan_cache[key]
+            spec, offset = ContextSpec(T, T, 0), 0
+        else:
+            spec = mode.spec
+        key = (T, spec, mode.conv_right_mode, offset)
+        if key not in self._context_cache:
+            mask = build_attention_mask(T, spec, offset=offset)
+            mask.flags.writeable = False
+            plan = plan_conv_chunks(T, spec, self.cfg.conv_kernel,
+                                    right_mode=mode.conv_right_mode, offset=offset)
+            self._context_cache[key] = (mask, tuple(plan.realized()))
+        return self._context_cache[key]
 
     def encode(self, features: np.ndarray, mode: ModeSelector = OFFLINE,
                grid_offset: int = 0) -> Tensor:
@@ -200,9 +189,7 @@ class TransducerModel:
         p = self.params
         x = tz.constant(feats[:T * q].reshape(T, q * self.cfg.feat_dim))
         x = tz.linear(x, p["in_proj.w"], p["in_proj.b"])
-        mask = self._mask_for(T, mode, grid_offset)
-        plan = self._plan_for(T, mode, grid_offset)
-        windows = plan.realized()
+        mask, windows = self._context_for(T, mode, grid_offset)
         for i in range(self.cfg.blocks):
             pre = f"block{i}."
             a = tz.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
@@ -231,13 +218,9 @@ class TransducerModel:
         """Single recurrent step; blank is never fed by decoding convention."""
         if not 0 <= int(token) < self.cfg.vocab_size:
             raise BadTokenError(f"token {token} outside [0, {self.cfg.vocab_size})")
-        p = self.params
-        xe = p["pred.emb"].data[int(token)]
+        xe = self.params["pred.emb"].data[int(token)]
         h = np.asarray(state, dtype=self.np_dtype)
-        z = 0.5 * (np.tanh(0.5 * (xe @ p["pred.wz"].data + h @ p["pred.uz"].data + p["pred.bz"].data)) + 1.0)
-        r = 0.5 * (np.tanh(0.5 * (xe @ p["pred.wr"].data + h @ p["pred.ur"].data + p["pred.br"].data)) + 1.0)
-        c = np.tanh(xe @ p["pred.wc"].data + (r * h) @ p["pred.uc"].data + p["pred.bc"].data)
-        new_state = (1.0 - z) * h + z * c
+        new_state = tz.gru_cell(xe, h, *[w.data for w in self._gru_weights])[-1]
         return new_state, new_state
 
     def pred_sequence(self, targets) -> Tensor:
@@ -245,12 +228,8 @@ class TransducerModel:
         y = np.asarray(targets, dtype=np.int64).reshape(-1)
         if y.size and (y.min() < 0 or y.max() >= self.cfg.vocab_size):
             raise BadTokenError("target ids outside the vocabulary")
-        p = self.params
-        emb = tz.embedding(p["pred.emb"], y)
-        return tz.gru_sequence(emb, p["pred.h0"],
-                               p["pred.wz"], p["pred.uz"], p["pred.bz"],
-                               p["pred.wr"], p["pred.ur"], p["pred.br"],
-                               p["pred.wc"], p["pred.uc"], p["pred.bc"])
+        emb = tz.embedding(self.params["pred.emb"], y)
+        return tz.gru_sequence(emb, self.params["pred.h0"], *self._gru_weights)
 
     # -- joint --------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import EmptyAttentionRowError, EvenKernelError, NonFiniteInputError
+from .errors import EmptyAttentionRowError, EvenKernelError
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -28,9 +28,6 @@ class Tape:
 
     def __init__(self) -> None:
         self._records: list[tuple[str, Callable[[], None]]] = []
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     def record(self, name: str, backward_fn: Callable[[], None]) -> None:
         self._records.append((name, backward_fn))
@@ -43,15 +40,15 @@ class Tape:
         popped = _tape_stack().pop()
         assert popped is self, "tape contexts exited out of order"
 
-    def backward(self, loss: "Tensor", seed: float = 1.0) -> None:
-        self.backward_weighted([(loss, seed)])
+    def backward(self, out: "Tensor", seed=1.0) -> None:
+        """Seed ``out``'s gradient, then replay the tape once in reverse.
 
-    def backward_weighted(self, seeded: Sequence[tuple["Tensor", float]]) -> None:
-        """Seed several scalar outputs at once, then replay the tape once."""
-        for out, weight in seeded:
-            if out.data.shape != ():
-                raise ValueError("backward seeds must be scalar tensors")
-            out.accum_grad(np.asarray(weight, dtype=out.data.dtype))
+        ``seed`` is a scalar or an array of ``out``'s shape.
+        """
+        seed = np.asarray(seed, dtype=out.data.dtype)
+        if seed.shape not in ((), out.data.shape):
+            raise ValueError(f"seed shape {seed.shape} does not match output {out.data.shape}")
+        out.accum_grad(seed)
         for _name, fn in reversed(self._records):
             fn()
 
@@ -155,35 +152,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ValueError(f"mul shapes must match: {a.shape} vs {b.shape}")
-    out, tape = _result((a, b), a.data * b.data)
-    if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                a.accum_grad(g * b.data)
-            if b.requires_grad:
-                b.accum_grad(g * a.data)
-        tape.record("mul", bwd)
-    return out
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    out, tape = _result((a,), a.data * c)
-    if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            a.accum_grad(g * c)
-        tape.record("scale", bwd)
-    return out
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """``a @ b`` with ``a`` 1-D or 2-D and ``b`` 2-D."""
     if b.data.ndim != 2 or a.data.ndim not in (1, 2):
@@ -239,19 +207,6 @@ def tanh(x: Tensor) -> Tensor:
                 return
             x.accum_grad(g * (1.0 - out.data * out.data))
         tape.record("tanh", bwd)
-    return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    data = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
-    out, tape = _result((x,), data)
-    if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            x.accum_grad(g * out.data * (1.0 - out.data))
-        tape.record("sigmoid", bwd)
     return out
 
 
@@ -313,38 +268,6 @@ def embedding(table: Tensor, ids) -> Tensor:
     return out
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    out, tape = _result((x,), x.data[start:stop])
-    if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            full = np.zeros_like(x.data)
-            full[start:stop] = g
-            x.accum_grad(full)
-        tape.record("slice_rows", bwd)
-    return out
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    data = np.concatenate([p.data for p in parts], axis=0)
-    out, tape = _result(tuple(parts), data)
-    if tape is not None:
-        sizes = [p.data.shape[0] for p in parts]
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            at = 0
-            for p, n in zip(parts, sizes):
-                if p.requires_grad:
-                    p.accum_grad(g[at:at + n])
-                at += n
-        tape.record("concat_rows", bwd)
-    return out
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     out, tape = _result((x,), x.data.reshape(shape))
     if tape is not None:
@@ -373,31 +296,6 @@ def outer_add(a: Tensor, b: Tensor) -> Tensor:
             if b.requires_grad:
                 b.accum_grad(g.sum(axis=0))
         tape.record("outer_add", bwd)
-    return out
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out, tape = _result((x,), np.asarray(x.data.sum(), dtype=x.data.dtype))
-    if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            x.accum_grad(np.full_like(x.data, float(g)))
-        tape.record("sum_all", bwd)
-    return out
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    out, tape = _result((x,), np.asarray(x.data.mean(), dtype=x.data.dtype))
-    if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            x.accum_grad(np.full_like(x.data, float(g) / n))
-        tape.record("mean_all", bwd)
     return out
 
 
@@ -573,60 +471,22 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# streaming log-softmax
-# ---------------------------------------------------------------------------
-
-
-def log_softmax_online(x: Tensor, tile: int) -> Tensor:
-    """``x - logsumexp(x)`` via a two-pass streaming reduction over tiles.
-
-    Pass one folds each tile into a running (max, rescaled sum) pair, so peak
-    auxiliary storage stays O(tile); pass two writes the output.  The backward
-    recomputes per-tile softmax values from the saved output instead of
-    keeping a second V-sized buffer.
-    """
-    if x.data.ndim != 1:
-        raise ValueError("log_softmax_online expects a 1-D input")
-    if tile < 1:
-        raise ValueError("tile must be >= 1")
-    vdim = x.data.shape[0]
-    if vdim < 1:
-        raise ValueError("input must have at least one element")
-    v = x.data
-    if not np.isfinite(v).all():
-        raise NonFiniteInputError("log_softmax_online input contains non-finite values")
-
-    running_max = -np.inf
-    running_sum = 0.0
-    for t0 in range(0, vdim, tile):
-        blk = v[t0:t0 + tile]
-        blk_max = float(blk.max())
-        new_max = running_max if running_max >= blk_max else blk_max
-        if running_sum > 0.0:
-            running_sum *= math.exp(running_max - new_max)
-        running_sum += float(np.exp(blk - new_max).sum())
-        running_max = new_max
-    lse = running_max + math.log(running_sum)
-
-    out, tape = _result((x,), v - lse)
-    if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            total = float(g.sum())
-            dx = np.empty_like(v)
-            for t0 in range(0, vdim, tile):
-                t1 = min(t0 + tile, vdim)
-                dx[t0:t1] = g[t0:t1] - np.exp(out.data[t0:t1]) * total
-            x.accum_grad(dx)
-        tape.record("log_softmax_online", bwd)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # fused gated recurrent sequence
 # ---------------------------------------------------------------------------
+
+
+def gru_cell(xe: np.ndarray, h: np.ndarray,
+             wz, uz, bz, wr, ur, br, wc, uc, bc) -> tuple[np.ndarray, ...]:
+    """One gated recurrent step on plain arrays: ``(z, r, r * h, c, h_next)``.
+
+    The single definition of the cell: :func:`gru_sequence` and the decoder's
+    one-token step both evaluate it, so their states agree bit for bit.
+    """
+    z = 0.5 * (np.tanh(0.5 * (xe @ wz + h @ uz + bz)) + 1.0)
+    r = 0.5 * (np.tanh(0.5 * (xe @ wr + h @ ur + br)) + 1.0)
+    rh = r * h
+    c = np.tanh(xe @ wc + rh @ uc + bc)
+    return z, r, rh, c, (1.0 - z) * h + z * c
 
 
 def gru_sequence(emb: Tensor, h0: Tensor,
@@ -647,15 +507,9 @@ def gru_sequence(emb: Tensor, h0: Tensor,
     rs = np.empty_like(zs)
     cs = np.empty_like(zs)
     rhs = np.empty_like(zs)
+    weights = [p.data for p in (wz, uz, bz, wr, ur, br, wc, uc, bc)]
     for i in range(U):
-        xe = emb.data[i]
-        h = hs[i]
-        z = 0.5 * (np.tanh(0.5 * (xe @ wz.data + h @ uz.data + bz.data)) + 1.0)
-        r = 0.5 * (np.tanh(0.5 * (xe @ wr.data + h @ ur.data + br.data)) + 1.0)
-        rh = r * h
-        c = np.tanh(xe @ wc.data + rh @ uc.data + bc.data)
-        hs[i + 1] = (1.0 - z) * h + z * c
-        zs[i], rs[i], cs[i], rhs[i] = z, r, c, rh
+        zs[i], rs[i], rhs[i], cs[i], hs[i + 1] = gru_cell(emb.data[i], hs[i], *weights)
 
     inputs = (emb, h0, wz, uz, bz, wr, ur, br, wc, uc, bc)
     out, tape = _result(inputs, hs)

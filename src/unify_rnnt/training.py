@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .corpus import Utterance
 from .errors import (CorruptCheckpointError, EmptyBatchError, NumericalError,
                      VersionMismatchError)
 from .mcr import MCRConfig, mcr_backward, mcr_forward, mcr_three_class
-from .model import OFFLINE, ModelConfig, ModeSelector, TransducerModel, streaming_mode
+from .model import OFFLINE, ModelConfig, TransducerModel, streaming_mode
 from .rnnt_loss import JointLogits, rnnt_forward_single
 from .tensor import Tape, Tensor
 
@@ -302,7 +303,8 @@ def run_training(model: TransducerModel, utterances: list[Utterance],
 
     Per step the rng draws, in order: batch indices, then mode
     (single mode) or context spec.  Appends one JSON record per step to
-    ``metrics_path`` and writes a final checkpoint if requested.
+    ``metrics_path`` and writes a final checkpoint, with the rng state, if
+    requested.
     """
     if not utterances:
         raise EmptyBatchError("training corpus is empty")
@@ -330,7 +332,7 @@ def run_training(model: TransducerModel, utterances: list[Utterance],
         if log_fh:
             log_fh.close()
     if checkpoint_path:
-        save_checkpoint(checkpoint_path, model, step=cfg.steps, optimizer=opt)
+        save_checkpoint(checkpoint_path, model, step=cfg.steps, optimizer=opt, rng=rng)
     return last
 
 
@@ -340,10 +342,12 @@ def run_training(model: TransducerModel, utterances: list[Utterance],
 
 
 def save_checkpoint(path, model: TransducerModel, step: int = 0,
-                    optimizer: AdamW | None = None) -> None:
+                    optimizer: AdamW | None = None,
+                    rng: np.random.Generator | None = None) -> None:
+    """Write the checkpoint to a temp file in the same directory, then rename
+    it over ``path``, so a failed write leaves the previous file intact."""
     if model.cfg.dtype != "float32":
         raise ValueError("checkpoints store float32 blobs; model dtype must be float32")
-    names = [name for name, _ in model.param_items()]
     header = {
         "format_version": CHECKPOINT_VERSION,
         "model_config": model.config_dict(),
@@ -351,6 +355,7 @@ def save_checkpoint(path, model: TransducerModel, step: int = 0,
         "params": [{"name": name, "shape": list(p.shape)}
                    for name, p in model.param_items()],
         "optimizer": None,
+        "rng_state": None if rng is None else rng.bit_generator.state,
     }
     if optimizer is not None:
         header["optimizer"] = {"t": optimizer.t, "betas": list(optimizer.betas),
@@ -358,16 +363,25 @@ def save_checkpoint(path, model: TransducerModel, step: int = 0,
                                "weight_decay": optimizer.weight_decay,
                                "lr": optimizer.lr}
     blob = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        for _name, p in model.param_items():
-            fh.write(p.data.astype("<f4", copy=False).tobytes())
-        if optimizer is not None:
-            for buf in optimizer.m + optimizer.v:
-                fh.write(buf.astype("<f4", copy=False).tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for _name, p in model.param_items():
+                fh.write(p.data.astype("<f4", copy=False).tobytes())
+            if optimizer is not None:
+                for buf in optimizer.m + optimizer.v:
+                    fh.write(buf.astype("<f4", copy=False).tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -378,7 +392,9 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 
 def load_checkpoint(path, expected_config: ModelConfig | None = None
-                    ) -> tuple[TransducerModel, int, AdamW | None]:
+                    ) -> tuple[TransducerModel, int, AdamW | None,
+                               np.random.Generator | None]:
+    """Model, step, optimizer (if stored) and training rng (if stored)."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -418,4 +434,12 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None
         trailing = fh.read(1)
         if trailing:
             raise CorruptCheckpointError("trailing bytes after checkpoint payload")
-    return model, int(header["step"]), opt
+    rng = None
+    if header.get("rng_state") is not None:
+        bit_gen = np.random.PCG64()
+        try:
+            bit_gen.state = header["rng_state"]
+        except (TypeError, ValueError, KeyError) as exc:
+            raise CorruptCheckpointError(f"unreadable rng state: {exc}") from exc
+        rng = np.random.Generator(bit_gen)
+    return model, int(header["step"]), opt, rng

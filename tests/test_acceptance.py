@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, one printed line per criterion.
 
-Criteria 7 through 9 share one trend-suite fixture (the strategy x seed
-training grid over the synthetic corpus); everything else is self-contained.
-Run with ``pytest tests/test_acceptance.py -v -s``.
+Criteria 1 to 6 and 10 are here, each self-contained.  Criteria 7 through 9
+(the strategy x seed training grid over the synthetic corpus) are not
+implemented yet.  Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
 import math
@@ -159,7 +159,7 @@ def test_criterion_5_mode_equivalence():
             off = model.encode(feats, OFFLINE).data
             spec = ContextSpec(T + 1, T + 1, T + 1)
             stream = model.encode(feats, streaming_mode(spec, "real")).data
-            assert np.abs(off - stream).max() <= 1e-10
+            np.testing.assert_array_equal(off, stream)
         # chunked depthwise conv with C >= T is bit-exact vs offline conv
         for _ in range(10):
             T = int(rng.integers(1, 16))
@@ -252,7 +252,7 @@ def test_criterion_10_plumbing_roundtrips(tmp_path):
         opt.step()
         path = tmp_path / "model.urnt"
         save_checkpoint(path, model, step=42, optimizer=opt)
-        loaded, step, opt2 = load_checkpoint(path, expected_config=cfg)
+        loaded, step, opt2, _rng = load_checkpoint(path, expected_config=cfg)
         assert step == 42
         for (_, p1), (_, p2) in zip(model.param_items(), loaded.param_items()):
             assert p1.data.tobytes() == p2.data.tobytes()

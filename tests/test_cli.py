@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 from unify_rnnt.cli import main
+from unify_rnnt.training import load_checkpoint
 
 
 def write_config(path, out_dir, **over):
@@ -73,6 +74,13 @@ class TestGenData:
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "nope.yaml")]) == 2
 
+    @pytest.mark.parametrize("key", ["workers", "extra_left_margin"])
+    def test_unknown_eval_key_rejected(self, tmp_path, key):
+        out = tmp_path / "run"
+        config = write_config(tmp_path / "c.yaml", out,
+                              eval={"left": 4, "specs": [[1, 0]], key: 2})
+        assert main(["gen-data", "--config", str(config)]) == 2
+
     def test_invalid_config_value_rejected(self, tmp_path):
         out = tmp_path / "run"
         config = write_config(tmp_path / "c.yaml", out,
@@ -129,6 +137,28 @@ class TestTrainEvalPipeline:
         # resumed run starts past the stored step count (here: nothing left)
         assert (out2 / "checkpoint.urnt").exists()
 
+    def test_resume_continues_rng(self, workspace, tmp_path):
+        # train 3 steps, resume to 6: same rng state and spec sequence as 6 straight
+        config, out = workspace
+        assert main(["gen-data", "--config", str(config)]) == 0
+        cfg = yaml.safe_load(config.read_text())
+        cfg["train"]["steps"] = 3
+        short = tmp_path / "short.yaml"
+        with open(short, "w") as fh:
+            yaml.safe_dump(cfg, fh)
+        full, first, second = (tmp_path / name for name in ("full", "first", "second"))
+        assert main(["train", "--config", str(config), "--out", str(full)]) == 0
+        assert main(["train", "--config", str(short), "--out", str(first)]) == 0
+        assert main(["train", "--config", str(config), "--out", str(second),
+                     "--resume", str(first / "checkpoint.urnt")]) == 0
+
+        def specs(*dirs):
+            return [json.loads(l)["spec"] for d in dirs for l in open(d / "metrics.jsonl")]
+        assert specs(first, second) == specs(full)
+        rng_full = load_checkpoint(full / "checkpoint.urnt")[3]
+        rng_resumed = load_checkpoint(second / "checkpoint.urnt")[3]
+        assert rng_resumed.bit_generator.state == rng_full.bit_generator.state
+
     def test_missing_manifest_is_io_error(self, workspace):
         config, out = workspace
         assert main(["train", "--config", str(config)]) == 4
@@ -182,6 +212,32 @@ class TestLocking:
         (out / ".unify-rnnt.lock").write_text(str(os.getpid()))
         assert main(["gen-data", "--config", str(config)]) == 4
         (out / ".unify-rnnt.lock").unlink()
+
+    def test_lock_taken_after_check_blocks(self, workspace, monkeypatch):
+        # another live process creates the lock between our check and our write
+        config, out = workspace
+        lock = str(out / ".unify-rnnt.lock")
+        real_exists, real_open = os.path.exists, os.open
+
+        def plant():
+            with open(lock, "x") as fh:
+                fh.write(str(os.getpid()))
+
+        def exists(path):
+            if os.fspath(path) == lock and not real_exists(lock):
+                plant()
+                return False
+            return real_exists(path)
+
+        def os_open(path, *args, **kwargs):
+            if os.fspath(path) == lock and not real_exists(lock):
+                plant()
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os.path, "exists", exists)
+        monkeypatch.setattr(os, "open", os_open)
+        assert main(["gen-data", "--config", str(config)]) == 4
+        assert (out / ".unify-rnnt.lock").read_text() == str(os.getpid())
 
     def test_stale_lock_stolen(self, workspace):
         config, out = workspace

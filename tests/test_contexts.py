@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unify_rnnt.contexts import (ContextSets, ContextSpec, build_attention_mask,
-                                 full_conv_plan, latency_of, plan_conv_chunks,
-                                 sample_context)
+                                 latency_of, plan_conv_chunks, sample_context)
 from unify_rnnt.errors import EmptyContextSetError, EvenKernelError
 
 spec_strategy = st.builds(ContextSpec,
@@ -91,7 +90,8 @@ class TestSampling:
 
     def test_nested_roundtrip(self):
         nested = [[70], [1, 2, 7, 13], [0, 1, 2, 3, 5, 7, 13, 26]]
-        assert ContextSets.from_nested(nested).to_nested() == nested
+        sets = ContextSets.from_nested(nested)
+        assert [list(sets.left_set), list(sets.chunk_set), list(sets.right_set)] == nested
 
 
 class TestConvPlan:
@@ -102,9 +102,9 @@ class TestConvPlan:
         assert got == [(-1, 3, 0, 2), (1, 5, 2, 4), (3, 7, 4, 6)]
 
     def test_single_chunk_equals_full_plan(self):
+        # one window: real frames [0, 5) with a zero halo of 3 on each side
         big = plan_conv_chunks(5, ContextSpec(0, 9, 0), 7)
-        full = full_conv_plan(5, 7)
-        assert big.realized() == full.realized()
+        assert big.realized() == [(-3, 8, 0, 5, 0, 5)]
 
     def test_even_kernel_rejected(self):
         with pytest.raises(EvenKernelError):

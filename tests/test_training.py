@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -239,10 +240,14 @@ class TestCheckpoint:
         for p in model.parameters():
             p.grad = np.ones_like(p.data)
         opt.step()
+        rng = np.random.default_rng(11)
+        rng.random(3)
         path = tmp_path / "model.urnt"
-        save_checkpoint(path, model, step=17, optimizer=opt)
-        loaded, step, opt2 = load_checkpoint(path)
+        save_checkpoint(path, model, step=17, optimizer=opt, rng=rng)
+        loaded, step, opt2, rng2 = load_checkpoint(path)
         assert step == 17
+        assert rng2.bit_generator.state == rng.bit_generator.state
+        np.testing.assert_array_equal(rng2.random(4), rng.random(4))
         for (n1, p1), (n2, p2) in zip(model.param_items(), loaded.param_items()):
             assert n1 == n2
             np.testing.assert_array_equal(p1.data, p2.data)
@@ -278,6 +283,42 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             save_checkpoint(tmp_path / "m.urnt", model)
 
+    def test_checkpoint_without_rng_state_loads(self, tmp_path):
+        model = TransducerModel(MODEL_CFG)
+        path = tmp_path / "model.urnt"
+        save_checkpoint(path, model, step=3)
+        # rewrite the header as older writers did, with no rng_state field
+        raw = open(path, "rb").read()
+        start = len(b"URNTCKPT") + 4
+        hlen = struct.unpack("<Q", raw[start:start + 8])[0]
+        header = json.loads(raw[start + 8:start + 8 + hlen])
+        del header["rng_state"]
+        blob = json.dumps(header).encode("utf-8")
+        open(path, "wb").write(raw[:start] + struct.pack("<Q", len(blob)) + blob
+                               + raw[start + 8 + hlen:])
+        loaded, step, _opt, rng = load_checkpoint(path)
+        assert step == 3 and rng is None
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        model = TransducerModel(MODEL_CFG)
+        path = tmp_path / "model.urnt"
+        save_checkpoint(path, model, step=1)
+        before = open(path, "rb").read()
+
+        class FailingBlob:
+            """Parameter data whose serialization fails mid-write."""
+            shape = model.params["joint.b"].shape
+
+            def astype(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        model.params["joint.b"].data = FailingBlob()
+        with pytest.raises(OSError):
+            save_checkpoint(path, model, step=2)
+        assert open(path, "rb").read() == before
+        assert load_checkpoint(path)[1] == 1
+        assert os.listdir(tmp_path) == ["model.urnt"]
+
     def test_trailing_garbage_detected(self, tmp_path):
         model = TransducerModel(MODEL_CFG)
         path = tmp_path / "model.urnt"
@@ -297,7 +338,7 @@ class TestResume:
         opt = AdamW(model.parameters(), weight_decay=cfg.weight_decay)
         run_training(model, utts, half, opt=opt)
         save_checkpoint(ckpt, model, step=4, optimizer=opt)
-        loaded, step, opt2 = load_checkpoint(ckpt, expected_config=MODEL_CFG)
+        loaded, step, opt2, _rng = load_checkpoint(ckpt, expected_config=MODEL_CFG)
         assert step == 4
         metrics = tmp_path / "metrics.jsonl"
         run_training(loaded, utts, cfg, metrics_path=metrics, start_step=step,
