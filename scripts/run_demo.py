@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """End-to-end pipeline demo driven through the CLI.
 
-Generates a corpus, trains a short dual-mode + consistency run, evaluates the
-latency ladder, sweeps chunk/right-context splits under fixed budgets, and
-prints the report.  Everything lands under --out.
+Generates a training corpus and a held-out eval corpus (another sampling
+seed, a quarter of the size), trains a short dual-mode + consistency run,
+evaluates the latency ladder on the held-out corpus, sweeps chunk/right-context
+splits under fixed budgets, and prints the report.  Everything lands under
+--out.
 """
 
 import argparse
@@ -23,6 +25,7 @@ def main() -> int:
     args = parser.parse_args()
 
     out = args.out
+    heldout = os.path.join(out, "heldout")
     config = {
         "seed": 7,
         "out": out,
@@ -41,7 +44,8 @@ def main() -> int:
                   "max_lr": 3e-3, "min_lr": 3e-4, "batch_size": 8,
                   "manifest": os.path.join(out, "corpus", "manifest.jsonl")},
         "eval": {"left": 4, "specs": [[1, 0], [1, 1], [2, 2], [4, 4]],
-                 "frame_ms": 40.0, "budgets": [2, 4]},
+                 "frame_ms": 40.0, "budgets": [2, 4],
+                 "manifest": os.path.join(heldout, "corpus", "manifest.jsonl")},
     }
     os.makedirs(out, exist_ok=True)
     config_path = os.path.join(out, "config.yaml")
@@ -51,6 +55,8 @@ def main() -> int:
 
     steps = [
         ["gen-data", "--config", config_path],
+        ["gen-data", "--config", config_path, "--out", heldout, "--seed", "8",
+         "--n", str(max(1, args.n_utterances // 4))],
         ["train", "--config", config_path],
         ["eval", "--config", config_path,
          "--checkpoint", os.path.join(out, "checkpoint.urnt")],

@@ -95,7 +95,7 @@ def parse_config(data: dict) -> dict:
     if unknown:
         raise ConfigError(f"bad eval section: unknown keys {unknown}")
     eval_cfg = {
-        "manifest": eval_raw.get("manifest", manifest),
+        "manifest": eval_raw.get("manifest"),
         "left": int(eval_raw.get("left", 70)),
         "specs": [tuple(int(v) for v in pair) for pair in
                   eval_raw.get("specs", [[1, 0], [1, 1], [2, 2], [4, 4]])],
@@ -180,7 +180,7 @@ def _check_writable(out_dir) -> None:
 def _load_eval_utterances(bundle, manifest_override=None):
     manifest = manifest_override or bundle["eval"]["manifest"]
     if not manifest:
-        raise ConfigError("no eval manifest configured")
+        raise ConfigError("no eval manifest: set eval.manifest or pass --manifest")
     return list(load_manifest(manifest, bundle["corpus"].feat_dim))
 
 

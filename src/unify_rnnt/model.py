@@ -157,7 +157,7 @@ class TransducerModel:
     # -- encoder ------------------------------------------------------------
 
     def _context_for(self, T: int, mode: ModeSelector, offset: int) -> tuple:
-        """Cached attention mask and realized convolution windows for one encode."""
+        """Cached attention mask and convolution layout for one encode."""
         if mode.kind == "offline":
             spec, offset = ContextSpec(T, T, 0), 0
         else:
@@ -168,7 +168,8 @@ class TransducerModel:
             mask.flags.writeable = False
             plan = plan_conv_chunks(T, spec, self.cfg.conv_kernel,
                                     right_mode=mode.conv_right_mode, offset=offset)
-            self._context_cache[key] = (mask, tuple(plan.realized()))
+            layout = tz.ConvLayout(plan.realized(), T, self.cfg.conv_kernel)
+            self._context_cache[key] = (mask, layout)
         return self._context_cache[key]
 
     def encode(self, features: np.ndarray, mode: ModeSelector = OFFLINE,
@@ -189,7 +190,7 @@ class TransducerModel:
         p = self.params
         x = tz.constant(feats[:T * q].reshape(T, q * self.cfg.feat_dim))
         x = tz.linear(x, p["in_proj.w"], p["in_proj.b"])
-        mask, windows = self._context_for(T, mode, grid_offset)
+        mask, conv_layout = self._context_for(T, mode, grid_offset)
         for i in range(self.cfg.blocks):
             pre = f"block{i}."
             a = tz.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
@@ -200,7 +201,7 @@ class TransducerModel:
                 mask, self.cfg.heads)
             x = tz.add(x, tz.linear(attn, p[pre + "attn.wo"], p[pre + "attn.bo"]))
             c = tz.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-            conv = tz.depthwise_conv1d_windows(c, p[pre + "conv.kernel"], windows)
+            conv = tz.depthwise_conv1d_windows(c, p[pre + "conv.kernel"], conv_layout)
             h = tz.relu(tz.linear(conv, p[pre + "ff1.w"], p[pre + "ff1.b"]))
             f = tz.linear(h, p[pre + "ff2.w"], p[pre + "ff2.b"])
             x = tz.add(x, f)

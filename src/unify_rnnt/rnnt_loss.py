@@ -5,6 +5,13 @@ analytic gradient with respect to the raw joint logits (occupancy-weighted
 softmax minus transition indicators), plus a brute-force alignment
 enumeration oracle for small lattices.
 
+Alpha and beta come from one scan (the recursion of Graves 2012, evaluated
+along anti-diagonals, whose cells are independent): beta is the alpha
+recursion on the lattice flipped along both axes, and both lattices advance
+together, one diagonal per vector step.  Each cell takes the same two
+``logaddexp`` operands in the same order as a cell-by-cell loop, so the
+values are bit-identical to it.
+
 Conventions: blank id is fixed to 0, target ids live in [1, V).  Losses are
 per utterance; batch reduction belongs to the caller.
 """
@@ -94,32 +101,47 @@ def _log_probs(z: np.ndarray, y: np.ndarray):
     return lse, logpb, logpy
 
 
-def _forward_alphas(logpb: np.ndarray, logpy: np.ndarray, T: int, U: int) -> np.ndarray:
-    alpha = np.full((T, U + 1), NEG_INF)
-    for t in range(T):
-        if t == 0:
-            row = np.full(U + 1, NEG_INF)
-            row[0] = 0.0
-        else:
-            row = alpha[t - 1] + logpb[t - 1]
-        for u in range(1, U + 1):
-            row[u] = np.logaddexp(row[u], row[u - 1] + logpy[t, u - 1])
-        alpha[t] = row
-    return alpha
+def _lattice_scan(wt: np.ndarray, wu: np.ndarray, base) -> np.ndarray:
+    """``X[k, t, u] = logaddexp(X[k, t-1, u] + wt[k, t-1, u], X[k, t, u-1] + wu[k, t, u-1])``.
+
+    Scans ``K`` lattices at once: ``wt`` is [K, T-1, U+1], ``wu`` is
+    [K, T, U] and ``X[k, 0, 0] = base[k]``.  An absent predecessor is
+    ``-inf``, for which ``logaddexp`` returns the other term exactly.  The
+    cells of one anti-diagonal ``t + u = n`` depend only on diagonal
+    ``n - 1``, so each diagonal is one vector step.  Storage is skewed,
+    ``S[n, 1 + u, k] = X[k, n - u, u]``, and column 0 is the absent label
+    column ``u = -1``.
+    """
+    K, T, U = wu.shape
+    N = T + U
+    S = np.full((N, U + 2, K), NEG_INF)
+    S[0, 1] = base
+    top = np.full_like(S, NEG_INF)
+    left = np.full_like(S, NEG_INF)
+    for w, skewed in ((wt, top), (wu, left)):
+        t, u = np.indices(w.shape[1:])
+        skewed[t + u, u + 1] = np.moveaxis(w, 0, -1)
+    for n in range(1, N):
+        np.logaddexp(S[n - 1, 1:] + top[n - 1, 1:], S[n - 1, :-1] + left[n - 1, :-1],
+                     out=S[n, 1:])
+    t, u = np.indices((T, U + 1))
+    return np.moveaxis(S[t + u, u + 1], -1, 0)
 
 
-def _backward_betas(logpb: np.ndarray, logpy: np.ndarray, T: int, U: int) -> np.ndarray:
-    beta = np.full((T, U + 1), NEG_INF)
-    for t in range(T - 1, -1, -1):
-        if t == T - 1:
-            row = np.full(U + 1, NEG_INF)
-            row[U] = logpb[t, U]
-        else:
-            row = logpb[t] + beta[t + 1]
-        for u in range(U - 1, -1, -1):
-            row[u] = np.logaddexp(row[u], logpy[t, u] + row[u + 1])
-        beta[t] = row
-    return beta
+def _alpha_beta(logpb: np.ndarray, logpy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward log-variables of one [T, U+1] lattice.
+
+    ``alpha[t, u]`` sums the paths from (0, 0) to (t, u); ``beta[t, u]`` the
+    paths from (t, u) through the final blank.  Beta is the alpha recursion
+    on the lattice flipped along both axes, started from the final blank, so
+    one scan computes both.
+    """
+    T = logpb.shape[0]
+    wt = logpb[:T - 1]
+    alpha, beta = _lattice_scan(np.stack([wt, wt[::-1, ::-1]]),
+                                np.stack([logpy, logpy[::-1, ::-1]]),
+                                [0.0, logpb[T - 1, -1]])
+    return alpha, beta[::-1, ::-1]
 
 
 def rnnt_forward_single(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -136,8 +158,7 @@ def rnnt_forward_single(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray
         return 0.0, np.zeros_like(z)
 
     lse, logpb, logpy = _log_probs(z, y)
-    alpha = _forward_alphas(logpb, logpy, T, U)
-    beta = _backward_betas(logpb, logpy, T, U)
+    alpha, beta = _alpha_beta(logpb, logpy)
     log_total = alpha[T - 1, U] + logpb[T - 1, U]
     loss = -float(log_total)
 

@@ -8,6 +8,15 @@ reverse order and accumulates gradients additively into ``Tensor.grad``.
 A tape is single-threaded by contract: one graph, one thread.  Ops themselves
 are pure functions of their inputs and may run concurrently on disjoint
 tensors.
+
+The chunked convolution computes all of its windows at once and loops only
+over kernel taps; the recurrent sequence loops over tokens only for the
+state recursion.  Both keep a fixed accumulation order, the one a loop over
+single windows or tokens would use: taps in tap order from zero; a window's
+rows, then the windows, in ascending order; per-token weight-gradient terms
+from the last token to the first.  Results therefore do not depend on how
+the work is batched, and a convolution over one window equals the
+whole-sequence oracle bit for bit.
 """
 
 from __future__ import annotations
@@ -400,62 +409,124 @@ def _check_kernel(kernel: Tensor) -> int:
     return k
 
 
-def depthwise_conv1d_windows(x: Tensor, kernel: Tensor, windows) -> Tensor:
-    """Per-channel 1-D convolution computed over explicit windows.
+class ConvLayout:
+    """Gather/scatter layout of a chunked convolution, built once per window set.
 
     ``windows`` is a sequence of
     ``(win_lo, win_hi, keep_lo, keep_hi, real_lo, real_hi)`` tuples in the
-    coordinates of ``x``.  Each window buffer holds real frames on
-    ``[real_lo, real_hi)`` and zeros elsewhere; output rows
-    ``[keep_lo, keep_hi)`` are the valid convolution of that buffer.  Keep
-    ranges must tile ``[0, T)``.  The accumulation order over kernel taps is
-    fixed so identical windows produce bit-identical outputs.
+    coordinates of a length-``T`` input, as ``ConvChunkPlan.realized`` gives
+    them: window ``i`` spans its keep range plus a halo of ``(k-1)/2`` on each
+    side, and holds real frames on ``[real_lo, real_hi)`` and zeros elsewhere.
+
+    The keep ranges must tile ``[0, T)`` in ascending order and lie on one
+    chunk grid: with ``C`` the longest keep range, window ``i`` sits in slot
+    ``i``, whose keep rows are ``[origin + i*C, origin + (i+1)*C)``; so only
+    the first and the last window may keep fewer rows.  Anything else raises
+    ``ValueError``.  ``gather[p, i]`` is the input row at position ``p`` of
+    slot ``i`` (``C + 2*halo`` positions), or ``T`` where the window has no
+    real frame.
+    """
+
+    def __init__(self, windows, T: int, kernel_size: int):
+        if kernel_size % 2 == 0:
+            raise EvenKernelError(f"kernel length {kernel_size} is even")
+        halo = (kernel_size - 1) // 2
+        w = np.asarray(windows, dtype=np.int64).reshape(-1, 6)
+        w_lo, w_hi, k_lo, k_hi, r_lo, r_hi = w[w[:, 3] > w[:, 2]].T
+        n = len(k_lo)
+        if (T < 1 or n == 0 or k_lo[0] != 0 or k_hi[-1] != T
+                or (k_lo[1:] != k_hi[:-1]).any()):
+            raise ValueError(f"keep ranges must tile [0, {T}) in ascending order")
+        if (w_lo != k_lo - halo).any() or (w_hi != k_hi + halo).any():
+            raise ValueError("window length inconsistent with keep range and halo")
+        C = int((k_hi - k_lo).max())
+        slot = int(k_hi[0]) - C + C * np.arange(n)
+        if (k_lo < slot).any() or (k_hi > slot + C).any():
+            raise ValueError("only the first and the last window may keep fewer "
+                             "rows than the longest one")
+        L = C + 2 * halo
+        pos = slot - halo + np.arange(L)[:, None]
+        real = (pos >= np.maximum(r_lo, 0)) & (pos < np.minimum(r_hi, T))
+        self.length, self.halo, self.chunk, self.n_windows = T, halo, C, n
+        self.origin = int(slot[0])
+        # int32 halves the layout, which the model caches per (T, spec, offset)
+        self.gather = np.where(real, pos, T).astype(np.int32)
+        # a window's gradient is scattered in ceil(L / C) blocks of C rows;
+        # rows inside [0, T) that the window reads as zeros pass no gradient
+        self.blocks = -(-L // C)
+        dead = np.zeros((self.blocks * C, n), dtype=bool)
+        dead[:L] = ~real & (pos >= 0) & (pos < T)
+        self.dead = np.flatnonzero(dead) if dead.any() else None
+
+
+def depthwise_conv1d_windows(x: Tensor, kernel: Tensor, windows) -> Tensor:
+    """Per-channel 1-D convolution computed over explicit windows.
+
+    ``windows`` is a :class:`ConvLayout`, or the window tuples to build one
+    from.  Output rows ``[keep_lo, keep_hi)`` are the valid convolution of
+    their window's buffer: real frames on ``[real_lo, real_hi)``, zeros
+    elsewhere.
+
+    All windows are computed at once, looping only over the kernel taps, in
+    a fixed accumulation order that equals a loop over single windows bit
+    for bit (so identical windows give identical outputs): each output row
+    and each window's input-gradient row sums its taps in tap order, starting
+    from zero; the kernel gradient sums each window's rows in row order, then
+    the windows in ascending order; an input row read by several windows
+    sums their gradients in ascending window order.  (This holds with more
+    than one channel; for a single channel numpy may reorder the sums.)
     """
     k = _check_kernel(kernel)
-    halo = (k - 1) // 2
     T, d = x.shape
     if kernel.data.shape[1] != d:
         raise ValueError(f"kernel channels {kernel.data.shape[1]} != input {d}")
-    out_data = np.zeros_like(x.data)
-    for (w_lo, w_hi, k_lo, k_hi, r_lo, r_hi) in windows:
-        keep = k_hi - k_lo
-        if keep <= 0:
-            continue
-        if w_hi - w_lo != keep + 2 * halo:
-            raise ValueError("window length inconsistent with keep range and halo")
-        wbuf = np.zeros((w_hi - w_lo, d), dtype=x.data.dtype)
-        if r_hi > r_lo:
-            wbuf[r_lo - w_lo:r_hi - w_lo] = x.data[r_lo:r_hi]
-        acc = out_data[k_lo:k_hi]
-        for j in range(k):
-            acc += wbuf[j:j + keep] * kernel.data[j]
-    out, tape = _result((x, kernel), out_data)
+    lay = windows if isinstance(windows, ConvLayout) else ConvLayout(windows, T, k)
+    if (lay.length, lay.halo) != (T, (k - 1) // 2):
+        raise ValueError(f"layout for T={lay.length}, halo={lay.halo} used with "
+                         f"T={T}, kernel length {k}")
+    n, C, m = lay.n_windows, lay.chunk, lay.blocks
+    lo = -lay.origin
+
+    def shifted_windows():
+        # taps[j, i, w] is row j + i of window w's buffer: the k shifted
+        # views of every window at once.  The backward gathers them again
+        # rather than keep a k-fold copy of x alive on the tape.
+        xz = np.zeros((T + 1, d), dtype=x.data.dtype)
+        xz[:T] = x.data
+        buf = xz[lay.gather]
+        return np.ndarray((k, C, n, d), buf.dtype, buf, 0, buf.strides[:1] + buf.strides)
+
+    # einsum adds the products over a summed index one at a time, in index
+    # order, into a zeroed output (the tests check this against a loop):
+    # taps in tap order from zero
+    acc = np.einsum("jiwc,jc->iwc", shifted_windows(), kernel.data)
+    out_rows = acc.transpose(1, 0, 2).reshape(n * C, d)[lo:lo + T]
+    out, tape = _result((x, kernel), out_rows)
     if tape is not None:
         def bwd():
             g = out.grad
             if g is None:
                 return
-            dx = np.zeros_like(x.data) if x.requires_grad else None
-            dk = np.zeros_like(kernel.data) if kernel.requires_grad else None
-            for (w_lo, w_hi, k_lo, k_hi, r_lo, r_hi) in windows:
-                keep = k_hi - k_lo
-                if keep <= 0:
-                    continue
-                gk = g[k_lo:k_hi]
-                wbuf = np.zeros((w_hi - w_lo, d), dtype=x.data.dtype)
-                if r_hi > r_lo:
-                    wbuf[r_lo - w_lo:r_hi - w_lo] = x.data[r_lo:r_hi]
-                dwbuf = np.zeros_like(wbuf)
+            gpad = np.zeros((n * C, d), dtype=g.dtype)
+            gpad[lo:lo + T] = g
+            gw = np.ascontiguousarray(gpad.reshape(n, C, d).transpose(1, 0, 2))
+            if kernel.requires_grad:
+                per_window = np.einsum("jiwc,iwc->jwc", shifted_windows(), gw)
+                kernel.accum_grad(per_window.sum(axis=1))
+            if x.requires_grad:
+                dbuf = np.zeros((m * C, n, d), dtype=x.data.dtype)
                 for j in range(k):
-                    if dk is not None:
-                        dk[j] += (wbuf[j:j + keep] * gk).sum(axis=0)
-                    dwbuf[j:j + keep] += gk * kernel.data[j]
-                if dx is not None and r_hi > r_lo:
-                    dx[r_lo:r_hi] += dwbuf[r_lo - w_lo:r_hi - w_lo]
-            if dx is not None:
-                x.accum_grad(dx)
-            if dk is not None:
-                kernel.accum_grad(dk)
+                    dbuf[j:j + C] += gw * kernel.data[j]
+                if lay.dead is not None:
+                    dbuf.reshape(-1, d)[lay.dead] = 0.0
+                # block b of window w lands on the rows of block b - 1 of
+                # window w + 1: adding the blocks last to first sums each row
+                # over its windows in ascending order
+                dx = np.zeros((n + m - 1, C, d), dtype=x.data.dtype)
+                for b in range(m - 1, -1, -1):
+                    dx[b:b + n] += dbuf[b * C:(b + 1) * C].transpose(1, 0, 2)
+                h = lay.halo + lo
+                x.accum_grad(dx.reshape(-1, d)[h:h + T])
         tape.record("depthwise_conv1d", bwd)
     return out
 
@@ -518,13 +589,17 @@ def gru_sequence(emb: Tensor, h0: Tensor,
             g = out.grad
             if g is None:
                 return
+            # the tensors come from ``inputs``: a closure over all eleven
+            # names holds 20 cells, and CPython's free list for tuples of
+            # that size then kept ~0.4 MB of them alive over a training run
+            emb, h0, wz, uz, bz, wr, ur, br, wc, uc, bc = inputs
             demb = np.zeros_like(emb.data)
-            grads = {p: np.zeros_like(p.data) for p in (wz, uz, bz, wr, ur, br, wc, uc, bc) if p.requires_grad}
+            # gate pre-activation gradients, row n for token U-1-n (loop order)
+            pre = np.empty((3, U, P), dtype=np.result_type(hs, *weights))
             dh = g[U].copy()
-            for i in range(U - 1, -1, -1):
-                xe = emb.data[i]
+            for n, i in enumerate(range(U - 1, -1, -1)):
                 h = hs[i]
-                z, r, c, rh = zs[i], rs[i], cs[i], rhs[i]
+                z, r, c = zs[i], rs[i], cs[i]
                 dz = dh * (c - h)
                 dc = dh * z
                 dhprev = dh * (1.0 - z)
@@ -536,21 +611,23 @@ def gru_sequence(emb: Tensor, h0: Tensor,
                 daz = dz * z * (1.0 - z)
                 dhprev += dar @ ur.data.T + daz @ uz.data.T
                 demb[i] = dac @ wc.data.T + dar @ wr.data.T + daz @ wz.data.T
-                for p, a, inp in ((wc, dac, xe), (wr, dar, xe), (wz, daz, xe)):
-                    if p in grads:
-                        grads[p] += np.outer(inp, a)
-                for p, a, inp in ((uc, dac, rh), (ur, dar, h), (uz, daz, h)):
-                    if p in grads:
-                        grads[p] += np.outer(inp, a)
-                for p, a in ((bc, dac), (br, dar), (bz, daz)):
-                    if p in grads:
-                        grads[p] += a
+                pre[0, n], pre[1, n], pre[2, n] = dac, dar, daz
                 dh = dhprev + g[i]
             if emb.requires_grad:
                 emb.accum_grad(demb)
             if h0.requires_grad:
                 h0.accum_grad(dh)
-            for p, val in grads.items():
-                p.accum_grad(val)
+            # weight and bias gradients: outer products (or gate gradients)
+            # summed over tokens in loop order, last token first; einsum
+            # accumulates them one token at a time without a [U, P, P] buffer
+            dac, dar, daz = pre
+            xe, h, rh = emb.data[::-1], hs[:U][::-1], rhs[::-1]
+            for p, a, inp in ((wz, daz, xe), (uz, daz, h), (wr, dar, xe),
+                              (ur, dar, h), (wc, dac, xe), (uc, dac, rh)):
+                if p.requires_grad:
+                    p.accum_grad(np.einsum("ui,uj->ij", inp, a))
+            for p, a in ((bz, daz), (br, dar), (bc, dac)):
+                if p.requires_grad:
+                    p.accum_grad(a.sum(axis=0))
         tape.record("gru_sequence", bwd)
     return out

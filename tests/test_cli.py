@@ -27,13 +27,24 @@ def write_config(path, out_dir, **over):
                   "batch_size": 2,
                   "manifest": str(out_dir / "corpus" / "manifest.jsonl")},
         "eval": {"left": 4, "specs": [[1, 0], [1, 1]], "frame_ms": 40.0,
-                 "budgets": [2]},
+                 "budgets": [2],
+                 "manifest": str(out_dir / "heldout" / "corpus" / "manifest.jsonl")},
     }
     for key, value in over.items():
         cfg[key] = value
     with open(path, "w") as fh:
         yaml.safe_dump(cfg, fh)
     return path
+
+
+def gen_heldout(config, out):
+    """Held-out eval corpus: another corpus seed, so other utterance ids."""
+    return main(["gen-data", "--config", str(config), "--out", str(out / "heldout"),
+                 "--seed", "8", "--n", "4"])
+
+
+def manifest_ids(path):
+    return {json.loads(line)["id"] for line in open(path)}
 
 
 @pytest.fixture
@@ -93,6 +104,7 @@ class TestTrainEvalPipeline:
     def test_train_eval_sweep_report(self, workspace, capsys):
         config, out = workspace
         assert main(["gen-data", "--config", str(config)]) == 0
+        assert gen_heldout(config, out) == 0
         assert main(["train", "--config", str(config)]) == 0
         ckpt = out / "checkpoint.urnt"
         assert ckpt.exists()
@@ -110,7 +122,7 @@ class TestTrainEvalPipeline:
             expected = float(r["chunk_s"]) + float(r["right_s"])
             assert float(r["latency_s"]) == pytest.approx(expected)
         per_utt = list(csv.DictReader(open(out / "eval_utterances.csv")))
-        assert len(per_utt) == 12 * 3  # offline + two specs
+        assert len(per_utt) == 4 * 3  # offline + two specs
 
         assert main(["sweep-latency", "--config", str(config), "--checkpoint",
                      str(ckpt), "--budgets", "2,3"]) == 0
@@ -125,6 +137,29 @@ class TestTrainEvalPipeline:
         assert main(["report", "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "evaluation" in text and "sweep" in text
+
+    def test_eval_reads_heldout_utterances(self, workspace):
+        config, out = workspace
+        assert main(["gen-data", "--config", str(config)]) == 0
+        assert gen_heldout(config, out) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        assert main(["eval", "--config", str(config), "--checkpoint",
+                     str(out / "checkpoint.urnt")]) == 0
+        evaluated = {r["utt_id"] for r in csv.DictReader(open(out / "eval_utterances.csv"))}
+        heldout = manifest_ids(out / "heldout" / "corpus" / "manifest.jsonl")
+        assert evaluated == heldout
+        assert evaluated.isdisjoint(manifest_ids(out / "corpus" / "manifest.jsonl"))
+
+    @pytest.mark.parametrize("command", ["eval", "sweep-latency"])
+    def test_missing_eval_manifest_is_config_error(self, tmp_path, command):
+        # no fallback to the training manifest
+        out = tmp_path / "run"
+        config = write_config(tmp_path / "c.yaml", out,
+                              eval={"left": 4, "specs": [[1, 0]], "budgets": [2]})
+        assert main(["gen-data", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        assert main([command, "--config", str(config), "--checkpoint",
+                     str(out / "checkpoint.urnt")]) == 2
 
     def test_resume_continues(self, workspace):
         config, out = workspace

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from unify_rnnt.errors import BlankInTargetError, ImpossibleLatticeError, OracleTooLargeError
 from unify_rnnt.gradcheck import finite_difference_grad, max_rel_error
-from unify_rnnt.rnnt_loss import (JointLogits, rnnt_bruteforce_oracle,
+from unify_rnnt.rnnt_loss import (ORACLE_MAX_T, ORACLE_MAX_U, JointLogits, _alpha_beta,
+                                  _log_probs, rnnt_bruteforce_oracle,
                                   rnnt_forward_single, rnnt_loss)
 
 LOG4 = 1.3862943611198906
@@ -107,6 +108,78 @@ class TestInvariants:
         z, y = random_instance(r)
         jl = JointLogits(z[None], [z.shape[0]], [len(y)])
         assert abs(rnnt_loss(jl, [y])[0][0] - rnnt_bruteforce_oracle(jl, [y])[0]) <= 1e-9
+
+
+def cell_loop_alpha_beta(logpb, logpy):
+    """Alpha and beta one lattice cell at a time, row by row."""
+    T, U1 = logpb.shape
+    U = U1 - 1
+    alpha = np.full((T, U + 1), -np.inf)
+    beta = np.full((T, U + 1), -np.inf)
+    for t in range(T):
+        row = np.full(U + 1, -np.inf)
+        if t == 0:
+            row[0] = 0.0
+        else:
+            row = alpha[t - 1] + logpb[t - 1]
+        for u in range(1, U + 1):
+            row[u] = np.logaddexp(row[u], row[u - 1] + logpy[t, u - 1])
+        alpha[t] = row
+    for t in range(T - 1, -1, -1):
+        row = np.full(U + 1, -np.inf)
+        if t == T - 1:
+            row[U] = logpb[t, U]
+        else:
+            row = logpb[t] + beta[t + 1]
+        for u in range(U - 1, -1, -1):
+            row[u] = np.logaddexp(row[u], logpy[t, u] + row[u + 1])
+        beta[t] = row
+    return alpha, beta
+
+
+lattices = st.tuples(st.integers(1, 8), st.integers(0, 6), st.integers(2, 5),
+                     st.sampled_from([0.1, 2.0, 30.0]),
+                     st.integers(min_value=0, max_value=2 ** 31 - 1))
+
+
+def lattice(T, U, V, scale, seed):
+    r = np.random.default_rng(seed)
+    return r.standard_normal((T, U + 1, V)) * scale, r.integers(1, V, size=U)
+
+
+class TestLatticeScan:
+    @given(lattices)
+    @settings(max_examples=60)
+    def test_alpha_and_beta_give_one_total(self, case):
+        T, U = case[:2]
+        z, y = lattice(*case)
+        _, logpb, logpy = _log_probs(z, y)
+        alpha, beta = _alpha_beta(logpb, logpy)
+        assert alpha.shape == beta.shape == (T, U + 1)
+        assert abs(alpha[T - 1, U] + logpb[T - 1, U] - beta[0, 0]) <= 1e-12
+
+    @given(lattices)
+    @settings(max_examples=60)
+    def test_scan_equals_cell_loop_bitwise(self, case):
+        z, y = lattice(*case)
+        _, logpb, logpy = _log_probs(z, y)
+        for got, want in zip(_alpha_beta(logpb, logpy), cell_loop_alpha_beta(logpb, logpy)):
+            np.testing.assert_array_equal(got, want)
+
+    @given(st.integers(1, ORACLE_MAX_T), st.integers(0, ORACLE_MAX_U), st.integers(2, 5),
+           st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=60)
+    def test_loss_matches_enumeration_oracle(self, T, U, V, seed):
+        z, y = lattice(T, U, V, 2.0, seed)
+        jl = JointLogits(z[None], [T], [U])
+        assert abs(rnnt_loss(jl, [y])[0][0] - rnnt_bruteforce_oracle(jl, [y])[0]) <= 1e-9
+
+    def test_degenerate_lattices(self):
+        # one frame and no targets: the total is the single blank
+        _, logpb, logpy = _log_probs(np.array([[[0.3, -0.2]]]), np.array([], dtype=np.int64))
+        alpha, beta = _alpha_beta(logpb, logpy)
+        np.testing.assert_array_equal(alpha, [[0.0]])
+        np.testing.assert_array_equal(beta, logpb)
 
 
 class TestErrors:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from unify_rnnt import tensor as tz
-from unify_rnnt.contexts import ContextSets
+from unify_rnnt.contexts import ContextSets, ContextSpec, plan_conv_chunks
 from unify_rnnt.corpus import CorpusConfig, generate_utterances
 from unify_rnnt.errors import EmptyAttentionRowError, EvenKernelError
 from unify_rnnt.gradcheck import finite_difference_grad, max_rel_error
@@ -117,6 +117,120 @@ class TestDepthwiseConv:
         assert max_rel_error(kt.grad, fd_k) <= 1e-6
 
 
+def per_window_reference(x, kernel, windows):
+    """Chunked convolution one window at a time, per channel with np.convolve."""
+    k = kernel.shape[0]
+    halo = (k - 1) // 2
+    out = np.zeros_like(x)
+    for (w_lo, w_hi, k_lo, k_hi, r_lo, r_hi) in windows:
+        buf = np.zeros((w_hi - w_lo, x.shape[1]))
+        buf[r_lo - w_lo:r_hi - w_lo] = x[r_lo:r_hi]
+        assert w_hi - w_lo == k_hi - k_lo + 2 * halo
+        for c in range(x.shape[1]):
+            # np.convolve flips its second argument; the op correlates
+            out[k_lo:k_hi, c] = np.convolve(buf[:, c], kernel[::-1, c], mode="valid")
+    return out
+
+
+def per_window_loop(x, kernel, windows, g):
+    """Output and gradients by a tap loop over single windows, in the op's order."""
+    k = kernel.shape[0]
+    out, dx, dk = np.zeros_like(x), np.zeros_like(x), np.zeros_like(kernel)
+    for (w_lo, w_hi, k_lo, k_hi, r_lo, r_hi) in windows:
+        keep = k_hi - k_lo
+        buf = np.zeros((w_hi - w_lo, x.shape[1]), dtype=x.dtype)
+        buf[r_lo - w_lo:r_hi - w_lo] = x[r_lo:r_hi]
+        dbuf = np.zeros_like(buf)
+        for j in range(k):
+            out[k_lo:k_hi] += buf[j:j + keep] * kernel[j]
+            dk[j] += (buf[j:j + keep] * g[k_lo:k_hi]).sum(axis=0)
+            dbuf[j:j + keep] += g[k_lo:k_hi] * kernel[j]
+        dx[r_lo:r_hi] += dbuf[r_lo - w_lo:r_hi - w_lo]
+    return out, dx, dk
+
+
+# (T, chunk, conv_right_mode, grid offset): T not a multiple of C, a short
+# first window (offset), a single frame
+CONV_CASES = [(T, C, mode, off) for C in (1, 2, 3) for mode in ("real", "zero")
+              for T, off in ((7, 0), (8, 2), (1, 0), (1, 1))]
+
+
+class TestChunkedConv:
+    @pytest.mark.parametrize("T,C,mode,off", CONV_CASES)
+    def test_matches_per_window_reference(self, rng, T, C, mode, off):
+        d, k = 4, 5
+        windows = plan_conv_chunks(T, ContextSpec(0, C, 0), k, right_mode=mode,
+                                   offset=off).realized()
+        x = rng.standard_normal((T, d))
+        kernel = rng.standard_normal((k, d))
+        out = tz.depthwise_conv1d_windows(tz.constant(x), tz.constant(kernel), windows)
+        np.testing.assert_allclose(out.data, per_window_reference(x, kernel, windows),
+                                   atol=1e-12)
+        # all windows at once sum in the single-window loop's order, bit for bit
+        g = rng.standard_normal((T, d))
+        for dt in (np.float32, np.float64):
+            xt, kt = tz.parameter(x.astype(dt)), tz.parameter(kernel.astype(dt))
+            with tz.Tape() as tape:
+                out = tz.depthwise_conv1d_windows(xt, kt, windows)
+                tape.backward(out, g.astype(dt))
+            ref = per_window_loop(xt.data, kt.data, windows, g.astype(dt))
+            for got, want in zip((out.data, xt.grad, kt.grad), ref):
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("T,C,mode,off", CONV_CASES)
+    def test_gradients_match_finite_differences(self, rng, T, C, mode, off):
+        d, k = 3, 5
+        windows = plan_conv_chunks(T, ContextSpec(0, C, 0), k, right_mode=mode,
+                                   offset=off).realized()
+        layout = tz.ConvLayout(windows, T, k)
+        x0 = rng.standard_normal((T, d))
+        k0 = rng.standard_normal((k, d))
+        w = rng.standard_normal((T, d))
+        xt, kt = tz.parameter(x0.copy()), tz.parameter(k0.copy())
+        with tz.Tape() as tape:
+            out = tz.depthwise_conv1d_windows(xt, kt, layout)
+            tape.backward(out, w)
+
+        def loss(x, kk):
+            return float((per_window_reference(x, kk, windows) * w).sum())
+        fd_x = finite_difference_grad(lambda x: loss(x, k0), x0.copy())
+        fd_k = finite_difference_grad(lambda kk: loss(x0, kk), k0.copy())
+        assert max_rel_error(xt.grad, fd_x) <= 1e-6
+        assert max_rel_error(kt.grad, fd_k) <= 1e-6
+
+    def test_layout_and_window_tuples_agree(self, rng):
+        windows = plan_conv_chunks(9, ContextSpec(0, 2, 0), 5, offset=1).realized()
+        x = tz.constant(rng.standard_normal((9, 4)))
+        kernel = tz.constant(rng.standard_normal((5, 4)))
+        np.testing.assert_array_equal(
+            tz.depthwise_conv1d_windows(x, kernel, windows).data,
+            tz.depthwise_conv1d_windows(x, kernel, tz.ConvLayout(windows, 9, 5)).data)
+
+    @pytest.mark.parametrize("windows", [
+        [(-1, 3, 0, 2, 0, 3), (2, 6, 3, 5, 2, 5)],   # row 2 uncovered
+        [(-1, 3, 0, 2, 0, 3), (0, 4, 1, 3, 0, 4), (2, 6, 3, 5, 2, 5)],  # overlap
+        [(-1, 3, 0, 2, 0, 3), (1, 5, 2, 4, 1, 5)],   # stops before T
+        [(-1, 7, 0, 6, 0, 5)],                       # runs past T
+        [],                                          # covers nothing
+        [(-1, 3, 0, 2, 0, 3), (1, 4, 2, 3, 1, 4), (2, 6, 3, 5, 2, 5)],  # short middle window
+        [(-2, 3, 0, 2, 0, 3), (1, 5, 2, 4, 1, 5), (3, 6, 4, 5, 3, 5)],  # bad halo
+    ])
+    def test_keep_ranges_must_tile(self, rng, windows):
+        x = tz.constant(rng.standard_normal((5, 2)))
+        kernel = tz.constant(rng.standard_normal((3, 2)))
+        with pytest.raises(ValueError):
+            tz.depthwise_conv1d_windows(x, kernel, windows)
+
+    def test_layout_must_fit_input(self, rng):
+        layout = tz.ConvLayout(plan_conv_chunks(6, ContextSpec(0, 2, 0), 3).realized(), 6, 3)
+        with pytest.raises(ValueError):
+            tz.depthwise_conv1d_windows(tz.constant(rng.standard_normal((5, 2))),
+                                        tz.constant(rng.standard_normal((3, 2))), layout)
+        with pytest.raises(ValueError):
+            tz.depthwise_conv1d_windows(tz.constant(rng.standard_normal((6, 2))),
+                                        tz.constant(rng.standard_normal((5, 2))), layout)
+
+
 class TestTapeMechanics:
     def test_backward_composed_graph_matches_fd(self, rng):
         # h feeds two branches, so its gradient must sum both contributions
@@ -181,6 +295,36 @@ class TestTapeMechanics:
             assert np.isfinite(out.data).all()
 
 
+GRU_NAMES = ["wz", "uz", "bz", "wr", "ur", "br", "wc", "uc", "bc"]
+
+
+def gru_bptt_loop(emb, hs, g, params):
+    """Gradients of gru_sequence by the per-token loop with one outer product per weight."""
+    U = emb.shape[0]
+    grads = {n: np.zeros_like(v) for n, v in params.items()}
+    demb = np.zeros_like(emb)
+    dh = g[U].copy()
+    for i in range(U - 1, -1, -1):
+        xe, h = emb[i], hs[i]
+        z, r, rh, c, _ = tz.gru_cell(xe, h, *[params[n] for n in GRU_NAMES])
+        dz, dc, dhprev = dh * (c - h), dh * z, dh * (1.0 - z)
+        dac = dc * (1.0 - c * c)
+        drh = dac @ params["uc"].T
+        dr = drh * h
+        dhprev += drh * r
+        dar = dr * r * (1.0 - r)
+        daz = dz * z * (1.0 - z)
+        dhprev += dar @ params["ur"].T + daz @ params["uz"].T
+        demb[i] = dac @ params["wc"].T + dar @ params["wr"].T + daz @ params["wz"].T
+        for n, a, inp in (("wc", dac, xe), ("wr", dar, xe), ("wz", daz, xe),
+                          ("uc", dac, rh), ("ur", dar, h), ("uz", daz, h)):
+            grads[n] += np.outer(inp, a)
+        for n, a in (("bc", dac), ("br", dar), ("bz", daz)):
+            grads[n] += a
+        dh = dhprev + g[i]
+    return demb, dh, grads
+
+
 class TestGruSequence:
     def _params(self, rng, E, P):
         names = ["wz", "uz", "bz", "wr", "ur", "br", "wc", "uc", "bc"]
@@ -239,6 +383,66 @@ class TestGruSequence:
         fd_h0 = finite_difference_grad(
             lambda x: float((run(emb0, x, params).data * w).sum()), h00.copy())
         assert max_rel_error(h0t.grad, fd_h0) <= 1e-5
+
+
+    @pytest.mark.parametrize("U,P", [(0, 5), (1, 5), (6, 5), (13, 64)])
+    def test_gradients_equal_per_token_loop_bitwise(self, rng, U, P):
+        for dt in (np.float32, np.float64):
+            params = {n: (rng.standard_normal((P,) if n.startswith("b") else (P, P)) * 0.5
+                          ).astype(dt) for n in GRU_NAMES}
+            emb = rng.standard_normal((U, P)).astype(dt)
+            h0 = rng.standard_normal(P).astype(dt)
+            g = rng.standard_normal((U + 1, P)).astype(dt)
+            tensors = {n: tz.parameter(params[n].copy()) for n in GRU_NAMES}
+            embt, h0t = tz.parameter(emb.copy()), tz.parameter(h0.copy())
+            with tz.Tape() as tape:
+                out = tz.gru_sequence(embt, h0t, *[tensors[n] for n in GRU_NAMES])
+                tape.backward(out, g)
+            demb, dh0, grads = gru_bptt_loop(emb, out.data, g, params)
+            np.testing.assert_array_equal(embt.grad, demb)
+            np.testing.assert_array_equal(h0t.grad, dh0)
+            for n in GRU_NAMES:
+                np.testing.assert_array_equal(tensors[n].grad, grads[n], err_msg=n)
+
+    @pytest.mark.parametrize("U", [0, 1])
+    def test_short_sequences(self, rng, U):
+        E, P = 3, 4
+        names, params = self._params(rng, E, P)
+        emb0 = rng.standard_normal((U, E))
+        h00 = rng.standard_normal(P)
+        w = rng.standard_normal((U + 1, P))
+
+        def run(emb, h0, pd):
+            return tz.gru_sequence(tz.constant(emb), tz.constant(h0),
+                                   *[tz.constant(pd[n]) for n in names])
+
+        tensors = {n: tz.parameter(params[n].copy()) for n in names}
+        embt, h0t = tz.parameter(emb0.copy()), tz.parameter(h00.copy())
+        with tz.Tape() as tape:
+            out = tz.gru_sequence(embt, h0t, *[tensors[n] for n in names])
+            tape.backward(out, w)
+        assert out.shape == (U + 1, P)
+        np.testing.assert_array_equal(out.data[0], h00)
+        assert embt.grad.shape == (U, E)
+        for n in names:
+            assert tensors[n].grad.shape == params[n].shape
+            if U == 0:
+                # no token: the weights get exactly zero gradient
+                assert not tensors[n].grad.any(), n
+            else:
+                def f(x, n=n):
+                    pd = dict(params)
+                    pd[n] = x
+                    return float((run(emb0, h00, pd).data * w).sum())
+                fd = finite_difference_grad(f, params[n].copy())
+                assert max_rel_error(tensors[n].grad, fd) <= 1e-6, n
+        fd_h0 = finite_difference_grad(
+            lambda x: float((run(emb0, x, params).data * w).sum()), h00.copy())
+        assert max_rel_error(h0t.grad, fd_h0) <= 1e-6
+        if U:
+            fd_emb = finite_difference_grad(
+                lambda x: float((run(x, h00, params).data * w).sum()), emb0.copy())
+            assert max_rel_error(embt.grad, fd_emb) <= 1e-6
 
 
 class TestOpContract:
