@@ -1,9 +1,13 @@
 """Context restriction machinery for streaming encoders.
 
 Everything here is a pure function of its arguments: chunked attention masks,
-training-time context sampling, chunked depthwise-convolution plans, and the
-worst-case latency arithmetic.  Frame counts are post-subsampling encoder
-frames throughout.
+training-time context sampling, the depthwise convolution's per-row read
+horizon, and the worst-case latency arithmetic.  Frame counts are
+post-subsampling encoder frames throughout.
+
+The mask and the horizon of a buffer that starts at global frame ``offset``
+depend on the offset only through ``offset % chunk``: the chunk grid repeats
+every ``chunk`` frames.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyContextSetError, EvenKernelError
+from .errors import EmptyContextSetError
 
 RIGHT_MODES = ("real", "zero")
 
@@ -64,46 +68,6 @@ class ContextSets:
                    tuple(int(v) for v in nested[2]))
 
 
-@dataclass(frozen=True)
-class ConvWindow:
-    """One chunk window of a chunked convolution plan (local frame coords)."""
-
-    window_start: int
-    window_end: int
-    keep_start: int
-    keep_end: int
-    right_mode: str
-
-
-@dataclass(frozen=True)
-class ConvChunkPlan:
-    """Windows whose keep ranges tile [0, T) exactly, with halo arithmetic."""
-
-    windows: tuple[ConvWindow, ...]
-    kernel_size: int
-    length: int
-
-    @property
-    def halo(self) -> int:
-        return (self.kernel_size - 1) // 2
-
-    def realized(self) -> list[tuple[int, int, int, int, int, int]]:
-        """Expand each window into (win_lo, win_hi, keep_lo, keep_hi, real_lo, real_hi).
-
-        Real frames exist on [real_lo, real_hi); the rest of the window is
-        zero filled.  ``right_mode="zero"`` truncates real content at the
-        chunk boundary instead of the buffer end.
-        """
-        out = []
-        for w in self.windows:
-            real_lo = max(0, w.window_start)
-            limit = self.length if w.right_mode == "real" else w.keep_end
-            real_hi = min(w.window_end, limit)
-            out.append((w.window_start, w.window_end, w.keep_start, w.keep_end,
-                        real_lo, max(real_lo, real_hi)))
-        return out
-
-
 def build_attention_mask(T: int, spec: ContextSpec, offset: int = 0) -> np.ndarray:
     """Boolean [T, T] mask for chunk-limited attention.
 
@@ -135,35 +99,26 @@ def sample_context(sets: ContextSets, rng: np.random.Generator) -> ContextSpec:
     return ContextSpec(left, chunk, right)
 
 
-def plan_conv_chunks(T: int, spec: ContextSpec, k: int, right_mode: str = "real",
-                     offset: int = 0) -> ConvChunkPlan:
-    """Chunked depthwise-convolution plan: windows with a (k-1)/2 halo.
+def plan_conv_chunks(T: int, spec: ContextSpec, right_mode: str = "real",
+                     offset: int = 0) -> np.ndarray | None:
+    """Read horizon of a chunked depthwise convolution over ``T`` local frames.
 
-    Chunks of size C tile the sequence on the global grid (honoring
-    ``offset``); each window extends the keep range by the halo on both
-    sides.  With ``right_mode="real"`` the right halo reads real frames up to
-    the buffer end; with ``"zero"`` the halo past the chunk boundary is
-    zeroed.
+    Row ``i`` of the convolution reads local frames ``[i - h, i + h]`` that
+    lie below its horizon and zeros elsewhere.  With ``right_mode="real"`` the
+    horizon is the buffer end for every row, returned as ``None``: the
+    whole-sequence convolution.  With ``"zero"`` it is the row's chunk end on
+    the global grid (honoring ``offset``), as an int array ``[T]``, so the
+    right halo past the chunk boundary reads zeros.
     """
-    if k % 2 == 0:
-        raise EvenKernelError(f"kernel length {k} is even")
     if right_mode not in RIGHT_MODES:
         raise ValueError(f"right_mode must be one of {RIGHT_MODES}")
     if T < 1:
         raise ValueError("plan needs T >= 1")
-    halo = (k - 1) // 2
+    if right_mode == "real":
+        return None
     C = spec.chunk
-    windows = []
-    s = (offset // C) * C
-    end = offset + T
-    while s < end:
-        keep_lo = max(s, offset) - offset
-        keep_hi = min(s + C, end) - offset
-        if keep_hi > keep_lo:
-            windows.append(ConvWindow(keep_lo - halo, keep_hi + halo,
-                                      keep_lo, keep_hi, right_mode))
-        s += C
-    return ConvChunkPlan(tuple(windows), k, T)
+    chunk_end = ((offset + np.arange(T)) // C + 1) * C - offset
+    return np.minimum(chunk_end, T)
 
 
 def latency_of(spec: ContextSpec, frame_ms: float) -> float:

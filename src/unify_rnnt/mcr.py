@@ -1,8 +1,9 @@
 """Mode-consistency regularization over the full transducer joint lattice.
 
 Per valid lattice cell (t, u) the loss is a KL divergence between the
-offline-mode and streaming-mode output distributions, computed directly from
-raw logits.  The fused path never materializes a [T, U+1, V] softmax or
+offline-mode and streaming-mode output distributions over the whole
+vocabulary (the ``full_joint`` variant, the only one), computed directly
+from raw logits.  The fused path never materializes a [T, U+1, V] softmax or
 log-softmax buffer: it streams vocabulary tiles through fixed scratch blocks
 and recomputes per-cell softmaxes from the raw logits in the backward pass.
 A naive materialized implementation serves as the oracle, and a memory probe
@@ -22,18 +23,22 @@ import numpy as np
 
 from .errors import ModeShapeMismatchError, NonFiniteInputError
 from .memtrack import MemoryMeter, scratch_empty, scratch_full, scratch_zeros
-from .rnnt_loss import JointLogits, _validate_targets
+from .rnnt_loss import JointLogits
 
 DIRECTIONS = ("offline_teacher", "streaming_teacher", "symmetric")
-VARIANTS = ("full_joint", "three_class")
 
 _CELL_BLOCK = 128
-_TINY = 1e-300
 
 
 @dataclass(frozen=True)
 class MCRConfig:
-    """Direction, weight, variant and tile size of the consistency loss."""
+    """Direction, weight, variant and tile size of the consistency loss.
+
+    ``variant`` names the distribution compared per cell; the only one is
+    ``"full_joint"``, the full output distribution over the vocabulary.
+    ``full_grad`` also differentiates the teacher side of each KL term;
+    training's default treats the teacher as a constant.
+    """
 
     direction: str = "symmetric"
     lam: float = 0.3
@@ -44,8 +49,8 @@ class MCRConfig:
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
+        if self.variant != "full_joint":
+            raise ValueError("variant must be 'full_joint'")
         if self.lam < 0:
             raise ValueError("lam must be nonnegative")
         if self.tile < 1:
@@ -250,8 +255,6 @@ def _orient(cfg: MCRConfig, z_off: JointLogits, z_str: JointLogits):
 def mcr_forward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> tuple[float, int]:
     """Batch-reduced consistency loss via the tiled path, no gradients."""
     _validate_pair(z_off, z_str)
-    if cfg.variant != "full_joint":
-        raise ValueError("mcr_forward handles the full_joint variant")
     zt_all, zs_all = _orient(cfg, z_off, z_str)
     B, _T, U1, V = z_off.z.shape
     n_max = int((z_off.t_len * (z_off.u_len + 1)).max())
@@ -274,8 +277,6 @@ def mcr_backward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig,
                  seed: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the batch-reduced loss, recomputed from raw logits."""
     _validate_pair(z_off, z_str)
-    if cfg.variant != "full_joint":
-        raise ValueError("mcr_backward handles the full_joint variant")
     B, _T, U1, V = z_off.z.shape
     grad_off = np.zeros_like(z_off.z)
     grad_str = np.zeros_like(z_str.z)
@@ -342,8 +343,6 @@ def _materialized_softmax(z: np.ndarray, mask: np.ndarray):
 def mcr_naive_oracle(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> MCRResult:
     """Reference implementation materializing full log-softmax tensors."""
     _validate_pair(z_off, z_str)
-    if cfg.variant != "full_joint":
-        raise ValueError("the naive oracle covers the full_joint variant")
     mask = _valid_mask(z_off)
     zt_all, zs_all = _orient(cfg, z_off, z_str)
     logp_t, p_t = _materialized_softmax(zt_all.z, mask)
@@ -387,112 +386,6 @@ def mcr_naive_oracle(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> 
     else:
         grad_off, grad_str = g_teacher, g_student
     return MCRResult(loss, grad_off, grad_str, int(mask.sum()))
-
-
-# ---------------------------------------------------------------------------
-# collapsed three-class variant
-# ---------------------------------------------------------------------------
-
-
-def _three_class_probs(z: np.ndarray, y: np.ndarray):
-    """Full softmax plus its {blank, next-target, rest} collapse."""
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    q = e / e.sum(axis=-1, keepdims=True)
-    T, U1, _ = z.shape
-    U = y.size
-    P = np.zeros((T, U1, 3), dtype=z.dtype)
-    P[..., 0] = q[..., 0]
-    if U:
-        P[:, :U, 1] = q[:, np.arange(U), y]
-    P[..., 2] = np.clip(1.0 - P[..., 0] - P[..., 1], 0.0, None)
-    return q, P
-
-
-def _slog(x: np.ndarray) -> np.ndarray:
-    return np.log(np.maximum(x, _TINY))
-
-
-def _kl3(pi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    terms = np.where(pi > 0.0, pi * (_slog(pi) - _slog(rho)), 0.0)
-    return terms.sum(axis=-1)
-
-
-def _chain3(q: np.ndarray, g_classes: np.ndarray, P: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Route class-space gradients back to full-vocabulary logits."""
-    T, U1, V = q.shape
-    U = y.size
-    gmap = np.broadcast_to(g_classes[..., 2:3], (T, U1, V)).copy()
-    gmap[..., 0] = g_classes[..., 0]
-    if U:
-        gmap[:, np.arange(U), y] = g_classes[:, :U, 1]
-    dot = (P * g_classes).sum(axis=-1)
-    return q * (gmap - dot[..., None])
-
-
-def mcr_three_class(z_off: JointLogits, z_str: JointLogits, targets,
-                    cfg: MCRConfig) -> MCRResult:
-    """Consistency over the collapsed {blank, next-target, rest} distribution.
-
-    At u == U_b there is no next target, so the cell collapses to the
-    two-class {blank, rest} distribution (the target slot carries zero mass
-    on both sides and contributes nothing).
-    """
-    _validate_pair(z_off, z_str)
-    if cfg.variant != "three_class":
-        raise ValueError("mcr_three_class requires cfg.variant == 'three_class'")
-    ys = _validate_targets(z_off, targets)
-    B, _T, _U1, V = z_off.z.shape
-    grad_off = np.zeros_like(z_off.z)
-    grad_str = np.zeros_like(z_str.z)
-    total = 0.0
-    cells = 0
-    sym = cfg.direction == "symmetric"
-    for b in range(B):
-        T = int(z_off.t_len[b])
-        U = int(z_off.u_len[b])
-        y = ys[b]
-        zo = np.asarray(z_off.z[b, :T, :U + 1], dtype=np.float64)
-        zs = np.asarray(z_str.z[b, :T, :U + 1], dtype=np.float64)
-        if not (np.isfinite(zo).all() and np.isfinite(zs).all()):
-            raise NonFiniteInputError("joint logits contain non-finite values")
-        qo, Po = _three_class_probs(zo, y)
-        qs, Ps = _three_class_probs(zs, y)
-        n = T * (U + 1)
-        w = 1.0 / (n * B)
-        if sym:
-            cell = 0.5 * ((Po - Ps) * (_slog(Po) - _slog(Ps))).sum(axis=-1)
-            g1 = np.where(Po > 0.0, -Po / np.maximum(Ps, _TINY), 0.0)
-            g_str = _chain3(qs, g1, Ps, y) * (0.5 * w)
-            g2 = np.where(Ps > 0.0, -Ps / np.maximum(Po, _TINY), 0.0)
-            g_off = _chain3(qo, g2, Po, y) * (0.5 * w)
-            if cfg.full_grad:
-                g1s = np.where(Ps > 0.0, _slog(Ps) - _slog(Po) + 1.0, 0.0)
-                g_str = g_str + _chain3(qs, g1s, Ps, y) * (0.5 * w)
-                g2o = np.where(Po > 0.0, _slog(Po) - _slog(Ps) + 1.0, 0.0)
-                g_off = g_off + _chain3(qo, g2o, Po, y) * (0.5 * w)
-        else:
-            if cfg.direction == "offline_teacher":
-                pi, rho, q_stu = Po, Ps, qs
-            else:
-                pi, rho, q_stu = Ps, Po, qo
-            cell = _kl3(pi, rho)
-            g = np.where(pi > 0.0, -pi / np.maximum(rho, _TINY), 0.0)
-            g_student = _chain3(q_stu, g, rho, y) * w
-            g_teacher = np.zeros_like(g_student)
-            if cfg.full_grad:
-                q_tea = qo if cfg.direction == "offline_teacher" else qs
-                gt = np.where(pi > 0.0, _slog(pi) - _slog(rho) + 1.0, 0.0)
-                g_teacher = _chain3(q_tea, gt, pi, y) * w
-            if cfg.direction == "offline_teacher":
-                g_off, g_str = g_teacher, g_student
-            else:
-                g_off, g_str = g_student, g_teacher
-        total += float(cell.sum()) / n
-        cells += n
-        grad_off[b, :T, :U + 1] = g_off.astype(grad_off.dtype, copy=False)
-        grad_str[b, :T, :U + 1] = g_str.astype(grad_str.dtype, copy=False)
-    return MCRResult(total / B, grad_off, grad_str, cells)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 One parameter set serves both offline and streaming forward passes.  Offline
 mode is full-context streaming: the spec ``(T, T, 0)`` at offset 0, one chunk
-that spans the whole utterance, so it gives an all-true attention mask and a
-single full-sequence convolution window.
+that spans the whole utterance, so it gives an all-true attention mask and
+the whole-sequence convolution.  Streaming mode masks attention to the
+chunk's context; its convolution is the one depthwise convolution with a
+per-row read horizon: the buffer end (``conv_right_mode="real"``) or the
+row's chunk end (``"zero"``).
 
 The encoder subsamples by frame stacking, then applies blocks of
 layernorm -> masked attention -> residual -> layernorm -> depthwise
@@ -157,19 +160,24 @@ class TransducerModel:
     # -- encoder ------------------------------------------------------------
 
     def _context_for(self, T: int, mode: ModeSelector, offset: int) -> tuple:
-        """Cached attention mask and convolution layout for one encode."""
+        """Cached attention mask and convolution read horizon for one encode.
+
+        Both depend on the offset only through ``offset % chunk``, so the
+        cache keeps at most ``chunk`` entries per buffer length and spec.
+        """
         if mode.kind == "offline":
             spec, offset = ContextSpec(T, T, 0), 0
         else:
             spec = mode.spec
+        offset %= spec.chunk
         key = (T, spec, mode.conv_right_mode, offset)
         if key not in self._context_cache:
             mask = build_attention_mask(T, spec, offset=offset)
-            mask.flags.writeable = False
-            plan = plan_conv_chunks(T, spec, self.cfg.conv_kernel,
-                                    right_mode=mode.conv_right_mode, offset=offset)
-            layout = tz.ConvLayout(plan.realized(), T, self.cfg.conv_kernel)
-            self._context_cache[key] = (mask, layout)
+            horizon = plan_conv_chunks(T, spec, mode.conv_right_mode, offset=offset)
+            for arr in (mask, horizon):
+                if arr is not None:
+                    arr.flags.writeable = False
+            self._context_cache[key] = (mask, horizon)
         return self._context_cache[key]
 
     def encode(self, features: np.ndarray, mode: ModeSelector = OFFLINE,
@@ -190,7 +198,7 @@ class TransducerModel:
         p = self.params
         x = tz.constant(feats[:T * q].reshape(T, q * self.cfg.feat_dim))
         x = tz.linear(x, p["in_proj.w"], p["in_proj.b"])
-        mask, conv_layout = self._context_for(T, mode, grid_offset)
+        mask, horizon = self._context_for(T, mode, grid_offset)
         for i in range(self.cfg.blocks):
             pre = f"block{i}."
             a = tz.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
@@ -201,7 +209,7 @@ class TransducerModel:
                 mask, self.cfg.heads)
             x = tz.add(x, tz.linear(attn, p[pre + "attn.wo"], p[pre + "attn.bo"]))
             c = tz.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-            conv = tz.depthwise_conv1d_windows(c, p[pre + "conv.kernel"], conv_layout)
+            conv = tz.depthwise_conv1d_windows(c, p[pre + "conv.kernel"], horizon)
             h = tz.relu(tz.linear(conv, p[pre + "ff1.w"], p[pre + "ff1.b"]))
             f = tz.linear(h, p[pre + "ff2.w"], p[pre + "ff2.b"])
             x = tz.add(x, f)

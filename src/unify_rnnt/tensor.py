@@ -9,14 +9,14 @@ A tape is single-threaded by contract: one graph, one thread.  Ops themselves
 are pure functions of their inputs and may run concurrently on disjoint
 tensors.
 
-The chunked convolution computes all of its windows at once and loops only
-over kernel taps; the recurrent sequence loops over tokens only for the
-state recursion.  Both keep a fixed accumulation order, the one a loop over
-single windows or tokens would use: taps in tap order from zero; a window's
-rows, then the windows, in ascending order; per-token weight-gradient terms
-from the last token to the first.  Results therefore do not depend on how
-the work is batched, and a convolution over one window equals the
-whole-sequence oracle bit for bit.
+The depthwise convolution is one zero-padded convolution whose rows read
+real frames up to a per-row horizon and zeros past it; it loops only over
+kernel taps in the input gradient.  The recurrent sequence loops over tokens
+only for the state recursion.  Both keep a fixed accumulation order, the one
+a loop over taps or tokens would use: taps in tap order from zero, rows in
+ascending order, per-token weight-gradient terms from the last token to the
+first.  Results therefore do not depend on how the work is batched, and a
+convolution without a horizon is the whole-sequence oracle itself.
 """
 
 from __future__ import annotations
@@ -409,124 +409,66 @@ def _check_kernel(kernel: Tensor) -> int:
     return k
 
 
-class ConvLayout:
-    """Gather/scatter layout of a chunked convolution, built once per window set.
+def depthwise_conv1d_windows(x: Tensor, kernel: Tensor, horizon) -> Tensor:
+    """Per-channel 1-D convolution in which each row reads up to its horizon.
 
-    ``windows`` is a sequence of
-    ``(win_lo, win_hi, keep_lo, keep_hi, real_lo, real_hi)`` tuples in the
-    coordinates of a length-``T`` input, as ``ConvChunkPlan.realized`` gives
-    them: window ``i`` spans its keep range plus a halo of ``(k-1)/2`` on each
-    side, and holds real frames on ``[real_lo, real_hi)`` and zeros elsewhere.
+    Row ``i`` of the output is ``sum_j kernel[j] * x[i - h + j]`` over the
+    taps ``j = 0 .. k-1`` (``h = (k-1)/2``), where ``x`` reads as zero outside
+    ``[0, T)`` and at or past ``horizon[i]``.  ``horizon`` is an int array
+    ``[T]``, as ``contexts.plan_conv_chunks`` gives it, or ``None`` for no
+    bound: the whole-sequence convolution.
 
-    The keep ranges must tile ``[0, T)`` in ascending order and lie on one
-    chunk grid: with ``C`` the longest keep range, window ``i`` sits in slot
-    ``i``, whose keep rows are ``[origin + i*C, origin + (i+1)*C)``; so only
-    the first and the last window may keep fewer rows.  Anything else raises
-    ``ValueError``.  ``gather[p, i]`` is the input row at position ``p`` of
-    slot ``i`` (``C + 2*halo`` positions), or ``T`` where the window has no
-    real frame.
-    """
-
-    def __init__(self, windows, T: int, kernel_size: int):
-        if kernel_size % 2 == 0:
-            raise EvenKernelError(f"kernel length {kernel_size} is even")
-        halo = (kernel_size - 1) // 2
-        w = np.asarray(windows, dtype=np.int64).reshape(-1, 6)
-        w_lo, w_hi, k_lo, k_hi, r_lo, r_hi = w[w[:, 3] > w[:, 2]].T
-        n = len(k_lo)
-        if (T < 1 or n == 0 or k_lo[0] != 0 or k_hi[-1] != T
-                or (k_lo[1:] != k_hi[:-1]).any()):
-            raise ValueError(f"keep ranges must tile [0, {T}) in ascending order")
-        if (w_lo != k_lo - halo).any() or (w_hi != k_hi + halo).any():
-            raise ValueError("window length inconsistent with keep range and halo")
-        C = int((k_hi - k_lo).max())
-        slot = int(k_hi[0]) - C + C * np.arange(n)
-        if (k_lo < slot).any() or (k_hi > slot + C).any():
-            raise ValueError("only the first and the last window may keep fewer "
-                             "rows than the longest one")
-        L = C + 2 * halo
-        pos = slot - halo + np.arange(L)[:, None]
-        real = (pos >= np.maximum(r_lo, 0)) & (pos < np.minimum(r_hi, T))
-        self.length, self.halo, self.chunk, self.n_windows = T, halo, C, n
-        self.origin = int(slot[0])
-        # int32 halves the layout, which the model caches per (T, spec, offset)
-        self.gather = np.where(real, pos, T).astype(np.int32)
-        # a window's gradient is scattered in ceil(L / C) blocks of C rows;
-        # rows inside [0, T) that the window reads as zeros pass no gradient
-        self.blocks = -(-L // C)
-        dead = np.zeros((self.blocks * C, n), dtype=bool)
-        dead[:L] = ~real & (pos >= 0) & (pos < T)
-        self.dead = np.flatnonzero(dead) if dead.any() else None
-
-
-def depthwise_conv1d_windows(x: Tensor, kernel: Tensor, windows) -> Tensor:
-    """Per-channel 1-D convolution computed over explicit windows.
-
-    ``windows`` is a :class:`ConvLayout`, or the window tuples to build one
-    from.  Output rows ``[keep_lo, keep_hi)`` are the valid convolution of
-    their window's buffer: real frames on ``[real_lo, real_hi)``, zeros
-    elsewhere.
-
-    All windows are computed at once, looping only over the kernel taps, in
-    a fixed accumulation order that equals a loop over single windows bit
-    for bit (so identical windows give identical outputs): each output row
-    and each window's input-gradient row sums its taps in tap order, starting
-    from zero; the kernel gradient sums each window's rows in row order, then
-    the windows in ascending order; an input row read by several windows
-    sums their gradients in ascending window order.  (This holds with more
-    than one channel; for a single channel numpy may reorder the sums.)
+    Each output row and each input-gradient row sums its taps in tap order,
+    starting from zero; each kernel-gradient entry sums the rows in row
+    order.  (This holds with more than one channel; for a single channel
+    numpy may reorder the sums.)
     """
     k = _check_kernel(kernel)
     T, d = x.shape
     if kernel.data.shape[1] != d:
         raise ValueError(f"kernel channels {kernel.data.shape[1]} != input {d}")
-    lay = windows if isinstance(windows, ConvLayout) else ConvLayout(windows, T, k)
-    if (lay.length, lay.halo) != (T, (k - 1) // 2):
-        raise ValueError(f"layout for T={lay.length}, halo={lay.halo} used with "
-                         f"T={T}, kernel length {k}")
-    n, C, m = lay.n_windows, lay.chunk, lay.blocks
-    lo = -lay.origin
+    h = (k - 1) // 2
+    past = None
+    if horizon is not None:
+        horizon = np.asarray(horizon)
+        if horizon.shape != (T,):
+            raise ValueError(f"horizon shape {horizon.shape} != ({T},)")
+        # past[j, i]: tap j of row i would read frame i - h + j at or past
+        # the row's horizon
+        past = (np.arange(-h, h + 1)[:, None] + np.arange(T)) >= horizon
 
-    def shifted_windows():
-        # taps[j, i, w] is row j + i of window w's buffer: the k shifted
-        # views of every window at once.  The backward gathers them again
-        # rather than keep a k-fold copy of x alive on the tape.
-        xz = np.zeros((T + 1, d), dtype=x.data.dtype)
-        xz[:T] = x.data
-        buf = xz[lay.gather]
-        return np.ndarray((k, C, n, d), buf.dtype, buf, 0, buf.strides[:1] + buf.strides)
+    def taps():
+        # taps[j, i] = x[i - h + j]: the k shifted views of the zero-padded
+        # input.  The backward builds them again rather than keep a k-fold
+        # masked copy of x alive on the tape.
+        xp = np.zeros((T + 2 * h, d), dtype=x.data.dtype)
+        xp[h:h + T] = x.data
+        view = np.ndarray((k, T, d), xp.dtype, xp, 0, xp.strides[:1] + xp.strides)
+        if past is None:
+            return view
+        view = view.copy()
+        view[past] = 0.0
+        return view
 
     # einsum adds the products over a summed index one at a time, in index
-    # order, into a zeroed output (the tests check this against a loop):
-    # taps in tap order from zero
-    acc = np.einsum("jiwc,jc->iwc", shifted_windows(), kernel.data)
-    out_rows = acc.transpose(1, 0, 2).reshape(n * C, d)[lo:lo + T]
-    out, tape = _result((x, kernel), out_rows)
+    # order, into a zeroed output (the tests check this against a loop)
+    out, tape = _result((x, kernel), np.einsum("jic,jc->ic", taps(), kernel.data))
     if tape is not None:
         def bwd():
             g = out.grad
             if g is None:
                 return
-            gpad = np.zeros((n * C, d), dtype=g.dtype)
-            gpad[lo:lo + T] = g
-            gw = np.ascontiguousarray(gpad.reshape(n, C, d).transpose(1, 0, 2))
             if kernel.requires_grad:
-                per_window = np.einsum("jiwc,iwc->jwc", shifted_windows(), gw)
-                kernel.accum_grad(per_window.sum(axis=1))
+                kernel.accum_grad(np.einsum("jic,ic->jc", taps(), g))
             if x.requires_grad:
-                dbuf = np.zeros((m * C, n, d), dtype=x.data.dtype)
+                # gk[j, i]: what row i passes back through tap j
+                gk = g * kernel.data[:, None, :]
+                if past is not None:
+                    gk[past] = 0.0
+                gp = np.zeros((T + 2 * h, d), dtype=x.data.dtype)
                 for j in range(k):
-                    dbuf[j:j + C] += gw * kernel.data[j]
-                if lay.dead is not None:
-                    dbuf.reshape(-1, d)[lay.dead] = 0.0
-                # block b of window w lands on the rows of block b - 1 of
-                # window w + 1: adding the blocks last to first sums each row
-                # over its windows in ascending order
-                dx = np.zeros((n + m - 1, C, d), dtype=x.data.dtype)
-                for b in range(m - 1, -1, -1):
-                    dx[b:b + n] += dbuf[b * C:(b + 1) * C].transpose(1, 0, 2)
-                h = lay.halo + lo
-                x.accum_grad(dx.reshape(-1, d)[h:h + T])
+                    gp[j:j + T] += gk[j]
+                x.accum_grad(gp[h:h + T])
         tape.record("depthwise_conv1d", bwd)
     return out
 
@@ -537,8 +479,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     T = x.shape[0]
     if k > 2 * T + 1:
         raise ValueError(f"kernel length {k} exceeds 2*T+1 = {2 * T + 1}")
-    halo = (k - 1) // 2
-    return depthwise_conv1d_windows(x, kernel, [(-halo, T + halo, 0, T, 0, T)])
+    return depthwise_conv1d_windows(x, kernel, None)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .contexts import ContextSets, sample_context
 from .corpus import Utterance
 from .errors import (CorruptCheckpointError, EmptyBatchError, NumericalError,
                      VersionMismatchError)
-from .mcr import MCRConfig, mcr_backward, mcr_forward, mcr_three_class
+from .mcr import MCRConfig, mcr_backward, mcr_forward
 from .model import OFFLINE, ModelConfig, TransducerModel, streaming_mode
 from .rnnt_loss import JointLogits, rnnt_forward_single
 from .tensor import Tape, Tensor
@@ -72,7 +72,6 @@ class TrainConfig:
     precision: str = "float32"
     weight_decay: float = 1e-4
     clip_norm: float = 5.0
-    conv_right_mode: str = "real"
     log_every: int = 1
 
     def __post_init__(self):
@@ -179,16 +178,13 @@ def rnnt_loss_node(z: Tensor, targets: np.ndarray) -> Tensor:
 
 def mcr_loss_node(z_off: Tensor, z_str: Tensor, cfg: MCRConfig,
                   targets: np.ndarray | None = None) -> Tensor:
-    """Scalar consistency loss; backward recomputes grads from raw logits."""
+    """Scalar consistency loss; backward recomputes grads from raw logits.
+
+    ``targets`` is unused: the full-joint loss does not read the labels.
+    """
     jl_off = JointLogits.from_single(z_off.data)
     jl_str = JointLogits.from_single(z_str.data)
-    if cfg.variant == "three_class":
-        res = mcr_three_class(jl_off, jl_str, [targets], cfg)
-        loss = res.loss
-        cached = (res.grad_offline[0], res.grad_streaming[0])
-    else:
-        loss, _cells = mcr_forward(jl_off, jl_str, cfg)
-        cached = None
+    loss, _cells = mcr_forward(jl_off, jl_str, cfg)
     out = Tensor(np.asarray(loss, dtype=np.float64),
                  requires_grad=z_off.requires_grad or z_str.requires_grad)
     tape = tz.active_tape()
@@ -197,15 +193,11 @@ def mcr_loss_node(z_off: Tensor, z_str: Tensor, cfg: MCRConfig,
             g = out.grad
             if g is None:
                 return
-            if cached is not None:
-                go, gs = cached[0] * float(g), cached[1] * float(g)
-            else:
-                go, gs = mcr_backward(jl_off, jl_str, cfg, seed=float(g))
-                go, gs = go[0], gs[0]
+            go, gs = mcr_backward(jl_off, jl_str, cfg, seed=float(g))
             if z_off.requires_grad:
-                z_off.accum_grad(go)
+                z_off.accum_grad(go[0])
             if z_str.requires_grad:
-                z_str.accum_grad(gs)
+                z_str.accum_grad(gs[0])
         tape.record("mcr_loss", bwd)
     return out
 
@@ -232,7 +224,7 @@ def train_step_sm(model: TransducerModel, batch: list[Utterance],
         spec = None
     else:
         spec = sample_context(cfg.context_sets, rng)
-        mode = streaming_mode(spec, cfg.conv_right_mode)
+        mode = streaming_mode(spec)
     B = len(batch)
     total = 0.0
     opt.zero_grad()
@@ -262,7 +254,7 @@ def train_step_dm(model: TransducerModel, batch: list[Utterance],
     if not batch:
         raise EmptyBatchError("empty batch")
     spec = sample_context(cfg.context_sets, rng)
-    mode_str = streaming_mode(spec, cfg.conv_right_mode)
+    mode_str = streaming_mode(spec)
     alpha = cfg.mode_weights.alpha
     lam = cfg.mcr.lam
     B = len(batch)
@@ -277,7 +269,7 @@ def train_step_dm(model: TransducerModel, batch: list[Utterance],
             l_str = rnnt_loss_node(z_str, utt.tokens)
             terms = [(l_off, alpha), (l_str, 1.0 - alpha)]
             if lam > 0.0:
-                l_mcr = mcr_loss_node(z_off, z_str, cfg.mcr, targets=utt.tokens)
+                l_mcr = mcr_loss_node(z_off, z_str, cfg.mcr)
                 terms.append((l_mcr, lam))
                 loss_mcr += l_mcr.item() / B
             total_u = tz.weighted_sum(terms)

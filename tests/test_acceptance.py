@@ -160,15 +160,18 @@ def test_criterion_5_mode_equivalence():
             spec = ContextSpec(T + 1, T + 1, T + 1)
             stream = model.encode(feats, streaming_mode(spec, "real")).data
             np.testing.assert_array_equal(off, stream)
-        # chunked depthwise conv with C >= T is bit-exact vs offline conv
+        # the chunked conv with C >= T is bit-exact vs the offline conv, in
+        # both modes: every row's horizon is the buffer end
         for _ in range(10):
             T = int(rng.integers(1, 16))
             x = tz.constant(rng.standard_normal((T, 5)))
             k = tz.constant(rng.standard_normal((7, 5)))
-            plan = plan_conv_chunks(T, ContextSpec(0, T + 3, 0), 7, "real")
-            chunked = tz.depthwise_conv1d_windows(x, k, plan.realized()).data
             offline = tz.depthwise_conv1d(x, k).data
-            np.testing.assert_array_equal(chunked, offline)
+            for mode in ("real", "zero"):
+                horizon = plan_conv_chunks(T, ContextSpec(0, T + 3, 0), mode,
+                                           offset=int(rng.integers(0, 3)))
+                chunked = tz.depthwise_conv1d_windows(x, k, horizon).data
+                np.testing.assert_array_equal(chunked, offline)
 
 
 def test_criterion_6_mask_plan_invariants():
@@ -191,22 +194,24 @@ def test_criterion_6_mask_plan_invariants():
             widest = build_attention_mask(T, wider)
             assert (widest | mask == widest).all()
             cases += 1
-        # 400 plan cases: keeps tile [0, T) exactly, halo bounded
+        # 400 conv horizon cases: every row reads itself and nothing past the
+        # buffer; horizons never decrease and are constant within a chunk
         for _ in range(400):
             T = int(rng.integers(1, 40))
             spec = ContextSpec(int(rng.integers(0, 6)), int(rng.integers(1, 9)),
                                int(rng.integers(0, 6)))
-            k = int(rng.choice([1, 3, 5, 9]))
+            offset = int(rng.integers(0, 20))
             mode = "real" if rng.random() < 0.5 else "zero"
-            plan = plan_conv_chunks(T, spec, k, right_mode=mode)
-            halo = (k - 1) // 2
-            prev = 0
-            for w in plan.windows:
-                assert w.keep_start == prev
-                prev = w.keep_end
-                assert w.keep_start - w.window_start == halo
-                assert w.window_end - w.keep_end == halo
-            assert prev == T
+            horizon = plan_conv_chunks(T, spec, mode, offset=offset)
+            if mode == "real":
+                assert horizon is None
+            else:
+                rows = np.arange(T)
+                assert ((rows < horizon) & (horizon <= T)).all()
+                assert (np.diff(horizon) >= 0).all()
+                chunk = (offset + rows) // spec.chunk
+                same = chunk[1:] == chunk[:-1]
+                assert (horizon[1:][same] == horizon[:-1][same]).all()
             cases += 1
         # 200 causality probes: perturbing features beyond the visible decode
         # window never changes the kept streaming outputs

@@ -92,6 +92,14 @@ class TestGenData:
                               eval={"left": 4, "specs": [[1, 0]], key: 2})
         assert main(["gen-data", "--config", str(config)]) == 2
 
+    def test_conv_right_mode_key_rejected(self, tmp_path):
+        # training and decoding share one convolution, so it is no train key
+        out = tmp_path / "run"
+        base = yaml.safe_load(open(write_config(tmp_path / "base.yaml", out)))
+        config = write_config(tmp_path / "c.yaml", out,
+                              train={**base["train"], "conv_right_mode": "zero"})
+        assert main(["gen-data", "--config", str(config)]) == 2
+
     def test_invalid_config_value_rejected(self, tmp_path):
         out = tmp_path / "run"
         config = write_config(tmp_path / "c.yaml", out,

@@ -1,4 +1,4 @@
-"""Masks, context sampling, convolution plans and latency arithmetic."""
+"""Masks, context sampling, convolution read horizons and latency arithmetic."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from unify_rnnt.contexts import (ContextSets, ContextSpec, build_attention_mask,
                                  latency_of, plan_conv_chunks, sample_context)
-from unify_rnnt.errors import EmptyContextSetError, EvenKernelError
+from unify_rnnt.errors import EmptyContextSetError
 
 spec_strategy = st.builds(ContextSpec,
                           left=st.integers(min_value=0, max_value=12),
@@ -96,48 +96,57 @@ class TestSampling:
 
 class TestConvPlan:
     def test_documented_example(self):
-        plan = plan_conv_chunks(6, ContextSpec(2, 2, 1), 3)
-        got = [(w.window_start, w.window_end, w.keep_start, w.keep_end)
-               for w in plan.windows]
-        assert got == [(-1, 3, 0, 2), (1, 5, 2, 4), (3, 7, 4, 6)]
+        spec = ContextSpec(2, 2, 1)
+        assert plan_conv_chunks(6, spec) is None
+        np.testing.assert_array_equal(plan_conv_chunks(6, spec, "zero"),
+                                      [2, 2, 4, 4, 6, 6])
 
     def test_single_chunk_equals_full_plan(self):
-        # one window: real frames [0, 5) with a zero halo of 3 on each side
-        big = plan_conv_chunks(5, ContextSpec(0, 9, 0), 7)
-        assert big.realized() == [(-3, 8, 0, 5, 0, 5)]
+        # one chunk past the buffer end: every row reads up to T, the
+        # whole-sequence convolution
+        np.testing.assert_array_equal(plan_conv_chunks(5, ContextSpec(0, 9, 0), "zero"),
+                                      [5] * 5)
 
-    def test_even_kernel_rejected(self):
-        with pytest.raises(EvenKernelError):
-            plan_conv_chunks(6, ContextSpec(2, 2, 1), 4)
+    def test_bad_arguments_rejected(self):
+        with pytest.raises(ValueError):
+            plan_conv_chunks(6, ContextSpec(2, 2, 1), "past")
+        with pytest.raises(ValueError):
+            plan_conv_chunks(0, ContextSpec(2, 2, 1), "zero")
 
     def test_zero_mode_truncates_right_halo(self):
-        plan = plan_conv_chunks(6, ContextSpec(2, 2, 1), 3, right_mode="zero")
-        for (w_lo, w_hi, k_lo, k_hi, r_lo, r_hi) in plan.realized():
-            assert r_hi <= k_hi
+        horizon = plan_conv_chunks(6, ContextSpec(2, 2, 1), "zero")
+        chunk_end = (np.arange(6) // 2 + 1) * 2
+        assert (horizon <= chunk_end).all()
 
     @given(st.integers(min_value=1, max_value=20), spec_strategy,
-           st.sampled_from([1, 3, 5, 9]), st.sampled_from(["real", "zero"]))
-    def test_keeps_tile_exactly(self, T, spec, k, right_mode):
-        plan = plan_conv_chunks(T, spec, k, right_mode=right_mode)
-        covered = []
-        prev_end = 0
-        for w in plan.windows:
-            assert w.keep_start == prev_end
-            assert w.keep_end > w.keep_start
-            prev_end = w.keep_end
-            covered.append((w.keep_start, w.keep_end))
-        assert prev_end == T
-        halo = (k - 1) // 2
-        for w in plan.windows:
-            assert w.keep_start - w.window_start == halo
-            assert w.window_end - w.keep_end == halo
+           st.integers(min_value=0, max_value=30))
+    def test_horizon_invariants(self, T, spec, offset):
+        assert plan_conv_chunks(T, spec, "real", offset=offset) is None
+        horizon = plan_conv_chunks(T, spec, "zero", offset=offset)
+        rows = np.arange(T)
+        assert horizon.shape == (T,)
+        # every row reads itself and nothing past the buffer
+        assert ((rows < horizon) & (horizon <= T)).all()
+        assert (np.diff(horizon) >= 0).all()
+        # rows of one global chunk share one horizon
+        chunk = (offset + rows) // spec.chunk
+        same = chunk[1:] == chunk[:-1]
+        assert (horizon[1:][same] == horizon[:-1][same]).all()
+
+    @given(st.integers(min_value=1, max_value=20), spec_strategy,
+           st.integers(min_value=0, max_value=60))
+    def test_offset_enters_only_modulo_chunk(self, T, spec, offset):
+        r = offset % spec.chunk
+        np.testing.assert_array_equal(build_attention_mask(T, spec, offset=offset),
+                                      build_attention_mask(T, spec, offset=r))
+        for mode in ("real", "zero"):
+            np.testing.assert_array_equal(plan_conv_chunks(T, spec, mode, offset=offset),
+                                          plan_conv_chunks(T, spec, mode, offset=r))
 
     def test_offset_plan_aligns_with_global_chunks(self):
-        spec = ContextSpec(2, 3, 1)
-        plan = plan_conv_chunks(7, spec, 5, offset=4)
         # global chunk boundaries are multiples of 3; offset 4 sits inside [3, 6)
-        keeps = [(w.keep_start, w.keep_end) for w in plan.windows]
-        assert keeps == [(0, 2), (2, 5), (5, 7)]
+        horizon = plan_conv_chunks(7, ContextSpec(2, 3, 1), "zero", offset=4)
+        np.testing.assert_array_equal(horizon, [2, 2, 5, 5, 5, 7, 7])
 
 
 class TestLatency:

@@ -141,6 +141,19 @@ class TestGreedyStreaming:
         print(f"\nchunkwise divergence without left margin: {measured:.3e}")
 
 
+class TestContextCache:
+    def test_streaming_entries_bounded_per_spec(self, rng):
+        # decode windows have at most L+C+R frames, and the cache keys their
+        # grid offset modulo C
+        model = TransducerModel(CFG)
+        spec = ContextSpec(3, 2, 1)
+        for _ in range(25):
+            feats = rng.standard_normal((int(rng.integers(20, 80)), 4))
+            greedy_decode_streaming(model, feats, spec, frame_ms=40.0)
+        entries = [key for key in model._context_cache if key[1] == spec]
+        assert 0 < len(entries) <= (spec.left + spec.chunk + spec.right) * spec.chunk
+
+
 class TestTokenErrorRate:
     def test_exact_match(self):
         assert token_error_rate([1, 2, 3], [1, 2, 3]) == 0.0

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unify_rnnt.errors import (BlankInTargetError, ModeShapeMismatchError,
-                               NonFiniteInputError)
+from unify_rnnt.errors import ModeShapeMismatchError, NonFiniteInputError
 from unify_rnnt.gradcheck import finite_difference_grad, max_rel_error
 from unify_rnnt.mcr import (MCRConfig, mcr_forward, mcr_loss, mcr_memory_probe,
-                            mcr_naive_oracle, mcr_three_class)
+                            mcr_naive_oracle)
 from unify_rnnt.rnnt_loss import JointLogits
 
 DIRS = ("offline_teacher", "streaming_teacher", "symmetric")
@@ -220,85 +219,12 @@ class TestInvariants:
         assert np.abs(fused.grad_streaming - naive.grad_streaming).max() <= 1e-9
 
 
-class TestThreeClass:
-    def _targets(self, rng, logits):
-        return [rng.integers(1, logits.z.shape[3], u) for u in logits.u_len]
-
-    def test_identical_inputs_zero(self, rng):
-        a, b = pair_from(rng, V=6)
-        same = JointLogits(a.z.copy(), a.t_len, a.u_len)
-        targets = self._targets(rng, a)
-        res = mcr_three_class(a, same, targets, MCRConfig(variant="three_class"))
-        assert res.loss == 0.0
-        assert np.abs(res.grad_offline).max() == 0.0
-
-    def test_hand_evaluated_cell(self):
-        # teacher collapsed (0.5, 0.3, 0.2), student (0.25, 0.25, 0.5), symmetric
-        zt = logits_for([0.5, 0.3, 0.1, 0.1])
-        zt_full = np.stack([zt, zt])[None, None, :, :]  # [1, 1, 2, 4]
-        zs_full = np.zeros((1, 1, 2, 4))
-        a = JointLogits(zt_full, [1], [1])
-        b = JointLogits(zs_full, [1], [1])
-        res = mcr_three_class(a, b, [[1]], MCRConfig(variant="three_class",
-                                                     direction="symmetric"))
-        # cell u=0: classes (.5, .3, .2) vs (.25, .25, .5)
-        pi = np.array([0.5, 0.3, 0.2])
-        rho = np.array([0.25, 0.25, 0.5])
-        cell0 = 0.5 * np.sum((pi - rho) * (np.log(pi) - np.log(rho)))
-        # cell u=1 (no next target): 2-class (.5, .5) vs (.25, .75)
-        pi2 = np.array([0.5, 0.5])
-        rho2 = np.array([0.25, 0.75])
-        cell1 = 0.5 * np.sum((pi2 - rho2) * (np.log(pi2) - np.log(rho2)))
-        assert abs(res.loss - (cell0 + cell1) / 2.0) <= 1e-12
-
-    @pytest.mark.parametrize("direction", DIRS)
-    @pytest.mark.parametrize("full_grad", [False, True])
-    def test_gradients_match_fd(self, rng, direction, full_grad):
-        B, T, U, V = 1, 2, 2, 5
-        z1 = rng.standard_normal((B, T, U + 1, V))
-        z2 = rng.standard_normal((B, T, U + 1, V))
-        y = rng.integers(1, V, U)
-        cfg = MCRConfig(variant="three_class", direction=direction, full_grad=full_grad)
-        res = mcr_three_class(JointLogits(z1, [T], [U]), JointLogits(z2, [T], [U]),
-                              [y], cfg)
-
-        def loss_of(x_off, x_str):
-            return mcr_three_class(JointLogits(x_off, [T], [U]),
-                                   JointLogits(x_str, [T], [U]), [y], cfg).loss
-
-        if full_grad:
-            fd_off = finite_difference_grad(lambda x: loss_of(x, z2), z1.copy())
-            fd_str = finite_difference_grad(lambda x: loss_of(z1, x), z2.copy())
-            assert max_rel_error(res.grad_offline, fd_off) <= 1e-5
-            assert max_rel_error(res.grad_streaming, fd_str) <= 1e-5
-        else:
-            # detached: check each student side with the teacher frozen
-            if direction in ("offline_teacher", "symmetric"):
-                scale = 0.5 if direction == "symmetric" else 1.0
-                c1 = MCRConfig(variant="three_class", direction="offline_teacher")
-                fd = finite_difference_grad(
-                    lambda x: scale * mcr_three_class(JointLogits(z1, [T], [U]),
-                                                      JointLogits(x, [T], [U]),
-                                                      [y], c1).loss, z2.copy())
-                assert max_rel_error(res.grad_streaming, fd) <= 1e-5
-            if direction in ("streaming_teacher", "symmetric"):
-                scale = 0.5 if direction == "symmetric" else 1.0
-                c2 = MCRConfig(variant="three_class", direction="streaming_teacher")
-                fd = finite_difference_grad(
-                    lambda x: scale * mcr_three_class(JointLogits(x, [T], [U]),
-                                                      JointLogits(z2, [T], [U]),
-                                                      [y], c2).loss, z1.copy())
-                assert max_rel_error(res.grad_offline, fd) <= 1e-5
-
-    def test_blank_in_target_rejected(self, rng):
-        a, b = pair_from(rng, B=1, T=2, U=2, V=4)
-        a = JointLogits(a.z, [2], [2])
-        b = JointLogits(b.z, [2], [2])
-        with pytest.raises(BlankInTargetError):
-            mcr_three_class(a, b, [[0, 1]], MCRConfig(variant="three_class"))
-
-
 class TestErrorsAndProbe:
+    def test_only_the_full_joint_variant(self):
+        assert MCRConfig(variant="full_joint").variant == "full_joint"
+        with pytest.raises(ValueError):
+            MCRConfig(variant="three_class")
+
     def test_shape_mismatch(self, rng):
         a, _ = pair_from(rng, B=1, T=3, U=2, V=4)
         b = JointLogits(rng.standard_normal((1, 3, 3, 5)), [3], [2])

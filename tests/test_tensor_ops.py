@@ -117,40 +117,44 @@ class TestDepthwiseConv:
         assert max_rel_error(kt.grad, fd_k) <= 1e-6
 
 
-def per_window_reference(x, kernel, windows):
-    """Chunked convolution one window at a time, per channel with np.convolve."""
+def per_window_reference(x, kernel, horizon):
+    """Each row on its own, per channel with np.convolve: the row's read window
+    of a buffer truncated at its horizon and zero padded."""
+    T, d = x.shape
     k = kernel.shape[0]
     halo = (k - 1) // 2
+    hz = [T] * T if horizon is None else horizon
     out = np.zeros_like(x)
-    for (w_lo, w_hi, k_lo, k_hi, r_lo, r_hi) in windows:
-        buf = np.zeros((w_hi - w_lo, x.shape[1]))
-        buf[r_lo - w_lo:r_hi - w_lo] = x[r_lo:r_hi]
-        assert w_hi - w_lo == k_hi - k_lo + 2 * halo
-        for c in range(x.shape[1]):
+    for i in range(T):
+        buf = np.zeros((T + 2 * halo, d))
+        buf[halo:halo + hz[i]] = x[:hz[i]]
+        for c in range(d):
             # np.convolve flips its second argument; the op correlates
-            out[k_lo:k_hi, c] = np.convolve(buf[:, c], kernel[::-1, c], mode="valid")
+            out[i, c] = np.convolve(buf[i:i + k, c], kernel[::-1, c], mode="valid")[0]
     return out
 
 
-def per_window_loop(x, kernel, windows, g):
-    """Output and gradients by a tap loop over single windows, in the op's order."""
+def per_tap_loop(x, kernel, horizon, g):
+    """Output and gradients by a loop over kernel taps, in the op's order."""
+    T, d = x.shape
     k = kernel.shape[0]
-    out, dx, dk = np.zeros_like(x), np.zeros_like(x), np.zeros_like(kernel)
-    for (w_lo, w_hi, k_lo, k_hi, r_lo, r_hi) in windows:
-        keep = k_hi - k_lo
-        buf = np.zeros((w_hi - w_lo, x.shape[1]), dtype=x.dtype)
-        buf[r_lo - w_lo:r_hi - w_lo] = x[r_lo:r_hi]
-        dbuf = np.zeros_like(buf)
-        for j in range(k):
-            out[k_lo:k_hi] += buf[j:j + keep] * kernel[j]
-            dk[j] += (buf[j:j + keep] * g[k_lo:k_hi]).sum(axis=0)
-            dbuf[j:j + keep] += g[k_lo:k_hi] * kernel[j]
-        dx[r_lo:r_hi] += dbuf[r_lo - w_lo:r_hi - w_lo]
-    return out, dx, dk
+    halo = (k - 1) // 2
+    hz = np.full(T, T) if horizon is None else horizon
+    xp = np.zeros((T + 2 * halo, d), dtype=x.dtype)
+    xp[halo:halo + T] = x
+    out, dxp, dk = np.zeros_like(x), np.zeros_like(xp), np.zeros_like(kernel)
+    for j in range(k):
+        # tap j of row i reads frame i - halo + j
+        read = (np.arange(T) - halo + j < hz)[:, None]
+        tap = np.where(read, xp[j:j + T], 0)
+        out += tap * kernel[j]
+        dk[j] = (tap * g).sum(axis=0)
+        dxp[j:j + T] += np.where(read, g, 0) * kernel[j]
+    return out, dxp[halo:halo + T], dk
 
 
 # (T, chunk, conv_right_mode, grid offset): T not a multiple of C, a short
-# first window (offset), a single frame
+# first chunk (offset), a single frame
 CONV_CASES = [(T, C, mode, off) for C in (1, 2, 3) for mode in ("real", "zero")
               for T, off in ((7, 0), (8, 2), (1, 0), (1, 1))]
 
@@ -159,76 +163,50 @@ class TestChunkedConv:
     @pytest.mark.parametrize("T,C,mode,off", CONV_CASES)
     def test_matches_per_window_reference(self, rng, T, C, mode, off):
         d, k = 4, 5
-        windows = plan_conv_chunks(T, ContextSpec(0, C, 0), k, right_mode=mode,
-                                   offset=off).realized()
+        horizon = plan_conv_chunks(T, ContextSpec(0, C, 0), mode, offset=off)
         x = rng.standard_normal((T, d))
         kernel = rng.standard_normal((k, d))
-        out = tz.depthwise_conv1d_windows(tz.constant(x), tz.constant(kernel), windows)
-        np.testing.assert_allclose(out.data, per_window_reference(x, kernel, windows),
+        out = tz.depthwise_conv1d_windows(tz.constant(x), tz.constant(kernel), horizon)
+        np.testing.assert_allclose(out.data, per_window_reference(x, kernel, horizon),
                                    atol=1e-12)
-        # all windows at once sum in the single-window loop's order, bit for bit
+        # the einsums sum in the tap loop's order, bit for bit
         g = rng.standard_normal((T, d))
         for dt in (np.float32, np.float64):
             xt, kt = tz.parameter(x.astype(dt)), tz.parameter(kernel.astype(dt))
             with tz.Tape() as tape:
-                out = tz.depthwise_conv1d_windows(xt, kt, windows)
+                out = tz.depthwise_conv1d_windows(xt, kt, horizon)
                 tape.backward(out, g.astype(dt))
-            ref = per_window_loop(xt.data, kt.data, windows, g.astype(dt))
+            ref = per_tap_loop(xt.data, kt.data, horizon, g.astype(dt))
             for got, want in zip((out.data, xt.grad, kt.grad), ref):
                 np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("T,C,mode,off", CONV_CASES)
     def test_gradients_match_finite_differences(self, rng, T, C, mode, off):
         d, k = 3, 5
-        windows = plan_conv_chunks(T, ContextSpec(0, C, 0), k, right_mode=mode,
-                                   offset=off).realized()
-        layout = tz.ConvLayout(windows, T, k)
+        horizon = plan_conv_chunks(T, ContextSpec(0, C, 0), mode, offset=off)
         x0 = rng.standard_normal((T, d))
         k0 = rng.standard_normal((k, d))
         w = rng.standard_normal((T, d))
         xt, kt = tz.parameter(x0.copy()), tz.parameter(k0.copy())
         with tz.Tape() as tape:
-            out = tz.depthwise_conv1d_windows(xt, kt, layout)
+            out = tz.depthwise_conv1d_windows(xt, kt, horizon)
             tape.backward(out, w)
 
         def loss(x, kk):
-            return float((per_window_reference(x, kk, windows) * w).sum())
+            return float((per_window_reference(x, kk, horizon) * w).sum())
         fd_x = finite_difference_grad(lambda x: loss(x, k0), x0.copy())
         fd_k = finite_difference_grad(lambda kk: loss(x0, kk), k0.copy())
         assert max_rel_error(xt.grad, fd_x) <= 1e-6
         assert max_rel_error(kt.grad, fd_k) <= 1e-6
 
-    def test_layout_and_window_tuples_agree(self, rng):
-        windows = plan_conv_chunks(9, ContextSpec(0, 2, 0), 5, offset=1).realized()
-        x = tz.constant(rng.standard_normal((9, 4)))
-        kernel = tz.constant(rng.standard_normal((5, 4)))
-        np.testing.assert_array_equal(
-            tz.depthwise_conv1d_windows(x, kernel, windows).data,
-            tz.depthwise_conv1d_windows(x, kernel, tz.ConvLayout(windows, 9, 5)).data)
-
-    @pytest.mark.parametrize("windows", [
-        [(-1, 3, 0, 2, 0, 3), (2, 6, 3, 5, 2, 5)],   # row 2 uncovered
-        [(-1, 3, 0, 2, 0, 3), (0, 4, 1, 3, 0, 4), (2, 6, 3, 5, 2, 5)],  # overlap
-        [(-1, 3, 0, 2, 0, 3), (1, 5, 2, 4, 1, 5)],   # stops before T
-        [(-1, 7, 0, 6, 0, 5)],                       # runs past T
-        [],                                          # covers nothing
-        [(-1, 3, 0, 2, 0, 3), (1, 4, 2, 3, 1, 4), (2, 6, 3, 5, 2, 5)],  # short middle window
-        [(-2, 3, 0, 2, 0, 3), (1, 5, 2, 4, 1, 5), (3, 6, 4, 5, 3, 5)],  # bad halo
-    ])
-    def test_keep_ranges_must_tile(self, rng, windows):
-        x = tz.constant(rng.standard_normal((5, 2)))
-        kernel = tz.constant(rng.standard_normal((3, 2)))
-        with pytest.raises(ValueError):
-            tz.depthwise_conv1d_windows(x, kernel, windows)
-
-    def test_layout_must_fit_input(self, rng):
-        layout = tz.ConvLayout(plan_conv_chunks(6, ContextSpec(0, 2, 0), 3).realized(), 6, 3)
+    def test_horizon_must_fit_input(self, rng):
+        horizon = plan_conv_chunks(6, ContextSpec(0, 2, 0), "zero")
         with pytest.raises(ValueError):
             tz.depthwise_conv1d_windows(tz.constant(rng.standard_normal((5, 2))),
-                                        tz.constant(rng.standard_normal((3, 2))), layout)
+                                        tz.constant(rng.standard_normal((3, 2))), horizon)
         with pytest.raises(ValueError):
             tz.depthwise_conv1d_windows(tz.constant(rng.standard_normal((6, 2))),
-                                        tz.constant(rng.standard_normal((5, 2))), layout)
+                                        tz.constant(rng.standard_normal((3, 3))), horizon)
 
 
 class TestTapeMechanics:
