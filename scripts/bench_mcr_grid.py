@@ -9,7 +9,7 @@ plus wall times.  Loss and gradients must agree between paths at every tile.
 import argparse
 import sys
 
-from unify_rnnt.mcr import mcr_memory_probe
+from unify_rnnt.mcr import DIRECTIONS, mcr_memory_probe
 
 
 def main() -> int:
@@ -19,7 +19,7 @@ def main() -> int:
     parser.add_argument("--labels", type=int, default=32)
     parser.add_argument("--vocab", type=int, default=1024)
     parser.add_argument("--tiles", default="8,64,1024")
-    parser.add_argument("--direction", default="symmetric")
+    parser.add_argument("--direction", default="symmetric", choices=DIRECTIONS)
     args = parser.parse_args()
 
     shape = (args.batch, args.frames, args.labels, args.vocab)

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Train the strategy grid on the synthetic corpus and print the TER table.
 
-Reproduces the qualitative orderings: the offline-only model collapses at the
-smallest latency, the streaming-only model gives up offline quality, and
-dual-mode training with the symmetric consistency loss holds the best
-low-latency/offline trade-off.  Runs fan out over a process pool; results are
-deterministic per seed.
+The table is read against the paper's expected orderings: the offline-only
+model collapses at the smallest latency, the streaming-only model gives up
+offline quality, and dual-mode training with the symmetric consistency loss
+holds the best low-latency/offline trade-off.  On this corpus they were not
+reproduced when measured; the measured table is in ROADMAP.md, open item 2.
+Runs fan out over a process pool; results are deterministic per seed.
 """
 
 import argparse

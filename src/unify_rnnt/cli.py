@@ -24,7 +24,7 @@ from .corpus import CorpusConfig, generate_corpus, load_manifest
 from .decoding import write_utterance_csv
 from .errors import CorruptCheckpointError, ManifestMismatchError, NumericalError
 from .experiments import evaluate_model, sweep_model
-from .mcr import MCRConfig, mcr_memory_probe
+from .mcr import DIRECTIONS, MCRConfig, mcr_memory_probe
 from .model import ModelConfig, TransducerModel
 from .training import ModeWeights, TrainConfig, load_checkpoint, run_training
 
@@ -65,17 +65,35 @@ def _build(cls, section: dict, what: str, **renames):
         raise ConfigError(f"bad {what} section: {exc}") from exc
 
 
+def _section(data: dict, key: str) -> dict:
+    section = data.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} section must be a mapping, "
+                          f"not {type(section).__name__}")
+    return dict(section)
+
+
 def parse_config(data: dict) -> dict:
-    """Validated config bundle from the raw YAML mapping."""
+    """Validated config bundle from the raw YAML mapping.
+
+    A section or value of the wrong type is a ``ConfigError``.
+    """
+    try:
+        return _parse_config(data)
+    except TypeError as exc:
+        raise ConfigError(f"bad config value: {exc}") from exc
+
+
+def _parse_config(data: dict) -> dict:
     out_dir = data.get("out", "runs/out")
     seed = int(data.get("seed", 0))
-    corpus_raw = dict(data.get("corpus", {}))
+    corpus_raw = _section(data, "corpus")
     n_utts = int(corpus_raw.pop("n_utterances", 200))
     corpus = _build(CorpusConfig, {**corpus_raw, "seed": corpus_raw.get("seed", seed)},
                     "corpus")
-    model = _build(ModelConfig, {**data.get("model", {})}, "model")
+    model = _build(ModelConfig, _section(data, "model"), "model")
 
-    train_raw = dict(data.get("train", {}))
+    train_raw = _section(data, "train")
     manifest = train_raw.pop("manifest", None)
     mw = ModeWeights(alpha=float(train_raw.pop("alpha", 0.5)),
                      p_off=float(train_raw.pop("p_off", 0.5)))
@@ -90,7 +108,7 @@ def parse_config(data: dict) -> dict:
                                  "context_sets": sets,
                                  "seed": train_raw.get("seed", seed)}, "train")
 
-    eval_raw = dict(data.get("eval", {}))
+    eval_raw = _section(data, "eval")
     unknown = sorted(set(eval_raw) - set(EVAL_KEYS))
     if unknown:
         raise ConfigError(f"bad eval section: unknown keys {unknown}")
@@ -295,15 +313,7 @@ def cmd_bench_mcr(args) -> int:
     report = mcr_memory_probe((args.batch, args.frames, args.labels, args.vocab),
                               tile=args.tile, direction=args.direction,
                               seed=args.seed)
-    printable = {"aux_bytes_fused": report["aux_bytes_fused"],
-                 "aux_bytes_naive": report["aux_bytes_naive"],
-                 "ratio": report["ratio"],
-                 "wall_ms_fused": report["wall_ms_fused"],
-                 "wall_ms_naive": report["wall_ms_naive"],
-                 "loss_fused": report["loss_fused"],
-                 "loss_naive": report["loss_naive"],
-                 "max_grad_diff": report["max_grad_diff"]}
-    print(json.dumps(printable, indent=2))
+    print(json.dumps(report, indent=2))
     return EXIT_OK
 
 
@@ -384,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", type=int, default=32)
     p.add_argument("--vocab", type=int, default=1024)
     p.add_argument("--tile", type=int, default=128)
-    p.add_argument("--direction", default="symmetric",
-                   choices=["offline_teacher", "streaming_teacher", "symmetric"])
+    p.add_argument("--direction", default="symmetric", choices=DIRECTIONS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_bench_mcr)
 

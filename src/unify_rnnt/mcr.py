@@ -1,13 +1,30 @@
 """Mode-consistency regularization over the full transducer joint lattice.
 
-Per valid lattice cell (t, u) the loss is a KL divergence between the
-offline-mode and streaming-mode output distributions over the whole
-vocabulary (the ``full_joint`` variant, the only one), computed directly
-from raw logits.  The fused path never materializes a [T, U+1, V] softmax or
-log-softmax buffer: it streams vocabulary tiles through fixed scratch blocks
-and recomputes per-cell softmaxes from the raw logits in the backward pass.
-A naive materialized implementation serves as the oracle, and a memory probe
-measures both paths under the instrumented allocator.
+Per valid lattice cell (t, u) the loss compares the offline-mode and
+streaming-mode output distributions p and q over the whole vocabulary (the
+``full_joint`` variant, the only one), computed directly from raw logits.
+Every teacher direction is one weighted KL, ``a·KL(p‖q) + b·KL(q‖p)``, with
+``(a, b)`` from ``KL_WEIGHTS``:
+
+    offline_teacher     (1, 0)
+    streaming_teacher   (0, 1)
+    symmetric           (½, ½)
+
+With ``d = log p − log q`` and ``w = seed / (cells·B)`` the gradients with
+respect to the streaming and offline logits are
+
+    g_str =  a·w·(q − p)  −  b·w·q·(d + KL(q‖p))
+    g_off = −b·w·(q − p)  +  a·w·p·(d − KL(p‖q))
+
+where the second terms, which differentiate the teacher side of each KL,
+are added only with ``full_grad``; by default the teacher is a constant.
+
+The fused path never materializes a [T, U+1, V] buffer: one tile routine
+gives p, q and d for a block of cells through fixed scratch blocks, from the
+raw logits.  The forward reduces its output to the loss; the backward to
+per-cell KLs (only with ``full_grad``), then to gradients.  A naive
+materialized oracle, written per teacher and student, is the specification,
+and a memory probe measures both paths under the instrumented allocator.
 
 Normalization: per-utterance sums are divided by the count of valid (t, u)
 cells, then averaged over the batch.  Cell iteration order is fixed
@@ -18,6 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +43,10 @@ from .errors import ModeShapeMismatchError, NonFiniteInputError
 from .memtrack import MemoryMeter, scratch_empty, scratch_full, scratch_zeros
 from .rnnt_loss import JointLogits
 
-DIRECTIONS = ("offline_teacher", "streaming_teacher", "symmetric")
+KL_WEIGHTS = {"offline_teacher": (1.0, 0.0),
+              "streaming_teacher": (0.0, 1.0),
+              "symmetric": (0.5, 0.5)}
+DIRECTIONS = tuple(KL_WEIGHTS)
 
 _CELL_BLOCK = 128
 
@@ -82,223 +103,148 @@ def _valid_rows(t_len: int, u_len: int, U1: int) -> np.ndarray:
 
 
 class _TileKernel:
-    """Shared scratch blocks for the tiled KL passes over one lattice pair.
+    """Four scratch blocks and the tile passes over one lattice pair's cells.
 
     Scratch lives in flat buffers reshaped per tile so every working view is
     contiguous; in-place ufuncs on strided views of reused buffers are not
     reliable on all numpy builds.
     """
 
-    def __init__(self, V: int, tile: int, dtype, n_max: int = _CELL_BLOCK) -> None:
+    def __init__(self, V: int, tile: int, dtype, n_max: int) -> None:
         self.V = V
         self.tw = min(tile, V)
-        self.cb = min(_CELL_BLOCK, max(1, n_max))
-        size = self.cb * self.tw
-        self.bt = scratch_empty((size,), dtype)
-        self.bs = scratch_empty((size,), dtype)
-        self.bp = scratch_empty((size,), dtype)
-        self.bq = scratch_empty((size,), dtype)
-        self.bx = scratch_empty((size,), dtype)
+        size = min(_CELL_BLOCK, max(1, n_max)) * self.tw
+        self.bp, self.bq, self.bd, self.bx = (scratch_empty((size,), dtype)
+                                              for _ in range(4))
 
-    def _blocks(self, n: int):
-        for c0 in range(0, n, _CELL_BLOCK):
-            yield c0, min(c0 + _CELL_BLOCK, n)
-
-    def _tiles(self):
-        for v0 in range(0, self.V, self.tw):
-            yield v0, min(v0 + self.tw, self.V)
+    def _blocks(self, rows: np.ndarray):
+        """(block rows, cells, cols): cell blocks in order, vocabulary tiles
+        in each; ``cells`` slices the block out of ``rows``."""
+        for c0 in range(0, rows.size, _CELL_BLOCK):
+            cells = slice(c0, min(c0 + _CELL_BLOCK, rows.size))
+            rblk = rows[cells]
+            for v0 in range(0, self.V, self.tw):
+                yield rblk, cells, slice(v0, min(v0 + self.tw, self.V))
 
     @staticmethod
-    def _view(buf: np.ndarray, cb: int, width: int) -> np.ndarray:
-        return buf[:cb * width].reshape(cb, width)
+    def _view(buf: np.ndarray, n: int, width: int) -> np.ndarray:
+        return buf[:n * width].reshape(n, width)
 
-    def _gather(self, z2: np.ndarray, rows: np.ndarray, v0: int, v1: int,
+    def _gather(self, z2: np.ndarray, rows: np.ndarray, cols: slice,
                 buf: np.ndarray) -> np.ndarray:
-        bv = self._view(buf, rows.size, v1 - v0)
-        np.take(z2[:, v0:v1], rows, axis=0, out=bv)
+        bv = self._view(buf, rows.size, cols.stop - cols.start)
+        np.take(z2[:, cols], rows, axis=0, out=bv)
         return bv
 
-    def lse(self, z2: np.ndarray, rows: np.ndarray, check_finite: bool = True) -> np.ndarray:
-        """Streaming per-row logsumexp with running-max rescaling."""
-        n = rows.size
-        m = scratch_full((n,), -np.inf, z2.dtype)
-        s = scratch_zeros((n,), z2.dtype)
-        for c0, c1 in self._blocks(n):
-            rblk = rows[c0:c1]
-            mb = m[c0:c1]
-            sb = s[c0:c1]
-            for v0, v1 in self._tiles():
-                bv = self._gather(z2, rblk, v0, v1, self.bt)
-                if check_finite and not np.isfinite(bv).all():
-                    raise NonFiniteInputError("joint logits contain non-finite values")
-                blk_max = bv.max(axis=1)
-                new_max = np.maximum(mb, blk_max)
-                np.subtract(bv, new_max[:, None], out=bv)
-                np.exp(bv, out=bv)
-                sb *= np.exp(mb - new_max)
-                sb += bv.sum(axis=1)
-                mb[:] = new_max
+    def lse(self, z2: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Streaming per-row logsumexp with running-max rescaling, as a column."""
+        m = scratch_full((rows.size, 1), -np.inf, z2.dtype)
+        s = scratch_zeros((rows.size, 1), z2.dtype)
+        for rblk, cells, cols in self._blocks(rows):
+            bv = self._gather(z2, rblk, cols, self.bx)
+            if not np.isfinite(bv).all():
+                raise NonFiniteInputError("joint logits contain non-finite values")
+            mb, sb = m[cells], s[cells]
+            new_max = np.maximum(mb, bv.max(axis=1, keepdims=True))
+            np.subtract(bv, new_max, out=bv)
+            np.exp(bv, out=bv)
+            sb *= np.exp(mb - new_max)
+            sb += bv.sum(axis=1, keepdims=True)
+            mb[:] = new_max
         np.log(s, out=s)
         m += s
         return m
 
-    def _load_logprobs(self, zt2, zs2, rblk, lt, ls, v0, v1):
-        bt = self._gather(zt2, rblk, v0, v1, self.bt)
-        bs = self._gather(zs2, rblk, v0, v1, self.bs)
-        np.subtract(bt, lt[:, None], out=bt)
-        np.subtract(bs, ls[:, None], out=bs)
-        return bt, bs
-
-    def loss(self, zt2, zs2, rows, lse_t, lse_s, symmetric: bool) -> float:
-        acc = 0.0
-        for c0, c1 in self._blocks(rows.size):
-            rblk = rows[c0:c1]
-            lt = lse_t[c0:c1]
-            ls = lse_s[c0:c1]
-            for v0, v1 in self._tiles():
-                bt, bs = self._load_logprobs(zt2, zs2, rblk, lt, ls, v0, v1)
-                bp = self._view(self.bp, rblk.size, v1 - v0)
-                np.exp(bt, out=bp)
-                np.subtract(bt, bs, out=bt)
-                if symmetric:
-                    bq = self._view(self.bq, rblk.size, v1 - v0)
-                    np.exp(bs, out=bq)
-                    np.subtract(bp, bq, out=bp)
-                    np.multiply(bp, bt, out=bp)
-                    acc += 0.5 * float(bp.sum())
-                else:
-                    np.multiply(bp, bt, out=bp)
-                    acc += float(bp.sum())
-        return acc
-
-    def cell_kls(self, zt2, zs2, rows, lse_t, lse_s):
-        """Per-cell KL(p||q) and KL(q||p), needed by full-gradient modes."""
-        n = rows.size
-        kl_pq = scratch_zeros((n,), zt2.dtype)
-        kl_qp = scratch_zeros((n,), zt2.dtype)
-        for c0, c1 in self._blocks(n):
-            rblk = rows[c0:c1]
-            lt = lse_t[c0:c1]
-            ls = lse_s[c0:c1]
-            for v0, v1 in self._tiles():
-                bt, bs = self._load_logprobs(zt2, zs2, rblk, lt, ls, v0, v1)
-                bp = self._view(self.bp, rblk.size, v1 - v0)
-                bq = self._view(self.bq, rblk.size, v1 - v0)
-                np.exp(bt, out=bp)
-                np.exp(bs, out=bq)
-                np.subtract(bt, bs, out=bt)
-                np.multiply(bp, bt, out=bp)
-                kl_pq[c0:c1] += bp.sum(axis=1)
-                np.multiply(bq, bt, out=bq)
-                kl_qp[c0:c1] -= bq.sum(axis=1)
-        return kl_pq, kl_qp
-
-    def grads(self, zt2, zs2, rows, lse_t, lse_s, mode: str, w: float,
-              g_t2, g_s2, kl_pq=None, kl_qp=None) -> None:
-        """Write per-cell gradient tiles with teacher orientation p = zt, q = zs.
-
-        mode "onedir": student gets (q - p) * w; with full-grad kl_pq set,
-        teacher gets p * (log p - log q - KL(p||q)) * w.
-        mode "sym": detached halves +-(q - p) * w / 2; with kl vectors set,
-        each side also receives its own-direction full-gradient term.
-        """
-        half = 0.5 * w
-        for c0, c1 in self._blocks(rows.size):
-            rblk = rows[c0:c1]
-            lt = lse_t[c0:c1]
-            ls = lse_s[c0:c1]
-            for v0, v1 in self._tiles():
-                bt, bs = self._load_logprobs(zt2, zs2, rblk, lt, ls, v0, v1)
-                bp = self._view(self.bp, rblk.size, v1 - v0)
-                bq = self._view(self.bq, rblk.size, v1 - v0)
-                bx = self._view(self.bx, rblk.size, v1 - v0)
-                np.exp(bt, out=bp)
-                np.exp(bs, out=bq)
-                np.subtract(bt, bs, out=bt)      # log p - log q
-                np.subtract(bq, bp, out=bs)      # q - p
-                if mode == "onedir":
-                    np.multiply(bs, w, out=bx)
-                    g_s2[rblk, v0:v1] = bx
-                    if kl_pq is not None:
-                        np.subtract(bt, kl_pq[c0:c1][:, None], out=bt)
-                        np.multiply(bp, bt, out=bt)
-                        bt *= w
-                        g_t2[rblk, v0:v1] = bt
-                elif mode == "sym":
-                    if kl_pq is None:
-                        np.multiply(bs, half, out=bx)
-                        g_s2[rblk, v0:v1] = bx
-                        np.negative(bx, out=bx)
-                        g_t2[rblk, v0:v1] = bx
-                    else:
-                        np.add(bt, kl_qp[c0:c1][:, None], out=bx)
-                        np.multiply(bq, bx, out=bx)
-                        np.subtract(bs, bx, out=bx)   # (q-p) - q*(diff + KL(q||p))
-                        bx *= half
-                        g_s2[rblk, v0:v1] = bx
-                        np.subtract(bt, kl_pq[c0:c1][:, None], out=bt)
-                        np.multiply(bp, bt, out=bt)
-                        np.subtract(bt, bs, out=bt)   # p*(diff - KL(p||q)) + (p-q)
-                        bt *= half
-                        g_t2[rblk, v0:v1] = bt
-                else:
-                    raise ValueError(f"unknown gradient mode {mode!r}")
+    def tiles(self, zo2, zs2, rows, lse_off, lse_str):
+        """(cells, cols, p, q, d, x) per tile: p and q are the offline and
+        streaming softmaxes, d = log p − log q, and x is a spare block of the
+        same shape.  The caller may overwrite all four."""
+        for rblk, cells, cols in self._blocks(rows):
+            p = self._gather(zo2, rblk, cols, self.bp)
+            q = self._gather(zs2, rblk, cols, self.bq)
+            np.subtract(p, lse_off[cells], out=p)
+            np.subtract(q, lse_str[cells], out=q)
+            d = self._view(self.bd, *p.shape)
+            np.subtract(p, q, out=d)
+            np.exp(p, out=p)
+            np.exp(q, out=q)
+            yield cells, cols, p, q, d, self._view(self.bx, *p.shape)
 
 
-def _orient(cfg: MCRConfig, z_off: JointLogits, z_str: JointLogits):
-    """Teacher-first orientation of the two lattices per cfg.direction."""
-    if cfg.direction == "streaming_teacher":
-        return z_str, z_off
-    return z_off, z_str
+def _utterances(z_off: JointLogits, z_str: JointLogits, tile: int):
+    """(index, valid rows, tile pass) per utterance; each call of the tile
+    pass restarts ``_TileKernel.tiles`` on the utterance's logsumexps."""
+    _validate_pair(z_off, z_str)
+    _B, _T, U1, V = z_off.z.shape
+    n_max = int((z_off.t_len * (z_off.u_len + 1)).max())
+    kernel = _TileKernel(V, tile, z_off.z.dtype, n_max)
+    for i in range(z_off.batch_size):
+        rows = _valid_rows(int(z_off.t_len[i]), int(z_off.u_len[i]), U1)
+        zo2 = z_off.z[i].reshape(-1, V)
+        zs2 = z_str.z[i].reshape(-1, V)
+        lse_off = kernel.lse(zo2, rows)
+        lse_str = kernel.lse(zs2, rows)
+        yield i, rows, partial(kernel.tiles, zo2, zs2, rows, lse_off, lse_str)
 
 
 def mcr_forward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> tuple[float, int]:
     """Batch-reduced consistency loss via the tiled path, no gradients."""
-    _validate_pair(z_off, z_str)
-    zt_all, zs_all = _orient(cfg, z_off, z_str)
-    B, _T, U1, V = z_off.z.shape
-    n_max = int((z_off.t_len * (z_off.u_len + 1)).max())
-    kernel = _TileKernel(V, cfg.tile, z_off.z.dtype, n_max)
+    a, b = KL_WEIGHTS[cfg.direction]
     total = 0.0
     cells = 0
-    sym = cfg.direction == "symmetric"
-    for b in range(B):
-        rows = _valid_rows(int(z_off.t_len[b]), int(z_off.u_len[b]), U1)
-        zt2 = zt_all.z[b].reshape(-1, V)
-        zs2 = zs_all.z[b].reshape(-1, V)
-        lse_t = kernel.lse(zt2, rows)
-        lse_s = kernel.lse(zs2, rows)
-        total += kernel.loss(zt2, zs2, rows, lse_t, lse_s, sym) / rows.size
+    for _i, rows, tiles in _utterances(z_off, z_str, cfg.tile):
+        acc = 0.0
+        for _cells, _cols, p, q, d, _x in tiles():
+            acc += a * float(np.vdot(p, d)) - b * float(np.vdot(q, d))
+        total += acc / rows.size
         cells += rows.size
-    return total / B, cells
+    return total / z_off.batch_size, cells
 
 
 def mcr_backward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig,
                  seed: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the batch-reduced loss, recomputed from raw logits."""
-    _validate_pair(z_off, z_str)
-    B, _T, U1, V = z_off.z.shape
+    a, b = KL_WEIGHTS[cfg.direction]
+    B, V = z_off.batch_size, z_off.z.shape[-1]
     grad_off = np.zeros_like(z_off.z)
     grad_str = np.zeros_like(z_str.z)
-    n_max = int((z_off.t_len * (z_off.u_len + 1)).max())
-    kernel = _TileKernel(V, cfg.tile, z_off.z.dtype, n_max)
-    sym = cfg.direction == "symmetric"
-    for b in range(B):
-        rows = _valid_rows(int(z_off.t_len[b]), int(z_off.u_len[b]), U1)
+    for i, rows, tiles in _utterances(z_off, z_str, cfg.tile):
         w = seed / (rows.size * B)
-        if cfg.direction == "streaming_teacher":
-            zt2, zs2 = z_str.z[b].reshape(-1, V), z_off.z[b].reshape(-1, V)
-            g_t2, g_s2 = grad_str[b].reshape(-1, V), grad_off[b].reshape(-1, V)
-        else:
-            zt2, zs2 = z_off.z[b].reshape(-1, V), z_str.z[b].reshape(-1, V)
-            g_t2, g_s2 = grad_off[b].reshape(-1, V), grad_str[b].reshape(-1, V)
-        lse_t = kernel.lse(zt2, rows)
-        lse_s = kernel.lse(zs2, rows)
-        kl_pq = kl_qp = None
+        ws, wo = a * w, -b * w          # scales of q − p in g_str and g_off
+        g_off2 = grad_off[i].reshape(-1, V)
+        g_str2 = grad_str[i].reshape(-1, V)
         if cfg.full_grad:
-            kl_pq, kl_qp = kernel.cell_kls(zt2, zs2, rows, lse_t, lse_s)
-        kernel.grads(zt2, zs2, rows, lse_t, lse_s, "sym" if sym else "onedir",
-                     w, g_t2, g_s2, kl_pq, kl_qp)
+            kl_pq = scratch_zeros((rows.size, 1), z_off.z.dtype)
+            kl_sum = scratch_zeros((rows.size, 1), z_off.z.dtype)
+            for cells, _cols, p, q, d, _x in tiles():
+                np.multiply(p, d, out=p)
+                np.multiply(q, d, out=q)
+                kl_pq[cells] += p.sum(axis=1, keepdims=True)
+                kl_sum[cells] -= q.sum(axis=1, keepdims=True)
+            kl_sum += kl_pq                 # KL(p‖q) + KL(q‖p)
+        for cells, cols, p, q, d, x in tiles():
+            r = rows[cells]
+            np.subtract(q, p, out=x)
+            if cfg.full_grad:
+                np.subtract(d, kl_pq[cells], out=d)
+                np.multiply(p, d, out=p)    # p·(d − KL(p‖q))
+                np.add(d, kl_sum[cells], out=d)
+                np.multiply(q, d, out=q)    # q·(d + KL(q‖p))
+                np.multiply(x, ws, out=d)
+                np.multiply(q, wo, out=q)
+                np.add(d, q, out=d)
+                g_str2[r, cols] = d
+                np.multiply(p, ws, out=p)
+                np.multiply(x, wo, out=x)
+                np.add(x, p, out=x)
+                g_off2[r, cols] = x
+            else:
+                if a:
+                    np.multiply(x, ws, out=d)
+                    g_str2[r, cols] = d
+                if b:
+                    np.multiply(x, wo, out=x)
+                    g_off2[r, cols] = x
     return grad_off, grad_str
 
 
@@ -344,7 +290,10 @@ def mcr_naive_oracle(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> 
     """Reference implementation materializing full log-softmax tensors."""
     _validate_pair(z_off, z_str)
     mask = _valid_mask(z_off)
-    zt_all, zs_all = _orient(cfg, z_off, z_str)
+    if cfg.direction == "streaming_teacher":
+        zt_all, zs_all = z_str, z_off
+    else:
+        zt_all, zs_all = z_off, z_str
     logp_t, p_t = _materialized_softmax(zt_all.z, mask)
     logp_s, p_s = _materialized_softmax(zs_all.z, mask)
     diff = scratch_empty(logp_t.shape, logp_t.dtype)

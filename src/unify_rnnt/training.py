@@ -400,12 +400,19 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None
             header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CorruptCheckpointError(f"unreadable header: {exc}") from exc
-        cfg = ModelConfig(**header["model_config"])
+        try:
+            stored_cfg, step = header["model_config"], int(header["step"])
+            stored = {e["name"]: tuple(e["shape"]) for e in header["params"]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptCheckpointError(f"incomplete header: {exc!r}") from exc
+        try:
+            cfg = ModelConfig(**stored_cfg)
+        except (TypeError, ValueError) as exc:
+            raise VersionMismatchError(f"stored model config does not load: {exc}") from exc
         if expected_config is not None and cfg != expected_config:
             raise VersionMismatchError(
                 f"stored model config {cfg} does not match expected {expected_config}")
         model = TransducerModel(cfg)
-        stored = {e["name"]: tuple(e["shape"]) for e in header["params"]}
         have = {name: p.shape for name, p in model.param_items()}
         if stored != have:
             raise VersionMismatchError("parameter layout mismatch")
@@ -434,4 +441,4 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None
         except (TypeError, ValueError, KeyError) as exc:
             raise CorruptCheckpointError(f"unreadable rng state: {exc}") from exc
         rng = np.random.Generator(bit_gen)
-    return model, int(header["step"]), opt, rng
+    return model, step, opt, rng

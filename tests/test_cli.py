@@ -3,12 +3,18 @@
 import csv
 import json
 import os
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
 from unify_rnnt.cli import main
-from unify_rnnt.training import load_checkpoint
+from unify_rnnt.model import ModelConfig, TransducerModel
+from unify_rnnt.training import load_checkpoint, save_checkpoint
+
+GRID_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_mcr_grid.py"
 
 
 def write_config(path, out_dir, **over):
@@ -98,6 +104,12 @@ class TestGenData:
         base = yaml.safe_load(open(write_config(tmp_path / "base.yaml", out)))
         config = write_config(tmp_path / "c.yaml", out,
                               train={**base["train"], "conv_right_mode": "zero"})
+        assert main(["gen-data", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("section,value", [("corpus", [1, 2]),
+                                               ("eval", {"specs": 3})])
+    def test_wrong_type_is_config_error(self, tmp_path, section, value):
+        config = write_config(tmp_path / "c.yaml", tmp_path / "run", **{section: value})
         assert main(["gen-data", "--config", str(config)]) == 2
 
     def test_invalid_config_value_rejected(self, tmp_path):
@@ -214,6 +226,19 @@ class TestTrainEvalPipeline:
         assert main(["eval", "--config", str(config), "--checkpoint",
                      str(bad)]) == 4
 
+    @pytest.mark.parametrize("edit,code", [
+        (lambda header: header.pop("step"), 4),
+        (lambda header: header["model_config"].update(pos_enc="rope"), 2),
+    ], ids=["missing-step", "unknown-config-key"])
+    def test_bad_checkpoint_header_exit_code(self, workspace, rewrite_header, edit, code):
+        config, out = workspace
+        model_cfg = ModelConfig(**yaml.safe_load(open(config))["model"])
+        ckpt = out / "model.urnt"
+        out.mkdir()
+        save_checkpoint(ckpt, TransducerModel(model_cfg), step=1)
+        rewrite_header(ckpt, edit)
+        assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == code
+
 
 class TestBenchMcr:
     def test_bench_report_fields(self, capsys):
@@ -241,6 +266,17 @@ class TestBenchMcr:
         report = json.loads(capsys.readouterr().out)
         assert report["loss_fused"] == 0.0
         assert report["aux_bytes_fused"] < 64 * 1024
+
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench-mcr", "--direction", "sideways"])
+        assert exc.value.code == 2
+
+    def test_grid_script_rejects_unknown_direction(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", [str(GRID_SCRIPT), "--direction", "sideways"])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(GRID_SCRIPT), run_name="__main__")
+        assert exc.value.code == 2
 
 
 class TestLocking:

@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from unify_rnnt.errors import ModeShapeMismatchError, NonFiniteInputError
 from unify_rnnt.gradcheck import finite_difference_grad, max_rel_error
-from unify_rnnt.mcr import (MCRConfig, mcr_forward, mcr_loss, mcr_memory_probe,
-                            mcr_naive_oracle)
+from unify_rnnt.mcr import (MCRConfig, mcr_backward, mcr_forward, mcr_loss,
+                            mcr_memory_probe, mcr_naive_oracle)
 from unify_rnnt.rnnt_loss import JointLogits
 
 DIRS = ("offline_teacher", "streaming_teacher", "symmetric")
+# weights (a, b) of a·KL(p_off‖p_str) + b·KL(p_str‖p_off) per direction
+AB = {"offline_teacher": (1.0, 0.0), "streaming_teacher": (0.0, 1.0),
+      "symmetric": (0.5, 0.5)}
 
 
 def pair_from(rng, B=2, T=4, U=3, V=8, spread=2.0):
@@ -26,6 +29,38 @@ def pair_from(rng, B=2, T=4, U=3, V=8, spread=2.0):
 
 def logits_for(probs):
     return np.log(np.asarray(probs, dtype=np.float64))
+
+
+def per_cell_grads(z_off, z_str, direction, tile, seed=1.0):
+    """Detached-teacher gradients one cell at a time, in the fused order.
+
+    Each row's logsumexp runs over vocabulary tiles of width ``tile`` with a
+    running max, as the fused path does, so the two agree bit for bit.
+    """
+    a, b = AB[direction]
+    B, _T, _U1, V = z_off.z.shape
+    g_off = np.zeros_like(z_off.z)
+    g_str = np.zeros_like(z_str.z)
+    for i in range(B):
+        t_len, u_len = int(z_off.t_len[i]), int(z_off.u_len[i])
+        w = seed / (t_len * (u_len + 1) * B)
+        for t in range(t_len):
+            for u in range(u_len + 1):
+                logp = []
+                for z in (z_off.z[i, t, u][None], z_str.z[i, t, u][None]):
+                    m = np.full((1, 1), -np.inf, z.dtype)
+                    s = np.zeros((1, 1), z.dtype)
+                    for v0 in range(0, V, tile):
+                        blk = z[:, v0:v0 + tile]
+                        new = np.maximum(m, blk.max(axis=1, keepdims=True))
+                        s = s * np.exp(m - new)
+                        s = s + np.exp(blk - new).sum(axis=1, keepdims=True)
+                        m = new
+                    logp.append(z - (m + np.log(s)))
+                q_minus_p = np.exp(logp[1]) - np.exp(logp[0])
+                g_str[i, t, u] = (q_minus_p * (a * w))[0]
+                g_off[i, t, u] = (q_minus_p * (-b * w))[0]
+    return g_off, g_str
 
 
 class TestKnownValues:
@@ -84,12 +119,39 @@ class TestFusedNaiveEquivalence:
             assert fused.cells == naive.cells
 
     def test_symmetric_identity_algebra(self, rng):
-        # 0.5 * (KL(p||q) + KL(q||p)) == 0.5 * sum (p - q)(log p - log q)
-        a, b = pair_from(rng, B=1, T=3, U=2, V=6)
-        sym = mcr_forward(a, b, MCRConfig(direction="symmetric", tile=3))[0]
-        kl_pq = mcr_forward(a, b, MCRConfig(direction="offline_teacher", tile=3))[0]
-        kl_qp = mcr_forward(a, b, MCRConfig(direction="streaming_teacher", tile=3))[0]
-        assert abs(sym - 0.5 * (kl_pq + kl_qp)) <= 1e-12
+        # 0.5 * (KL(p||q) + KL(q||p)) == 0.5 * sum (p - q)(log p - log q), and
+        # the gradients, detached or full, are linear in the weights too
+        a, b = pair_from(rng, B=2, T=3, U=2, V=6)
+        for full_grad in (False, True):
+            sym, pq, qp = (mcr_loss(a, b, MCRConfig(direction=d, tile=4, full_grad=full_grad))
+                           for d in ("symmetric", "offline_teacher", "streaming_teacher"))
+            assert abs(sym.loss - 0.5 * (pq.loss + qp.loss)) <= 1e-12
+            for grad in ("grad_offline", "grad_streaming"):
+                np.testing.assert_allclose(
+                    getattr(sym, grad),
+                    0.5 * (getattr(pq, grad) + getattr(qp, grad)), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("direction", DIRS)
+    @pytest.mark.parametrize("B,T,U,V,tile", [
+        (2, 4, 3, 9, 4),        # width-1 trailing tile
+        (1, 15, 9, 7, 3),       # 150 valid cells: crosses a cell-block boundary
+        (2, 3, 2, 5, 8),        # tile wider than the vocabulary
+    ])
+    def test_gradients_bitwise_per_cell(self, rng, dtype, direction, B, T, U, V, tile):
+        z_off = (rng.standard_normal((B, T, U + 1, V)) * 2.0).astype(dtype)
+        z_str = (rng.standard_normal((B, T, U + 1, V)) * 2.0).astype(dtype)
+        t_len = np.full(B, T)
+        u_len = np.full(B, U)
+        t_len[1:] = rng.integers(1, T + 1, B - 1)
+        u_len[1:] = rng.integers(0, U + 1, B - 1)
+        a = JointLogits(z_off, t_len, u_len)
+        b = JointLogits(z_str, t_len, u_len)
+        got = mcr_backward(a, b, MCRConfig(direction=direction, tile=tile), seed=1.7)
+        want = per_cell_grads(a, b, direction, tile, seed=1.7)
+        for g, r in zip(got, want):
+            assert g.dtype == dtype
+            np.testing.assert_array_equal(g, r)
 
     def test_last_tile_width_one_regression(self, rng):
         # V = 9 with tile 8 leaves a width-1 trailing tile; certain numpy

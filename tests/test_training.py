@@ -3,7 +3,6 @@
 import json
 import math
 import os
-import struct
 from dataclasses import replace
 
 import numpy as np
@@ -283,21 +282,29 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             save_checkpoint(tmp_path / "m.urnt", model)
 
-    def test_checkpoint_without_rng_state_loads(self, tmp_path):
+    def test_checkpoint_without_rng_state_loads(self, tmp_path, rewrite_header):
         model = TransducerModel(MODEL_CFG)
         path = tmp_path / "model.urnt"
         save_checkpoint(path, model, step=3)
         # rewrite the header as older writers did, with no rng_state field
-        raw = open(path, "rb").read()
-        start = len(b"URNTCKPT") + 4
-        hlen = struct.unpack("<Q", raw[start:start + 8])[0]
-        header = json.loads(raw[start + 8:start + 8 + hlen])
-        del header["rng_state"]
-        blob = json.dumps(header).encode("utf-8")
-        open(path, "wb").write(raw[:start] + struct.pack("<Q", len(blob)) + blob
-                               + raw[start + 8 + hlen:])
+        rewrite_header(path, lambda header: header.pop("rng_state"))
         loaded, step, _opt, rng = load_checkpoint(path)
         assert step == 3 and rng is None
+
+    @pytest.mark.parametrize("key", ["model_config", "params", "step"])
+    def test_header_missing_field_is_corrupt(self, tmp_path, rewrite_header, key):
+        path = tmp_path / "model.urnt"
+        save_checkpoint(path, TransducerModel(MODEL_CFG), step=3)
+        rewrite_header(path, lambda header: header.pop(key))
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(path)
+
+    def test_unknown_model_config_key_is_version_mismatch(self, tmp_path, rewrite_header):
+        path = tmp_path / "model.urnt"
+        save_checkpoint(path, TransducerModel(MODEL_CFG), step=3)
+        rewrite_header(path, lambda header: header["model_config"].update(pos_enc="rope"))
+        with pytest.raises(VersionMismatchError):
+            load_checkpoint(path)
 
     def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
         model = TransducerModel(MODEL_CFG)
