@@ -17,6 +17,12 @@ median and quartiles of each side, the change's wins over the pairs (ties
 count for neither side) and the ratio of the medians, change over parent.
 Metric directions and bounds come from ``BENCHMARK.json``.  Compare only
 files made on one machine.
+
+A run that exits non-zero or reports ``correct: false`` is a failed run; one
+that prints no result keeps the tail of its standard error instead.  Failed
+runs stay in the file, summaries use the pairs whose two runs both printed
+metrics, and the script lists every failed run (side, workload, seed, exit
+code, failure notes) and exits 1.
 """
 
 from __future__ import annotations
@@ -44,12 +50,36 @@ def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int) ->
            "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
-    if len(lines) < 2:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} printed no result "
-                           f"(exit {done.returncode}): {done.stderr[-2000:]}")
-    info = json.loads(lines[-2])["info"]
-    result = json.loads(lines[-1])
+    try:
+        info = json.loads(lines[-2])["info"]
+        result = json.loads(lines[-1])
+    except (IndexError, KeyError, TypeError, ValueError):
+        return {"exit": done.returncode, "info": None, "correct": False, "metrics": None,
+                "stderr_tail": done.stderr[-2000:]}
     return {"exit": done.returncode, "info": info, **result}
+
+
+def failed(run: dict) -> bool:
+    return run["exit"] != 0 or run.get("correct") is not True
+
+
+def failure_report(pairs) -> list[str]:
+    """One line per failed run of ``(workload, trace, pair)`` triples, then its
+    failure notes or the tail of its stderr."""
+    lines = []
+    for w, trace, pair in pairs:
+        for side in pair["order"]:
+            run = pair[side]
+            if not failed(run):
+                continue
+            lines.append(f"FAILED {side} {w} seed {pair['seed']} trace {trace}: "
+                         f"exit {run['exit']}, correct={run.get('correct')}")
+            if run["info"] is None:
+                lines.append("  printed no result; stderr ends:")
+                lines.extend(f"  {line}" for line in run["stderr_tail"].splitlines())
+            else:
+                lines.extend(f"  {note}" for note in run["info"].get("failures") or [])
+    return lines
 
 
 def quartiles(values: list[float]) -> dict:
@@ -60,6 +90,9 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarise(pairs: list[dict], better: dict) -> dict:
+    pairs = [p for p in pairs if p["parent"]["metrics"] and p["change"]["metrics"]]
+    if not pairs:
+        return {}
     out = {}
     for name in pairs[0]["parent"]["metrics"]:
         par = [p["parent"]["metrics"][name]["value"] for p in pairs]
@@ -83,7 +116,7 @@ def run_pair(trees: dict, workload: str, seed: int, seconds: float, trace: int,
     for side in order:
         pair[side] = run_once(trees[side], workload, seed, seconds, trace)
         print(f"{workload} seed {seed} trace {trace} {side}: "
-              f"correct={pair[side]['correct']}", flush=True)
+              f"exit={pair[side]['exit']} correct={pair[side]['correct']}", flush=True)
     return pair
 
 
@@ -118,7 +151,8 @@ def main(argv=None) -> int:
                "command": f"perfbench/run.py --workload {w} --seed SEED "
                           f"--seconds {bench['run_seconds']} --trace {{0,1}}",
                "seeds": seeds, "trace_seeds": trace_seeds,
-               "meta": {side: results[w][0][side]["info"]["meta"] for side in trees},
+               "meta": {side: next((p[side]["info"]["meta"] for p in results[w] + traced[w]
+                                    if p[side]["info"]), None) for side in trees},
                "pairs_note": "order alternates per pair; wins count pairs where the "
                              "change reads better, ties count for neither side",
                "summary": summarise(results[w], better),
@@ -130,7 +164,11 @@ def main(argv=None) -> int:
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
         print(f"wrote {path}")
-    return 0
+    report = failure_report([(w, trace, pair) for trace, runs in ((0, results), (1, traced))
+                             for w in workloads for pair in runs[w]])
+    for line in report:
+        print(line)
+    return 1 if report else 0
 
 
 if __name__ == "__main__":

@@ -1,13 +1,10 @@
 """Context restriction machinery for streaming encoders.
 
-Everything here is a pure function of its arguments: chunked attention masks,
-training-time context sampling, the depthwise convolution's per-row read
-horizon, and the worst-case latency arithmetic.  Frame counts are
-post-subsampling encoder frames throughout.
-
-The mask and the horizon of a buffer that starts at global frame ``offset``
-depend on the offset only through ``offset % chunk``: the chunk grid repeats
-every ``chunk`` frames.
+Everything here is a pure function of its arguments: the streaming row
+layout with its right-context copy rows, the chunked attention mask and the
+convolution's tap table over that layout, training-time context sampling,
+and the worst-case latency arithmetic.  Frame counts are post-subsampling
+encoder frames throughout.
 """
 
 from __future__ import annotations
@@ -18,9 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyContextSetError
-
-RIGHT_MODES = ("real", "zero")
-
 
 @dataclass(frozen=True)
 class ContextSpec:
@@ -68,27 +62,42 @@ class ContextSets:
                    tuple(int(v) for v in nested[2]))
 
 
-def build_attention_mask(T: int, spec: ContextSpec, offset: int = 0) -> np.ndarray:
-    """Boolean [T, T] mask for chunk-limited attention.
+def right_context_rows(T: int, spec: ContextSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Frame and owning chunk start of each row of the streaming layout.
 
-    Frame ``i`` (global position ``offset + i``) belongs to the chunk starting
-    at ``s = floor(g / C) * C`` and may attend global frames
-    ``[max(0, s - L), s + C + R)`` clipped to the local buffer.  Left context
-    is measured from the chunk start, so all frames of a chunk share one
-    window.  ``offset`` keeps the chunk grid globally aligned when masking a
-    re-encoded decode window.
+    The layout has ``N = T + sum_s |[s+C, min(s+C+R, T))|`` rows: the ``T``
+    main rows (row ``p`` is frame ``p``, owned by its chunk ``s = floor(p/C)*C``),
+    then, chunk by chunk, one copy row per right-context frame of chunk ``s``,
+    owned by ``s``.  A copy is the same input frame computed under its owner's
+    context, so no output of chunk ``s`` reads a frame at or past ``s+C+R``.
     """
     if T < 1:
-        raise ValueError("mask needs T >= 1")
-    mask = np.zeros((T, T), dtype=bool)
-    C = spec.chunk
-    for i in range(T):
-        g = offset + i
-        s = (g // C) * C
-        lo_local = max(0, max(0, s - spec.left) - offset)
-        hi_local = min(T, s + C + spec.right - offset)
-        mask[i, lo_local:hi_local] = True
-    return mask
+        raise ValueError("layout needs T >= 1")
+    C, R = spec.chunk, spec.right
+    main = np.arange(T)
+    starts = np.arange(0, T, C)
+    copies = starts[:, None] + C + np.arange(R)
+    valid = copies < T
+    frames = np.concatenate([main, copies[valid]])
+    owner = np.concatenate([main // C * C, np.broadcast_to(starts[:, None], copies.shape)[valid]])
+    return frames, owner
+
+
+def build_attention_mask(T: int, spec: ContextSpec) -> np.ndarray:
+    """Boolean [N, N] mask over the rows of :func:`right_context_rows`.
+
+    A row owned by chunk ``s`` attends the main rows of frames
+    ``[max(0, s - L), s + C)`` and the copy rows of chunk ``s``.  Left context
+    is measured from the chunk start, so all rows of a chunk share one window.
+    The offline spec ``(T, T, 0)`` gives one chunk, no copies and an all-true
+    mask.
+    """
+    frames, owner = right_context_rows(T, spec)
+    is_main = np.arange(frames.size) < T
+    lo = np.maximum(0, owner - spec.left)[:, None]
+    main_keys = is_main & (frames >= lo) & (frames < (owner + spec.chunk)[:, None])
+    copy_keys = ~is_main & (owner == owner[:, None])
+    return main_keys | copy_keys
 
 
 def sample_context(sets: ContextSets, rng: np.random.Generator) -> ContextSpec:
@@ -99,26 +108,28 @@ def sample_context(sets: ContextSets, rng: np.random.Generator) -> ContextSpec:
     return ContextSpec(left, chunk, right)
 
 
-def plan_conv_chunks(T: int, spec: ContextSpec, right_mode: str = "real",
-                     offset: int = 0) -> np.ndarray | None:
-    """Read horizon of a chunked depthwise convolution over ``T`` local frames.
+def plan_conv_chunks(T: int, spec: ContextSpec, kernel_size: int) -> np.ndarray:
+    """Tap table [k, N] of the chunk-bounded convolution over the streaming layout.
 
-    Row ``i`` of the convolution reads local frames ``[i - h, i + h]`` that
-    lie below its horizon and zeros elsewhere.  With ``right_mode="real"`` the
-    horizon is the buffer end for every row, returned as ``None``: the
-    whole-sequence convolution.  With ``"zero"`` it is the row's chunk end on
-    the global grid (honoring ``offset``), as an int array ``[T]``, so the
-    right halo past the chunk boundary reads zeros.
+    Tap ``j`` of a row at frame ``p`` owned by chunk ``s`` reads frame
+    ``f = p - h + j`` (``h = (k-1)/2``): the main row of ``f`` when
+    ``0 <= f < s + C``, chunk ``s``'s copy of ``f`` when ``f`` lies in
+    ``[s + C, min(s + C + R, T))``, and zero otherwise, written ``-1``.  This is
+    dynamic chunk convolution: real frames up to the chunk's horizon, zeros
+    past it.  The offline spec gives the whole-sequence convolution.
     """
-    if right_mode not in RIGHT_MODES:
-        raise ValueError(f"right_mode must be one of {RIGHT_MODES}")
-    if T < 1:
-        raise ValueError("plan needs T >= 1")
-    if right_mode == "real":
-        return None
-    C = spec.chunk
-    chunk_end = ((offset + np.arange(T)) // C + 1) * C - offset
-    return np.minimum(chunk_end, T)
+    frames, owner = right_context_rows(T, spec)
+    C, R = spec.chunk, spec.right
+    h = (kernel_size - 1) // 2
+    f = frames + np.arange(-h, h + 1)[:, None]
+    end = owner + C
+    taps = np.full(f.shape, -1)
+    main = (f >= 0) & (f < np.minimum(end, T))
+    copy = (f >= end) & (f < np.minimum(end + R, T))
+    taps[main] = f[main]
+    # copy rows are sorted by (owner, frame), so a search finds chunk s's copy of f
+    taps[copy] = T + np.searchsorted(owner[T:] * T + frames[T:], (owner * T + f)[copy])
+    return taps
 
 
 def latency_of(spec: ContextSpec, frame_ms: float) -> float:

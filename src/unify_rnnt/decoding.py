@@ -1,10 +1,13 @@
 """Greedy transducer decoding, offline and stateful chunked streaming.
 
-Streaming decoding re-encodes a window of raw features per chunk step from a
-buffer truncated at the window end, so no computation can read past the
-visible horizon by construction.  The predictor state carries across steps;
-the last emitted token does not.  Only theoretical worst-case latency (chunk
-plus right context) is reported.
+Streaming decoding runs one encoder chunk step per chunk on that chunk's raw
+frames ``[s, min(T, s+C+R))``, so no computation can read past the visible
+horizon by construction.  A :class:`model.StreamState` carries the encoder's
+per-block left context from step to step, and the predictor state carries
+across steps; the last emitted token does not.  The encoder rows equal the
+training path's rows (``TransducerModel.encode`` without a state) up to
+rounding.  Only theoretical worst-case latency (chunk plus right context) is
+reported.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contexts import ContextSpec, latency_of
-from .model import OFFLINE, ModeSelector, TransducerModel, streaming_mode
+from .model import OFFLINE, ModeSelector, StreamState, TransducerModel, streaming_mode
 
 MAX_SYMBOLS_PER_FRAME = 10
 
@@ -65,14 +68,12 @@ def greedy_decode_offline(model: TransducerModel, features: np.ndarray,
 
 def greedy_decode_streaming(model: TransducerModel, features: np.ndarray,
                             spec: ContextSpec, frame_ms: float,
-                            conv_right_mode: str = "real",
                             max_symbols_per_frame: int = MAX_SYMBOLS_PER_FRAME) -> DecodeResult:
     """Stateful chunked decode with step size C.
 
-    Each step re-encodes the window [s - L, s + C + R) from a truncated
-    feature buffer, keeps encoder frames [s, s + C), and continues the greedy
-    loop with the carried predictor state.  The window is re-encoded from
-    scratch every step; there is no hidden-state cache.
+    Each step encodes the chunk's frames ``[s, min(T, s + C + R))`` after the
+    cached left context, keeps encoder frames ``[s, s + C)``, and continues
+    the greedy loop with the carried predictor state.
     """
     features = np.asarray(features)
     q = model.cfg.subsample_factor
@@ -80,15 +81,13 @@ def greedy_decode_streaming(model: TransducerModel, features: np.ndarray,
     result = DecodeResult(worst_case_latency_s=latency_of(spec, frame_ms))
     if total < 1:
         return result
-    mode = streaming_mode(spec, conv_right_mode)
+    mode = streaming_mode(spec)
+    cache = StreamState()
     state = model.predictor_start()
     for s in range(0, total, spec.chunk):
-        w0 = max(0, s - spec.left)
-        w1 = min(total, s + spec.chunk + spec.right)
-        window = features[w0 * q:w1 * q]
-        enc = model.encode(window, mode, grid_offset=w0).data
-        keep = enc[s - w0:min(s + spec.chunk, total) - w0]
-        state = _greedy_over_frames(model, keep, s, state, result, max_symbols_per_frame)
+        end = min(total, s + spec.chunk + spec.right)
+        enc = model.encode(features[s * q:end * q], mode, cache).data
+        state = _greedy_over_frames(model, enc, s, state, result, max_symbols_per_frame)
         result.steps += 1
     return result
 
@@ -119,8 +118,7 @@ def decode_mode(model: TransducerModel, features: np.ndarray, mode: ModeSelector
                 frame_ms: float) -> DecodeResult:
     if mode.kind == "offline":
         return greedy_decode_offline(model, features)
-    return greedy_decode_streaming(model, features, mode.spec, frame_ms,
-                                   conv_right_mode=mode.conv_right_mode)
+    return greedy_decode_streaming(model, features, mode.spec, frame_ms)
 
 
 def evaluate_utterances(model: TransducerModel, utterances, mode: ModeSelector,

@@ -66,7 +66,7 @@ def toy_setup(steps: int = 2000) -> ToySetup:
         context_sets=ContextSets.from_nested([[12], [1, 2, 4], [0, 1, 2, 4]]),
         steps=steps, warmup_steps=max(1, min(150, steps // 10)),
         max_lr=3e-3, min_lr=3e-4, batch_size=8, seed=0,
-        precision="float32", weight_decay=1e-4, clip_norm=5.0)
+        weight_decay=1e-4, clip_norm=5.0)
     return ToySetup(train_corpus=corpus, eval_corpus=eval_corpus,
                     n_train=3000, n_eval=160, model=model, train=train,
                     eval_left=12,

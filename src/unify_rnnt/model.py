@@ -1,12 +1,23 @@
 """Toy unified transducer: encoder, predictor and additive joint network.
 
-One parameter set serves both offline and streaming forward passes.  Offline
-mode is full-context streaming: the spec ``(T, T, 0)`` at offset 0, one chunk
-that spans the whole utterance, so it gives an all-true attention mask and
-the whole-sequence convolution.  Streaming mode masks attention to the
-chunk's context; its convolution is the one depthwise convolution with a
-per-row read horizon: the buffer end (``conv_right_mode="real"``) or the
-row's chunk end (``"zero"``).
+One parameter set and one encoder function serve offline and streaming
+passes.  A streaming spec ``(L, C, R)`` means the same thing in training and
+in decoding: the output for chunk ``[s, s+C)`` reads frames
+``[max(0, s-L), s+C+R)`` of each block's input and nothing at or past
+``s+C+R``.
+
+* Training encodes the whole utterance once on the streaming layout of
+  ``contexts.right_context_rows``: the T main rows, then per chunk one copy
+  row per right-context frame, computed under that chunk's mask and tap
+  table.  It returns the T main rows.
+* Decoding calls :meth:`TransducerModel.encode` once per chunk on the chunk's
+  raw frames ``[s, min(T, s+C+R))`` with a :class:`StreamState`.  The state
+  holds, per block, the keys and values of the last L main rows and the
+  convolution's left halo, so within a step every row sees every cached and
+  new row: the step is the full-context computation over them.  The chunk's
+  right-context rows are recomputed on every step and never cached.
+* Offline is the spec ``(T, T, 0)``: one chunk, no copies, an all-true mask
+  and the whole-sequence convolution.
 
 The encoder subsamples by frame stacking, then applies blocks of
 layernorm -> masked attention -> residual -> layernorm -> depthwise
@@ -22,7 +33,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import tensor as tz
-from .contexts import ContextSpec, build_attention_mask, plan_conv_chunks
+from .contexts import (ContextSpec, build_attention_mask, plan_conv_chunks,
+                       right_context_rows)
 from .errors import BadTokenError, InputTooShortError
 from .tensor import Tensor
 
@@ -59,19 +71,16 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ModeSelector:
-    """Offline, or streaming with a context spec and convolution right mode."""
+    """Offline, or streaming with a context spec."""
 
     kind: str
     spec: ContextSpec | None = None
-    conv_right_mode: str = "real"
 
     def __post_init__(self):
         if self.kind not in ("offline", "streaming"):
             raise ValueError("mode kind must be 'offline' or 'streaming'")
         if self.kind == "streaming" and self.spec is None:
             raise ValueError("streaming mode requires a ContextSpec")
-        if self.conv_right_mode not in ("real", "zero"):
-            raise ValueError("conv_right_mode must be 'real' or 'zero'")
 
 
 OFFLINE = ModeSelector("offline")
@@ -80,8 +89,39 @@ OFFLINE = ModeSelector("offline")
 GRU_WEIGHTS = ("wz", "uz", "bz", "wr", "ur", "br", "wc", "uc", "bc")
 
 
-def streaming_mode(spec: ContextSpec, conv_right_mode: str = "real") -> ModeSelector:
-    return ModeSelector("streaming", spec, conv_right_mode)
+def streaming_mode(spec: ContextSpec) -> ModeSelector:
+    return ModeSelector("streaming", spec)
+
+
+class StreamState:
+    """Per-block cache of one streaming decode, filled by chunk steps.
+
+    ``keys``/``values`` hold the attention keys and values of the last L main
+    rows of each block, ``halo`` the last h main rows of each block's
+    convolution input (``h = (kernel - 1) / 2``).
+    """
+
+    def __init__(self) -> None:
+        self.keys: dict[int, np.ndarray] = {}
+        self.values: dict[int, np.ndarray] = {}
+        self.halo: dict[int, np.ndarray] = {}
+
+    @staticmethod
+    def extend(cache: dict, block: int, rows: Tensor, n_main: int, keep: int) -> Tensor:
+        """The cached rows then ``rows``, as a constant; caches the last
+        ``keep`` main rows of the two for the next step."""
+        held = rows.data
+        if block in cache:
+            held = np.concatenate([cache[block], held])
+        end = held.shape[0] - rows.shape[0] + n_main
+        cache[block] = held[max(0, end - keep):end]
+        return tz.constant(held)
+
+    def sizes(self) -> tuple[int, int]:
+        """Cached key rows and halo rows, the same in every block."""
+        if not self.keys:
+            return 0, 0
+        return self.keys[0].shape[0], self.halo[0].shape[0]
 
 
 class TransducerModel:
@@ -159,33 +199,44 @@ class TransducerModel:
 
     # -- encoder ------------------------------------------------------------
 
-    def _context_for(self, T: int, mode: ModeSelector, offset: int) -> tuple:
-        """Cached attention mask and convolution read horizon for one encode.
-
-        Both depend on the offset only through ``offset % chunk``, so the
-        cache keeps at most ``chunk`` entries per buffer length and spec.
-        """
-        if mode.kind == "offline":
-            spec, offset = ContextSpec(T, T, 0), 0
-        else:
-            spec = mode.spec
-        offset %= spec.chunk
-        key = (T, spec, mode.conv_right_mode, offset)
+    def _context_for(self, T: int, spec: ContextSpec) -> tuple:
+        """Cached frame of each row, attention mask and tap table of a layout,
+        and the tap table's main-row columns, which the last block keeps."""
+        key = (T, spec)
         if key not in self._context_cache:
-            mask = build_attention_mask(T, spec, offset=offset)
-            horizon = plan_conv_chunks(T, spec, mode.conv_right_mode, offset=offset)
-            for arr in (mask, horizon):
-                if arr is not None:
-                    arr.flags.writeable = False
-            self._context_cache[key] = (mask, horizon)
+            frames, _owner = right_context_rows(T, spec)
+            mask = build_attention_mask(T, spec)
+            taps = plan_conv_chunks(T, spec, self.cfg.conv_kernel)
+            for arr in (frames, mask, taps):
+                arr.flags.writeable = False
+            self._context_cache[key] = (frames, mask, tz.ConvTaps(taps),
+                                        tz.ConvTaps(taps[:, :T]))
+        return self._context_cache[key]
+
+    def _step_context(self, keys: int, halo: int, n: int, n_main: int) -> tuple:
+        """Mask and tap tables of a chunk step over ``keys``/``halo`` cached
+        rows and ``n`` new ones: the full-context layouts of the cached plus
+        new rows, restricted to the new rows (to the main ones for the last
+        block)."""
+        key = ("step", keys, halo, n, n_main)
+        if key not in self._context_cache:
+            full_keys = ContextSpec(keys + n, keys + n, 0)
+            full_conv = ContextSpec(halo + n, halo + n, 0)
+            mask = self._context_for(keys + n, full_keys)[1][keys:]
+            taps = self._context_for(halo + n, full_conv)[2].index[:, halo:]
+            self._context_cache[key] = (mask, tz.ConvTaps(taps),
+                                        tz.ConvTaps(taps[:, :n_main]))
         return self._context_cache[key]
 
     def encode(self, features: np.ndarray, mode: ModeSelector = OFFLINE,
-               grid_offset: int = 0) -> Tensor:
+               state: StreamState | None = None) -> Tensor:
         """Frame-stack subsample then run the masked encoder blocks.
 
-        ``grid_offset`` anchors chunk boundaries to the global frame grid when
-        encoding a re-extracted decode window.
+        Without ``state``, encode the whole utterance on the layout of
+        ``mode``'s spec and return its T main rows.  With ``state``, run one
+        streaming chunk step: ``features`` are the chunk's raw frames
+        ``[s, min(T, s+C+R))``; return its ``min(C, n)`` main rows and cache
+        what the next step reads.  The chunk step is forward-only.
         """
         feats = np.asarray(features, dtype=self.np_dtype)
         if feats.ndim != 2 or feats.shape[1] != self.cfg.feat_dim:
@@ -195,24 +246,40 @@ class TransducerModel:
         if T < 1:
             raise InputTooShortError(
                 f"{feats.shape[0]} frames < subsample factor {q}")
+        stacked = feats[:T * q].reshape(T, q * self.cfg.feat_dim)
+        if state is None:
+            spec = ContextSpec(T, T, 0) if mode.kind == "offline" else mode.spec
+            frames, mask, taps, taps_main = self._context_for(T, spec)
+            stacked, n_main = stacked[frames], T
+        else:
+            if mode.kind != "streaming":
+                raise ValueError("a chunk step needs a streaming mode")
+            left, n_main = mode.spec.left, min(mode.spec.chunk, T)
+            mask, taps, taps_main = self._step_context(*state.sizes(), T, n_main)
+        h = (self.cfg.conv_kernel - 1) // 2
         p = self.params
-        x = tz.constant(feats[:T * q].reshape(T, q * self.cfg.feat_dim))
-        x = tz.linear(x, p["in_proj.w"], p["in_proj.b"])
-        mask, horizon = self._context_for(T, mode, grid_offset)
+        x = tz.linear(tz.constant(stacked), p["in_proj.w"], p["in_proj.b"])
         for i in range(self.cfg.blocks):
             pre = f"block{i}."
             a = tz.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-            attn = tz.masked_attention(
-                tz.linear(a, p[pre + "attn.wq"], p[pre + "attn.bq"]),
-                tz.linear(a, p[pre + "attn.wk"]),
-                tz.linear(a, p[pre + "attn.wv"], p[pre + "attn.bv"]),
-                mask, self.cfg.heads)
+            qh = tz.linear(a, p[pre + "attn.wq"], p[pre + "attn.bq"])
+            kh = tz.linear(a, p[pre + "attn.wk"])
+            vh = tz.linear(a, p[pre + "attn.wv"], p[pre + "attn.bv"])
+            if state is not None:
+                kh = state.extend(state.keys, i, kh, n_main, left)
+                vh = state.extend(state.values, i, vh, n_main, left)
+            attn = tz.masked_attention(qh, kh, vh, mask, self.cfg.heads)
             x = tz.add(x, tz.linear(attn, p[pre + "attn.wo"], p[pre + "attn.bo"]))
             c = tz.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
-            conv = tz.depthwise_conv1d_windows(c, p[pre + "conv.kernel"], horizon)
-            h = tz.relu(tz.linear(conv, p[pre + "ff1.w"], p[pre + "ff1.b"]))
-            f = tz.linear(h, p[pre + "ff2.w"], p[pre + "ff2.b"])
-            x = tz.add(x, f)
+            if state is not None:
+                c = state.extend(state.halo, i, c, n_main, h)
+            # the last block keeps only the main rows: no later row reads the
+            # right-context copies
+            last = i == self.cfg.blocks - 1
+            conv = tz.depthwise_conv1d_windows(c, p[pre + "conv.kernel"],
+                                               taps_main if last else taps)
+            f = tz.relu(tz.linear(conv, p[pre + "ff1.w"], p[pre + "ff1.b"]))
+            x = tz.add(x, tz.linear(f, p[pre + "ff2.w"], p[pre + "ff2.b"]))
         return x
 
     def encoded_length(self, n_input_frames: int) -> int:

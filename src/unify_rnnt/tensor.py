@@ -9,14 +9,14 @@ A tape is single-threaded by contract: one graph, one thread.  Ops themselves
 are pure functions of their inputs and may run concurrently on disjoint
 tensors.
 
-The depthwise convolution is one zero-padded convolution whose rows read
-real frames up to a per-row horizon and zeros past it; it loops only over
-kernel taps in the input gradient.  The recurrent sequence loops over tokens
-only for the state recursion.  Both keep a fixed accumulation order, the one
-a loop over taps or tokens would use: taps in tap order from zero, rows in
-ascending order, per-token weight-gradient terms from the last token to the
-first.  Results therefore do not depend on how the work is batched, and a
-convolution without a horizon is the whole-sequence oracle itself.
+The depthwise convolution gathers the row each tap reads from a tap table
+(zero where the table says so); its input gradient gathers, for each input
+row, the taps that read it.  The recurrent sequence loops over tokens only
+for the state recursion.  Both keep a fixed
+accumulation order, the one a loop over taps or tokens would use: taps in
+tap order from zero, rows in ascending order, per-token weight-gradient
+terms from the last token to the first.  Results therefore do not depend on
+how the work is batched.
 """
 
 from __future__ import annotations
@@ -135,13 +135,22 @@ def _result(inputs: tuple, data: np.ndarray) -> tuple[Tensor, Tape | None]:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; ``b`` may be a 1-D bias broadcast over leading axes."""
+    """Elementwise add; ``b`` may be a 1-D bias broadcast over leading axes.
+
+    A 2-D ``b`` may also have fewer rows than ``a``: the sum then keeps
+    ``b``'s rows, ``a[:n] + b``, a residual over the rows a layer kept.
+    """
     bias = False
+    rows = None
     if a.shape == b.shape:
         data = a.data + b.data
     elif b.data.ndim == 1 and a.data.ndim >= 1 and a.shape[-1] == b.shape[0]:
         data = a.data + b.data
         bias = True
+    elif a.data.ndim == b.data.ndim == 2 and a.shape[1] == b.shape[1] \
+            and b.shape[0] < a.shape[0]:
+        rows = b.shape[0]
+        data = a.data[:rows] + b.data
     else:
         raise ValueError(f"add shapes incompatible: {a.shape} vs {b.shape}")
     out, tape = _result((a, b), data)
@@ -151,7 +160,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             if g is None:
                 return
             if a.requires_grad:
-                a.accum_grad(g)
+                if rows is None:
+                    a.accum_grad(g)
+                else:
+                    ga = np.zeros_like(a.data)
+                    ga[:rows] = g
+                    a.accum_grad(ga)
             if b.requires_grad:
                 if bias and g.ndim > 1:
                     b.accum_grad(g.reshape(-1, g.shape[-1]).sum(axis=0))
@@ -333,64 +347,64 @@ def weighted_sum(pairs: Sequence[tuple[Tensor, float]]) -> Tensor:
 
 
 def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention with a boolean [T, T] mask.
+    """Multi-head scaled dot-product attention with a boolean [n, m] mask.
 
-    ``mask[i, j] == True`` means query ``i`` may attend key ``j``.  Masked
-    positions receive additive ``-inf`` before the row softmax.  Every row
-    must keep at least one allowed key.
+    ``q`` is [n, d]; ``k`` and ``v`` are [m, d] with ``m >= n`` (a streaming
+    chunk step puts cached keys before its own).  ``mask[i, j] == True`` means
+    query ``i`` may attend key ``j``.  Masked positions receive additive
+    ``-inf`` before the row softmax.  Every row must keep at least one
+    allowed key.
     """
-    if not (q.shape == k.shape == v.shape) or q.data.ndim != 2:
-        raise ValueError("q, k, v must share one [T, d] shape")
+    if k.shape != v.shape or q.data.ndim != 2 or k.data.ndim != 2 \
+            or q.shape[1] != k.shape[1] or k.shape[0] < q.shape[0]:
+        raise ValueError(f"need q [n, d] and k, v [m >= n, d], got {q.shape}, "
+                         f"{k.shape}, {v.shape}")
     T, d = q.shape
     if d % heads != 0:
         raise ValueError(f"width {d} not divisible by {heads} heads")
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (T, T):
-        raise ValueError(f"mask shape {mask.shape} != ({T}, {T})")
+    if mask.shape != (T, k.shape[0]):
+        raise ValueError(f"mask shape {mask.shape} != ({T}, {k.shape[0]})")
     if not mask.any(axis=1).all():
         raise EmptyAttentionRowError("attention mask has an all-false row")
 
     dh = d // heads
     inv_scale = 1.0 / math.sqrt(dh)
-    out_data = np.empty_like(q.data)
-    attns = []
-    for h in range(heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        scores = (q.data[:, sl] @ k.data[:, sl].T) * inv_scale
-        scores = np.where(mask, scores, -np.inf)
-        m = scores.max(axis=1, keepdims=True)
-        e = np.exp(scores - m)
-        attn = e / e.sum(axis=1, keepdims=True)
-        attns.append(attn)
-        out_data[:, sl] = attn @ v.data[:, sl]
 
-    out, tape = _result((q, k, v), out_data)
+    def split(a):
+        # [rows, d] -> [heads, rows, dh]: each head's slice as a strided view,
+        # so every head's product is the same BLAS call a per-head loop makes
+        return a.reshape(a.shape[0], heads, dh).transpose(1, 0, 2)
+
+    def merge(a):
+        return a.transpose(1, 0, 2).reshape(a.shape[1], d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    # masked scores get -inf by adding a 0/-inf bias: the same values as
+    # selecting with the mask, at a fraction of the cost
+    dt = q.data.dtype.type
+    attn = qh @ kh.transpose(0, 2, 1)
+    attn *= inv_scale
+    attn += np.where(mask, dt(0.0), dt(-np.inf))
+    attn -= attn.max(axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=2, keepdims=True)
+
+    out, tape = _result((q, k, v), merge(attn @ vh))
     if tape is not None:
         def bwd():
             g = out.grad
             if g is None:
                 return
-            dq = np.zeros_like(q.data) if q.requires_grad else None
-            dk = np.zeros_like(k.data) if k.requires_grad else None
-            dv = np.zeros_like(v.data) if v.requires_grad else None
-            for h in range(heads):
-                sl = slice(h * dh, (h + 1) * dh)
-                attn = attns[h]
-                go = g[:, sl]
-                if dv is not None:
-                    dv[:, sl] = attn.T @ go
-                da = go @ v.data[:, sl].T
-                ds = attn * (da - (da * attn).sum(axis=1, keepdims=True))
-                if dq is not None:
-                    dq[:, sl] = (ds @ k.data[:, sl]) * inv_scale
-                if dk is not None:
-                    dk[:, sl] = (ds.T @ q.data[:, sl]) * inv_scale
-            if dq is not None:
-                q.accum_grad(dq)
-            if dk is not None:
-                k.accum_grad(dk)
-            if dv is not None:
-                v.accum_grad(dv)
+            go = split(g)
+            if v.requires_grad:
+                v.accum_grad(merge(attn.transpose(0, 2, 1) @ go))
+            da = go @ vh.transpose(0, 2, 1)
+            ds = attn * (da - (da * attn).sum(axis=2, keepdims=True))
+            if q.requires_grad:
+                q.accum_grad(merge((ds @ kh) * inv_scale))
+            if k.requires_grad:
+                k.accum_grad(merge((ds.transpose(0, 2, 1) @ qh) * inv_scale))
         tape.record("masked_attention", bwd)
     return out
 
@@ -409,66 +423,88 @@ def _check_kernel(kernel: Tensor) -> int:
     return k
 
 
-def depthwise_conv1d_windows(x: Tensor, kernel: Tensor, horizon) -> Tensor:
-    """Per-channel 1-D convolution in which each row reads up to its horizon.
+class ConvTaps:
+    """Tap table of a gather convolution, as ``contexts.plan_conv_chunks`` gives it.
 
-    Row ``i`` of the output is ``sum_j kernel[j] * x[i - h + j]`` over the
-    taps ``j = 0 .. k-1`` (``h = (k-1)/2``), where ``x`` reads as zero outside
-    ``[0, T)`` and at or past ``horizon[i]``.  ``horizon`` is an int array
-    ``[T]``, as ``contexts.plan_conv_chunks`` gives it, or ``None`` for no
-    bound: the whole-sequence convolution.
+    ``index[j, i]`` is the input row that tap ``j`` of output row ``i`` reads,
+    or -1 for zero.  ``readers`` is the inverse map the input gradient sums
+    over: ``readers[m, r]`` is the flat entry ``j * n + i`` of the m-th tap
+    that reads input row ``r``, in flat order, or ``k * n`` (a zero entry)
+    past the row's last reader.  It is built on the first backward and kept
+    with the table.
+    """
 
-    Each output row and each input-gradient row sums its taps in tap order,
-    starting from zero; each kernel-gradient entry sums the rows in row
-    order.  (This holds with more than one channel; for a single channel
-    numpy may reorder the sums.)
+    __slots__ = ("index", "_readers")
+
+    def __init__(self, index) -> None:
+        index = np.asarray(index)
+        if index.ndim != 2:
+            raise ValueError("tap table must be [k, rows]")
+        self.index = index
+        self._readers = None
+
+    def readers(self, n_in: int) -> np.ndarray:
+        if self._readers is None or self._readers.shape[1] != n_in:
+            flat = self.index.ravel()
+            entries = np.flatnonzero(flat >= 0)
+            entries = entries[np.argsort(flat[entries], kind="stable")]
+            rows = flat[entries]
+            fan_in = np.bincount(rows, minlength=n_in)
+            rank = np.arange(rows.size) - np.repeat(np.cumsum(fan_in) - fan_in, fan_in)
+            readers = np.full((int(fan_in.max(initial=0)), n_in), flat.size)
+            readers[rank, rows] = entries
+            self._readers = readers
+        return self._readers
+
+
+def depthwise_conv1d_windows(x: Tensor, kernel: Tensor, taps: ConvTaps) -> Tensor:
+    """Per-channel 1-D convolution whose taps read the rows a tap table names.
+
+    Output row ``i`` is ``sum_j kernel[j] * x[taps.index[j, i]]`` over the
+    taps ``j = 0 .. k-1``, where index -1 reads zero.  The table may have
+    fewer columns than ``x`` has rows: a streaming chunk step convolves its
+    rows after a left halo of earlier ones.
+
+    Each output row sums its taps in tap order, starting from zero; each
+    input-gradient row sums the entries that read it in tap order, then row
+    order; each kernel-gradient entry sums the rows in row order.  (This holds
+    with more than one channel; for a single channel numpy may reorder the
+    sums.)
     """
     k = _check_kernel(kernel)
-    T, d = x.shape
+    n_in, d = x.shape
     if kernel.data.shape[1] != d:
         raise ValueError(f"kernel channels {kernel.data.shape[1]} != input {d}")
-    h = (k - 1) // 2
-    past = None
-    if horizon is not None:
-        horizon = np.asarray(horizon)
-        if horizon.shape != (T,):
-            raise ValueError(f"horizon shape {horizon.shape} != ({T},)")
-        # past[j, i]: tap j of row i would read frame i - h + j at or past
-        # the row's horizon
-        past = (np.arange(-h, h + 1)[:, None] + np.arange(T)) >= horizon
+    index = taps.index
+    if index.shape[0] != k or index.max(initial=-1) >= n_in:
+        raise ValueError(f"tap table {index.shape} does not fit a {k}-tap kernel "
+                         f"over {n_in} rows")
 
-    def taps():
-        # taps[j, i] = x[i - h + j]: the k shifted views of the zero-padded
-        # input.  The backward builds them again rather than keep a k-fold
-        # masked copy of x alive on the tape.
-        xp = np.zeros((T + 2 * h, d), dtype=x.data.dtype)
-        xp[h:h + T] = x.data
-        view = np.ndarray((k, T, d), xp.dtype, xp, 0, xp.strides[:1] + xp.strides)
-        if past is None:
-            return view
-        view = view.copy()
-        view[past] = 0.0
-        return view
+    def gathered():
+        # [k, n, d]: the rows each tap reads, zero where the table says -1.
+        # The backward gathers again rather than keep a k-fold copy of x alive
+        # on the tape.
+        xz = np.concatenate([x.data, np.zeros((1, d), dtype=x.data.dtype)])
+        return xz[index]
 
     # einsum adds the products over a summed index one at a time, in index
     # order, into a zeroed output (the tests check this against a loop)
-    out, tape = _result((x, kernel), np.einsum("jic,jc->ic", taps(), kernel.data))
+    out, tape = _result((x, kernel), np.einsum("jic,jc->ic", gathered(), kernel.data))
     if tape is not None:
         def bwd():
             g = out.grad
             if g is None:
                 return
             if kernel.requires_grad:
-                kernel.accum_grad(np.einsum("jic,ic->jc", taps(), g))
+                kernel.accum_grad(np.einsum("jic,ic->jc", gathered(), g))
             if x.requires_grad:
-                # gk[j, i]: what row i passes back through tap j
-                gk = g * kernel.data[:, None, :]
-                if past is not None:
-                    gk[past] = 0.0
-                gp = np.zeros((T + 2 * h, d), dtype=x.data.dtype)
-                for j in range(k):
-                    gp[j:j + T] += gk[j]
-                x.accum_grad(gp[h:h + T])
+                # row j * n + i: what output row i passes back through tap j;
+                # the last row is the zero entry.  Each input row sums its
+                # readers in order: a sum over the outer axis adds slice by
+                # slice.
+                gk = np.zeros((index.size + 1, d), dtype=np.result_type(g, kernel.data))
+                np.multiply(g, kernel.data[:, None, :], out=gk[:-1].reshape(k, -1, d))
+                x.accum_grad(gk[taps.readers(n_in)].sum(axis=0))
         tape.record("depthwise_conv1d", bwd)
     return out
 
@@ -479,7 +515,9 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     T = x.shape[0]
     if k > 2 * T + 1:
         raise ValueError(f"kernel length {k} exceeds 2*T+1 = {2 * T + 1}")
-    return depthwise_conv1d_windows(x, kernel, None)
+    index = np.arange(k)[:, None] - (k - 1) // 2 + np.arange(T)
+    index[(index < 0) | (index >= T)] = -1
+    return depthwise_conv1d_windows(x, kernel, ConvTaps(index))
 
 
 # ---------------------------------------------------------------------------

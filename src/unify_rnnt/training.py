@@ -69,7 +69,6 @@ class TrainConfig:
     min_lr: float = 2e-4
     batch_size: int = 4
     seed: int = 0
-    precision: str = "float32"
     weight_decay: float = 1e-4
     clip_norm: float = 5.0
     log_every: int = 1
@@ -85,8 +84,6 @@ class TrainConfig:
             raise ValueError("need 0 <= min_lr <= max_lr")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.precision not in ("float32", "float64"):
-            raise ValueError("precision must be float32 or float64")
 
 
 def cosine_lr(step: int, cfg: TrainConfig) -> float:
@@ -422,10 +419,13 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None
         opt = None
         if header.get("optimizer"):
             meta = header["optimizer"]
-            opt = AdamW(model.parameters(), lr=meta["lr"],
-                        betas=tuple(meta["betas"]), eps=meta["eps"],
-                        weight_decay=meta["weight_decay"])
-            opt.t = int(meta["t"])
+            try:
+                opt = AdamW(model.parameters(), lr=meta["lr"],
+                            betas=tuple(meta["betas"]), eps=meta["eps"],
+                            weight_decay=meta["weight_decay"])
+                opt.t = int(meta["t"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorruptCheckpointError(f"incomplete optimizer header: {exc!r}") from exc
             for buf_list in (opt.m, opt.v):
                 for i, buf in enumerate(buf_list):
                     raw = _read_exact(fh, buf.size * 4, "optimizer state")

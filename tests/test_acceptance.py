@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from unify_rnnt import tensor as tz
-from unify_rnnt.contexts import ContextSpec, build_attention_mask, plan_conv_chunks
+from unify_rnnt.contexts import (ContextSpec, build_attention_mask, plan_conv_chunks,
+                                 right_context_rows)
 from unify_rnnt.corpus import CorpusConfig, generate_corpus, generate_utterances, load_manifest
 from unify_rnnt.gradcheck import finite_difference_grad, max_rel_error
 from unify_rnnt.mcr import (MCRConfig, mcr_forward, mcr_loss, mcr_memory_probe,
@@ -158,27 +159,26 @@ def test_criterion_5_mode_equivalence():
             T = feats.shape[0] // 2
             off = model.encode(feats, OFFLINE).data
             spec = ContextSpec(T + 1, T + 1, T + 1)
-            stream = model.encode(feats, streaming_mode(spec, "real")).data
+            stream = model.encode(feats, streaming_mode(spec)).data
             np.testing.assert_array_equal(off, stream)
-        # the chunked conv with C >= T is bit-exact vs the offline conv, in
-        # both modes: every row's horizon is the buffer end
+        # the chunked conv with C >= T is bit-exact vs the offline conv: no
+        # copies, and every tap reads its frame if it exists
         for _ in range(10):
-            T = int(rng.integers(1, 16))
+            T = int(rng.integers(3, 16))  # the oracle needs k <= 2T + 1
             x = tz.constant(rng.standard_normal((T, 5)))
             k = tz.constant(rng.standard_normal((7, 5)))
             offline = tz.depthwise_conv1d(x, k).data
-            for mode in ("real", "zero"):
-                horizon = plan_conv_chunks(T, ContextSpec(0, T + 3, 0), mode,
-                                           offset=int(rng.integers(0, 3)))
-                chunked = tz.depthwise_conv1d_windows(x, k, horizon).data
-                np.testing.assert_array_equal(chunked, offline)
+            taps = plan_conv_chunks(T, ContextSpec(0, T + int(rng.integers(0, 3)), 0), 7)
+            chunked = tz.depthwise_conv1d_windows(x, k, tz.ConvTaps(taps)).data
+            np.testing.assert_array_equal(chunked, offline)
 
 
 def test_criterion_6_mask_plan_invariants():
     with criterion(6, "mask/plan property suite + causality probe, 1000 cases"):
         rng = np.random.default_rng(600)
         cases = 0
-        # 400 mask cases: row non-emptiness and growth monotonicity
+        # 400 mask cases: row non-emptiness and growth monotonicity over the
+        # main rows and keys (right growth adds copy rows)
         for _ in range(400):
             T = int(rng.integers(1, 24))
             spec = ContextSpec(int(rng.integers(0, 10)), int(rng.integers(1, 8)),
@@ -187,59 +187,60 @@ def test_criterion_6_mask_plan_invariants():
             assert mask.any(axis=1).all()
             grown = ContextSpec(spec.left + int(rng.integers(1, 4)), spec.chunk,
                                 spec.right + int(rng.integers(1, 4)))
-            bigger = build_attention_mask(T, grown)
-            assert (bigger | mask == bigger).all()
+            bigger = build_attention_mask(T, grown)[:T, :T]
+            assert (bigger | mask[:T, :T] == bigger).all()
             wider = ContextSpec(spec.left, spec.chunk * int(rng.integers(2, 4)),
                                 spec.right)
-            widest = build_attention_mask(T, wider)
-            assert (widest | mask == widest).all()
+            widest = build_attention_mask(T, wider)[:T, :T]
+            assert (widest | mask[:T, :T] == widest).all()
             cases += 1
-        # 400 conv horizon cases: every row reads itself and nothing past the
-        # buffer; horizons never decrease and are constant within a chunk
+        # 400 tap-table cases: every row reads itself through the centre tap,
+        # main rows below its chunk end, its own chunk's copies up to the
+        # chunk's horizon s + C + R, and nothing else
         for _ in range(400):
             T = int(rng.integers(1, 40))
             spec = ContextSpec(int(rng.integers(0, 6)), int(rng.integers(1, 9)),
                                int(rng.integers(0, 6)))
-            offset = int(rng.integers(0, 20))
-            mode = "real" if rng.random() < 0.5 else "zero"
-            horizon = plan_conv_chunks(T, spec, mode, offset=offset)
-            if mode == "real":
-                assert horizon is None
-            else:
-                rows = np.arange(T)
-                assert ((rows < horizon) & (horizon <= T)).all()
-                assert (np.diff(horizon) >= 0).all()
-                chunk = (offset + rows) // spec.chunk
-                same = chunk[1:] == chunk[:-1]
-                assert (horizon[1:][same] == horizon[:-1][same]).all()
+            k = int(rng.choice([1, 3, 5, 7, 9]))
+            taps = plan_conv_chunks(T, spec, k)
+            frames, owner = right_context_rows(T, spec)
+            np.testing.assert_array_equal(taps[k // 2], np.arange(frames.size))
+            want_frame = frames + np.arange(k)[:, None] - k // 2
+            read = taps >= 0
+            assert (frames[taps[read]] == want_frame[read]).all()
+            end = np.broadcast_to(owner + spec.chunk, taps.shape)
+            is_copy = taps >= T
+            assert (frames[taps[read & ~is_copy]] < end[read & ~is_copy]).all()
+            assert (owner[taps[is_copy]] == np.broadcast_to(owner, taps.shape)[is_copy]).all()
+            assert (frames[taps[read]] < end[read] + spec.right).all()
             cases += 1
-        # 200 causality probes: perturbing features beyond the visible decode
-        # window never changes the kept streaming outputs
+        # 200 causality probes on the training path: perturbing input frames
+        # at or past s + C + R never changes the rows of chunk [s, s + C),
+        # bit for bit, through both blocks
         cfg = ModelConfig(feat_dim=4, model_dim=8, heads=2, blocks=2, conv_kernel=3,
                           subsample_factor=2, vocab_size=6, predictor_dim=4,
                           joint_dim=4, ff_dim=8, seed=60, dtype="float64")
         model = TransducerModel(cfg)
-        for _ in range(200):
+        probes = 0
+        while probes < 200:
             T_in = int(rng.integers(8, 30))
             feats = rng.standard_normal((T_in, 4))
             total = T_in // 2
             spec = ContextSpec(int(rng.integers(0, 5)), int(rng.integers(1, 4)),
                                int(rng.integers(0, 4)))
-            conv_mode = "real" if rng.random() < 0.5 else "zero"
-            s = int(rng.integers(0, max(1, total // spec.chunk))) * spec.chunk
-            w0 = max(0, s - spec.left)
-            w1 = min(total, s + spec.chunk + spec.right)
-            if w1 <= w0:
+            # a chunk with at least one frame past its horizon
+            chunks = (total - spec.chunk - spec.right - 1) // spec.chunk + 1
+            if chunks < 1:
                 continue
-            mode = streaming_mode(spec, conv_mode)
-            base = model.encode(feats[w0 * 2:w1 * 2], mode, grid_offset=w0).data
+            s = int(rng.integers(0, chunks)) * spec.chunk
+            horizon = s + spec.chunk + spec.right
+            mode = streaming_mode(spec)
+            base = model.encode(feats, mode).data
             perturbed = feats.copy()
-            perturbed[w1 * 2:] += rng.standard_normal(perturbed[w1 * 2:].shape) * 50.0
-            probe = model.encode(perturbed[w0 * 2:w1 * 2], mode, grid_offset=w0).data
-            keep_lo = s - w0
-            keep_hi = min(s + spec.chunk, total) - w0
-            np.testing.assert_array_equal(probe[keep_lo:keep_hi],
-                                          base[keep_lo:keep_hi])
+            perturbed[horizon * 2:] += rng.standard_normal(perturbed[horizon * 2:].shape) * 50.0
+            probe = model.encode(perturbed, mode).data
+            np.testing.assert_array_equal(probe[s:s + spec.chunk], base[s:s + spec.chunk])
+            probes += 1
             cases += 1
         assert cases >= 1000
 

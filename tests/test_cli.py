@@ -106,6 +106,15 @@ class TestGenData:
                               train={**base["train"], "conv_right_mode": "zero"})
         assert main(["gen-data", "--config", str(config)]) == 2
 
+    def test_precision_key_rejected(self, tmp_path):
+        # the model's dtype decides the precision; a train key for it would
+        # be silently ignored
+        out = tmp_path / "run"
+        base = yaml.safe_load(open(write_config(tmp_path / "base.yaml", out)))
+        config = write_config(tmp_path / "c.yaml", out,
+                              train={**base["train"], "precision": "float64"})
+        assert main(["gen-data", "--config", str(config)]) == 2
+
     @pytest.mark.parametrize("section,value", [("corpus", [1, 2]),
                                                ("eval", {"specs": 3})])
     def test_wrong_type_is_config_error(self, tmp_path, section, value):

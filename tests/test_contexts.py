@@ -1,4 +1,4 @@
-"""Masks, context sampling, convolution read horizons and latency arithmetic."""
+"""Streaming layout, masks, tap tables, context sampling and latency arithmetic."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unify_rnnt.contexts import (ContextSets, ContextSpec, build_attention_mask,
-                                 latency_of, plan_conv_chunks, sample_context)
+                                 latency_of, plan_conv_chunks, right_context_rows,
+                                 sample_context)
 from unify_rnnt.errors import EmptyContextSetError
 
 spec_strategy = st.builds(ContextSpec,
@@ -15,27 +16,63 @@ spec_strategy = st.builds(ContextSpec,
                           right=st.integers(min_value=0, max_value=8))
 
 
+class TestLayout:
+    def test_documented_example(self):
+        # T=6, C=2, R=1: chunks 0, 2, 4; chunks 0 and 2 copy frames 2 and 4
+        frames, owner = right_context_rows(6, ContextSpec(2, 2, 1))
+        np.testing.assert_array_equal(frames, [0, 1, 2, 3, 4, 5, 2, 4])
+        np.testing.assert_array_equal(owner, [0, 0, 2, 2, 4, 4, 0, 2])
+
+    def test_offline_spec_has_no_copies(self):
+        frames, owner = right_context_rows(7, ContextSpec(7, 7, 0))
+        np.testing.assert_array_equal(frames, np.arange(7))
+        assert (owner == 0).all()
+
+    @given(st.integers(min_value=1, max_value=30), spec_strategy)
+    def test_row_counts_and_order(self, T, spec):
+        frames, owner = right_context_rows(T, spec)
+        C, R = spec.chunk, spec.right
+        starts = range(0, T, C)
+        assert frames.size == T + sum(len(range(s + C, min(s + C + R, T))) for s in starts)
+        np.testing.assert_array_equal(frames[:T], np.arange(T))
+        np.testing.assert_array_equal(owner[:T], np.arange(T) // C * C)
+        # copies: chunk by chunk, each chunk's right-context frames in order
+        want = [(s, f) for s in starts for f in range(s + C, min(s + C + R, T))]
+        assert list(zip(owner[T:].tolist(), frames[T:].tolist())) == want
+
+
 class TestAttentionMask:
     def test_documented_example(self):
+        # rows 6 and 7 copy frames 2 and 4 for chunks 0 and 2
         mask = build_attention_mask(6, ContextSpec(2, 2, 1))
-        assert set(np.flatnonzero(mask[3])) == {0, 1, 2, 3, 4}
-        assert set(np.flatnonzero(mask[0])) == {0, 1, 2}
+        assert set(np.flatnonzero(mask[3])) == {0, 1, 2, 3, 7}
+        assert set(np.flatnonzero(mask[0])) == {0, 1, 6}
+        assert set(np.flatnonzero(mask[7])) == {0, 1, 2, 3, 7}
+        assert set(np.flatnonzero(mask[5])) == {2, 3, 4, 5}
 
     def test_full_context_is_all_true(self):
         mask = build_attention_mask(5, ContextSpec(5, 5, 5))
-        assert mask.all()
+        assert mask.shape == (5, 5) and mask.all()
 
     def test_minimal_context_is_identity(self):
         mask = build_attention_mask(7, ContextSpec(0, 1, 0))
         np.testing.assert_array_equal(mask, np.eye(7, dtype=bool))
 
-    def test_offset_matches_global_grid(self):
-        # masking a window cut at offset w0 must reproduce the global rows
-        spec = ContextSpec(3, 2, 1)
-        T, w0, w1 = 12, 3, 10
-        full = build_attention_mask(T, spec)
-        local = build_attention_mask(w1 - w0, spec, offset=w0)
-        np.testing.assert_array_equal(local, full[w0:w1, w0:w1])
+    @given(st.integers(min_value=1, max_value=24), spec_strategy)
+    def test_rows_see_exactly_their_chunk_context(self, T, spec):
+        # a row owned by chunk s attends the main rows [max(0, s-L), s+C) and
+        # chunk s's copies, so it never reads a frame at or past s+C+R
+        mask = build_attention_mask(T, spec)
+        frames, owner = right_context_rows(T, spec)
+        is_main = np.arange(frames.size) < T
+        for r in range(frames.size):
+            s = owner[r]
+            keys = np.flatnonzero(mask[r])
+            want = [c for c in range(frames.size)
+                    if (is_main[c] and max(0, s - spec.left) <= frames[c] < s + spec.chunk)
+                    or (not is_main[c] and owner[c] == s)]
+            assert keys.tolist() == want
+            assert (frames[keys] < s + spec.chunk + spec.right).all()
 
     @given(spec_strategy, st.integers(min_value=1, max_value=16))
     def test_rows_never_empty(self, spec, T):
@@ -44,15 +81,16 @@ class TestAttentionMask:
     @given(spec_strategy, st.integers(min_value=1, max_value=12),
            st.integers(min_value=1, max_value=6), st.integers(min_value=2, max_value=4))
     def test_monotonicity_under_growth(self, spec, T, grow, mult):
-        # left/right growth keeps every allowed key; chunk growth keeps them
-        # when the new chunk size is a multiple of the old (the chunk grid
-        # realigns otherwise, which can move a window off a formerly
-        # visible key)
-        base = build_attention_mask(T, spec)
+        # left/right growth keeps every allowed main key of every main row;
+        # chunk growth keeps them when the new chunk size is a multiple of
+        # the old (the chunk grid realigns otherwise, which can move a window
+        # off a formerly visible key).  Right growth adds copy rows, so only
+        # the main rows and keys compare.
+        base = build_attention_mask(T, spec)[:T, :T]
         for grown in (ContextSpec(spec.left + grow, spec.chunk, spec.right),
                       ContextSpec(spec.left, spec.chunk, spec.right + grow),
                       ContextSpec(spec.left, spec.chunk * mult, spec.right)):
-            bigger = build_attention_mask(T, grown)
+            bigger = build_attention_mask(T, grown)[:T, :T]
             assert (bigger | base == bigger).all()
 
 
@@ -94,59 +132,56 @@ class TestSampling:
         assert [list(sets.left_set), list(sets.chunk_set), list(sets.right_set)] == nested
 
 
+def tap_reference(T, spec, k, r, j):
+    """The row that tap ``j`` of layout row ``r`` reads, from the rule itself."""
+    frames, owner = right_context_rows(T, spec)
+    s, f = owner[r], frames[r] - (k - 1) // 2 + j
+    if 0 <= f < min(s + spec.chunk, T):
+        return f
+    if s + spec.chunk <= f < min(s + spec.chunk + spec.right, T):
+        return next(c for c in range(T, frames.size) if owner[c] == s and frames[c] == f)
+    return -1
+
+
 class TestConvPlan:
     def test_documented_example(self):
-        spec = ContextSpec(2, 2, 1)
-        assert plan_conv_chunks(6, spec) is None
-        np.testing.assert_array_equal(plan_conv_chunks(6, spec, "zero"),
-                                      [2, 2, 4, 4, 6, 6])
+        # rows 6 and 7 copy frames 2 and 4 for chunks 0 and 2
+        np.testing.assert_array_equal(plan_conv_chunks(6, ContextSpec(2, 2, 1), 3),
+                                      [[-1, 0, 1, 2, 3, 4, 1, 3],
+                                       [0, 1, 2, 3, 4, 5, 6, 7],
+                                       [1, 6, 3, 7, 5, -1, -1, -1]])
 
-    def test_single_chunk_equals_full_plan(self):
-        # one chunk past the buffer end: every row reads up to T, the
-        # whole-sequence convolution
-        np.testing.assert_array_equal(plan_conv_chunks(5, ContextSpec(0, 9, 0), "zero"),
-                                      [5] * 5)
+    def test_single_chunk_is_whole_sequence_convolution(self):
+        # one chunk past the buffer end: every tap reads its frame if it exists
+        taps = plan_conv_chunks(4, ContextSpec(0, 9, 0), 5)
+        want = np.arange(5)[:, None] - 2 + np.arange(4)
+        want[(want < 0) | (want >= 4)] = -1
+        np.testing.assert_array_equal(taps, want)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
-            plan_conv_chunks(6, ContextSpec(2, 2, 1), "past")
-        with pytest.raises(ValueError):
-            plan_conv_chunks(0, ContextSpec(2, 2, 1), "zero")
+            plan_conv_chunks(0, ContextSpec(2, 2, 1), 3)
 
-    def test_zero_mode_truncates_right_halo(self):
-        horizon = plan_conv_chunks(6, ContextSpec(2, 2, 1), "zero")
-        chunk_end = (np.arange(6) // 2 + 1) * 2
-        assert (horizon <= chunk_end).all()
+    @given(st.integers(min_value=1, max_value=16), spec_strategy,
+           st.sampled_from([1, 3, 5, 7]))
+    def test_table_matches_rule(self, T, spec, k):
+        taps = plan_conv_chunks(T, spec, k)
+        assert taps.shape == (k, right_context_rows(T, spec)[0].size)
+        for r in range(taps.shape[1]):
+            for j in range(k):
+                assert taps[j, r] == tap_reference(T, spec, k, r, j)
 
-    @given(st.integers(min_value=1, max_value=20), spec_strategy,
-           st.integers(min_value=0, max_value=30))
-    def test_horizon_invariants(self, T, spec, offset):
-        assert plan_conv_chunks(T, spec, "real", offset=offset) is None
-        horizon = plan_conv_chunks(T, spec, "zero", offset=offset)
-        rows = np.arange(T)
-        assert horizon.shape == (T,)
-        # every row reads itself and nothing past the buffer
-        assert ((rows < horizon) & (horizon <= T)).all()
-        assert (np.diff(horizon) >= 0).all()
-        # rows of one global chunk share one horizon
-        chunk = (offset + rows) // spec.chunk
-        same = chunk[1:] == chunk[:-1]
-        assert (horizon[1:][same] == horizon[:-1][same]).all()
-
-    @given(st.integers(min_value=1, max_value=20), spec_strategy,
-           st.integers(min_value=0, max_value=60))
-    def test_offset_enters_only_modulo_chunk(self, T, spec, offset):
-        r = offset % spec.chunk
-        np.testing.assert_array_equal(build_attention_mask(T, spec, offset=offset),
-                                      build_attention_mask(T, spec, offset=r))
-        for mode in ("real", "zero"):
-            np.testing.assert_array_equal(plan_conv_chunks(T, spec, mode, offset=offset),
-                                          plan_conv_chunks(T, spec, mode, offset=r))
-
-    def test_offset_plan_aligns_with_global_chunks(self):
-        # global chunk boundaries are multiples of 3; offset 4 sits inside [3, 6)
-        horizon = plan_conv_chunks(7, ContextSpec(2, 3, 1), "zero", offset=4)
-        np.testing.assert_array_equal(horizon, [2, 2, 5, 5, 5, 7, 7])
+    @given(st.integers(min_value=1, max_value=20), spec_strategy)
+    def test_taps_stop_at_chunk_horizon(self, T, spec):
+        # every row reads itself through the centre tap and no frame at or
+        # past its chunk's s + C + R
+        k = 5
+        taps = plan_conv_chunks(T, spec, k)
+        frames, owner = right_context_rows(T, spec)
+        np.testing.assert_array_equal(taps[k // 2], np.arange(frames.size))
+        read = taps >= 0
+        horizon = np.broadcast_to(owner + spec.chunk + spec.right, taps.shape)
+        assert (frames[taps[read]] < horizon[read]).all()
 
 
 class TestLatency:

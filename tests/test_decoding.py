@@ -1,4 +1,4 @@
-"""Greedy decoding, streaming windows, token error rate."""
+"""Greedy decoding, stateful chunk steps, token error rate."""
 
 import math
 
@@ -11,7 +11,8 @@ from unify_rnnt.contexts import ContextSpec, latency_of
 from unify_rnnt.decoding import (DecodeResult, greedy_decode_offline,
                                  greedy_decode_streaming, levenshtein, mean_ter,
                                  token_error_rate)
-from unify_rnnt.model import ModelConfig, OFFLINE, TransducerModel, streaming_mode
+from unify_rnnt.model import (ModelConfig, OFFLINE, StreamState, TransducerModel,
+                              streaming_mode)
 
 CFG = ModelConfig(feat_dim=4, model_dim=8, heads=2, blocks=1, conv_kernel=3,
                   subsample_factor=2, vocab_size=5, predictor_dim=4, joint_dim=4,
@@ -105,53 +106,54 @@ class TestGreedyStreaming:
         first_chunk_pert = [t for t, f in zip(res.tokens, res.emit_frame) if f < spec.chunk]
         assert first_chunk_base == first_chunk_pert
 
-    def _chunk_divergence(self, model, feats, spec, conv_mode, margin):
-        mode = streaming_mode(spec, conv_mode)
-        full = model.encode(feats, mode).data
-        T = feats.shape[0] // model.cfg.subsample_factor
-        q = model.cfg.subsample_factor
+    @pytest.mark.parametrize("blocks,kernel", [(1, 1), (2, 3), (3, 5)])
+    def test_decoder_rows_equal_training_rows(self, rng, blocks, kernel):
+        # chunk steps with cached keys, values and conv halo give the rows of
+        # the training path's one masked encode, for every (L, C, R)
+        cfg = ModelConfig(**{**CFG.__dict__, "blocks": blocks, "conv_kernel": kernel})
+        model = TransducerModel(cfg)
         worst = 0.0
-        for s in range(0, T, spec.chunk):
-            w0 = max(0, s - spec.left - margin)
-            w1 = min(T, s + spec.chunk + spec.right)
-            enc = model.encode(feats[w0 * q:w1 * q], mode, grid_offset=w0).data
-            keep = enc[s - w0:min(s + spec.chunk, T) - w0]
-            worst = max(worst, float(np.abs(keep - full[s:min(s + spec.chunk, T)]).max()))
-        return worst
+        for left in range(0, 6):
+            for chunk in range(1, 5):
+                for right in range(0, 5):
+                    spec = ContextSpec(left, chunk, right)
+                    mode = streaming_mode(spec)
+                    feats = rng.standard_normal((int(rng.integers(2, 30)), 4))
+                    T = feats.shape[0] // 2
+                    train_rows = model.encode(feats, mode).data
+                    state, steps = StreamState(), []
+                    for s in range(0, T, chunk):
+                        end = min(T, s + chunk + right)
+                        steps.append(model.encode(feats[2 * s:2 * end], mode, state).data)
+                    decode_rows = np.concatenate(steps)
+                    assert decode_rows.shape == train_rows.shape
+                    worst = max(worst, float(np.abs(decode_rows - train_rows).max()))
+        assert worst <= 1e-12
 
-    def test_chunkwise_exactness_single_block_zero_conv(self, rng):
-        # kept re-encoded frames equal the full-sequence streaming forward for
-        # a single attention block with zero-mode conv, given a left recompute
-        # margin of chunk + conv halo (the halo frames need their own chunk's
-        # attention window inside the buffer); a halo-free conv is exact with
-        # no margin at all
+    def test_state_keeps_left_context_and_halo(self, rng):
         model = TransducerModel(CFG)
-        feats = rng.standard_normal((20, 4))
         spec = ContextSpec(3, 2, 1)
-        halo = (CFG.conv_kernel - 1) // 2
-        exact = self._chunk_divergence(model, feats, spec, "zero",
-                                       margin=spec.chunk + halo)
-        assert exact <= 1e-5
-        pointwise_cfg = ModelConfig(**{**CFG.__dict__, "conv_kernel": 1})
-        exact0 = self._chunk_divergence(TransducerModel(pointwise_cfg), feats, spec,
-                                        "zero", margin=0)
-        assert exact0 <= 1e-5
-        # without the margin the divergence is real; measured, not asserted
-        measured = self._chunk_divergence(model, feats, spec, "zero", margin=0)
-        print(f"\nchunkwise divergence without left margin: {measured:.3e}")
+        state = StreamState()
+        feats = rng.standard_normal((20, 4))
+        for s, kept in ((0, 2), (2, 3), (4, 3)):
+            model.encode(feats[2 * s:2 * (s + 3)], streaming_mode(spec), state)
+            assert state.sizes() == (kept, 1)  # L keys at most, halo h = 1
 
 
 class TestContextCache:
-    def test_streaming_entries_bounded_per_spec(self, rng):
-        # decode windows have at most L+C+R frames, and the cache keys their
-        # grid offset modulo C
+    def test_decode_entries_bounded_per_spec(self, rng):
+        # a chunk step's layout depends only on the cached row counts and the
+        # step's frame count, whatever the utterance length
         model = TransducerModel(CFG)
         spec = ContextSpec(3, 2, 1)
+        h = (CFG.conv_kernel - 1) // 2
         for _ in range(25):
             feats = rng.standard_normal((int(rng.integers(20, 80)), 4))
             greedy_decode_streaming(model, feats, spec, frame_ms=40.0)
-        entries = [key for key in model._context_cache if key[1] == spec]
-        assert 0 < len(entries) <= (spec.left + spec.chunk + spec.right) * spec.chunk
+        steps = [key for key in model._context_cache if key[0] == "step"]
+        n = spec.chunk + spec.right
+        assert 0 < len(steps) <= (spec.left + 1) * (h + 1) * n
+        assert len(model._context_cache) <= len(steps) + spec.left + h + 2 * n
 
 
 class TestTokenErrorRate:

@@ -8,8 +8,8 @@ from unify_rnnt import tensor as tz
 from unify_rnnt.contexts import ContextSpec
 from unify_rnnt.errors import BadTokenError, InputTooShortError
 from unify_rnnt.gradcheck import finite_difference_grad, max_rel_error
-from unify_rnnt.model import (ModelConfig, ModeSelector, OFFLINE, TransducerModel,
-                              streaming_mode)
+from unify_rnnt.model import (ModelConfig, ModeSelector, OFFLINE, StreamState,
+                              TransducerModel, streaming_mode)
 from unify_rnnt.training import rnnt_loss_node
 
 TOY = ModelConfig(feat_dim=6, model_dim=16, heads=2, blocks=2, conv_kernel=5,
@@ -44,7 +44,7 @@ class TestEncode:
             off = model.encode(feats, OFFLINE).data
             T = feats.shape[0] // 2
             spec = ContextSpec(T + 3, T + 3, T + 3)
-            stream = model.encode(feats, streaming_mode(spec, "real")).data
+            stream = model.encode(feats, streaming_mode(spec)).data
             np.testing.assert_array_equal(off, stream)
 
     def test_parameters_shared_across_modes(self, model, rng):
@@ -60,27 +60,34 @@ class TestEncode:
         assert np.abs(after_stream - before).max() > 0
         assert np.abs(after_off - model_encode_fresh(feats)).max() > 0
 
-    def test_streaming_causality_single_block_zero_conv(self, rng):
-        # one block + zero-mode conv: frame t depends only on input frames
-        # below (chunk_end(t) + R) * subsample
-        cfg = ModelConfig(feat_dim=4, model_dim=8, heads=2, blocks=1, conv_kernel=3,
-                          subsample_factor=2, vocab_size=4, predictor_dim=4,
-                          joint_dim=4, ff_dim=8, seed=1, dtype="float64")
-        m = TransducerModel(cfg)
+    def test_streaming_causality(self, rng):
+        # the training path: the rows of chunk [s, s+C) depend only on input
+        # frames below (s + C + R) * subsample, bit for bit, through every block
         spec = ContextSpec(2, 2, 1)
-        feats = rng.standard_normal((16, 4))
-        mode = streaming_mode(spec, "zero")
+        m = TransducerModel(TOY)
+        feats = rng.standard_normal((20, 6))
+        mode = streaming_mode(spec)
         base = m.encode(feats, mode).data
-        T = 8
-        for t in range(T):
-            chunk_end = (t // spec.chunk + 1) * spec.chunk
-            horizon = min(T, chunk_end + spec.right) * cfg.subsample_factor
+        T = 10
+        for s in range(0, T, spec.chunk):
+            horizon = (s + spec.chunk + spec.right) * TOY.subsample_factor
             if horizon >= feats.shape[0]:
                 continue
             perturbed = feats.copy()
             perturbed[horizon:] += rng.standard_normal(perturbed[horizon:].shape) * 5.0
             out = m.encode(perturbed, mode).data
-            np.testing.assert_array_equal(out[t], base[t])
+            np.testing.assert_array_equal(out[s:s + spec.chunk], base[s:s + spec.chunk])
+            # the right context is read: frames just below the horizon count
+            nearby = feats.copy()
+            nearby[horizon - 1] += 5.0
+            assert not np.array_equal(m.encode(nearby, mode).data[s], base[s])
+
+    def test_chunk_step_is_forward_only_and_streaming(self, model, rng):
+        feats = rng.standard_normal((8, 6))
+        with pytest.raises(ValueError):
+            model.encode(feats, OFFLINE, StreamState())
+        out = model.encode(feats, streaming_mode(ContextSpec(2, 3, 1)), StreamState())
+        assert out.shape == (3, 16)
 
 
 def model_encode_fresh(feats):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from unify_rnnt import tensor as tz
-from unify_rnnt.contexts import ContextSets, ContextSpec, plan_conv_chunks
+from unify_rnnt.contexts import ContextSets, ContextSpec, plan_conv_chunks, right_context_rows
 from unify_rnnt.corpus import CorpusConfig, generate_utterances
 from unify_rnnt.errors import EmptyAttentionRowError, EvenKernelError
 from unify_rnnt.gradcheck import finite_difference_grad, max_rel_error
@@ -49,6 +49,37 @@ class TestMaskedAttention:
         mask[3] = False
         with pytest.raises(EmptyAttentionRowError):
             tz.masked_attention(q, k, v, mask, heads=2)
+
+    def test_cached_keys_before_the_queries(self, rng):
+        # a chunk step's queries see cached keys first: the same rows as the
+        # last queries of one longer all-true attention
+        q, k, v = self._qkv(rng, T=7)
+        full = tz.masked_attention(q, k, v, np.ones((7, 7), bool), heads=2).data
+        tail = tz.masked_attention(tz.constant(q.data[4:]), k, v, np.ones((3, 7), bool),
+                                   heads=2).data
+        np.testing.assert_allclose(tail, full[4:], atol=1e-12)
+        with pytest.raises(ValueError):
+            tz.masked_attention(q, tz.constant(k.data[:3]), tz.constant(v.data[:3]),
+                                np.ones((7, 3), bool), heads=2)
+
+    def test_gradient_with_more_keys_than_queries(self, rng):
+        n, m, d = 3, 6, 8
+        mask = np.random.default_rng(4).random((n, m)) < 0.6
+        mask[:, 0] = True
+        arrs = {"q": rng.standard_normal((n, d)), "k": rng.standard_normal((m, d)),
+                "v": rng.standard_normal((m, d))}
+        w = rng.standard_normal((n, d))
+        tensors = {name: tz.parameter(a.copy()) for name, a in arrs.items()}
+        with tz.Tape() as tape:
+            out = tz.masked_attention(tensors["q"], tensors["k"], tensors["v"], mask, heads=2)
+            tape.backward(out, w)
+        for name in arrs:
+            def f(x, name=name):
+                vals = {nm: tz.constant(x if nm == name else a) for nm, a in arrs.items()}
+                return float((tz.masked_attention(vals["q"], vals["k"], vals["v"], mask,
+                                                  heads=2).data * w).sum())
+            fd = finite_difference_grad(f, arrs[name].copy())
+            assert max_rel_error(tensors[name].grad, fd) <= 1e-6, name
 
     def test_gradient_matches_finite_differences(self, rng):
         T, d = 5, 8
@@ -117,96 +148,113 @@ class TestDepthwiseConv:
         assert max_rel_error(kt.grad, fd_k) <= 1e-6
 
 
-def per_window_reference(x, kernel, horizon):
-    """Each row on its own, per channel with np.convolve: the row's read window
-    of a buffer truncated at its horizon and zero padded."""
-    T, d = x.shape
+def per_row_reference(x, kernel, T, spec):
+    """Each layout row on its own, from the rule: tap j of a row at frame p
+    owned by chunk s reads frame p - h + j from the main row below s + C,
+    from chunk s's copy in [s + C, min(s + C + R, T)), and zero otherwise."""
+    frames, owner = right_context_rows(T, spec)
     k = kernel.shape[0]
-    halo = (k - 1) // 2
-    hz = [T] * T if horizon is None else horizon
-    out = np.zeros_like(x)
-    for i in range(T):
-        buf = np.zeros((T + 2 * halo, d))
-        buf[halo:halo + hz[i]] = x[:hz[i]]
-        for c in range(d):
-            # np.convolve flips its second argument; the op correlates
-            out[i, c] = np.convolve(buf[i:i + k, c], kernel[::-1, c], mode="valid")[0]
+    out = np.zeros((frames.size, x.shape[1]))
+    for r in range(frames.size):
+        s, end = owner[r], owner[r] + spec.chunk
+        for j in range(k):
+            f = frames[r] - (k - 1) // 2 + j
+            if 0 <= f < min(end, T):
+                out[r] += kernel[j] * x[f]
+            elif end <= f < min(end + spec.right, T):
+                copy = np.flatnonzero((owner == s) & (frames == f))
+                copy = copy[copy >= T]
+                out[r] += kernel[j] * x[copy[0]]
     return out
 
 
-def per_tap_loop(x, kernel, horizon, g):
+def per_tap_loop(x, kernel, index, g):
     """Output and gradients by a loop over kernel taps, in the op's order."""
-    T, d = x.shape
-    k = kernel.shape[0]
-    halo = (k - 1) // 2
-    hz = np.full(T, T) if horizon is None else horizon
-    xp = np.zeros((T + 2 * halo, d), dtype=x.dtype)
-    xp[halo:halo + T] = x
-    out, dxp, dk = np.zeros_like(x), np.zeros_like(xp), np.zeros_like(kernel)
-    for j in range(k):
-        # tap j of row i reads frame i - halo + j
-        read = (np.arange(T) - halo + j < hz)[:, None]
-        tap = np.where(read, xp[j:j + T], 0)
+    out, dx, dk = np.zeros((index.shape[1], x.shape[1]), x.dtype), np.zeros_like(x), \
+        np.zeros_like(kernel)
+    xz = np.concatenate([x, np.zeros((1, x.shape[1]), x.dtype)])
+    for j in range(kernel.shape[0]):
+        tap = xz[index[j]]
         out += tap * kernel[j]
         dk[j] = (tap * g).sum(axis=0)
-        dxp[j:j + T] += np.where(read, g, 0) * kernel[j]
-    return out, dxp[halo:halo + T], dk
+        for i, src in enumerate(index[j]):
+            if src >= 0:
+                dx[src] += g[i] * kernel[j]
+    return out, dx, dk
 
 
-# (T, chunk, conv_right_mode, grid offset): T not a multiple of C, a short
-# first chunk (offset), a single frame
-CONV_CASES = [(T, C, mode, off) for C in (1, 2, 3) for mode in ("real", "zero")
-              for T, off in ((7, 0), (8, 2), (1, 0), (1, 1))]
+# (T, chunk, right): T not a multiple of C, chunks without a full right
+# context, a single frame
+CONV_CASES = [(T, C, R) for C in (1, 2, 3) for R in (0, 2) for T in (1, 2, 7, 8)]
 
 
 class TestChunkedConv:
-    @pytest.mark.parametrize("T,C,mode,off", CONV_CASES)
-    def test_matches_per_window_reference(self, rng, T, C, mode, off):
+    @pytest.mark.parametrize("T,C,R", CONV_CASES)
+    def test_matches_per_row_reference(self, rng, T, C, R):
         d, k = 4, 5
-        horizon = plan_conv_chunks(T, ContextSpec(0, C, 0), mode, offset=off)
-        x = rng.standard_normal((T, d))
+        spec = ContextSpec(0, C, R)
+        taps = tz.ConvTaps(plan_conv_chunks(T, spec, k))
+        n = taps.index.shape[1]
+        x = rng.standard_normal((n, d))
         kernel = rng.standard_normal((k, d))
-        out = tz.depthwise_conv1d_windows(tz.constant(x), tz.constant(kernel), horizon)
-        np.testing.assert_allclose(out.data, per_window_reference(x, kernel, horizon),
+        out = tz.depthwise_conv1d_windows(tz.constant(x), tz.constant(kernel), taps)
+        np.testing.assert_allclose(out.data, per_row_reference(x, kernel, T, spec),
                                    atol=1e-12)
-        # the einsums sum in the tap loop's order, bit for bit
-        g = rng.standard_normal((T, d))
+        # the einsums and the reader gather sum in the tap loop's order, bit
+        # for bit
+        g = rng.standard_normal((n, d))
         for dt in (np.float32, np.float64):
             xt, kt = tz.parameter(x.astype(dt)), tz.parameter(kernel.astype(dt))
             with tz.Tape() as tape:
-                out = tz.depthwise_conv1d_windows(xt, kt, horizon)
+                out = tz.depthwise_conv1d_windows(xt, kt, taps)
                 tape.backward(out, g.astype(dt))
-            ref = per_tap_loop(xt.data, kt.data, horizon, g.astype(dt))
+            ref = per_tap_loop(xt.data, kt.data, taps.index, g.astype(dt))
             for got, want in zip((out.data, xt.grad, kt.grad), ref):
                 np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("T,C,mode,off", CONV_CASES)
-    def test_gradients_match_finite_differences(self, rng, T, C, mode, off):
+    @pytest.mark.parametrize("T,C,R", CONV_CASES)
+    def test_gradients_match_finite_differences(self, rng, T, C, R):
         d, k = 3, 5
-        horizon = plan_conv_chunks(T, ContextSpec(0, C, 0), mode, offset=off)
-        x0 = rng.standard_normal((T, d))
+        spec = ContextSpec(0, C, R)
+        taps = tz.ConvTaps(plan_conv_chunks(T, spec, k))
+        n = taps.index.shape[1]
+        x0 = rng.standard_normal((n, d))
         k0 = rng.standard_normal((k, d))
-        w = rng.standard_normal((T, d))
+        w = rng.standard_normal((n, d))
         xt, kt = tz.parameter(x0.copy()), tz.parameter(k0.copy())
         with tz.Tape() as tape:
-            out = tz.depthwise_conv1d_windows(xt, kt, horizon)
+            out = tz.depthwise_conv1d_windows(xt, kt, taps)
             tape.backward(out, w)
 
         def loss(x, kk):
-            return float((per_window_reference(x, kk, horizon) * w).sum())
+            return float((per_row_reference(x, kk, T, spec) * w).sum())
         fd_x = finite_difference_grad(lambda x: loss(x, k0), x0.copy())
         fd_k = finite_difference_grad(lambda kk: loss(x0, kk), k0.copy())
         assert max_rel_error(xt.grad, fd_x) <= 1e-6
         assert max_rel_error(kt.grad, fd_k) <= 1e-6
 
-    def test_horizon_must_fit_input(self, rng):
-        horizon = plan_conv_chunks(6, ContextSpec(0, 2, 0), "zero")
+    def test_table_may_read_rows_before_its_outputs(self, rng):
+        # a chunk step convolves its rows after a left halo: the last columns
+        # of the whole-sequence table over halo plus rows
+        x = rng.standard_normal((7, 3))
+        kernel = rng.standard_normal((5, 3))
+        whole = tz.depthwise_conv1d(tz.constant(x), tz.constant(kernel)).data
+        taps = tz.ConvTaps(plan_conv_chunks(7, ContextSpec(7, 7, 0), 5)[:, 2:])
+        step = tz.depthwise_conv1d_windows(tz.constant(x), tz.constant(kernel), taps)
+        np.testing.assert_array_equal(step.data, whole[2:])
+
+    def test_table_must_fit_input(self, rng):
+        taps = tz.ConvTaps(plan_conv_chunks(6, ContextSpec(0, 2, 1), 3))
+        n = taps.index.shape[1]
         with pytest.raises(ValueError):
-            tz.depthwise_conv1d_windows(tz.constant(rng.standard_normal((5, 2))),
-                                        tz.constant(rng.standard_normal((3, 2))), horizon)
+            tz.depthwise_conv1d_windows(tz.constant(rng.standard_normal((n - 1, 2))),
+                                        tz.constant(rng.standard_normal((3, 2))), taps)
         with pytest.raises(ValueError):
-            tz.depthwise_conv1d_windows(tz.constant(rng.standard_normal((6, 2))),
-                                        tz.constant(rng.standard_normal((3, 3))), horizon)
+            tz.depthwise_conv1d_windows(tz.constant(rng.standard_normal((n, 2))),
+                                        tz.constant(rng.standard_normal((3, 3))), taps)
+        with pytest.raises(ValueError):
+            tz.depthwise_conv1d_windows(tz.constant(rng.standard_normal((n, 2))),
+                                        tz.constant(rng.standard_normal((5, 2))), taps)
 
 
 class TestTapeMechanics:
@@ -235,6 +283,19 @@ class TestTapeMechanics:
             b = tz.matmul(tz.constant(np.array([[5.0]])), w)
             tape.backward(tz.add(a, b))
         np.testing.assert_allclose(w.grad, [[8.0]])
+
+    def test_residual_add_keeps_the_shorter_rows(self, rng):
+        a0, b0 = rng.standard_normal((5, 3)), rng.standard_normal((2, 3))
+        g = rng.standard_normal((2, 3))
+        a, b = tz.parameter(a0), tz.parameter(b0)
+        with tz.Tape() as tape:
+            out = tz.add(a, b)
+            tape.backward(out, g)
+        np.testing.assert_array_equal(out.data, a0[:2] + b0)
+        np.testing.assert_array_equal(a.grad, np.concatenate([g, np.zeros((3, 3))]))
+        np.testing.assert_array_equal(b.grad, g)
+        with pytest.raises(ValueError):
+            tz.add(b, a)
 
     def test_untouched_parameter_has_no_gradient(self):
         w = tz.parameter(np.ones(3))

@@ -291,11 +291,14 @@ class TestCheckpoint:
         loaded, step, _opt, rng = load_checkpoint(path)
         assert step == 3 and rng is None
 
-    @pytest.mark.parametrize("key", ["model_config", "params", "step"])
+    @pytest.mark.parametrize("key", ["model_config", "params", "step", "optimizer.eps"])
     def test_header_missing_field_is_corrupt(self, tmp_path, rewrite_header, key):
         path = tmp_path / "model.urnt"
-        save_checkpoint(path, TransducerModel(MODEL_CFG), step=3)
-        rewrite_header(path, lambda header: header.pop(key))
+        model = TransducerModel(MODEL_CFG)
+        save_checkpoint(path, model, step=3, optimizer=AdamW(model.parameters()))
+        section, _, field = key.partition(".")
+        rewrite_header(path, lambda header: (header[section] if field else header)
+                       .pop(field or section))
         with pytest.raises(CorruptCheckpointError):
             load_checkpoint(path)
 
