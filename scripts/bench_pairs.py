@@ -124,8 +124,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--parent", required=True, help="checkout of the parent commit")
     p.add_argument("--change", required=True, help="checkout of the change")
-    p.add_argument("--seeds", default="731-740")
-    p.add_argument("--trace-seeds", default="731-733", help="traced pairs; '' for none")
+    p.add_argument("--seeds", default="744-753")
+    p.add_argument("--trace-seeds", default="744-746", help="traced pairs; '' for none")
     p.add_argument("--out-dir", default=ROOT)
     args = p.parse_args(argv)
 

@@ -265,21 +265,24 @@ def cmd_eval(args) -> int:
     with OutputLock(out_dir):
         ev = evaluate_model(model, utts, specs, left, frame_ms)
         rows = [{"mode": "offline", "chunk_s": "", "right_s": "",
-                 "latency_s": "inf", "ter": ev["offline"]}]
+                 "latency_s": "inf", "chunk_compute_ms": ev["chunk_ms"]["offline"],
+                 "ter": ev["offline"]}]
         rows += [{"mode": "streaming", "chunk_s": chunk * frame_ms / 1000.0,
                   "right_s": right * frame_ms / 1000.0,
                   "latency_s": latency_of(ContextSpec(left, chunk, right), frame_ms),
+                  "chunk_compute_ms": ev["chunk_ms"][f"{chunk},{right}"],
                   "ter": ev["specs"][f"{chunk},{right}"]} for chunk, right in specs]
         summary = os.path.join(out_dir, "eval_summary.csv")
         with open(summary, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["mode", "chunk_s", "right_s",
-                                                    "latency_s", "ter"])
+                                                    "latency_s", "chunk_compute_ms", "ter"])
             writer.writeheader()
             writer.writerows(rows)
         write_utterance_csv(os.path.join(out_dir, "eval_utterances.csv"),
                             ev["utterances"])
     for row in rows:
-        print(f"{row['mode']:10s} latency={row['latency_s']} ter={row['ter']:.4f}")
+        print(f"{row['mode']:10s} latency={row['latency_s']} "
+              f"chunk_ms={row['chunk_compute_ms']:.3f} ter={row['ter']:.4f}")
     print(f"summary: {summary}")
     return EXIT_OK
 
@@ -330,11 +333,13 @@ def cmd_report(args) -> int:
                   f"{last.get(loss_key, float('nan')):.4f}")
     summary = os.path.join(out_dir, "eval_summary.csv")
     if os.path.exists(summary):
-        print("evaluation (mean TER):")
+        print("evaluation (mean TER; measured compute ms per chunk):")
         with open(summary) as fh:
             for row in csv.DictReader(fh):
+                chunk_ms = row.get("chunk_compute_ms")
+                chunk_ms = "n/a" if not chunk_ms else f"{float(chunk_ms):.3f}"
                 print(f"  {row['mode']:10s} latency={row['latency_s']:>6s} "
-                      f"ter={float(row['ter']):.4f}")
+                      f"chunk_ms={chunk_ms:>7s} ter={float(row['ter']):.4f}")
     sweep = os.path.join(out_dir, "sweep_latency.csv")
     if os.path.exists(sweep):
         print("latency sweep (budget_s, chunk_s, right_s, ter):")
@@ -369,8 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="decode offline plus each latency spec; "
                                     "writes eval_summary.csv (rows ordered by "
-                                    "latency descending) and eval_utterances.csv "
-                                    "(utt_id, mode, latency_s, ter, ref_tokens)")
+                                    "latency descending, with the measured compute "
+                                    "ms per chunk) and eval_utterances.csv "
+                                    "(utt_id, mode, latency_s, ter, ref_tokens, "
+                                    "chunks, chunk_compute_ms)")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", help="override eval manifest")

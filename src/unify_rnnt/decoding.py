@@ -6,8 +6,9 @@ horizon by construction.  A :class:`model.StreamState` carries the encoder's
 per-block left context from step to step, and the predictor state carries
 across steps; the last emitted token does not.  The encoder rows equal the
 training path's rows (``TransducerModel.encode`` without a state) up to
-rounding.  Only theoretical worst-case latency (chunk plus right context) is
-reported.
+rounding.  Next to the theoretical worst-case latency (chunk plus right
+context), a result records the measured compute time of each chunk: its
+encoder step plus its greedy loop (offline decoding is one chunk).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -29,7 +31,12 @@ class DecodeResult:
     tokens: list[int] = field(default_factory=list)
     emit_frame: list[int] = field(default_factory=list)
     worst_case_latency_s: float = math.inf
-    steps: int = 0
+    chunk_ms: list[float] = field(default_factory=list)
+
+    @property
+    def steps(self) -> int:
+        """Chunks decoded: one per encoder step, one for offline decoding."""
+        return len(self.chunk_ms)
 
 
 def _greedy_over_frames(model: TransducerModel, enc: np.ndarray, frame_base: int,
@@ -59,10 +66,12 @@ def _greedy_over_frames(model: TransducerModel, enc: np.ndarray, frame_base: int
 def greedy_decode_offline(model: TransducerModel, features: np.ndarray,
                           max_symbols_per_frame: int = MAX_SYMBOLS_PER_FRAME) -> DecodeResult:
     """Full-context greedy decode; latency reported as infinite."""
+    t0 = perf_counter()
     enc = model.encode(features, OFFLINE).data
     result = DecodeResult()
     state = model.predictor_start()
     _greedy_over_frames(model, enc, 0, state, result, max_symbols_per_frame)
+    result.chunk_ms.append((perf_counter() - t0) * 1e3)
     return result
 
 
@@ -85,10 +94,11 @@ def greedy_decode_streaming(model: TransducerModel, features: np.ndarray,
     cache = StreamState()
     state = model.predictor_start()
     for s in range(0, total, spec.chunk):
+        t0 = perf_counter()
         end = min(total, s + spec.chunk + spec.right)
         enc = model.encode(features[s * q:end * q], mode, cache).data
         state = _greedy_over_frames(model, enc, s, state, result, max_symbols_per_frame)
-        result.steps += 1
+        result.chunk_ms.append((perf_counter() - t0) * 1e3)
     return result
 
 
@@ -123,7 +133,8 @@ def decode_mode(model: TransducerModel, features: np.ndarray, mode: ModeSelector
 
 def evaluate_utterances(model: TransducerModel, utterances, mode: ModeSelector,
                         frame_ms: float) -> list[dict]:
-    """One row per utterance: id, mode label, latency, TER, token count."""
+    """One row per utterance: id, mode label, latency, TER, token count, and
+    the chunk count and mean measured compute ms per chunk."""
     rows = []
     if mode.kind == "offline":
         label, latency = "offline", math.inf
@@ -138,13 +149,16 @@ def evaluate_utterances(model: TransducerModel, utterances, mode: ModeSelector,
             "latency_s": latency,
             "ter": token_error_rate(res.tokens, list(utt.tokens)),
             "ref_tokens": len(utt.tokens),
+            "chunks": res.steps,
+            "chunk_compute_ms": sum(res.chunk_ms) / max(1, res.steps),
         })
     return rows
 
 
 def write_utterance_csv(path, rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["utt_id", "mode", "latency_s", "ter", "ref_tokens"])
+        writer = csv.DictWriter(fh, fieldnames=["utt_id", "mode", "latency_s", "ter", "ref_tokens",
+                                                "chunks", "chunk_compute_ms"])
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
@@ -154,3 +168,11 @@ def mean_ter(rows) -> float:
     if not rows:
         return 0.0
     return float(np.mean([r["ter"] for r in rows]))
+
+
+def mean_chunk_ms(rows) -> float:
+    """Measured compute ms per chunk over every chunk of ``rows``."""
+    chunks = sum(r["chunks"] for r in rows)
+    if not chunks:
+        return 0.0
+    return sum(r["chunk_compute_ms"] * r["chunks"] for r in rows) / chunks

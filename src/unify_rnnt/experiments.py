@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from .contexts import ContextSets, ContextSpec
 from .corpus import CorpusConfig, generate_utterances
-from .decoding import evaluate_utterances, mean_ter
+from .decoding import evaluate_utterances, mean_chunk_ms, mean_ter
 from .mcr import MCRConfig
 from .model import ModelConfig, OFFLINE, TransducerModel, streaming_mode
 from .training import ModeWeights, TrainConfig, run_training
@@ -103,15 +103,18 @@ def evaluate_model(model: TransducerModel, utterances, specs, left: int,
                    frame_ms: float) -> dict:
     """Offline TER plus TER at each (chunk, right) spec, in the order given.
 
-    ``utterances`` holds the per-utterance rows: offline first, then each
-    spec in turn.
+    ``chunk_ms`` holds the measured compute ms per chunk, under the key
+    ``"offline"`` and the spec keys.  ``utterances`` holds the per-utterance
+    rows: offline first, then each spec in turn.
     """
     per_utt = evaluate_utterances(model, utterances, OFFLINE, frame_ms)
-    out = {"offline": mean_ter(per_utt), "specs": {}, "utterances": list(per_utt)}
+    out = {"offline": mean_ter(per_utt), "specs": {}, "utterances": list(per_utt),
+           "chunk_ms": {"offline": mean_chunk_ms(per_utt)}}
     for chunk, right in specs:
         mode = streaming_mode(ContextSpec(left, chunk, right))
         per_utt = evaluate_utterances(model, utterances, mode, frame_ms)
         out["specs"][f"{chunk},{right}"] = mean_ter(per_utt)
+        out["chunk_ms"][f"{chunk},{right}"] = mean_chunk_ms(per_utt)
         out["utterances"].extend(per_utt)
     return out
 

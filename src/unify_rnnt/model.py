@@ -209,23 +209,20 @@ class TransducerModel:
             taps = plan_conv_chunks(T, spec, self.cfg.conv_kernel)
             for arr in (frames, mask, taps):
                 arr.flags.writeable = False
-            self._context_cache[key] = (frames, mask, tz.ConvTaps(taps),
+            self._context_cache[key] = (frames, tz.AttentionMask(mask), tz.ConvTaps(taps),
                                         tz.ConvTaps(taps[:, :T]))
         return self._context_cache[key]
 
     def _step_context(self, keys: int, halo: int, n: int, n_main: int) -> tuple:
         """Mask and tap tables of a chunk step over ``keys``/``halo`` cached
-        rows and ``n`` new ones: the full-context layouts of the cached plus
-        new rows, restricted to the new rows (to the main ones for the last
-        block)."""
+        rows and ``n`` new ones: the full context over cached plus new rows,
+        restricted to the new rows (to the main ones for the last block).
+        Every new row attends every key, so the mask is all true."""
         key = ("step", keys, halo, n, n_main)
         if key not in self._context_cache:
-            full_keys = ContextSpec(keys + n, keys + n, 0)
-            full_conv = ContextSpec(halo + n, halo + n, 0)
-            mask = self._context_for(keys + n, full_keys)[1][keys:]
-            taps = self._context_for(halo + n, full_conv)[2].index[:, halo:]
-            self._context_cache[key] = (mask, tz.ConvTaps(taps),
-                                        tz.ConvTaps(taps[:, :n_main]))
+            taps = tz.ConvTaps.full_context(halo + n, self.cfg.conv_kernel, halo)
+            self._context_cache[key] = (tz.AttentionMask(np.ones((n, keys + n), bool)),
+                                        taps, tz.ConvTaps(taps.index[:, :n_main]))
         return self._context_cache[key]
 
     def encode(self, features: np.ndarray, mode: ModeSelector = OFFLINE,

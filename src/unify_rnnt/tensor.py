@@ -9,6 +9,15 @@ A tape is single-threaded by contract: one graph, one thread.  Ops themselves
 are pure functions of their inputs and may run concurrently on disjoint
 tensors.
 
+A streaming chunk step calls the ops on one or two rows, so what an op does
+per call, beyond its arithmetic, sets the step's cost.  The layouts an op
+reads are therefore checked once, when they are built: an
+:class:`AttentionMask` validates its rows and keeps its additive bias (none
+when all true), a :class:`ConvTaps` keeps its largest index, and a call
+checks only that their shapes fit.  Ops wrap the arrays they make without
+copying them, and a tensor's first gradient write stores a fresh array
+instead of adding into a zeroed one.
+
 The depthwise convolution gathers the row each tap reads from a tap table
 (zero where the table says so); its input gradient gathers, for each input
 row, the taps that read it.  The recurrent sequence loops over tokens only
@@ -74,7 +83,7 @@ def _tape_stack() -> list:
 
 
 def active_tape() -> Tape | None:
-    stack = _tape_stack()
+    stack = getattr(_tls, "stack", None)
     return stack[-1] if stack else None
 
 
@@ -104,8 +113,13 @@ class Tensor:
 
     def accum_grad(self, g) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # the first write stores a fresh array: ops pass one ``g`` to more
+            # than one input (``add``), or a view of their own gradient.
+            # Adding zero gives the values, dtype and broadcast shape a zeroed
+            # array plus ``g`` would have, -0.0 turning +0.0 included.
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -123,8 +137,13 @@ def parameter(data, dtype=None) -> Tensor:
 
 
 def _result(inputs: tuple, data: np.ndarray) -> tuple[Tensor, Tape | None]:
-    needs = any(t.requires_grad for t in inputs)
-    out = Tensor(data, requires_grad=needs)
+    """Wrap the array an op has just made, without ``Tensor``'s ``np.asarray``."""
+    if data.dtype not in _FLOAT_DTYPES:
+        data = data.astype(np.float64)
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.grad = None
+    out.requires_grad = needs = any([t.requires_grad for t in inputs])
     tape = active_tape() if needs else None
     return out, tape
 
@@ -200,7 +219,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Fused ``x @ w (+ b)`` to keep tapes short."""
     data = x.data @ w.data
     if b is not None:
-        data = data + b.data
+        data += b.data
     inputs = (x, w) if b is None else (x, w, b)
     out, tape = _result(inputs, data)
     if tape is not None:
@@ -245,13 +264,18 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    # what ``a.mean(axis=1, keepdims=True)`` computes, without its wrapper
+    return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Row-wise layer normalization over the last axis of a 2-D input."""
     if x.data.ndim != 2:
         raise ValueError("layer_norm expects a 2-D input")
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = _row_mean(x.data)
     xc = x.data - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = _row_mean(xc * xc)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out, tape = _result((x, gain, bias), xhat * gain.data + bias.data)
@@ -262,8 +286,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                 return
             dxhat = g * gain.data
             if x.requires_grad:
-                m1 = dxhat.mean(axis=1, keepdims=True)
-                m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+                m1 = _row_mean(dxhat)
+                m2 = _row_mean(dxhat * xhat)
                 x.accum_grad(inv * (dxhat - m1 - xhat * m2))
             if gain.requires_grad:
                 gain.accum_grad((g * xhat).sum(axis=0))
@@ -346,14 +370,57 @@ def weighted_sum(pairs: Sequence[tuple[Tensor, float]]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention with a boolean [n, m] mask.
+def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
+    # [rows, d] -> [heads, rows, dh]: each head's slice as a strided view, so
+    # every head's product is the same BLAS call a per-head loop makes
+    return a.reshape(a.shape[0], heads, a.shape[1] // heads).transpose(1, 0, 2)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    return a.transpose(1, 0, 2).reshape(a.shape[1], a.shape[0] * a.shape[2])
+
+
+class AttentionMask:
+    """Boolean [n, m] attention mask, checked once, with its additive bias.
+
+    ``mask[i, j] == True`` means query ``i`` may attend key ``j``.  Every row
+    must keep at least one key.  Masked positions receive ``-inf`` before the
+    row softmax, as a 0/-inf bias built on first use per dtype and kept; an
+    all-true mask has no bias and :func:`masked_attention` adds nothing.  A
+    layout builds its mask once and every call that uses it shares it.
+    """
+
+    __slots__ = ("mask", "shape", "_bias")
+
+    def __init__(self, mask) -> None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 2:
+            raise ValueError("attention mask must be [queries, keys]")
+        if not mask.any(axis=1).all():
+            raise EmptyAttentionRowError("attention mask has an all-false row")
+        self.mask = mask
+        self.shape = mask.shape
+        self._bias = None if mask.all() else {}
+
+    def bias(self, dtype) -> np.ndarray | None:
+        """The 0/-inf bias in ``dtype``, or None for an all-true mask."""
+        if self._bias is None:
+            return None
+        dtype = np.dtype(dtype)
+        bias = self._bias.get(dtype)
+        if bias is None:
+            dt = dtype.type
+            bias = self._bias[dtype] = np.where(self.mask, dt(0.0), dt(-np.inf))
+        return bias
+
+
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask,
+                     heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention under an [n, m] mask.
 
     ``q`` is [n, d]; ``k`` and ``v`` are [m, d] with ``m >= n`` (a streaming
-    chunk step puts cached keys before its own).  ``mask[i, j] == True`` means
-    query ``i`` may attend key ``j``.  Masked positions receive additive
-    ``-inf`` before the row softmax.  Every row must keep at least one
-    allowed key.
+    chunk step puts cached keys before its own).  The mask was checked when
+    it was built; a call checks only that its shape fits.
     """
     if k.shape != v.shape or q.data.ndim != 2 or k.data.ndim != 2 \
             or q.shape[1] != k.shape[1] or k.shape[0] < q.shape[0]:
@@ -362,49 +429,39 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray, heads: i
     T, d = q.shape
     if d % heads != 0:
         raise ValueError(f"width {d} not divisible by {heads} heads")
-    mask = np.asarray(mask, dtype=bool)
     if mask.shape != (T, k.shape[0]):
         raise ValueError(f"mask shape {mask.shape} != ({T}, {k.shape[0]})")
-    if not mask.any(axis=1).all():
-        raise EmptyAttentionRowError("attention mask has an all-false row")
 
-    dh = d // heads
-    inv_scale = 1.0 / math.sqrt(dh)
-
-    def split(a):
-        # [rows, d] -> [heads, rows, dh]: each head's slice as a strided view,
-        # so every head's product is the same BLAS call a per-head loop makes
-        return a.reshape(a.shape[0], heads, dh).transpose(1, 0, 2)
-
-    def merge(a):
-        return a.transpose(1, 0, 2).reshape(a.shape[1], d)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    inv_scale = 1.0 / math.sqrt(d // heads)
+    qh, kh, vh = (_split_heads(q.data, heads), _split_heads(k.data, heads),
+                  _split_heads(v.data, heads))
     # masked scores get -inf by adding a 0/-inf bias: the same values as
-    # selecting with the mask, at a fraction of the cost
-    dt = q.data.dtype.type
+    # selecting with the mask, at a fraction of the cost.  Without a bias the
+    # scores keep a -0.0 that adding 0 would make +0.0; exp makes both 1.
     attn = qh @ kh.transpose(0, 2, 1)
     attn *= inv_scale
-    attn += np.where(mask, dt(0.0), dt(-np.inf))
+    bias = mask.bias(attn.dtype)
+    if bias is not None:
+        attn += bias
     attn -= attn.max(axis=2, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=2, keepdims=True)
 
-    out, tape = _result((q, k, v), merge(attn @ vh))
+    out, tape = _result((q, k, v), _merge_heads(attn @ vh))
     if tape is not None:
         def bwd():
             g = out.grad
             if g is None:
                 return
-            go = split(g)
+            go = _split_heads(g, heads)
             if v.requires_grad:
-                v.accum_grad(merge(attn.transpose(0, 2, 1) @ go))
+                v.accum_grad(_merge_heads(attn.transpose(0, 2, 1) @ go))
             da = go @ vh.transpose(0, 2, 1)
             ds = attn * (da - (da * attn).sum(axis=2, keepdims=True))
             if q.requires_grad:
-                q.accum_grad(merge((ds @ kh) * inv_scale))
+                q.accum_grad(_merge_heads((ds @ kh) * inv_scale))
             if k.requires_grad:
-                k.accum_grad(merge((ds.transpose(0, 2, 1) @ qh) * inv_scale))
+                k.accum_grad(_merge_heads((ds.transpose(0, 2, 1) @ qh) * inv_scale))
         tape.record("masked_attention", bwd)
     return out
 
@@ -427,21 +484,31 @@ class ConvTaps:
     """Tap table of a gather convolution, as ``contexts.plan_conv_chunks`` gives it.
 
     ``index[j, i]`` is the input row that tap ``j`` of output row ``i`` reads,
-    or -1 for zero.  ``readers`` is the inverse map the input gradient sums
+    or -1 for zero; ``max_index`` is the largest entry, the last input row
+    the table reads.  ``readers`` is the inverse map the input gradient sums
     over: ``readers[m, r]`` is the flat entry ``j * n + i`` of the m-th tap
     that reads input row ``r``, in flat order, or ``k * n`` (a zero entry)
     past the row's last reader.  It is built on the first backward and kept
     with the table.
     """
 
-    __slots__ = ("index", "_readers")
+    __slots__ = ("index", "max_index", "_readers")
 
     def __init__(self, index) -> None:
         index = np.asarray(index)
         if index.ndim != 2:
             raise ValueError("tap table must be [k, rows]")
         self.index = index
+        self.max_index = int(index.max(initial=-1))
         self._readers = None
+
+    @classmethod
+    def full_context(cls, n_in: int, k: int, first: int = 0) -> "ConvTaps":
+        """Zero same-padding over ``n_in`` rows, for output rows ``first..n_in-1``:
+        tap ``j`` of row ``i`` reads row ``i - (k-1)/2 + j`` where one exists."""
+        index = np.arange(k)[:, None] - (k - 1) // 2 + np.arange(first, n_in)
+        index[(index < 0) | (index >= n_in)] = -1
+        return cls(index)
 
     def readers(self, n_in: int) -> np.ndarray:
         if self._readers is None or self._readers.shape[1] != n_in:
@@ -476,7 +543,7 @@ def depthwise_conv1d_windows(x: Tensor, kernel: Tensor, taps: ConvTaps) -> Tenso
     if kernel.data.shape[1] != d:
         raise ValueError(f"kernel channels {kernel.data.shape[1]} != input {d}")
     index = taps.index
-    if index.shape[0] != k or index.max(initial=-1) >= n_in:
+    if index.shape[0] != k or taps.max_index >= n_in:
         raise ValueError(f"tap table {index.shape} does not fit a {k}-tap kernel "
                          f"over {n_in} rows")
 
@@ -515,9 +582,7 @@ def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     T = x.shape[0]
     if k > 2 * T + 1:
         raise ValueError(f"kernel length {k} exceeds 2*T+1 = {2 * T + 1}")
-    index = np.arange(k)[:, None] - (k - 1) // 2 + np.arange(T)
-    index[(index < 0) | (index >= T)] = -1
-    return depthwise_conv1d_windows(x, kernel, ConvTaps(index))
+    return depthwise_conv1d_windows(x, kernel, ConvTaps.full_context(T, k))
 
 
 # ---------------------------------------------------------------------------

@@ -150,8 +150,10 @@ class TestTrainEvalPipeline:
         for r in rows[1:]:
             expected = float(r["chunk_s"]) + float(r["right_s"])
             assert float(r["latency_s"]) == pytest.approx(expected)
+        assert all(float(r["chunk_compute_ms"]) > 0 for r in rows)
         per_utt = list(csv.DictReader(open(out / "eval_utterances.csv")))
         assert len(per_utt) == 4 * 3  # offline + two specs
+        assert all(int(r["chunks"]) >= 1 for r in per_utt)
 
         assert main(["sweep-latency", "--config", str(config), "--checkpoint",
                      str(ckpt), "--budgets", "2,3"]) == 0
@@ -166,6 +168,8 @@ class TestTrainEvalPipeline:
         assert main(["report", "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "evaluation" in text and "sweep" in text
+        report = text[text.index("evaluation"):]
+        assert report.count("chunk_ms=") == len(rows)
 
     def test_eval_reads_heldout_utterances(self, workspace):
         config, out = workspace

@@ -1,6 +1,7 @@
 """Greedy decoding, stateful chunk steps, token error rate."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from unify_rnnt.decoding import (DecodeResult, greedy_decode_offline,
                                  token_error_rate)
 from unify_rnnt.model import (ModelConfig, OFFLINE, StreamState, TransducerModel,
                               streaming_mode)
+
+Utt = namedtuple("Utt", "id features tokens")
 
 CFG = ModelConfig(feat_dim=4, model_dim=8, heads=2, blocks=1, conv_kernel=3,
                   subsample_factor=2, vocab_size=5, predictor_dim=4, joint_dim=4,
@@ -69,6 +72,24 @@ class TestGreedyStreaming:
         res = greedy_decode_streaming(model, feats, spec, frame_ms=40.0)
         assert res.steps == 3
         assert res.worst_case_latency_s == pytest.approx(latency_of(spec, 40.0))
+
+    def test_each_chunk_records_its_compute_time(self, rng, monkeypatch):
+        from unify_rnnt import decoding
+        clock = iter(range(100))
+        monkeypatch.setattr(decoding, "perf_counter", lambda: next(clock) / 1e3)
+        model = TransducerModel(CFG)
+        feats = rng.standard_normal((12, 4))  # T = 6 encoder frames
+        res = greedy_decode_streaming(model, feats, ContextSpec(2, 2, 1), frame_ms=40.0)
+        # one perf_counter pair per chunk, 1 ms apart on the fake clock
+        assert res.chunk_ms == pytest.approx([1.0] * res.steps) and res.steps == 3
+        assert greedy_decode_offline(model, feats).chunk_ms == pytest.approx([1.0])
+        rows = decoding.evaluate_utterances(
+            model, [Utt("a", feats, [1, 2]), Utt("b", feats[:6], [1])],
+            streaming_mode(ContextSpec(2, 2, 1)), 40.0)
+        assert [r["chunks"] for r in rows] == [3, 2]
+        assert [r["chunk_compute_ms"] for r in rows] == pytest.approx([1.0, 1.0])
+        assert decoding.mean_chunk_ms(rows) == pytest.approx(1.0)
+        assert decoding.mean_chunk_ms([]) == 0.0
 
     def test_full_context_matches_offline_tokens(self, rng):
         model = TransducerModel(CFG)
@@ -153,7 +174,30 @@ class TestContextCache:
         steps = [key for key in model._context_cache if key[0] == "step"]
         n = spec.chunk + spec.right
         assert 0 < len(steps) <= (spec.left + 1) * (h + 1) * n
-        assert len(model._context_cache) <= len(steps) + spec.left + h + 2 * n
+        # a step builds its all-true mask and its taps directly, and caches no
+        # full-context layout
+        assert len(model._context_cache) == len(steps)
+
+    def test_streaming_specs_build_no_mask_or_plan(self, rng, monkeypatch):
+        from unify_rnnt import model as model_module
+        built = []
+        for name in ("build_attention_mask", "plan_conv_chunks"):
+            original = getattr(model_module, name)
+
+            def wrapped(*args, _original=original, _name=name):
+                built.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(model_module, name, wrapped)
+        model = TransducerModel(CFG)
+        feats = [rng.standard_normal((int(rng.integers(6, 40)), 4)) for _ in range(4)]
+        for spec in (ContextSpec(3, 1, 0), ContextSpec(3, 2, 2)):
+            for f in feats:
+                greedy_decode_streaming(model, f, spec, frame_ms=40.0)
+        assert built == []
+        # offline decoding builds the layout of a length once
+        greedy_decode_offline(model, feats[0])
+        greedy_decode_offline(model, feats[0])
+        assert built == ["build_attention_mask", "plan_conv_chunks"]
 
 
 class TestTokenErrorRate:

@@ -18,6 +18,10 @@ from unify_rnnt.training import (AdamW, ModeWeights, TrainConfig, train_step_dm,
                                  train_step_sm)
 
 
+def attention(q, k, v, mask, heads=2):
+    return tz.masked_attention(q, k, v, tz.AttentionMask(mask), heads=heads)
+
+
 class TestMaskedAttention:
     def _qkv(self, rng, T=5, d=8):
         return (tz.constant(rng.standard_normal((T, d))),
@@ -26,12 +30,12 @@ class TestMaskedAttention:
 
     def test_identity_mask_returns_values(self, rng):
         q, k, v = self._qkv(rng)
-        out = tz.masked_attention(q, k, v, np.eye(5, dtype=bool), heads=2)
+        out = attention(q, k, v, np.eye(5, dtype=bool))
         np.testing.assert_allclose(out.data, v.data, atol=1e-12)
 
     def test_all_true_equals_unmasked(self, rng):
         q, k, v = self._qkv(rng)
-        full = tz.masked_attention(q, k, v, np.ones((5, 5), bool), heads=2).data
+        full = attention(q, k, v, np.ones((5, 5), bool)).data
         # unmasked reference computed directly
         d_h = 4
         ref = np.empty_like(full)
@@ -43,24 +47,59 @@ class TestMaskedAttention:
             ref[:, sl] = a @ v.data[:, sl]
         np.testing.assert_allclose(full, ref, atol=1e-12)
 
-    def test_empty_row_rejected(self, rng):
-        q, k, v = self._qkv(rng)
+    def test_empty_row_rejected(self):
         mask = np.ones((5, 5), bool)
         mask[3] = False
         with pytest.raises(EmptyAttentionRowError):
-            tz.masked_attention(q, k, v, mask, heads=2)
+            tz.AttentionMask(mask)
+        with pytest.raises(ValueError):
+            tz.AttentionMask(np.ones(5, bool))
+
+    def test_shape_checked_per_call(self, rng):
+        q, k, v = self._qkv(rng)
+        mask = tz.AttentionMask(np.ones((5, 5), bool))
+        tz.masked_attention(q, k, v, mask, heads=2)
+        with pytest.raises(ValueError, match="mask shape"):
+            tz.masked_attention(tz.constant(q.data[:4]), k, v, mask, heads=2)
+
+    @pytest.mark.parametrize("dt", [np.float32, np.float64])
+    @pytest.mark.parametrize("all_true", [False, True])
+    def test_cached_bias_equals_a_fresh_where_bias(self, rng, monkeypatch, dt, all_true):
+        # the cached bias, or none for an all-true mask, gives the forward and
+        # every gradient of adding np.where(mask, 0, -inf) on every call
+        n, m, d = 4, 7, 8
+        bits = np.ones((n, m), bool) if all_true else rng.random((n, m)) < 0.5
+        bits[:, -1] = True
+        arrs = [rng.standard_normal(s).astype(dt) for s in ((n, d), (m, d), (m, d))]
+        g = rng.standard_normal((n, d)).astype(dt)
+        mask = tz.AttentionMask(bits)
+        assert (mask.bias(dt) is None) == all_true
+
+        def run():
+            q, k, v = (tz.parameter(a.copy()) for a in arrs)
+            with tz.Tape() as tape:
+                out = tz.masked_attention(q, k, v, mask, heads=2)
+                tape.backward(out, g)
+            return [t.tobytes() for t in (out.data, q.grad, k.grad, v.grad)]
+
+        cached = [run(), run()]
+
+        def where_bias(self, dtype):
+            dt_ = np.dtype(dtype).type
+            return np.where(self.mask, dt_(0.0), dt_(-np.inf))
+        monkeypatch.setattr(tz.AttentionMask, "bias", where_bias)
+        assert cached[0] == cached[1] == run()
 
     def test_cached_keys_before_the_queries(self, rng):
         # a chunk step's queries see cached keys first: the same rows as the
         # last queries of one longer all-true attention
         q, k, v = self._qkv(rng, T=7)
-        full = tz.masked_attention(q, k, v, np.ones((7, 7), bool), heads=2).data
-        tail = tz.masked_attention(tz.constant(q.data[4:]), k, v, np.ones((3, 7), bool),
-                                   heads=2).data
+        full = attention(q, k, v, np.ones((7, 7), bool)).data
+        tail = attention(tz.constant(q.data[4:]), k, v, np.ones((3, 7), bool)).data
         np.testing.assert_allclose(tail, full[4:], atol=1e-12)
         with pytest.raises(ValueError):
-            tz.masked_attention(q, tz.constant(k.data[:3]), tz.constant(v.data[:3]),
-                                np.ones((7, 3), bool), heads=2)
+            attention(q, tz.constant(k.data[:3]), tz.constant(v.data[:3]),
+                      np.ones((7, 3), bool))
 
     def test_gradient_with_more_keys_than_queries(self, rng):
         n, m, d = 3, 6, 8
@@ -71,13 +110,13 @@ class TestMaskedAttention:
         w = rng.standard_normal((n, d))
         tensors = {name: tz.parameter(a.copy()) for name, a in arrs.items()}
         with tz.Tape() as tape:
-            out = tz.masked_attention(tensors["q"], tensors["k"], tensors["v"], mask, heads=2)
+            out = attention(tensors["q"], tensors["k"], tensors["v"], mask)
             tape.backward(out, w)
         for name in arrs:
             def f(x, name=name):
                 vals = {nm: tz.constant(x if nm == name else a) for nm, a in arrs.items()}
-                return float((tz.masked_attention(vals["q"], vals["k"], vals["v"], mask,
-                                                  heads=2).data * w).sum())
+                return float((attention(vals["q"], vals["k"], vals["v"], mask).data
+                              * w).sum())
             fd = finite_difference_grad(f, arrs[name].copy())
             assert max_rel_error(tensors[name].grad, fd) <= 1e-6, name
 
@@ -91,14 +130,14 @@ class TestMaskedAttention:
         def f_for(name):
             def f(x):
                 vals = {n: (x if n == name else arrs[n]) for n in arrs}
-                out = tz.masked_attention(tz.constant(vals["q"]), tz.constant(vals["k"]),
-                                          tz.constant(vals["v"]), mask, heads=2)
+                out = attention(tz.constant(vals["q"]), tz.constant(vals["k"]),
+                                tz.constant(vals["v"]), mask)
                 return float((out.data * w).sum())
             return f
 
         tensors = {n: tz.parameter(arrs[n].copy()) for n in arrs}
         with tz.Tape() as tape:
-            out = tz.masked_attention(tensors["q"], tensors["k"], tensors["v"], mask, heads=2)
+            out = attention(tensors["q"], tensors["k"], tensors["v"], mask)
             tape.backward(out, w)
         for name in arrs:
             fd = finite_difference_grad(f_for(name), arrs[name].copy())
@@ -243,6 +282,23 @@ class TestChunkedConv:
         step = tz.depthwise_conv1d_windows(tz.constant(x), tz.constant(kernel), taps)
         np.testing.assert_array_equal(step.data, whole[2:])
 
+    def test_full_context_taps_are_the_whole_sequence_columns(self):
+        for n_in, k, first in ((7, 5, 0), (7, 5, 2), (3, 9, 1), (1, 3, 0)):
+            taps = tz.ConvTaps.full_context(n_in, k, first)
+            want = plan_conv_chunks(n_in, ContextSpec(n_in, n_in, 0), k)[:, first:]
+            np.testing.assert_array_equal(taps.index, want)
+            assert taps.max_index == want.max(initial=-1)
+
+    def test_out_of_range_table_raises(self, rng):
+        # the largest index is read once, when the table is built
+        taps = tz.ConvTaps(np.array([[0, 1, 4], [-1, 0, 1], [1, 2, -1]]))
+        assert taps.max_index == 4
+        kernel = tz.constant(rng.standard_normal((3, 2)))
+        tz.depthwise_conv1d_windows(tz.constant(rng.standard_normal((5, 2))), kernel, taps)
+        with pytest.raises(ValueError, match="does not fit"):
+            tz.depthwise_conv1d_windows(tz.constant(rng.standard_normal((4, 2))), kernel,
+                                        taps)
+
     def test_table_must_fit_input(self, rng):
         taps = tz.ConvTaps(plan_conv_chunks(6, ContextSpec(0, 2, 1), 3))
         n = taps.index.shape[1]
@@ -283,6 +339,25 @@ class TestTapeMechanics:
             b = tz.matmul(tz.constant(np.array([[5.0]])), w)
             tape.backward(tz.add(a, b))
         np.testing.assert_allclose(w.grad, [[8.0]])
+
+    def test_first_gradient_write_is_a_copy(self):
+        # add hands one gradient array to both inputs: the first write must
+        # not store it, or the second would add into it and into out.grad
+        x = tz.parameter(np.array([1.0, -2.0], dtype=np.float32))
+        with tz.Tape() as tape:
+            out = tz.add(x, x)
+            tape.backward(out, np.ones(2, dtype=np.float32))
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+        np.testing.assert_array_equal(out.grad, [1.0, 1.0])
+        assert x.grad.dtype == np.float32
+
+    def test_scalar_seed_fills_the_output_shape(self):
+        x = tz.parameter(np.arange(3.0))
+        with tz.Tape() as tape:
+            out = tz.relu(x)
+            tape.backward(out)
+        np.testing.assert_array_equal(out.grad, [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(x.grad, [0.0, 1.0, 1.0])
 
     def test_residual_add_keeps_the_shorter_rows(self, rng):
         a0, b0 = rng.standard_normal((5, 3)), rng.standard_normal((2, 3))
