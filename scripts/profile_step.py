@@ -5,13 +5,14 @@
     python scripts/profile_step.py stream --spec 12,1,0 --n 500 --seed 0
 
 ``train`` runs ``n`` dual-mode steps with the consistency loss
-(``train_step_dm``) at ``experiments.toy_setup()``.  ``stream`` runs ``n``
-encoder chunk steps at the spec ``L,C,R`` over eval utterances, one
-``StreamState`` per utterance, as greedy streaming decoding calls them.  The
+(``train_step_dm``) at ``experiments.toy_setup()``.  ``stream`` decodes eval
+utterances with ``decoding.greedy_decode_streaming`` at the spec ``L,C,R``
+until their chunk steps sum to at least ``n``, so the profile holds each
+chunk's encoder step and its greedy loop as a real decode pays them.  The
 model, the utterances and the training rng all derive from ``--seed``, so a
 profile can be reproduced; only its timings vary.  The whole run is profiled
-with cProfile and the ``--top`` entries with the largest self time
-(``tottime``) are printed.
+with cProfile and the 25 entries with the largest self time (``tottime``)
+are printed.
 """
 
 from __future__ import annotations
@@ -28,8 +29,11 @@ import numpy as np
 from unify_rnnt import experiments
 from unify_rnnt.contexts import ContextSpec
 from unify_rnnt.corpus import generate_utterances
-from unify_rnnt.model import StreamState, TransducerModel, streaming_mode
+from unify_rnnt.decoding import greedy_decode_streaming
+from unify_rnnt.model import TransducerModel
 from unify_rnnt.training import AdamW, train_step_dm
+
+TOP = 25
 
 
 def train_steps(setup, seed: int, n: int):
@@ -47,25 +51,19 @@ def train_steps(setup, seed: int, n: int):
     return run
 
 
-def chunk_steps(setup, seed: int, n: int, spec: ContextSpec):
-    """A closure running ``n`` encoder chunk steps at ``spec``."""
+def stream_decodes(setup, seed: int, n: int, spec: ContextSpec):
+    """A closure decoding whole utterances at ``spec`` until ``n`` chunk
+    steps are done; it returns the chunk steps and utterances decoded."""
     model = TransducerModel(replace(setup.model, seed=seed))
     utts = generate_utterances(replace(setup.eval_corpus, seed=seed), 64)
-    mode = streaming_mode(spec)
-    q = model.cfg.subsample_factor
 
-    def run() -> None:
-        done = 0
-        while done < n:
-            for utt in utts:
-                total = model.encoded_length(utt.features.shape[0])
-                state = StreamState()
-                for s in range(0, total, spec.chunk):
-                    if done == n:
-                        return
-                    end = min(total, s + spec.chunk + spec.right)
-                    model.encode(utt.features[s * q:end * q], mode, state)
-                    done += 1
+    def run() -> tuple[int, int]:
+        steps = decoded = 0
+        while steps < n:
+            utt = utts[decoded % len(utts)]
+            steps += greedy_decode_streaming(model, utt.features, spec, setup.frame_ms).steps
+            decoded += 1
+        return steps, decoded
     return run
 
 
@@ -81,29 +79,28 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("what", choices=("train", "stream"))
     parser.add_argument("--n", type=int, default=None,
-                        help="steps to profile (default: 20 train steps, 500 chunk steps)")
+                        help="steps to profile (default: 20 train steps, at least 500 chunk steps)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--spec", type=parse_spec, default=ContextSpec(12, 1, 0),
                         help="L,C,R of the chunk steps (default 12,1,0)")
-    parser.add_argument("--top", type=int, default=25)
     args = parser.parse_args(argv)
 
     setup = experiments.toy_setup()
+    profile = cProfile.Profile()
     if args.what == "train":
         n = 20 if args.n is None else args.n
-        run = train_steps(setup, args.seed, n)
+        profile.runcall(train_steps(setup, args.seed, n))
         title = f"{n} train_step_dm calls, seed {args.seed}"
     else:
         n = 500 if args.n is None else args.n
-        run = chunk_steps(setup, args.seed, n, args.spec)
+        steps, decoded = profile.runcall(stream_decodes(setup, args.seed, n, args.spec))
         s = args.spec
-        title = f"{n} chunk steps at L={s.left} C={s.chunk} R={s.right}, seed {args.seed}"
+        title = (f"{steps} chunk steps in {decoded} streaming decodes at "
+                 f"L={s.left} C={s.chunk} R={s.right}, seed {args.seed}")
 
-    profile = cProfile.Profile()
-    profile.runcall(run)
     out = io.StringIO()
     stats = pstats.Stats(profile, stream=out)
-    stats.sort_stats("tottime").print_stats(args.top)
+    stats.sort_stats("tottime").print_stats(TOP)
     print(title)
     print(out.getvalue().strip())
     return 0

@@ -137,7 +137,12 @@ def parameter(data, dtype=None) -> Tensor:
 
 
 def _result(inputs: tuple, data: np.ndarray) -> tuple[Tensor, Tape | None]:
-    """Wrap the array an op has just made, without ``Tensor``'s ``np.asarray``."""
+    """Wrap the array an op has just made, without ``Tensor``'s ``np.asarray``.
+
+    ``data`` is kept as the op made it.  The ops are called on arrays of at
+    least one axis, so it is an ndarray; a ufunc on 0-d inputs would leave a
+    numpy scalar here.
+    """
     if data.dtype not in _FLOAT_DTYPES:
         data = data.astype(np.float64)
     out = Tensor.__new__(Tensor)
@@ -216,7 +221,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Fused ``x @ w (+ b)`` to keep tapes short."""
+    """Fused ``x @ w (+ b)`` to keep tapes short.
+
+    The bias is added in place into the product, so ``b`` has the product's
+    dtype and broadcasts to its shape without enlarging it.
+    """
     data = x.data @ w.data
     if b is not None:
         data += b.data
@@ -385,12 +394,13 @@ class AttentionMask:
 
     ``mask[i, j] == True`` means query ``i`` may attend key ``j``.  Every row
     must keep at least one key.  Masked positions receive ``-inf`` before the
-    row softmax, as a 0/-inf bias built on first use per dtype and kept; an
-    all-true mask has no bias and :func:`masked_attention` adds nothing.  A
-    layout builds its mask once and every call that uses it shares it.
+    row softmax, as a 0/-inf bias built on first use and kept; an all-true
+    mask has no bias and :func:`masked_attention` adds nothing.  A layout
+    builds its mask once and every call that uses it shares it.  A model
+    calls it in one dtype; a call in another gets a fresh bias, not kept.
     """
 
-    __slots__ = ("mask", "shape", "_bias")
+    __slots__ = ("mask", "shape", "all_true", "_bias")
 
     def __init__(self, mask) -> None:
         mask = np.asarray(mask, dtype=bool)
@@ -400,17 +410,20 @@ class AttentionMask:
             raise EmptyAttentionRowError("attention mask has an all-false row")
         self.mask = mask
         self.shape = mask.shape
-        self._bias = None if mask.all() else {}
+        self.all_true = bool(mask.all())
+        self._bias = None
 
     def bias(self, dtype) -> np.ndarray | None:
         """The 0/-inf bias in ``dtype``, or None for an all-true mask."""
-        if self._bias is None:
+        if self.all_true:
             return None
-        dtype = np.dtype(dtype)
-        bias = self._bias.get(dtype)
-        if bias is None:
-            dt = dtype.type
-            bias = self._bias[dtype] = np.where(self.mask, dt(0.0), dt(-np.inf))
+        bias = self._bias
+        if bias is None or bias.dtype != dtype:
+            dt = np.dtype(dtype).type
+            fresh = np.where(self.mask, dt(0.0), dt(-np.inf))
+            if bias is None:
+                self._bias = fresh
+            bias = fresh
         return bias
 
 

@@ -90,6 +90,14 @@ class TestMaskedAttention:
         monkeypatch.setattr(tz.AttentionMask, "bias", where_bias)
         assert cached[0] == cached[1] == run()
 
+    def test_bias_kept_in_its_first_dtype_only(self):
+        mask = tz.AttentionMask(np.tri(3, dtype=bool))
+        first = mask.bias(np.float32)
+        other = mask.bias(np.float64)
+        assert other.dtype == np.float64 and other.tobytes() == first.astype(np.float64).tobytes()
+        assert mask.bias(np.float32) is first
+        assert mask.bias(np.float64) is not other
+
     def test_cached_keys_before_the_queries(self, rng):
         # a chunk step's queries see cached keys first: the same rows as the
         # last queries of one longer all-true attention
