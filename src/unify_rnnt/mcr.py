@@ -19,12 +19,17 @@ respect to the streaming and offline logits are
 where the second terms, which differentiate the teacher side of each KL,
 are added only with ``full_grad``; by default the teacher is a constant.
 
-The fused path never materializes a [T, U+1, V] buffer: one tile routine
-gives p, q and d for a block of cells through fixed scratch blocks, from the
-raw logits.  The forward reduces its output to the loss; the backward to
-per-cell KLs (only with ``full_grad``), then to gradients.  A naive
-materialized oracle, written per teacher and student, is the specification,
-and a memory probe measures both paths under the instrumented allocator.
+The fused path never materializes a [T, U+1, V] buffer.  Per utterance,
+one pass over the vocabulary tiles gives both modes' per-cell logsumexps;
+a tile sweep then gives p, q and d for a block of cells through fixed
+scratch blocks, from the raw logits, copied from frame-aligned views of the
+lattices.  ``mcr_backward`` reduces each tile to its share of the loss and
+to gradients in that one sweep (``full_grad`` adds a first sweep that sums
+the per-cell KLs, and takes the loss there); ``mcr_loss`` is
+``mcr_backward`` with seed 1, and ``mcr_forward`` is the loss-only sweep,
+bit-identical in its loss.  A naive materialized oracle, written per
+teacher and student, is the specification, and a memory probe measures both
+paths under the instrumented allocator.
 
 Normalization: per-utterance sums are divided by the count of valid (t, u)
 cells, then averaged over the batch.  Cell iteration order is fixed
@@ -35,12 +40,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import ModeShapeMismatchError, NonFiniteInputError
-from .memtrack import MemoryMeter, scratch_empty, scratch_full, scratch_zeros
+from .memtrack import MemoryMeter, scratch_empty, scratch_zeros
 from .rnnt_loss import JointLogits
 
 KL_WEIGHTS = {"offline_teacher": (1.0, 0.0),
@@ -96,95 +100,131 @@ def _validate_pair(z_off: JointLogits, z_str: JointLogits) -> None:
         raise ModeShapeMismatchError("blank ids differ between modes")
 
 
-def _valid_rows(t_len: int, u_len: int, U1: int) -> np.ndarray:
-    t_idx = np.repeat(np.arange(t_len, dtype=np.int64), u_len + 1)
-    u_idx = np.tile(np.arange(u_len + 1, dtype=np.int64), t_len)
-    return t_idx * U1 + u_idx
+def _frame_runs(c0: int, c1: int, u1: int) -> tuple:
+    """Cells ``[c0, c1)`` of a lattice with ``u1`` valid label rows, as runs.
+
+    Cell ``c`` is ``(t, u) = divmod(c, u1)``.  A run is ``(rows, shape,
+    frames, labels)``: block rows ``rows`` hold ``z[frames, labels]``, which
+    is whole frames or part of one frame, and ``shape`` views them as
+    ``[frames, labels, width]``.
+    """
+    runs = []
+    c = c0
+    while c < c1:
+        t, u = divmod(c, u1)
+        if u or c1 - c < u1:
+            nt, nu = 1, min(u1 - u, c1 - c)
+        else:
+            nt, nu = (c1 - c) // u1, u1
+        rows = slice(c - c0, c - c0 + nt * nu)
+        runs.append((rows, (nt, nu, -1), slice(t, t + nt), slice(u, u + nu)))
+        c = c0 + rows.stop
+    return tuple(runs)
 
 
 class _TileKernel:
-    """Four scratch blocks and the tile passes over one lattice pair's cells.
+    """Scratch blocks and the tile passes over one lattice pair's valid cells.
 
-    Scratch lives in flat buffers reshaped per tile so every working view is
-    contiguous; in-place ufuncs on strided views of reused buffers are not
-    reliable on all numpy builds.
+    ``load`` takes one utterance: its valid cells (t-major, then u) are cut
+    into blocks of ``_CELL_BLOCK`` cells, each a few runs of frames, and both
+    modes' per-cell logsumexps are computed in one pass over the tiles.  A
+    tile is copied from frame-aligned views of the two lattices into one
+    ``[2, cells, width]`` block (offline, streaming).  Every working array,
+    a block's logsumexps included, is a contiguous view of a scratch buffer
+    the meter counts, and no copy makes a temporary; in-place ufuncs on
+    strided views of reused buffers are not reliable on all numpy builds.
     """
 
     def __init__(self, V: int, tile: int, dtype, n_max: int) -> None:
-        self.V = V
-        self.tw = min(tile, V)
-        size = min(_CELL_BLOCK, max(1, n_max)) * self.tw
-        self.bp, self.bq, self.bd, self.bx = (scratch_empty((size,), dtype)
-                                              for _ in range(4))
+        tw = min(tile, V)
+        self.cols = [slice(v0, min(v0 + tw, V)) for v0 in range(0, V, tw)]
+        size = min(_CELL_BLOCK, max(1, n_max)) * tw
+        # [p | q] and [d | x], each viewed as one [2, cells, width] block
+        self.bpq, self.bdx = (scratch_empty((2 * size,), dtype) for _ in range(2))
+        # per block of cells [c0, c1): both modes' logsumexps at [2·c0, 2·c1)
+        self.lse = scratch_empty((2 * max(1, n_max),), dtype)
 
-    def _blocks(self, rows: np.ndarray):
-        """(block rows, cells, cols): cell blocks in order, vocabulary tiles
-        in each; ``cells`` slices the block out of ``rows``."""
-        for c0 in range(0, rows.size, _CELL_BLOCK):
-            cells = slice(c0, min(c0 + _CELL_BLOCK, rows.size))
-            rblk = rows[cells]
-            for v0 in range(0, self.V, self.tw):
-                yield rblk, cells, slice(v0, min(v0 + self.tw, self.V))
+    def load(self, zo3: np.ndarray, zs3: np.ndarray, t_len: int, u_len: int) -> int:
+        """Take one utterance's [T, U+1, V] lattices; return its valid cells.
+
+        ``blocks`` then holds ``(cells, runs, lse)`` per block of cells, with
+        ``lse`` the block's [2, cells, 1] logsumexps.
+        """
+        u1 = u_len + 1
+        n = t_len * u1
+        self.z = (zo3, zs3)
+        self.blocks = []
+        for c0 in range(0, n, _CELL_BLOCK):
+            c1 = min(c0 + _CELL_BLOCK, n)
+            self.blocks.append((slice(c0, c1), _frame_runs(c0, c1, u1),
+                                self.lse[2 * c0:2 * c1].reshape(2, c1 - c0, 1)))
+        self._logsumexp()
+        return n
+
+    def _gather(self, runs, n: int, cols: slice) -> np.ndarray:
+        pair = self.bpq[:2 * n * (cols.stop - cols.start)].reshape(2, n, -1)
+        for z, dst in zip(self.z, pair):
+            for rows, shape, frames, labels in runs:
+                np.copyto(dst[rows].reshape(shape), z[frames, labels, cols])
+        return pair
 
     @staticmethod
-    def _view(buf: np.ndarray, n: int, width: int) -> np.ndarray:
-        return buf[:n * width].reshape(n, width)
+    def scatter(g3: np.ndarray, runs, cols: slice, src: np.ndarray) -> None:
+        """Write a tile of a block's cell rows into a [T, U+1, V] gradient."""
+        for rows, shape, frames, labels in runs:
+            np.copyto(g3[frames, labels, cols], src[rows].reshape(shape))
 
-    def _gather(self, z2: np.ndarray, rows: np.ndarray, cols: slice,
-                buf: np.ndarray) -> np.ndarray:
-        bv = self._view(buf, rows.size, cols.stop - cols.start)
-        np.take(z2[:, cols], rows, axis=0, out=bv)
-        return bv
+    def _logsumexp(self) -> None:
+        """Each block's logsumexps, with running-max rescaling over the tiles."""
+        for cells, runs, m in self.blocks:
+            n = cells.stop - cells.start
+            s = self.bdx[:2 * n].reshape(2, n, 1)
+            m.fill(-np.inf)
+            s.fill(0.0)
+            for cols in self.cols:
+                pair = self._gather(runs, n, cols)
+                if not np.isfinite(pair).all():
+                    raise NonFiniteInputError("joint logits contain non-finite values")
+                new_max = np.maximum(m, pair.max(axis=2, keepdims=True))
+                np.subtract(pair, new_max, out=pair)
+                np.exp(pair, out=pair)
+                s *= np.exp(m - new_max)
+                s += pair.sum(axis=2, keepdims=True)
+                m[:] = new_max
+            np.log(s, out=s)
+            m += s
 
-    def lse(self, z2: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Streaming per-row logsumexp with running-max rescaling, as a column."""
-        m = scratch_full((rows.size, 1), -np.inf, z2.dtype)
-        s = scratch_zeros((rows.size, 1), z2.dtype)
-        for rblk, cells, cols in self._blocks(rows):
-            bv = self._gather(z2, rblk, cols, self.bx)
-            if not np.isfinite(bv).all():
-                raise NonFiniteInputError("joint logits contain non-finite values")
-            mb, sb = m[cells], s[cells]
-            new_max = np.maximum(mb, bv.max(axis=1, keepdims=True))
-            np.subtract(bv, new_max, out=bv)
-            np.exp(bv, out=bv)
-            sb *= np.exp(mb - new_max)
-            sb += bv.sum(axis=1, keepdims=True)
-            mb[:] = new_max
-        np.log(s, out=s)
-        m += s
-        return m
-
-    def tiles(self, zo2, zs2, rows, lse_off, lse_str):
-        """(cells, cols, p, q, d, x) per tile: p and q are the offline and
-        streaming softmaxes, d = log p − log q, and x is a spare block of the
-        same shape.  The caller may overwrite all four."""
-        for rblk, cells, cols in self._blocks(rows):
-            p = self._gather(zo2, rblk, cols, self.bp)
-            q = self._gather(zs2, rblk, cols, self.bq)
-            np.subtract(p, lse_off[cells], out=p)
-            np.subtract(q, lse_str[cells], out=q)
-            d = self._view(self.bd, *p.shape)
-            np.subtract(p, q, out=d)
-            np.exp(p, out=p)
-            np.exp(q, out=q)
-            yield cells, cols, p, q, d, self._view(self.bx, *p.shape)
+    def tiles(self):
+        """(cells, runs, cols, p, q, d, x) per tile of the loaded utterance: p
+        and q are the offline and streaming softmaxes, d = log p − log q, and
+        x is a spare block of the same shape.  The caller may overwrite all
+        four."""
+        for cells, runs, lse in self.blocks:
+            n = cells.stop - cells.start
+            for cols in self.cols:
+                pair = self._gather(runs, n, cols)
+                np.subtract(pair, lse, out=pair)
+                p, q = pair
+                d, x = self.bdx[:pair.size].reshape(pair.shape)
+                np.subtract(p, q, out=d)
+                np.exp(pair, out=pair)
+                yield cells, runs, cols, p, q, d, x
 
 
 def _utterances(z_off: JointLogits, z_str: JointLogits, tile: int):
-    """(index, valid rows, tile pass) per utterance; each call of the tile
-    pass restarts ``_TileKernel.tiles`` on the utterance's logsumexps."""
+    """(index, valid cells, kernel) per utterance, the kernel loaded with it."""
     _validate_pair(z_off, z_str)
-    _B, _T, U1, V = z_off.z.shape
+    V = z_off.z.shape[-1]
     n_max = int((z_off.t_len * (z_off.u_len + 1)).max())
     kernel = _TileKernel(V, tile, z_off.z.dtype, n_max)
     for i in range(z_off.batch_size):
-        rows = _valid_rows(int(z_off.t_len[i]), int(z_off.u_len[i]), U1)
-        zo2 = z_off.z[i].reshape(-1, V)
-        zs2 = z_str.z[i].reshape(-1, V)
-        lse_off = kernel.lse(zo2, rows)
-        lse_str = kernel.lse(zs2, rows)
-        yield i, rows, partial(kernel.tiles, zo2, zs2, rows, lse_off, lse_str)
+        n = kernel.load(z_off.z[i], z_str.z[i], int(z_off.t_len[i]), int(z_off.u_len[i]))
+        yield i, n, kernel
+
+
+def _kl_term(a: float, b: float, p, q, d) -> float:
+    """One tile's share of ``a·KL(p‖q) + b·KL(q‖p)``."""
+    return a * float(np.vdot(p, d)) - b * float(np.vdot(q, d))
 
 
 def mcr_forward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> tuple[float, int]:
@@ -192,67 +232,74 @@ def mcr_forward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> tuple
     a, b = KL_WEIGHTS[cfg.direction]
     total = 0.0
     cells = 0
-    for _i, rows, tiles in _utterances(z_off, z_str, cfg.tile):
+    for _i, n, kernel in _utterances(z_off, z_str, cfg.tile):
         acc = 0.0
-        for _cells, _cols, p, q, d, _x in tiles():
-            acc += a * float(np.vdot(p, d)) - b * float(np.vdot(q, d))
-        total += acc / rows.size
-        cells += rows.size
+        for _rows, _runs, _cols, p, q, d, _x in kernel.tiles():
+            acc += _kl_term(a, b, p, q, d)
+        total += acc / n
+        cells += n
     return total / z_off.batch_size, cells
 
 
 def mcr_backward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig,
-                 seed: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the batch-reduced loss, recomputed from raw logits."""
+                 seed: float = 1.0) -> MCRResult:
+    """Loss and ``seed``-scaled gradients of the batch-reduced loss, from one
+    tile sweep per utterance (two with ``full_grad``, whose first sweep sums
+    the per-cell KLs); the loss is ``mcr_forward``'s, bit for bit."""
     a, b = KL_WEIGHTS[cfg.direction]
-    B, V = z_off.batch_size, z_off.z.shape[-1]
+    B = z_off.batch_size
     grad_off = np.zeros_like(z_off.z)
     grad_str = np.zeros_like(z_str.z)
-    for i, rows, tiles in _utterances(z_off, z_str, cfg.tile):
-        w = seed / (rows.size * B)
+    total = 0.0
+    cells = 0
+    for i, n, kernel in _utterances(z_off, z_str, cfg.tile):
+        w = seed / (n * B)
         ws, wo = a * w, -b * w          # scales of q − p in g_str and g_off
-        g_off2 = grad_off[i].reshape(-1, V)
-        g_str2 = grad_str[i].reshape(-1, V)
+        g_off3, g_str3 = grad_off[i], grad_str[i]
+        acc = 0.0
         if cfg.full_grad:
-            kl_pq = scratch_zeros((rows.size, 1), z_off.z.dtype)
-            kl_sum = scratch_zeros((rows.size, 1), z_off.z.dtype)
-            for cells, _cols, p, q, d, _x in tiles():
+            kl_pq = scratch_zeros((n, 1), z_off.z.dtype)
+            kl_sum = scratch_zeros((n, 1), z_off.z.dtype)
+            for rows, _runs, _cols, p, q, d, _x in kernel.tiles():
+                acc += _kl_term(a, b, p, q, d)
                 np.multiply(p, d, out=p)
                 np.multiply(q, d, out=q)
-                kl_pq[cells] += p.sum(axis=1, keepdims=True)
-                kl_sum[cells] -= q.sum(axis=1, keepdims=True)
+                kl_pq[rows] += p.sum(axis=1, keepdims=True)
+                kl_sum[rows] -= q.sum(axis=1, keepdims=True)
             kl_sum += kl_pq                 # KL(p‖q) + KL(q‖p)
-        for cells, cols, p, q, d, x in tiles():
-            r = rows[cells]
-            np.subtract(q, p, out=x)
-            if cfg.full_grad:
-                np.subtract(d, kl_pq[cells], out=d)
+            for rows, runs, cols, p, q, d, x in kernel.tiles():
+                np.subtract(q, p, out=x)
+                np.subtract(d, kl_pq[rows], out=d)
                 np.multiply(p, d, out=p)    # p·(d − KL(p‖q))
-                np.add(d, kl_sum[cells], out=d)
+                np.add(d, kl_sum[rows], out=d)
                 np.multiply(q, d, out=q)    # q·(d + KL(q‖p))
                 np.multiply(x, ws, out=d)
                 np.multiply(q, wo, out=q)
                 np.add(d, q, out=d)
-                g_str2[r, cols] = d
+                kernel.scatter(g_str3, runs, cols, d)
                 np.multiply(p, ws, out=p)
                 np.multiply(x, wo, out=x)
                 np.add(x, p, out=x)
-                g_off2[r, cols] = x
-            else:
+                kernel.scatter(g_off3, runs, cols, x)
+            del kl_pq, kl_sum
+        else:
+            for _rows, runs, cols, p, q, d, x in kernel.tiles():
+                acc += _kl_term(a, b, p, q, d)
+                np.subtract(q, p, out=x)
                 if a:
                     np.multiply(x, ws, out=d)
-                    g_str2[r, cols] = d
+                    kernel.scatter(g_str3, runs, cols, d)
                 if b:
                     np.multiply(x, wo, out=x)
-                    g_off2[r, cols] = x
-    return grad_off, grad_str
+                    kernel.scatter(g_off3, runs, cols, x)
+        total += acc / n
+        cells += n
+    return MCRResult(total / B, grad_off, grad_str, cells)
 
 
 def mcr_loss(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> MCRResult:
     """Tiled full-joint consistency loss with gradients for both modes."""
-    loss, cells = mcr_forward(z_off, z_str, cfg)
-    grad_off, grad_str = mcr_backward(z_off, z_str, cfg)
-    return MCRResult(loss, grad_off, grad_str, cells)
+    return mcr_backward(z_off, z_str, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ A ``MemoryMeter`` installed as a context manager sees every buffer the loss
 kernels allocate through :func:`scratch_empty` and friends.  Frees are
 detected through weakref finalizers, so ``peak`` reflects the true high-water
 mark of live scratch bytes.  With no active meter the helpers degrade to
-plain ``np.empty`` / ``np.zeros`` / ``np.full``.
+plain ``np.empty`` / ``np.zeros``.
 
 Inputs and gradient outputs are never routed through here; the meter measures
 auxiliary storage only.
@@ -72,7 +72,3 @@ def scratch_empty(shape, dtype=np.float64) -> np.ndarray:
 
 def scratch_zeros(shape, dtype=np.float64) -> np.ndarray:
     return _register(np.zeros(shape, dtype=dtype))
-
-
-def scratch_full(shape, fill, dtype=np.float64) -> np.ndarray:
-    return _register(np.full(shape, fill, dtype=dtype))

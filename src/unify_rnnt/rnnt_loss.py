@@ -10,7 +10,9 @@ along anti-diagonals, whose cells are independent): beta is the alpha
 recursion on the lattice flipped along both axes, and both lattices advance
 together, one diagonal per vector step.  Each cell takes the same two
 ``logaddexp`` operands in the same order as a cell-by-cell loop, so the
-values are bit-identical to it.
+values are bit-identical to it.  The scan's skewed storage is addressed
+through flat indices built once per lattice shape ``(T, U)`` and kept in a
+bounded cache, so a call pays only for its fills, copies and diagonals.
 
 Conventions: blank id is fixed to 0, target ids live in [1, V).  Losses are
 per utterance; batch reduction belongs to the caller.
@@ -19,6 +21,7 @@ per utterance; batch reduction belongs to the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -101,6 +104,27 @@ def _log_probs(z: np.ndarray, y: np.ndarray):
     return lse, logpb, logpy
 
 
+SKEW_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=SKEW_CACHE_SIZE)
+def _skew_layout(T: int, U: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices into the skewed ``[T+U, U+2]`` plane of ``_lattice_scan``.
+
+    ``(t + u)·(U+2) + u + 1`` over the cells of ``wt`` ([T-1, U+1]), of
+    ``wu`` ([T, U]) and of the lattice ([T, U+1]), each t-major.  Built once
+    per lattice shape and read-only; the cache keeps the most recent
+    ``SKEW_CACHE_SIZE`` shapes.
+    """
+    out = []
+    for rows, cols in ((T - 1, U + 1), (T, U), (T, U + 1)):
+        t, u = np.divmod(np.arange(rows * cols), cols)
+        idx = (t + u) * (U + 2) + u + 1
+        idx.flags.writeable = False
+        out.append(idx)
+    return tuple(out)
+
+
 def _lattice_scan(wt: np.ndarray, wu: np.ndarray, base) -> np.ndarray:
     """``X[k, t, u] = logaddexp(X[k, t-1, u] + wt[k, t-1, u], X[k, t, u-1] + wu[k, t, u-1])``.
 
@@ -110,22 +134,22 @@ def _lattice_scan(wt: np.ndarray, wu: np.ndarray, base) -> np.ndarray:
     cells of one anti-diagonal ``t + u = n`` depend only on diagonal
     ``n - 1``, so each diagonal is one vector step.  Storage is skewed,
     ``S[n, 1 + u, k] = X[k, n - u, u]``, and column 0 is the absent label
-    column ``u = -1``.
+    column ``u = -1``; the flat skew indices of each ``(T, U)`` come from
+    ``_skew_layout``.
     """
     K, T, U = wu.shape
     N = T + U
+    idx_top, idx_left, idx_out = _skew_layout(T, U)
     S = np.full((N, U + 2, K), NEG_INF)
     S[0, 1] = base
-    top = np.full_like(S, NEG_INF)
-    left = np.full_like(S, NEG_INF)
-    for w, skewed in ((wt, top), (wu, left)):
-        t, u = np.indices(w.shape[1:])
-        skewed[t + u, u + 1] = np.moveaxis(w, 0, -1)
-    for n in range(1, N):
-        np.logaddexp(S[n - 1, 1:] + top[n - 1, 1:], S[n - 1, :-1] + left[n - 1, :-1],
-                     out=S[n, 1:])
-    t, u = np.indices((T, U + 1))
-    return np.moveaxis(S[t + u, u + 1], -1, 0)
+    top, left = np.full((2, N, U + 2, K), NEG_INF)
+    top.reshape(-1, K)[idx_top] = wt.reshape(K, -1).T
+    left.reshape(-1, K)[idx_left] = wu.reshape(K, -1).T
+    # diagonal n from diagonal n - 1: rows of views, not per-step indexing
+    for s_top, w_top, s_left, w_left, out in zip(S[:-1, 1:], top[:-1, 1:], S[:-1, :-1],
+                                                 left[:-1, :-1], S[1:, 1:]):
+        np.logaddexp(s_top + w_top, s_left + w_left, out=out)
+    return S.reshape(-1, K)[idx_out].T.reshape(K, T, U + 1)
 
 
 def _alpha_beta(logpb: np.ndarray, logpy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

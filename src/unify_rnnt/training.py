@@ -190,11 +190,11 @@ def mcr_loss_node(z_off: Tensor, z_str: Tensor, cfg: MCRConfig,
             g = out.grad
             if g is None:
                 return
-            go, gs = mcr_backward(jl_off, jl_str, cfg, seed=float(g))
+            res = mcr_backward(jl_off, jl_str, cfg, seed=float(g))
             if z_off.requires_grad:
-                z_off.accum_grad(go[0])
+                z_off.accum_grad(res.grad_offline[0])
             if z_str.requires_grad:
-                z_str.accum_grad(gs[0])
+                z_str.accum_grad(res.grad_streaming[0])
         tape.record("mcr_loss", bwd)
     return out
 
