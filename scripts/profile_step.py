@@ -5,11 +5,12 @@
     python scripts/profile_step.py stream --spec 12,1,0 --n 500 --seed 0
     python scripts/profile_step.py head --spec 12,1,0 --n 200 --seed 0
 
-``train`` runs ``n`` dual-mode steps with the consistency loss
-(``train_step_dm``) at ``experiments.toy_setup()``.  ``stream`` decodes eval
-utterances with ``decoding.greedy_decode_streaming`` at the spec ``L,C,R``
-until their chunk steps sum to at least ``n``, so the profile holds each
-chunk's encoder step and its greedy loop as a real decode pays them.
+``train`` runs ``n`` ``training.train_step`` calls at the ``dm_mcr`` config
+of ``experiments.toy_setup()``: dual mode with the consistency loss.
+``stream`` decodes eval utterances with ``decoding.greedy_decode_streaming``
+at the spec ``L,C,R`` until their chunk steps sum to at least ``n``, so the
+profile holds each chunk's encoder step and its greedy loop as a real decode
+pays them.
 ``head`` makes ``n`` loss-head calls, cycling over padded batches of four
 eval utterances: the transducer loss on the offline and on the streaming
 (``L,C,R``) lattice of each batch, then the fused consistency loss with the
@@ -36,9 +37,9 @@ from unify_rnnt.contexts import ContextSpec
 from unify_rnnt.corpus import generate_utterances
 from unify_rnnt.decoding import greedy_decode_streaming
 from unify_rnnt.mcr import MCRConfig, mcr_loss
-from unify_rnnt.model import OFFLINE, TransducerModel, streaming_mode
+from unify_rnnt.model import TransducerModel
 from unify_rnnt.rnnt_loss import JointLogits, rnnt_loss
-from unify_rnnt.training import AdamW, train_step_dm
+from unify_rnnt.training import AdamW, train_step
 
 TOP = 25
 HEAD_BATCHES = 8
@@ -46,7 +47,7 @@ HEAD_BATCH_SIZE = 4
 
 
 def train_steps(setup, seed: int, n: int):
-    """A closure running ``n`` seeded ``train_step_dm`` calls."""
+    """A closure running ``n`` seeded ``train_step`` calls at ``dm_mcr``."""
     cfg = experiments.strategy_train_config(setup, "dm_mcr", seed)
     model = TransducerModel(replace(setup.model, seed=seed))
     opt = AdamW(model.parameters(), lr=cfg.max_lr, weight_decay=cfg.weight_decay)
@@ -56,7 +57,7 @@ def train_steps(setup, seed: int, n: int):
     def run() -> None:
         for step in range(1, n + 1):
             batch = [utts[i] for i in rng.integers(0, len(utts), cfg.batch_size)]
-            train_step_dm(model, batch, rng, cfg, opt, step)
+            train_step(model, batch, rng, cfg, opt, step)
     return run
 
 
@@ -82,7 +83,6 @@ def head_batches(setup, seed: int, spec: ContextSpec) -> list:
     model = TransducerModel(replace(setup.model, seed=seed))
     utts = generate_utterances(replace(setup.eval_corpus, seed=seed),
                                HEAD_BATCHES * HEAD_BATCH_SIZE)
-    mode = streaming_mode(spec)
     batches = []
     for b0 in range(0, len(utts), HEAD_BATCH_SIZE):
         group = utts[b0:b0 + HEAD_BATCH_SIZE]
@@ -90,7 +90,7 @@ def head_batches(setup, seed: int, spec: ContextSpec) -> list:
         for utt in group:
             pred = model.pred_sequence(utt.tokens)
             pairs.append([model.joint(model.encode(utt.features, m), pred).data
-                          for m in (OFFLINE, mode)])
+                          for m in (None, spec)])
         t_len = [z.shape[0] for z, _ in pairs]
         u_len = [len(utt.tokens) for utt in group]
         lattices = []
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
     if args.what == "train":
         n = 20 if args.n is None else args.n
         profile.runcall(train_steps(setup, args.seed, n))
-        title = f"{n} train_step_dm calls, seed {args.seed}"
+        title = f"{n} train_step calls at dm_mcr, seed {args.seed}"
     elif args.what == "head":
         n = 200 if args.n is None else args.n
         profile.runcall(head_calls(setup, args.seed, n, args.spec))

@@ -37,8 +37,7 @@ def main() -> int:
                   "conv_kernel": 9, "subsample_factor": 2, "vocab_size": 18,
                   "predictor_dim": 64, "joint_dim": 64, "ff_dim": 128, "seed": 7},
         "train": {"strategy": "dual_mode", "alpha": 0.5, "p_off": 0.5,
-                  "mcr": {"direction": "symmetric", "lambda": 0.3,
-                          "variant": "full_joint", "tile": 18},
+                  "mcr": {"direction": "symmetric", "lambda": 0.3, "tile": 18},
                   "context_sets": [[4], [1, 2], [1, 2, 4]],
                   "steps": args.steps, "warmup_steps": max(1, args.steps // 10),
                   "max_lr": 3e-3, "min_lr": 3e-4, "batch_size": 8,

@@ -327,10 +327,9 @@ def cmd_report(args) -> int:
         records = [json.loads(line) for line in open(metrics) if line.strip()]
         if records:
             first, last = records[0], records[-1]
-            loss_key = "total" if "total" in last else "loss"
             print(f"training: {len(records)} logged steps, "
-                  f"loss {first.get(loss_key, float('nan')):.4f} -> "
-                  f"{last.get(loss_key, float('nan')):.4f}")
+                  f"loss {first.get('total', float('nan')):.4f} -> "
+                  f"{last.get('total', float('nan')):.4f}")
     summary = os.path.join(out_dir, "eval_summary.csv")
     if os.path.exists(summary):
         print("evaluation (mean TER; measured compute ms per chunk):")

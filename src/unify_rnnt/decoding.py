@@ -1,5 +1,9 @@
 """Greedy transducer decoding, offline and stateful chunked streaming.
 
+A mode is a ``ContextSpec | None``, as in :mod:`model`: ``decode_mode`` and
+``evaluate_utterances`` decode offline for ``None`` and stream at the spec
+otherwise.
+
 Streaming decoding runs one encoder chunk step per chunk on that chunk's raw
 frames ``[s, min(T, s+C+R))``, so no computation can read past the visible
 horizon by construction.  A :class:`model.StreamState` carries the encoder's
@@ -21,7 +25,7 @@ from time import perf_counter
 import numpy as np
 
 from .contexts import ContextSpec, latency_of
-from .model import OFFLINE, ModeSelector, StreamState, TransducerModel, streaming_mode
+from .model import StreamState, TransducerModel
 
 MAX_SYMBOLS_PER_FRAME = 10
 
@@ -67,7 +71,7 @@ def greedy_decode_offline(model: TransducerModel, features: np.ndarray,
                           max_symbols_per_frame: int = MAX_SYMBOLS_PER_FRAME) -> DecodeResult:
     """Full-context greedy decode; latency reported as infinite."""
     t0 = perf_counter()
-    enc = model.encode(features, OFFLINE).data
+    enc = model.encode(features).data
     result = DecodeResult()
     state = model.predictor_start()
     _greedy_over_frames(model, enc, 0, state, result, max_symbols_per_frame)
@@ -90,13 +94,12 @@ def greedy_decode_streaming(model: TransducerModel, features: np.ndarray,
     result = DecodeResult(worst_case_latency_s=latency_of(spec, frame_ms))
     if total < 1:
         return result
-    mode = streaming_mode(spec)
     cache = StreamState()
     state = model.predictor_start()
     for s in range(0, total, spec.chunk):
         t0 = perf_counter()
         end = min(total, s + spec.chunk + spec.right)
-        enc = model.encode(features[s * q:end * q], mode, cache).data
+        enc = model.encode(features[s * q:end * q], spec, cache).data
         state = _greedy_over_frames(model, enc, s, state, result, max_symbols_per_frame)
         result.chunk_ms.append((perf_counter() - t0) * 1e3)
     return result
@@ -124,25 +127,25 @@ def token_error_rate(hyp, ref) -> float:
     return levenshtein(hyp, ref) / max(1, len(list(ref)))
 
 
-def decode_mode(model: TransducerModel, features: np.ndarray, mode: ModeSelector,
+def decode_mode(model: TransducerModel, features: np.ndarray, spec: ContextSpec | None,
                 frame_ms: float) -> DecodeResult:
-    if mode.kind == "offline":
+    if spec is None:
         return greedy_decode_offline(model, features)
-    return greedy_decode_streaming(model, features, mode.spec, frame_ms)
+    return greedy_decode_streaming(model, features, spec, frame_ms)
 
 
-def evaluate_utterances(model: TransducerModel, utterances, mode: ModeSelector,
+def evaluate_utterances(model: TransducerModel, utterances, spec: ContextSpec | None,
                         frame_ms: float) -> list[dict]:
     """One row per utterance: id, mode label, latency, TER, token count, and
     the chunk count and mean measured compute ms per chunk."""
     rows = []
-    if mode.kind == "offline":
+    if spec is None:
         label, latency = "offline", math.inf
     else:
-        label = f"streaming_C{mode.spec.chunk}_R{mode.spec.right}"
-        latency = latency_of(mode.spec, frame_ms)
+        label = f"streaming_C{spec.chunk}_R{spec.right}"
+        latency = latency_of(spec, frame_ms)
     for utt in utterances:
-        res = decode_mode(model, utt.features, mode, frame_ms)
+        res = decode_mode(model, utt.features, spec, frame_ms)
         rows.append({
             "utt_id": utt.id,
             "mode": label,

@@ -24,7 +24,7 @@ from .contexts import ContextSets, ContextSpec
 from .corpus import CorpusConfig, generate_utterances
 from .decoding import evaluate_utterances, mean_chunk_ms, mean_ter
 from .mcr import MCRConfig
-from .model import ModelConfig, OFFLINE, TransducerModel, streaming_mode
+from .model import ModelConfig, TransducerModel
 from .training import ModeWeights, TrainConfig, run_training
 
 TREND_STRATEGIES = ("offline_baseline", "streaming_baseline", "sm", "dm", "dm_mcr")
@@ -62,7 +62,7 @@ def toy_setup(steps: int = 2000) -> ToySetup:
     train = TrainConfig(
         strategy="dual_mode",
         mode_weights=ModeWeights(alpha=0.5, p_off=0.5),
-        mcr=MCRConfig(direction="symmetric", lam=0.3, variant="full_joint", tile=18),
+        mcr=MCRConfig(direction="symmetric", lam=0.3, tile=18),
         context_sets=ContextSets.from_nested([[12], [1, 2, 4], [0, 1, 2, 4]]),
         steps=steps, warmup_steps=max(1, min(150, steps // 10)),
         max_lr=3e-3, min_lr=3e-4, batch_size=8, seed=0,
@@ -79,15 +79,10 @@ def strategy_train_config(setup: ToySetup, strategy: str, seed: int) -> TrainCon
     if strategy.startswith("dm"):
         # dual mode runs two forwards per step; halve the batch for compute parity
         base = replace(base, batch_size=max(1, base.batch_size // 2))
-    if strategy == "offline_baseline":
+    p_off = {"offline_baseline": 1.0, "streaming_baseline": 0.0, "sm": 0.5}.get(strategy)
+    if p_off is not None:
         return replace(base, strategy="single_mode",
-                       mode_weights=ModeWeights(alpha=0.5, p_off=1.0))
-    if strategy == "streaming_baseline":
-        return replace(base, strategy="single_mode",
-                       mode_weights=ModeWeights(alpha=0.5, p_off=0.0))
-    if strategy == "sm":
-        return replace(base, strategy="single_mode",
-                       mode_weights=ModeWeights(alpha=0.5, p_off=0.5))
+                       mode_weights=replace(base.mode_weights, p_off=p_off))
     if strategy == "dm":
         return replace(base, strategy="dual_mode", mcr=replace(base.mcr, lam=0.0))
     if strategy == "dm_mcr":
@@ -107,12 +102,12 @@ def evaluate_model(model: TransducerModel, utterances, specs, left: int,
     ``"offline"`` and the spec keys.  ``utterances`` holds the per-utterance
     rows: offline first, then each spec in turn.
     """
-    per_utt = evaluate_utterances(model, utterances, OFFLINE, frame_ms)
+    per_utt = evaluate_utterances(model, utterances, None, frame_ms)
     out = {"offline": mean_ter(per_utt), "specs": {}, "utterances": list(per_utt),
            "chunk_ms": {"offline": mean_chunk_ms(per_utt)}}
     for chunk, right in specs:
-        mode = streaming_mode(ContextSpec(left, chunk, right))
-        per_utt = evaluate_utterances(model, utterances, mode, frame_ms)
+        per_utt = evaluate_utterances(model, utterances, ContextSpec(left, chunk, right),
+                                      frame_ms)
         out["specs"][f"{chunk},{right}"] = mean_ter(per_utt)
         out["chunk_ms"][f"{chunk},{right}"] = mean_chunk_ms(per_utt)
         out["utterances"].extend(per_utt)
@@ -126,8 +121,8 @@ def sweep_model(model: TransducerModel, utterances, budgets, left: int,
     for budget in budgets:
         for chunk in range(1, budget + 1):
             right = budget - chunk
-            mode = streaming_mode(ContextSpec(left, chunk, right))
-            ter = mean_ter(evaluate_utterances(model, utterances, mode, frame_ms))
+            spec = ContextSpec(left, chunk, right)
+            ter = mean_ter(evaluate_utterances(model, utterances, spec, frame_ms))
             rows.append({"budget": budget,
                          "budget_s": budget * frame_ms / 1000.0,
                          "chunk": chunk, "right": right,

@@ -1,8 +1,9 @@
 """Toy unified transducer: encoder, predictor and additive joint network.
 
 One parameter set and one encoder function serve offline and streaming
-passes.  A streaming spec ``(L, C, R)`` means the same thing in training and
-in decoding: the output for chunk ``[s, s+C)`` reads frames
+passes.  A mode is a ``ContextSpec | None``: ``None`` is offline, a spec
+``(L, C, R)`` is streaming.  A spec means the same thing in training and in
+decoding: the output for chunk ``[s, s+C)`` reads frames
 ``[max(0, s-L), s+C+R)`` of each block's input and nothing at or past
 ``s+C+R``.
 
@@ -16,8 +17,8 @@ in decoding: the output for chunk ``[s, s+C)`` reads frames
   convolution's left halo, so within a step every row sees every cached and
   new row: the step is the full-context computation over them.  The chunk's
   right-context rows are recomputed on every step and never cached.
-* Offline is the spec ``(T, T, 0)``: one chunk, no copies, an all-true mask
-  and the whole-sequence convolution.
+* Offline (``None``) encodes as the spec ``(T, T, 0)``: one chunk, no
+  copies, an all-true mask and the whole-sequence convolution.
 
 The encoder subsamples by frame stacking, then applies blocks of
 layernorm -> masked attention -> residual -> layernorm -> depthwise
@@ -69,28 +70,14 @@ class ModelConfig:
             raise ValueError("dtype must be float32 or float64")
 
 
-@dataclass(frozen=True)
-class ModeSelector:
-    """Offline, or streaming with a context spec."""
-
-    kind: str
-    spec: ContextSpec | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("offline", "streaming"):
-            raise ValueError("mode kind must be 'offline' or 'streaming'")
-        if self.kind == "streaming" and self.spec is None:
-            raise ValueError("streaming mode requires a ContextSpec")
-
-
-OFFLINE = ModeSelector("offline")
-
 # gated recurrent predictor weights, in the argument order of tensor.gru_cell
 GRU_WEIGHTS = ("wz", "uz", "bz", "wr", "ur", "br", "wc", "uc", "bc")
 
+OFFLINE = None  # perfbench/bench.py imports this name; offline is spec None
 
-def streaming_mode(spec: ContextSpec) -> ModeSelector:
-    return ModeSelector("streaming", spec)
+
+def streaming_mode(spec: ContextSpec) -> ContextSpec:
+    return spec  # perfbench/bench.py imports this name; a mode is its spec
 
 
 class StreamState:
@@ -225,15 +212,16 @@ class TransducerModel:
                                         taps, tz.ConvTaps(taps.index[:, :n_main]))
         return self._context_cache[key]
 
-    def encode(self, features: np.ndarray, mode: ModeSelector = OFFLINE,
+    def encode(self, features: np.ndarray, spec: ContextSpec | None = None,
                state: StreamState | None = None) -> Tensor:
         """Frame-stack subsample then run the masked encoder blocks.
 
         Without ``state``, encode the whole utterance on the layout of
-        ``mode``'s spec and return its T main rows.  With ``state``, run one
-        streaming chunk step: ``features`` are the chunk's raw frames
-        ``[s, min(T, s+C+R))``; return its ``min(C, n)`` main rows and cache
-        what the next step reads.  The chunk step is forward-only.
+        ``spec`` (None is offline) and return its T main rows.  With
+        ``state``, run one streaming chunk step of ``spec``: ``features`` are
+        the chunk's raw frames ``[s, min(T, s+C+R))``; return its
+        ``min(C, n)`` main rows and cache what the next step reads.  The
+        chunk step is forward-only.
         """
         feats = np.asarray(features, dtype=self.np_dtype)
         if feats.ndim != 2 or feats.shape[1] != self.cfg.feat_dim:
@@ -245,13 +233,13 @@ class TransducerModel:
                 f"{feats.shape[0]} frames < subsample factor {q}")
         stacked = feats[:T * q].reshape(T, q * self.cfg.feat_dim)
         if state is None:
-            spec = ContextSpec(T, T, 0) if mode.kind == "offline" else mode.spec
-            frames, mask, taps, taps_main = self._context_for(T, spec)
+            frames, mask, taps, taps_main = self._context_for(
+                T, ContextSpec(T, T, 0) if spec is None else spec)
             stacked, n_main = stacked[frames], T
         else:
-            if mode.kind != "streaming":
-                raise ValueError("a chunk step needs a streaming mode")
-            left, n_main = mode.spec.left, min(mode.spec.chunk, T)
+            if spec is None:
+                raise ValueError("a chunk step needs a streaming spec")
+            left, n_main = spec.left, min(spec.chunk, T)
             mask, taps, taps_main = self._step_context(*state.sizes(), T, n_main)
         h = (self.cfg.conv_kernel - 1) // 2
         p = self.params

@@ -1,12 +1,16 @@
-"""Unified training loops, optimizer, LR schedule and checkpointing.
+"""Unified training step, optimizer, LR schedule and checkpointing.
 
-Single-mode training samples one mode per step (offline with probability
-p_off, else streaming with a freshly sampled context spec) and optimizes the
-transducer loss of that mode.  Dual-mode training runs both modes on the same
-batch and optimizes ``alpha * L_off + (1 - alpha) * L_str + lam * L_mcr``;
-the consistency term exists only in dual mode.  Per-utterance graphs share
-one tape so the consistency gradients couple the two forwards; batch
-reduction is a mean applied through the backward seed.
+A mode is a ``ContextSpec | None`` (None is offline), and one step is a list
+of (mode, weight) terms drawn by :func:`step_modes`.  Single mode draws one
+mode of weight 1: offline with probability p_off, else a freshly sampled
+context spec.  Dual mode runs ``[(None, alpha), (spec, 1 - alpha)]`` on the
+same batch, plus ``lam * L_mcr`` when ``lam > 0``; the consistency term
+exists only in dual mode.  :func:`train_step` optimizes the weighted sum of
+the terms' transducer losses.  Per-utterance graphs share one tape so the
+consistency gradients couple the two forwards; batch reduction is a mean
+applied through the backward seed.  Every step reports ``loss_off`` and/or
+``loss_str`` (one per mode run), ``loss_mcr`` in dual mode, ``spec`` when a
+streaming mode ran, and ``total``.
 
 Checkpoints: magic + format version + a JSON header (model config, step,
 optimizer metadata, rng state) + raw little-endian float32 parameter blobs in
@@ -26,12 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as tz
-from .contexts import ContextSets, sample_context
+from .contexts import ContextSets, ContextSpec, sample_context
 from .corpus import Utterance
-from .errors import (CorruptCheckpointError, EmptyBatchError, NumericalError,
-                     VersionMismatchError)
+from .errors import (CorruptCheckpointError, EmptyBatchError, NonFiniteInputError,
+                     NumericalError, VersionMismatchError)
+# perfbench/spans.py patches mcr_forward, mcr_backward and rnnt_forward_single here
 from .mcr import MCRConfig, mcr_backward, mcr_forward
-from .model import OFFLINE, ModelConfig, TransducerModel, streaming_mode
+from .model import ModelConfig, TransducerModel
 from .rnnt_loss import JointLogits, rnnt_forward_single
 from .tensor import Tape, Tensor
 
@@ -149,10 +154,6 @@ def clip_global_norm(params: list[Tensor], max_norm: float) -> float:
     return norm
 
 
-def sample_mode(rng: np.random.Generator, weights: ModeWeights) -> str:
-    return "offline" if rng.random() < weights.p_off else "streaming"
-
-
 # ---------------------------------------------------------------------------
 # loss nodes bridging the analytic losses onto the tape
 # ---------------------------------------------------------------------------
@@ -177,7 +178,8 @@ def mcr_loss_node(z_off: Tensor, z_str: Tensor, cfg: MCRConfig,
                   targets: np.ndarray | None = None) -> Tensor:
     """Scalar consistency loss; backward recomputes grads from raw logits.
 
-    ``targets`` is unused: the full-joint loss does not read the labels.
+    ``targets`` is unused (perfbench/bench.py passes it): the full-joint
+    loss does not read the labels.
     """
     jl_off = JointLogits.from_single(z_off.data)
     jl_str = JointLogits.from_single(z_str.data)
@@ -204,84 +206,75 @@ def mcr_loss_node(z_off: Tensor, z_str: Tensor, cfg: MCRConfig,
 # ---------------------------------------------------------------------------
 
 
-def _check_finite(value: float, step: int, what: str) -> None:
-    if not math.isfinite(value):
-        raise NumericalError(f"non-finite {what} at step {step}")
+def step_modes(rng: np.random.Generator,
+               cfg: TrainConfig) -> list[tuple[ContextSpec | None, float]]:
+    """The (mode, weight) terms of one step; draws from ``rng``.
+
+    Single mode: one mode of weight 1, offline with probability p_off, else
+    a sampled spec.  Dual mode: offline with weight alpha, then a sampled
+    spec with weight 1 - alpha.
+    """
+    weights = cfg.mode_weights
+    if cfg.strategy == "dual_mode":
+        spec = sample_context(cfg.context_sets, rng)
+        return [(None, weights.alpha), (spec, 1.0 - weights.alpha)]
+    if rng.random() < weights.p_off:
+        return [(None, 1.0)]
+    return [(sample_context(cfg.context_sets, rng), 1.0)]
 
 
-def train_step_sm(model: TransducerModel, batch: list[Utterance],
-                  rng: np.random.Generator, cfg: TrainConfig, opt: AdamW,
-                  step: int) -> dict:
-    """One single-mode step: sample the mode, one forward/backward, update."""
+def train_step(model: TransducerModel, batch: list[Utterance],
+               rng: np.random.Generator, cfg: TrainConfig, opt: AdamW,
+               step: int) -> dict:
+    """One step: every mode of ``step_modes`` on the same batch, plus the
+    consistency loss between the two modes of a dual-mode step, then one
+    update.  Non-finite logits or losses raise ``NumericalError``."""
     if not batch:
         raise EmptyBatchError("empty batch")
-    mode_name = sample_mode(rng, cfg.mode_weights)
-    if mode_name == "offline":
-        mode = OFFLINE
-        spec = None
-    else:
-        spec = sample_context(cfg.context_sets, rng)
-        mode = streaming_mode(spec)
+    modes = step_modes(rng, cfg)
+    dual = len(modes) == 2
+    lam = cfg.mcr.lam if dual else 0.0
     B = len(batch)
-    total = 0.0
+    losses = [0.0] * len(modes)
+    loss_mcr = 0.0
     opt.zero_grad()
-    for utt in batch:
-        with Tape() as tape:
-            pred = model.pred_sequence(utt.tokens)
-            enc = model.encode(utt.features, mode)
-            z = model.joint(enc, pred)
-            loss = rnnt_loss_node(z, utt.tokens)
-            tape.backward(loss, seed=1.0 / B)
-        total += loss.item() / B
-    _check_finite(total, step, "loss")
+    try:
+        for utt in batch:
+            with Tape() as tape:
+                pred = model.pred_sequence(utt.tokens)
+                zs = [model.joint(model.encode(utt.features, spec), pred) for spec, _ in modes]
+                rnnt = [rnnt_loss_node(z, utt.tokens) for z in zs]
+                terms = [(loss, w) for loss, (_, w) in zip(rnnt, modes)]
+                if lam > 0.0:
+                    l_mcr = mcr_loss_node(*zs, cfg.mcr)
+                    terms.append((l_mcr, lam))
+                    loss_mcr += l_mcr.item() / B
+                # a lone mode has weight 1, so its loss is the objective
+                objective = tz.weighted_sum(terms) if len(terms) > 1 else terms[0][0]
+                tape.backward(objective, seed=1.0 / B)
+            losses = [acc + loss.item() / B for acc, loss in zip(losses, rnnt)]
+    except NonFiniteInputError as exc:
+        raise NumericalError(f"non-finite logits at step {step}") from exc
+    total = sum(w * loss for (_, w), loss in zip(modes, losses)) + lam * loss_mcr
+    if not math.isfinite(total):
+        raise NumericalError(f"non-finite loss at step {step}")
     grad_norm = clip_global_norm(model.parameters(), cfg.clip_norm)
     lr = cosine_lr(step, cfg)
     opt.step(lr=lr)
-    report = {"step": step, "strategy": "single_mode", "lr": lr,
-              "mode": mode_name, "loss": total, "grad_norm": grad_norm}
-    if spec is not None:
-        report["spec"] = [spec.left, spec.chunk, spec.right]
+    report = {"step": step, "strategy": cfg.strategy, "lr": lr}
+    for (spec, _w), loss in zip(modes, losses):
+        if spec is None:
+            report["loss_off"] = loss
+        else:
+            report["spec"] = [spec.left, spec.chunk, spec.right]
+            report["loss_str"] = loss
+    if dual:
+        report["loss_mcr"] = loss_mcr
+    report.update(total=total, grad_norm=grad_norm)
     return report
 
 
-def train_step_dm(model: TransducerModel, batch: list[Utterance],
-                  rng: np.random.Generator, cfg: TrainConfig, opt: AdamW,
-                  step: int) -> dict:
-    """One dual-mode step: both modes on the same batch plus consistency."""
-    if not batch:
-        raise EmptyBatchError("empty batch")
-    spec = sample_context(cfg.context_sets, rng)
-    mode_str = streaming_mode(spec)
-    alpha = cfg.mode_weights.alpha
-    lam = cfg.mcr.lam
-    B = len(batch)
-    loss_off = loss_str = loss_mcr = 0.0
-    opt.zero_grad()
-    for utt in batch:
-        with Tape() as tape:
-            pred = model.pred_sequence(utt.tokens)
-            z_off = model.joint(model.encode(utt.features, OFFLINE), pred)
-            z_str = model.joint(model.encode(utt.features, mode_str), pred)
-            l_off = rnnt_loss_node(z_off, utt.tokens)
-            l_str = rnnt_loss_node(z_str, utt.tokens)
-            terms = [(l_off, alpha), (l_str, 1.0 - alpha)]
-            if lam > 0.0:
-                l_mcr = mcr_loss_node(z_off, z_str, cfg.mcr)
-                terms.append((l_mcr, lam))
-                loss_mcr += l_mcr.item() / B
-            total_u = tz.weighted_sum(terms)
-            tape.backward(total_u, seed=1.0 / B)
-        loss_off += l_off.item() / B
-        loss_str += l_str.item() / B
-    total = alpha * loss_off + (1.0 - alpha) * loss_str + lam * loss_mcr
-    _check_finite(total, step, "loss")
-    grad_norm = clip_global_norm(model.parameters(), cfg.clip_norm)
-    lr = cosine_lr(step, cfg)
-    opt.step(lr=lr)
-    return {"step": step, "strategy": "dual_mode", "lr": lr,
-            "spec": [spec.left, spec.chunk, spec.right],
-            "loss_off": loss_off, "loss_str": loss_str, "loss_mcr": loss_mcr,
-            "total": total, "grad_norm": grad_norm}
+train_step_dm = train_step  # perfbench/bench.py imports this name
 
 
 def run_training(model: TransducerModel, utterances: list[Utterance],
@@ -290,8 +283,8 @@ def run_training(model: TransducerModel, utterances: list[Utterance],
                  rng: np.random.Generator | None = None) -> dict:
     """Drive train steps from start_step + 1 through cfg.steps.
 
-    Per step the rng draws, in order: batch indices, then mode
-    (single mode) or context spec.  Appends one JSON record per step to
+    Per step the rng draws, in order: batch indices, then the draws of
+    ``step_modes``.  Appends one JSON record per step to
     ``metrics_path`` and writes a final checkpoint, with the rng state, if
     requested.
     """
@@ -309,10 +302,7 @@ def run_training(model: TransducerModel, utterances: list[Utterance],
             t0 = time.perf_counter()
             idx = rng.integers(0, len(utterances), size=cfg.batch_size)
             batch = [utterances[int(i)] for i in idx]
-            if cfg.strategy == "single_mode":
-                report = train_step_sm(model, batch, rng, cfg, opt, step)
-            else:
-                report = train_step_dm(model, batch, rng, cfg, opt, step)
+            report = train_step(model, batch, rng, cfg, opt, step)
             report["wall_ms"] = (time.perf_counter() - t0) * 1000.0
             last = report
             if log_fh and step % cfg.log_every == 0:

@@ -20,7 +20,7 @@ from unify_rnnt.corpus import CorpusConfig, generate_corpus, generate_utterances
 from unify_rnnt.gradcheck import finite_difference_grad, max_rel_error
 from unify_rnnt.mcr import (MCRConfig, mcr_forward, mcr_loss, mcr_memory_probe,
                             mcr_naive_oracle)
-from unify_rnnt.model import ModelConfig, OFFLINE, TransducerModel, streaming_mode
+from unify_rnnt.model import ModelConfig, TransducerModel
 from unify_rnnt.rnnt_loss import JointLogits, rnnt_bruteforce_oracle, rnnt_loss
 from unify_rnnt.training import AdamW, load_checkpoint, save_checkpoint
 from unify_rnnt import experiments
@@ -157,9 +157,9 @@ def test_criterion_5_mode_equivalence():
         for _ in range(20):
             feats = rng.standard_normal((int(rng.integers(4, 28)), 8))
             T = feats.shape[0] // 2
-            off = model.encode(feats, OFFLINE).data
+            off = model.encode(feats).data
             spec = ContextSpec(T + 1, T + 1, T + 1)
-            stream = model.encode(feats, streaming_mode(spec)).data
+            stream = model.encode(feats, spec).data
             np.testing.assert_array_equal(off, stream)
         # the chunked conv with C >= T is bit-exact vs the offline conv: no
         # copies, and every tap reads its frame if it exists
@@ -234,11 +234,10 @@ def test_criterion_6_mask_plan_invariants():
                 continue
             s = int(rng.integers(0, chunks)) * spec.chunk
             horizon = s + spec.chunk + spec.right
-            mode = streaming_mode(spec)
-            base = model.encode(feats, mode).data
+            base = model.encode(feats, spec).data
             perturbed = feats.copy()
             perturbed[horizon * 2:] += rng.standard_normal(perturbed[horizon * 2:].shape) * 50.0
-            probe = model.encode(perturbed, mode).data
+            probe = model.encode(perturbed, spec).data
             np.testing.assert_array_equal(probe[s:s + spec.chunk], base[s:s + spec.chunk])
             probes += 1
             cases += 1

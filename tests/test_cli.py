@@ -7,6 +7,7 @@ import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -226,6 +227,28 @@ class TestTrainEvalPipeline:
         rng_full = load_checkpoint(full / "checkpoint.urnt")[3]
         rng_resumed = load_checkpoint(second / "checkpoint.urnt")[3]
         assert rng_resumed.bit_generator.state == rng_full.bit_generator.state
+
+    @pytest.mark.parametrize("strategy,lam", [("dual_mode", 0.3), ("dual_mode", 0.0),
+                                              ("single_mode", 0.3)],
+                             ids=["dm_mcr", "dm", "sm"])
+    def test_diverged_step_is_numerical_error(self, tmp_path, capsys, strategy, lam):
+        # resume from weights with one inf joint output weight: the first step
+        # diverges and exits 3, whichever loss sees the inf first
+        out = tmp_path / "run"
+        base = yaml.safe_load(open(write_config(tmp_path / "base.yaml", out)))
+        train = {**base["train"], "strategy": strategy,
+                 "mcr": {**base["train"]["mcr"], "lambda": lam}}
+        config = write_config(tmp_path / "c.yaml", out, train=train)
+        assert main(["gen-data", "--config", str(config)]) == 0
+        model = TransducerModel(ModelConfig(**base["model"]))
+        model.params["joint.w_out"].data[0, 0] = float("inf")
+        ckpt = tmp_path / "diverged.urnt"
+        save_checkpoint(ckpt, model, step=0)
+        with np.errstate(all="ignore"):
+            code = main(["train", "--config", str(config), "--resume", str(ckpt)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite" in err and "at step 1" in err
 
     def test_missing_manifest_is_io_error(self, workspace):
         config, out = workspace

@@ -12,8 +12,7 @@ from unify_rnnt.contexts import ContextSpec, latency_of
 from unify_rnnt.decoding import (DecodeResult, greedy_decode_offline,
                                  greedy_decode_streaming, levenshtein, mean_ter,
                                  token_error_rate)
-from unify_rnnt.model import (ModelConfig, OFFLINE, StreamState, TransducerModel,
-                              streaming_mode)
+from unify_rnnt.model import ModelConfig, StreamState, TransducerModel
 
 Utt = namedtuple("Utt", "id features tokens")
 
@@ -85,7 +84,7 @@ class TestGreedyStreaming:
         assert greedy_decode_offline(model, feats).chunk_ms == pytest.approx([1.0])
         rows = decoding.evaluate_utterances(
             model, [Utt("a", feats, [1, 2]), Utt("b", feats[:6], [1])],
-            streaming_mode(ContextSpec(2, 2, 1)), 40.0)
+            ContextSpec(2, 2, 1), 40.0)
         assert [r["chunks"] for r in rows] == [3, 2]
         assert [r["chunk_compute_ms"] for r in rows] == pytest.approx([1.0, 1.0])
         assert decoding.mean_chunk_ms(rows) == pytest.approx(1.0)
@@ -138,14 +137,13 @@ class TestGreedyStreaming:
             for chunk in range(1, 5):
                 for right in range(0, 5):
                     spec = ContextSpec(left, chunk, right)
-                    mode = streaming_mode(spec)
                     feats = rng.standard_normal((int(rng.integers(2, 30)), 4))
                     T = feats.shape[0] // 2
-                    train_rows = model.encode(feats, mode).data
+                    train_rows = model.encode(feats, spec).data
                     state, steps = StreamState(), []
                     for s in range(0, T, chunk):
                         end = min(T, s + chunk + right)
-                        steps.append(model.encode(feats[2 * s:2 * end], mode, state).data)
+                        steps.append(model.encode(feats[2 * s:2 * end], spec, state).data)
                     decode_rows = np.concatenate(steps)
                     assert decode_rows.shape == train_rows.shape
                     worst = max(worst, float(np.abs(decode_rows - train_rows).max()))
@@ -157,7 +155,7 @@ class TestGreedyStreaming:
         state = StreamState()
         feats = rng.standard_normal((20, 4))
         for s, kept in ((0, 2), (2, 3), (4, 3)):
-            model.encode(feats[2 * s:2 * (s + 3)], streaming_mode(spec), state)
+            model.encode(feats[2 * s:2 * (s + 3)], spec, state)
             assert state.sizes() == (kept, 1)  # L keys at most, halo h = 1
 
 

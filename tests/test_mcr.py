@@ -320,6 +320,20 @@ class TestErrorsAndProbe:
         assert report["aux_bytes_fused"] < 64 * 1024
         assert report["aux_bytes_naive"] < 64 * 1024
 
+    def test_probe_times_the_naive_oracle_first(self, monkeypatch):
+        # the reference figure must not depend on what the fused path leaves behind
+        from unify_rnnt import mcr
+        calls = []
+        for name in ("mcr_loss", "mcr_naive_oracle"):
+            original = getattr(mcr, name)
+            monkeypatch.setattr(mcr, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        report = mcr_memory_probe((1, 4, 2, 16), tile=4)
+        assert calls == ["mcr_naive_oracle", "mcr_loss"]
+        assert set(report) == {"aux_bytes_fused", "aux_bytes_naive", "ratio",
+                               "wall_ms_fused", "wall_ms_naive", "loss_fused",
+                               "loss_naive", "max_grad_diff"}
+
     def test_probe_tile_growth(self):
         small = mcr_memory_probe((1, 8, 4, 256), tile=8)
         large = mcr_memory_probe((1, 8, 4, 256), tile=256)

@@ -8,8 +8,7 @@ from unify_rnnt import tensor as tz
 from unify_rnnt.contexts import ContextSpec
 from unify_rnnt.errors import BadTokenError, InputTooShortError
 from unify_rnnt.gradcheck import finite_difference_grad, max_rel_error
-from unify_rnnt.model import (ModelConfig, ModeSelector, OFFLINE, StreamState,
-                              TransducerModel, streaming_mode)
+from unify_rnnt.model import ModelConfig, StreamState, TransducerModel
 from unify_rnnt.training import rnnt_loss_node
 
 TOY = ModelConfig(feat_dim=6, model_dim=16, heads=2, blocks=2, conv_kernel=5,
@@ -25,38 +24,38 @@ def model():
 class TestEncode:
     def test_output_shape(self, model, rng):
         feats = rng.standard_normal((13, 6))
-        enc = model.encode(feats, OFFLINE)
+        enc = model.encode(feats)
         assert enc.shape == (6, 16)
 
     def test_determinism_bitwise(self, rng):
         feats = rng.standard_normal((12, 6))
-        a = TransducerModel(TOY).encode(feats, OFFLINE).data
-        b = TransducerModel(TOY).encode(feats, OFFLINE).data
+        a = TransducerModel(TOY).encode(feats).data
+        b = TransducerModel(TOY).encode(feats).data
         np.testing.assert_array_equal(a, b)
 
     def test_too_short_input(self, model):
         with pytest.raises(InputTooShortError):
-            model.encode(np.zeros((1, 6)), OFFLINE)
+            model.encode(np.zeros((1, 6)))
 
     def test_full_context_streaming_equals_offline(self, model, rng):
         for _ in range(20):
             feats = rng.standard_normal((int(rng.integers(4, 20)), 6))
-            off = model.encode(feats, OFFLINE).data
+            off = model.encode(feats).data
             T = feats.shape[0] // 2
             spec = ContextSpec(T + 3, T + 3, T + 3)
-            stream = model.encode(feats, streaming_mode(spec)).data
+            stream = model.encode(feats, spec).data
             np.testing.assert_array_equal(off, stream)
 
     def test_parameters_shared_across_modes(self, model, rng):
         feats = rng.standard_normal((10, 6))
         spec = ContextSpec(2, 2, 1)
-        before = model.encode(feats, streaming_mode(spec)).data.copy()
+        before = model.encode(feats, spec).data.copy()
         # same storage: in-place parameter edit must change both modes
         target = model.params["block0.conv.kernel"]
         assert all(model.params[n] is p for n, p in model.param_items())
         target.data[...] += 0.25
-        after_stream = model.encode(feats, streaming_mode(spec)).data
-        after_off = model.encode(feats, OFFLINE).data
+        after_stream = model.encode(feats, spec).data
+        after_off = model.encode(feats).data
         assert np.abs(after_stream - before).max() > 0
         assert np.abs(after_off - model_encode_fresh(feats)).max() > 0
 
@@ -66,8 +65,7 @@ class TestEncode:
         spec = ContextSpec(2, 2, 1)
         m = TransducerModel(TOY)
         feats = rng.standard_normal((20, 6))
-        mode = streaming_mode(spec)
-        base = m.encode(feats, mode).data
+        base = m.encode(feats, spec).data
         T = 10
         for s in range(0, T, spec.chunk):
             horizon = (s + spec.chunk + spec.right) * TOY.subsample_factor
@@ -75,23 +73,23 @@ class TestEncode:
                 continue
             perturbed = feats.copy()
             perturbed[horizon:] += rng.standard_normal(perturbed[horizon:].shape) * 5.0
-            out = m.encode(perturbed, mode).data
+            out = m.encode(perturbed, spec).data
             np.testing.assert_array_equal(out[s:s + spec.chunk], base[s:s + spec.chunk])
             # the right context is read: frames just below the horizon count
             nearby = feats.copy()
             nearby[horizon - 1] += 5.0
-            assert not np.array_equal(m.encode(nearby, mode).data[s], base[s])
+            assert not np.array_equal(m.encode(nearby, spec).data[s], base[s])
 
     def test_chunk_step_is_forward_only_and_streaming(self, model, rng):
         feats = rng.standard_normal((8, 6))
         with pytest.raises(ValueError):
-            model.encode(feats, OFFLINE, StreamState())
-        out = model.encode(feats, streaming_mode(ContextSpec(2, 3, 1)), StreamState())
+            model.encode(feats, None, StreamState())
+        out = model.encode(feats, ContextSpec(2, 3, 1), StreamState())
         assert out.shape == (3, 16)
 
 
 def model_encode_fresh(feats):
-    return TransducerModel(TOY).encode(feats, OFFLINE).data
+    return TransducerModel(TOY).encode(feats).data
 
 
 class TestPredictor:
@@ -139,7 +137,7 @@ class TestPredictor:
 class TestJoint:
     def test_shape_and_uniform_at_zero_weights(self, model, rng):
         feats = rng.standard_normal((10, 6))
-        enc = model.encode(feats, OFFLINE)
+        enc = model.encode(feats)
         pred = model.pred_sequence(np.array([1, 2]))
         z = model.joint(enc, pred)
         assert z.shape == (5, 3, 6)
@@ -150,7 +148,7 @@ class TestJoint:
 
     def test_joint_vec_matches_lattice(self, model, rng):
         feats = rng.standard_normal((8, 6))
-        enc = model.encode(feats, OFFLINE)
+        enc = model.encode(feats)
         pred = model.pred_sequence(np.array([3]))
         z = model.joint(enc, pred).data
         for t in range(z.shape[0]):
@@ -167,7 +165,7 @@ class TestJoint:
         def build():
             with tz.Tape() as tape:
                 pred = model.pred_sequence(targets)
-                enc = model.encode(feats, OFFLINE)
+                enc = model.encode(feats)
                 loss = rnnt_loss_node(model.joint(enc, pred), targets)
             return tape, loss
 
@@ -195,5 +193,3 @@ class TestConfigValidation:
             ModelConfig(blocks=0)
         with pytest.raises(ValueError):
             ModelConfig(model_dim=30, heads=4)
-        with pytest.raises(ValueError):
-            ModeSelector("streaming")

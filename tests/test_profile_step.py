@@ -27,7 +27,7 @@ def entries(text: str) -> list[str]:
 @pytest.mark.parametrize("argv,title", [
     (["stream", "--n", "4", "--spec", "3,1,1"],
      r"\d+ chunk steps in 1 streaming decodes at L=3 C=1 R=1, seed 0"),
-    (["train", "--n", "1", "--seed", "2"], r"1 train_step_dm calls, seed 2"),
+    (["train", "--n", "1", "--seed", "2"], r"1 train_step calls at dm_mcr, seed 2"),
     (["head", "--n", "3", "--seed", "1"],
      r"3 loss-head calls on 8 batches of 4 utterances at L=12 C=1 R=0, seed 1"),
 ])

@@ -14,8 +14,7 @@ from unify_rnnt.errors import EmptyAttentionRowError, EvenKernelError
 from unify_rnnt.gradcheck import finite_difference_grad, max_rel_error
 from unify_rnnt.mcr import MCRConfig
 from unify_rnnt.model import ModelConfig, TransducerModel
-from unify_rnnt.training import (AdamW, ModeWeights, TrainConfig, train_step_dm,
-                                 train_step_sm)
+from unify_rnnt.training import AdamW, ModeWeights, TrainConfig, train_step
 
 
 def attention(q, k, v, mask, heads=2):
@@ -598,10 +597,11 @@ class TestOpContract:
                           steps=1, warmup_steps=1, batch_size=2)
         opt = AdamW(model.parameters())
         rng = np.random.default_rng(0)
-        train_step_dm(model, batch, rng, cfg, opt, 1)
-        for p_off, mode in ((1.0, "offline"), (0.0, "streaming")):
+        train_step(model, batch, rng, cfg, opt, 1)
+        for p_off, key in ((1.0, "loss_off"), (0.0, "loss_str")):
             sm = replace(cfg, strategy="single_mode", mode_weights=ModeWeights(p_off=p_off))
-            assert train_step_sm(model, batch, rng, sm, opt, 1)["mode"] == mode
+            report = train_step(model, batch, rng, sm, opt, 1)
+            assert {"loss_off", "loss_str"} & set(report) == {key}
         assert recorded == self.MODEL_OPS | self.LOSS_OPS
 
     def test_public_ops_are_model_ops_or_the_oracle(self):

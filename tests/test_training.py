@@ -8,17 +8,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from unify_rnnt.contexts import ContextSets
+from unify_rnnt.contexts import ContextSets, ContextSpec, sample_context
 from unify_rnnt.corpus import CorpusConfig, generate_utterances
 from unify_rnnt.errors import (CorruptCheckpointError, EmptyBatchError,
+                               NonFiniteInputError, NumericalError,
                                VersionMismatchError)
 from unify_rnnt.mcr import MCRConfig
 from unify_rnnt.model import ModelConfig, TransducerModel
 from unify_rnnt.tensor import Tensor
 from unify_rnnt.training import (AdamW, ModeWeights, TrainConfig, clip_global_norm,
                                  cosine_lr, load_checkpoint, run_training,
-                                 sample_mode, save_checkpoint, train_step_dm,
-                                 train_step_sm)
+                                 save_checkpoint, step_modes, train_step)
 
 MODEL_CFG = ModelConfig(feat_dim=6, model_dim=16, heads=2, blocks=1, conv_kernel=3,
                         subsample_factor=2, vocab_size=10, predictor_dim=8,
@@ -102,43 +102,60 @@ class TestAdamW:
         assert total == pytest.approx(2.5)
 
 
-class TestModeSampling:
+class TestStepModes:
     def test_p_off_one_always_offline(self):
         rng = np.random.default_rng(0)
-        w = ModeWeights(p_off=1.0)
-        assert all(sample_mode(rng, w) == "offline" for _ in range(10000))
+        cfg = small_train_cfg(mode_weights=ModeWeights(p_off=1.0))
+        assert all(step_modes(rng, cfg) == [(None, 1.0)] for _ in range(10000))
 
     def test_p_off_zero_never_offline(self):
         rng = np.random.default_rng(0)
-        w = ModeWeights(p_off=0.0)
-        assert all(sample_mode(rng, w) == "streaming" for _ in range(10000))
+        cfg = small_train_cfg(mode_weights=ModeWeights(p_off=0.0))
+        for _ in range(10000):
+            [(spec, weight)] = step_modes(rng, cfg)
+            assert isinstance(spec, ContextSpec) and weight == 1.0
 
     def test_seeded_sequences_reproduce(self):
-        w = ModeWeights(p_off=0.5)
-        a = [sample_mode(np.random.default_rng(4), w) for _ in range(1)]
-        seq1 = [sample_mode(r, w) for r in [np.random.default_rng(4)] for _ in range(50)]
+        cfg = small_train_cfg(mode_weights=ModeWeights(p_off=0.5))
         rng1, rng2 = np.random.default_rng(4), np.random.default_rng(4)
-        s1 = [sample_mode(rng1, w) for _ in range(200)]
-        s2 = [sample_mode(rng2, w) for _ in range(200)]
+        s1 = [step_modes(rng1, cfg) for _ in range(200)]
+        s2 = [step_modes(rng2, cfg) for _ in range(200)]
         assert s1 == s2
 
     def test_balanced_draw_counts(self):
         rng = np.random.default_rng(11)
-        w = ModeWeights(p_off=0.5)
-        count = sum(sample_mode(rng, w) == "offline" for _ in range(10000))
+        cfg = small_train_cfg(mode_weights=ModeWeights(p_off=0.5))
+        count = sum(step_modes(rng, cfg)[0][0] is None for _ in range(10000))
         assert abs(count - 5000) <= 350
+
+    def test_single_mode_draws_the_coin_then_the_spec(self):
+        # one uniform draw decides the mode; a streaming mode then samples its spec
+        cfg = small_train_cfg(mode_weights=ModeWeights(p_off=0.5))
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(200):
+            modes = step_modes(rng, cfg)
+            if ref.random() < 0.5:
+                assert modes == [(None, 1.0)]
+            else:
+                assert modes == [(sample_context(SETS, ref), 1.0)]
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_dual_mode_is_offline_then_a_sampled_spec(self):
+        cfg = small_train_cfg(strategy="dual_mode", mode_weights=ModeWeights(alpha=0.3))
+        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        for _ in range(200):
+            assert step_modes(rng, cfg) == [(None, 0.3), (sample_context(SETS, ref), 0.7)]
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestSteps:
     def test_empty_batch_rejected(self, utts):
         model = TransducerModel(MODEL_CFG)
         opt = AdamW(model.parameters())
-        with pytest.raises(EmptyBatchError):
-            train_step_sm(model, [], np.random.default_rng(0), small_train_cfg(),
-                          opt, 1)
-        with pytest.raises(EmptyBatchError):
-            train_step_dm(model, [], np.random.default_rng(0),
-                          small_train_cfg(strategy="dual_mode"), opt, 1)
+        for strategy in ("single_mode", "dual_mode"):
+            with pytest.raises(EmptyBatchError):
+                train_step(model, [], np.random.default_rng(0),
+                           small_train_cfg(strategy=strategy), opt, 1)
 
     def test_dm_alpha_one_matches_sm_offline_update(self, utts):
         batch = utts[:2]
@@ -151,8 +168,8 @@ class TestSteps:
         m2 = TransducerModel(MODEL_CFG)
         o1 = AdamW(m1.parameters(), weight_decay=cfg_dm.weight_decay)
         o2 = AdamW(m2.parameters(), weight_decay=cfg_sm.weight_decay)
-        train_step_dm(m1, batch, np.random.default_rng(0), cfg_dm, o1, 1)
-        train_step_sm(m2, batch, np.random.default_rng(0), cfg_sm, o2, 1)
+        train_step(m1, batch, np.random.default_rng(0), cfg_dm, o1, 1)
+        train_step(m2, batch, np.random.default_rng(0), cfg_sm, o2, 1)
         for (n1, p1), (n2, p2) in zip(m1.param_items(), m2.param_items()):
             assert np.abs(p1.data.astype(np.float64)
                           - p2.data.astype(np.float64)).max() <= 1e-7, n1
@@ -166,7 +183,7 @@ class TestSteps:
                                   [[64], [64], [64]]))
         model = TransducerModel(MODEL_CFG)
         opt = AdamW(model.parameters())
-        report = train_step_dm(model, utts[:2], np.random.default_rng(0), cfg, opt, 1)
+        report = train_step(model, utts[:2], np.random.default_rng(0), cfg, opt, 1)
         assert abs(report["loss_off"] - report["loss_str"]) <= 1e-9
 
     def test_dm_total_is_weighted_sum(self, utts):
@@ -175,7 +192,7 @@ class TestSteps:
                               mcr=MCRConfig(lam=0.3, direction="symmetric", tile=10))
         model = TransducerModel(MODEL_CFG)
         opt = AdamW(model.parameters())
-        r = train_step_dm(model, utts[:3], np.random.default_rng(1), cfg, opt, 1)
+        r = train_step(model, utts[:3], np.random.default_rng(1), cfg, opt, 1)
         expected = 0.5 * r["loss_off"] + 0.5 * r["loss_str"] + 0.3 * r["loss_mcr"]
         assert abs(r["total"] - expected) <= 1e-12
         assert r["loss_mcr"] > 0.0
@@ -187,7 +204,49 @@ class TestSteps:
         run_training(model, utts, cfg, metrics_path=metrics)
         records = [json.loads(l) for l in open(metrics)]
         assert len(records) == 6
-        assert all(r["mode"] == "offline" for r in records)
+        for r in records:
+            assert {"loss_off", "loss_str", "loss_mcr", "spec"} & set(r) == {"loss_off"}
+            assert r["total"] == r["loss_off"]
+
+    @pytest.mark.parametrize("strategy,p_off,lam,keys", [
+        ("single_mode", 0.0, 0.3, {"loss_str", "spec"}),
+        ("dual_mode", 0.5, 0.0, {"loss_off", "loss_str", "loss_mcr", "spec"}),
+        ("dual_mode", 0.5, 0.3, {"loss_off", "loss_str", "loss_mcr", "spec"}),
+    ])
+    def test_one_report_schema(self, utts, strategy, p_off, lam, keys):
+        # a loss per mode run, loss_mcr in dual mode, spec when streaming ran
+        cfg = small_train_cfg(strategy=strategy, mode_weights=ModeWeights(0.5, p_off),
+                              mcr=MCRConfig(lam=lam, tile=10))
+        model = TransducerModel(MODEL_CFG)
+        r = train_step(model, utts[:2], np.random.default_rng(0), cfg,
+                       AdamW(model.parameters()), 1)
+        assert set(r) == keys | {"step", "strategy", "lr", "total", "grad_norm"}
+        assert r["strategy"] == strategy and len(r["spec"]) == 3
+        if strategy == "dual_mode":
+            assert (r["loss_mcr"] > 0.0) == (lam > 0.0)
+
+
+class TestDivergence:
+    """A non-finite joint weight fails the step with NumericalError for every
+    strategy, whether the consistency loss or the loss total sees it first."""
+
+    @pytest.mark.parametrize("strategy,lam,cause", [
+        ("dual_mode", 0.3, NonFiniteInputError),
+        ("dual_mode", 0.0, None),
+        ("single_mode", 0.3, None),
+    ], ids=["dm_mcr", "dm", "sm"])
+    def test_non_finite_weight_is_a_numerical_error(self, utts, strategy, lam, cause):
+        cfg = small_train_cfg(strategy=strategy, mcr=MCRConfig(lam=lam, tile=10))
+        model = TransducerModel(MODEL_CFG)
+        model.params["joint.w_out"].data[0, 0] = np.inf
+        opt = AdamW(model.parameters())
+        with np.errstate(all="ignore"), pytest.raises(NumericalError,
+                                                      match="at step 3$") as info:
+            train_step(model, utts[:2], np.random.default_rng(0), cfg, opt, 3)
+        if cause is None:
+            assert info.value.__cause__ is None
+        else:
+            assert isinstance(info.value.__cause__, cause)
 
 
 class TestLossDecreases:
@@ -219,12 +278,7 @@ class TestLossDecreases:
             for step in range(1, cfg.steps + 1):
                 idx = rng.integers(0, len(utts), cfg.batch_size)
                 batch = [utts[int(i)] for i in idx]
-                if cfg.strategy == "single_mode":
-                    rep = train_step_sm(model, batch, rng, cfg, opt, step)
-                    val = rep["loss"]
-                else:
-                    rep = train_step_dm(model, batch, rng, cfg, opt, step)
-                    val = rep["total"]
+                val = train_step(model, batch, rng, cfg, opt, step)["total"]
                 if first is None:
                     first = val
                 last = val
