@@ -7,7 +7,7 @@
 
 ``train`` runs ``n`` ``training.train_step`` calls at the ``dm_mcr`` config
 of ``experiments.toy_setup()``: dual mode with the consistency loss.
-``stream`` decodes eval utterances with ``decoding.greedy_decode_streaming``
+``stream`` decodes eval utterances with ``decoding.decode_mode``
 at the spec ``L,C,R`` until their chunk steps sum to at least ``n``, so the
 profile holds each chunk's encoder step and its greedy loop as a real decode
 pays them.
@@ -35,7 +35,7 @@ import numpy as np
 from unify_rnnt import experiments
 from unify_rnnt.contexts import ContextSpec
 from unify_rnnt.corpus import generate_utterances
-from unify_rnnt.decoding import greedy_decode_streaming
+from unify_rnnt.decoding import decode_mode
 from unify_rnnt.mcr import MCRConfig, mcr_loss
 from unify_rnnt.model import TransducerModel
 from unify_rnnt.rnnt_loss import JointLogits, rnnt_loss
@@ -71,7 +71,7 @@ def stream_decodes(setup, seed: int, n: int, spec: ContextSpec):
         steps = decoded = 0
         while steps < n:
             utt = utts[decoded % len(utts)]
-            steps += greedy_decode_streaming(model, utt.features, spec, setup.frame_ms).steps
+            steps += decode_mode(model, utt.features, spec, setup.frame_ms).steps
             decoded += 1
         return steps, decoded
     return run

@@ -9,12 +9,14 @@ seeds 0 and 1 (the table is in ROADMAP.md, open item 1), the first ordering
 reproduces: offline_baseline reads TER .356 at C1R0 against .240-.273 for
 every strategy that trains streaming.  The method's ordering does not:
 streaming_baseline is best at every streaming spec.  Runs fan out over a
-process pool; results are deterministic per seed.
+process pool; results are deterministic per seed.  ``--json-out`` dumps
+each run's summary and sweep rows (``decoding.evaluate``), specs as objects.
 """
 
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from unify_rnnt.experiments import (ABLATION_STRATEGIES, TREND_STRATEGIES,
                                     format_suite_table, run_suite, toy_setup)
@@ -43,14 +45,15 @@ def main() -> int:
         if res.get("sweep"):
             print(f"\nlatency sweep (dm_mcr, seed {seed}):")
             for row in res["sweep"]:
-                print(f"  budget={row['budget']} C={row['chunk']} R={row['right']} "
+                spec = row["spec"]
+                print(f"  budget={spec.chunk + spec.right} C={spec.chunk} R={spec.right} "
                       f"ter={row['ter']:.4f}")
     if args.json_out:
         payload = {s: {str(seed): {k: v for k, v in r.items() if k != "final"}
                        for seed, r in by_seed.items()}
                    for s, by_seed in suite["results"].items()}
         with open(args.json_out, "w") as fh:
-            json.dump(payload, fh, indent=1)
+            json.dump(payload, fh, indent=1, default=asdict)
         print(f"\nwrote {args.json_out}")
     return 0
 

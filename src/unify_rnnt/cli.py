@@ -5,7 +5,9 @@ every training hyperparameter (alpha, lambda, teacher direction, context
 sets) is a named key so ablation grids are scriptable.  All outputs land
 under the configured output directory, guarded by a pid lock file.
 
-Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 I/O error.
+Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 I/O error (a
+missing, corrupt or malformed run file: ``CorruptCheckpointError``,
+``ManifestMismatchError``, ``MalformedRecordError`` or an ``OSError``).
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from dataclasses import replace
 
 import yaml
 
-from .contexts import ContextSets, ContextSpec, latency_of
-from .corpus import CorpusConfig, generate_corpus, load_manifest
-from .decoding import write_utterance_csv
-from .errors import CorruptCheckpointError, ManifestMismatchError, NumericalError
-from .experiments import evaluate_model, sweep_model
+from .contexts import ContextSets, ContextSpec, latency_splits
+from .corpus import CorpusConfig, generate_corpus, load_manifest, read_jsonl
+from .decoding import evaluate, write_csv
+from .errors import (CorruptCheckpointError, MalformedRecordError, ManifestMismatchError,
+                     NumericalError)
 from .mcr import DIRECTIONS, MCRConfig, mcr_memory_probe
 from .model import ModelConfig, TransducerModel
 from .training import ModeWeights, TrainConfig, load_checkpoint, run_training
@@ -35,6 +37,14 @@ EXIT_IO = 4
 
 LOCK_NAME = ".unify-rnnt.lock"
 EVAL_KEYS = ("manifest", "left", "specs", "frame_ms", "budgets")
+
+# the eval files, as columns of decoding.evaluate's rows (see write_csv)
+SUMMARY_COLUMNS = (("mode", lambda r: "offline" if r["spec"] is None else "streaming"),
+                   "chunk_s", "right_s", "latency_s", "chunk_compute_ms", "ter")
+UTTERANCE_COLUMNS = ("utt_id", "mode", "latency_s", "ter", "ref_tokens", "chunks",
+                     "chunk_compute_ms")
+SWEEP_COLUMNS = (("budget_s", lambda r: r["latency_s"]), "chunk_s", "right_s",
+                 ("ter", lambda r: f"{r['ter']:.6f}"))
 
 
 class ConfigError(ValueError):
@@ -95,33 +105,30 @@ def _parse_config(data: dict) -> dict:
 
     train_raw = _section(data, "train")
     manifest = train_raw.pop("manifest", None)
-    mw = ModeWeights(alpha=float(train_raw.pop("alpha", 0.5)),
-                     p_off=float(train_raw.pop("p_off", 0.5)))
+    mw = _build(ModeWeights, {k: float(train_raw.pop(k)) for k in ("alpha", "p_off")
+                              if k in train_raw}, "train")
     mcr = _build(MCRConfig, train_raw.pop("mcr", {}), "train.mcr", **{"lambda": "lam"})
-    sets_raw = train_raw.pop("context_sets", [[70], [1, 2, 7, 13],
-                                              [0, 1, 2, 3, 5, 7, 13, 26]])
-    try:
-        sets = ContextSets.from_nested(sets_raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad context_sets: {exc}") from exc
+    if "context_sets" in train_raw:
+        try:
+            train_raw["context_sets"] = ContextSets.from_nested(train_raw["context_sets"])
+        except ValueError as exc:
+            raise ConfigError(f"bad context_sets: {exc}") from exc
     train = _build(TrainConfig, {**train_raw, "mode_weights": mw, "mcr": mcr,
-                                 "context_sets": sets,
                                  "seed": train_raw.get("seed", seed)}, "train")
 
     eval_raw = _section(data, "eval")
     unknown = sorted(set(eval_raw) - set(EVAL_KEYS))
     if unknown:
         raise ConfigError(f"bad eval section: unknown keys {unknown}")
+    left = int(eval_raw.get("left", 70))
     eval_cfg = {
         "manifest": eval_raw.get("manifest"),
-        "left": int(eval_raw.get("left", 70)),
-        "specs": [tuple(int(v) for v in pair) for pair in
+        "left": left,
+        "specs": [ContextSpec(left, *(int(v) for v in pair)) for pair in
                   eval_raw.get("specs", [[1, 0], [1, 1], [2, 2], [4, 4]])],
         "frame_ms": float(eval_raw.get("frame_ms", 40.0)),
         "budgets": [int(b) for b in eval_raw.get("budgets", [2, 4])],
     }
-    for chunk, right in eval_cfg["specs"]:
-        ContextSpec(eval_cfg["left"], chunk, right)
     return {"out": out_dir, "seed": seed, "corpus": corpus, "n_utterances": n_utts,
             "model": model, "train": train, "train_manifest": manifest,
             "eval": eval_cfg}
@@ -195,13 +202,6 @@ def _check_writable(out_dir) -> None:
         raise ConfigError(f"unwritable output directory {out_dir}: {exc}") from exc
 
 
-def _load_eval_utterances(bundle, manifest_override=None):
-    manifest = manifest_override or bundle["eval"]["manifest"]
-    if not manifest:
-        raise ConfigError("no eval manifest: set eval.manifest or pass --manifest")
-    return list(load_manifest(manifest, bundle["corpus"].feat_dim))
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -250,66 +250,45 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def _evaluate_checkpoint(args, modes_of, outputs) -> int:
+    """Evaluate the checkpoint on the eval utterances in the modes
+    ``modes_of(bundle)``; write each ``(file name, rows, columns)`` output,
+    ``rows`` 0 the per-utterance rows and 1 the summary rows, and print the
+    summary rows."""
     bundle = parse_config(_load_yaml(args.config))
     out_dir = args.out or bundle["out"]
     _check_writable(out_dir)
-    model, _step, _opt, _rng = load_checkpoint(args.checkpoint,
-                                               expected_config=bundle["model"])
-    utts = _load_eval_utterances(bundle, args.manifest)
-    frame_ms = bundle["eval"]["frame_ms"]
-    left = bundle["eval"]["left"]
-    # summary rows: offline first, then streaming by latency descending
-    specs = sorted(bundle["eval"]["specs"], key=lambda cr: (cr[0] + cr[1], cr[0]),
-                   reverse=True)
+    model = load_checkpoint(args.checkpoint, expected_config=bundle["model"])[0]
+    manifest = args.manifest or bundle["eval"]["manifest"]
+    if not manifest:
+        raise ConfigError("no eval manifest: set eval.manifest or pass --manifest")
+    utts = list(load_manifest(manifest, bundle["corpus"].feat_dim))
     with OutputLock(out_dir):
-        ev = evaluate_model(model, utts, specs, left, frame_ms)
-        rows = [{"mode": "offline", "chunk_s": "", "right_s": "",
-                 "latency_s": "inf", "chunk_compute_ms": ev["chunk_ms"]["offline"],
-                 "ter": ev["offline"]}]
-        rows += [{"mode": "streaming", "chunk_s": chunk * frame_ms / 1000.0,
-                  "right_s": right * frame_ms / 1000.0,
-                  "latency_s": latency_of(ContextSpec(left, chunk, right), frame_ms),
-                  "chunk_compute_ms": ev["chunk_ms"][f"{chunk},{right}"],
-                  "ter": ev["specs"][f"{chunk},{right}"]} for chunk, right in specs]
-        summary = os.path.join(out_dir, "eval_summary.csv")
-        with open(summary, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["mode", "chunk_s", "right_s",
-                                                    "latency_s", "chunk_compute_ms", "ter"])
-            writer.writeheader()
-            writer.writerows(rows)
-        write_utterance_csv(os.path.join(out_dir, "eval_utterances.csv"),
-                            ev["utterances"])
-    for row in rows:
-        print(f"{row['mode']:10s} latency={row['latency_s']} "
+        rows = evaluate(model, utts, modes_of(bundle), bundle["eval"]["frame_ms"])
+        for name, which, columns in outputs:
+            write_csv(os.path.join(out_dir, name), rows[which], columns)
+    for row in rows[1]:
+        print(f"{row['mode']:18s} latency={row['latency_s']} "
               f"chunk_ms={row['chunk_compute_ms']:.3f} ter={row['ter']:.4f}")
-    print(f"summary: {summary}")
+    print("wrote " + ", ".join(os.path.join(out_dir, name) for name, _, _ in outputs))
     return EXIT_OK
+
+
+def cmd_eval(args) -> int:
+    def modes(bundle):
+        # offline first, then streaming by latency descending
+        return [None] + sorted(bundle["eval"]["specs"], reverse=True,
+                               key=lambda s: (s.chunk + s.right, s.chunk))
+    return _evaluate_checkpoint(args, modes, [("eval_summary.csv", 1, SUMMARY_COLUMNS),
+                                              ("eval_utterances.csv", 0, UTTERANCE_COLUMNS)])
 
 
 def cmd_sweep_latency(args) -> int:
-    bundle = parse_config(_load_yaml(args.config))
-    out_dir = args.out or bundle["out"]
-    _check_writable(out_dir)
-    model, _step, _opt, _rng = load_checkpoint(args.checkpoint,
-                                               expected_config=bundle["model"])
-    utts = _load_eval_utterances(bundle, args.manifest)
-    budgets = [int(b) for b in args.budgets.split(",")] if args.budgets \
-        else bundle["eval"]["budgets"]
-    with OutputLock(out_dir):
-        rows = sweep_model(model, utts, budgets, bundle["eval"]["left"],
-                           bundle["eval"]["frame_ms"])
-        path = os.path.join(out_dir, "sweep_latency.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["budget_s", "chunk_s", "right_s", "ter"])
-            for row in rows:
-                writer.writerow([row["budget_s"], row["chunk_s"], row["right_s"],
-                                 f"{row['ter']:.6f}"])
-                print(f"budget={row['budget']} C={row['chunk']} R={row['right']} "
-                      f"ter={row['ter']:.4f}")
-    print(f"sweep: {path}")
-    return EXIT_OK
+    def modes(bundle):
+        budgets = [int(b) for b in args.budgets.split(",")] if args.budgets \
+            else bundle["eval"]["budgets"]
+        return latency_splits(bundle["eval"]["left"], budgets)
+    return _evaluate_checkpoint(args, modes, [("sweep_latency.csv", 1, SWEEP_COLUMNS)])
 
 
 def cmd_bench_mcr(args) -> int:
@@ -324,7 +303,7 @@ def cmd_report(args) -> int:
     out_dir = args.out
     metrics = os.path.join(out_dir, "metrics.jsonl")
     if os.path.exists(metrics):
-        records = [json.loads(line) for line in open(metrics) if line.strip()]
+        records = list(read_jsonl(metrics))
         if records:
             first, last = records[0], records[-1]
             print(f"training: {len(records)} logged steps, "
@@ -371,12 +350,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", help="checkpoint to continue from")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("eval", help="decode offline plus each latency spec; "
-                                    "writes eval_summary.csv (rows ordered by "
-                                    "latency descending, with the measured compute "
-                                    "ms per chunk) and eval_utterances.csv "
-                                    "(utt_id, mode, latency_s, ter, ref_tokens, "
-                                    "chunks, chunk_compute_ms)")
+    p = sub.add_parser("eval", help="decode offline plus each latency spec; writes "
+                                    "eval_summary.csv (a row per mode, latency "
+                                    "descending) and eval_utterances.csv (a row per "
+                                    "mode and utterance)")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--manifest", help="override eval manifest")
@@ -420,7 +397,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ManifestMismatchError, CorruptCheckpointError, OSError) as exc:
+    except (ManifestMismatchError, MalformedRecordError, CorruptCheckpointError,
+            OSError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

@@ -3,12 +3,13 @@
 Everything here is a pure function of its arguments: the streaming row
 layout with its right-context copy rows, the chunked attention mask and the
 convolution's tap table over that layout, training-time context sampling,
-and the worst-case latency arithmetic.  Frame counts are post-subsampling
-encoder frames throughout.
+the worst-case latency arithmetic and the latency sweep grid.  Frame counts
+are post-subsampling encoder frames throughout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,19 +39,13 @@ class ContextSets:
     right_set: tuple[int, ...]
 
     def __post_init__(self):
-        for name, values in (("left_set", self.left_set), ("chunk_set", self.chunk_set),
-                             ("right_set", self.right_set)):
+        for name, values, low in (("left_set", self.left_set, 0),
+                                  ("chunk_set", self.chunk_set, 1),
+                                  ("right_set", self.right_set, 0)):
             if len(values) == 0:
                 raise EmptyContextSetError(f"{name} is empty")
-        for left in self.left_set:
-            if left < 0:
-                raise ValueError(f"negative left context {left}")
-        for chunk in self.chunk_set:
-            if chunk < 1:
-                raise ValueError(f"chunk size {chunk} < 1")
-        for right in self.right_set:
-            if right < 0:
-                raise ValueError(f"negative right context {right}")
+            if min(values) < low:
+                raise ValueError(f"{name} holds {min(values)} < {low}")
 
     @classmethod
     def from_nested(cls, nested: Sequence[Sequence[int]]) -> "ContextSets":
@@ -132,8 +127,18 @@ def plan_conv_chunks(T: int, spec: ContextSpec, kernel_size: int) -> np.ndarray:
     return taps
 
 
-def latency_of(spec: ContextSpec, frame_ms: float) -> float:
-    """Worst-case theoretical latency (chunk + right context) in seconds."""
+def latency_of(spec: ContextSpec | None, frame_ms: float) -> float:
+    """Worst-case theoretical latency (chunk + right context) in seconds;
+    offline (``None``) waits for the whole utterance, so its latency is inf."""
     if frame_ms <= 0:
         raise ValueError("frame_ms must be positive")
+    if spec is None:
+        return math.inf
     return (spec.chunk + spec.right) * frame_ms / 1000.0
+
+
+def latency_splits(left: int, budgets: Sequence[int]) -> list[ContextSpec]:
+    """The latency sweep grid: every split ``(C, R = budget - C)``, ``C >= 1``,
+    of each budget in encoder frames, in budget order, then by chunk."""
+    return [ContextSpec(left, chunk, budget - chunk)
+            for budget in budgets for chunk in range(1, budget + 1)]

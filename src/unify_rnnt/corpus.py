@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ManifestMismatchError, MissingFeatureFileError
+from .errors import MalformedRecordError, ManifestMismatchError, MissingFeatureFileError
 
 
 @dataclass(frozen=True)
@@ -162,13 +163,51 @@ def generate_utterances(cfg: CorpusConfig, n: int) -> list[Utterance]:
             for i in range(n)]
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Open a temp file in ``path``'s directory for writing; on success fsync
+    it and rename it over ``path``, on failure remove it.  ``path`` holds its
+    previous content or the whole new one, never a torn write."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def read_jsonl(path, required: tuple[str, ...] = ()):
+    """Yield the JSON object on each nonblank line of ``path``.  A line that is
+    not one, or lacks a ``required`` field, raises :class:`MalformedRecordError`
+    naming the file and line."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecordError(f"{path}:{lineno}: not JSON: {exc}") from None
+            if not isinstance(rec, dict):
+                raise MalformedRecordError(f"{path}:{lineno}: not a JSON object")
+            if missing := [key for key in required if key not in rec]:
+                raise MalformedRecordError(f"{path}:{lineno}: missing fields {missing}")
+            yield rec
+
+
 def generate_corpus(cfg: CorpusConfig, n: int, out_dir) -> str:
-    """Write n utterances plus a manifest; returns the manifest path."""
+    """Write n utterances plus a manifest; returns the manifest path.  The
+    manifest is written atomically after every feature file it names."""
     if n < 1:
         raise ValueError("n must be >= 1")
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.jsonl")
-    with open(manifest_path, "w") as mf:
+    with atomic_write(manifest_path) as mf:
         for utt in generate_utterances(cfg, n):
             fname = f"{utt.id}.f32"
             with open(os.path.join(out_dir, fname), "wb") as fh:
@@ -183,20 +222,15 @@ def generate_corpus(cfg: CorpusConfig, n: int, out_dir) -> str:
 def load_manifest(path, feat_dim: int):
     """Yield utterances in file order, validating frame counts."""
     base = os.path.dirname(os.path.abspath(path))
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            fpath = os.path.join(base, rec["path"])
-            if not os.path.exists(fpath):
-                raise MissingFeatureFileError(
-                    f"utterance {rec['id']}: missing feature file {rec['path']}")
-            raw = np.fromfile(fpath, dtype="<f4")
-            if raw.size != rec["frames"] * feat_dim:
-                raise ManifestMismatchError(
-                    f"utterance {rec['id']}: manifest says {rec['frames']} frames, "
-                    f"file holds {raw.size // feat_dim}")
-            yield Utterance(rec["id"], raw.reshape(rec["frames"], feat_dim),
-                            np.asarray(rec["tokens"], dtype=np.int64))
+    for rec in read_jsonl(path, required=("id", "path", "frames", "tokens")):
+        fpath = os.path.join(base, rec["path"])
+        if not os.path.exists(fpath):
+            raise MissingFeatureFileError(
+                f"utterance {rec['id']}: missing feature file {rec['path']}")
+        raw = np.fromfile(fpath, dtype="<f4")
+        if raw.size != rec["frames"] * feat_dim:
+            raise ManifestMismatchError(
+                f"utterance {rec['id']}: manifest says {rec['frames']} frames, "
+                f"file holds {raw.size // feat_dim}")
+        yield Utterance(rec["id"], raw.reshape(rec["frames"], feat_dim),
+                        np.asarray(rec["tokens"], dtype=np.int64))

@@ -1,18 +1,17 @@
-"""Greedy transducer decoding, offline and stateful chunked streaming.
+"""Greedy transducer decoding and evaluation: one chunk loop for every mode.
 
-A mode is a ``ContextSpec | None``, as in :mod:`model`: ``decode_mode`` and
-``evaluate_utterances`` decode offline for ``None`` and stream at the spec
-otherwise.
+A mode is a ``ContextSpec | None``, as in :mod:`model`.  :func:`decode_mode`
+runs the greedy loop over chunks of C encoder frames, carrying the predictor
+state.  Streaming runs one encoder chunk step per chunk on its raw frames
+``[s, min(T, s+C+R))`` with a :class:`model.StreamState`, so no computation
+reads past the visible horizon; its rows equal the training path's up to
+rounding.  Offline is one chunk of all T frames, encoded without a state.
+Input shorter than one encoder frame decodes to nothing in zero chunks.  A
+result records the measured compute time of each chunk (encoder step plus
+greedy loop) next to the theoretical latency (chunk plus right context).
 
-Streaming decoding runs one encoder chunk step per chunk on that chunk's raw
-frames ``[s, min(T, s+C+R))``, so no computation can read past the visible
-horizon by construction.  A :class:`model.StreamState` carries the encoder's
-per-block left context from step to step, and the predictor state carries
-across steps; the last emitted token does not.  The encoder rows equal the
-training path's rows (``TransducerModel.encode`` without a state) up to
-rounding.  Next to the theoretical worst-case latency (chunk plus right
-context), a result records the measured compute time of each chunk: its
-encoder step plus its greedy loop (offline decoding is one chunk).
+:func:`evaluate` is the one evaluation loop: per-utterance rows and one
+summary row per mode, which every eval file and table projects.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from time import perf_counter
 import numpy as np
 
 from .contexts import ContextSpec, latency_of
+from .corpus import atomic_write
 from .model import StreamState, TransducerModel
 
 MAX_SYMBOLS_PER_FRAME = 10
@@ -44,18 +44,17 @@ class DecodeResult:
 
 
 def _greedy_over_frames(model: TransducerModel, enc: np.ndarray, frame_base: int,
-                        state: np.ndarray, result: DecodeResult,
-                        max_symbols: int) -> np.ndarray:
+                        state: np.ndarray, result: DecodeResult) -> np.ndarray:
     """Run the greedy emit loop over encoder frames, mutating ``result``.
 
     Ties in the argmax resolve to the lowest token id (np.argmax convention).
-    At most ``max_symbols`` non-blank emissions per frame, then a forced
-    frame advance.
+    At most ``MAX_SYMBOLS_PER_FRAME`` non-blank emissions per frame, then a
+    forced frame advance.
     """
     pred_vec = state
     for i in range(enc.shape[0]):
         emitted = 0
-        while emitted < max_symbols:
+        while emitted < MAX_SYMBOLS_PER_FRAME:
             logits = model.joint_vec(enc[i], pred_vec)
             k = int(np.argmax(logits))
             if k == 0:
@@ -67,26 +66,14 @@ def _greedy_over_frames(model: TransducerModel, enc: np.ndarray, frame_base: int
     return state
 
 
-def greedy_decode_offline(model: TransducerModel, features: np.ndarray,
-                          max_symbols_per_frame: int = MAX_SYMBOLS_PER_FRAME) -> DecodeResult:
-    """Full-context greedy decode; latency reported as infinite."""
-    t0 = perf_counter()
-    enc = model.encode(features).data
-    result = DecodeResult()
-    state = model.predictor_start()
-    _greedy_over_frames(model, enc, 0, state, result, max_symbols_per_frame)
-    result.chunk_ms.append((perf_counter() - t0) * 1e3)
-    return result
+def decode_mode(model: TransducerModel, features: np.ndarray, spec: ContextSpec | None,
+                frame_ms: float) -> DecodeResult:
+    """Greedy decode in chunks of C encoder frames (offline: one chunk of T).
 
-
-def greedy_decode_streaming(model: TransducerModel, features: np.ndarray,
-                            spec: ContextSpec, frame_ms: float,
-                            max_symbols_per_frame: int = MAX_SYMBOLS_PER_FRAME) -> DecodeResult:
-    """Stateful chunked decode with step size C.
-
-    Each step encodes the chunk's frames ``[s, min(T, s + C + R))`` after the
-    cached left context, keeps encoder frames ``[s, s + C)``, and continues
-    the greedy loop with the carried predictor state.
+    Each chunk encodes its frames ``[s, min(T, s + C + R))`` (offline without
+    a state, streaming as a chunk step after the cached left context), keeps
+    encoder frames ``[s, s + C)`` and continues the greedy loop with the
+    carried predictor state.
     """
     features = np.asarray(features)
     q = model.cfg.subsample_factor
@@ -94,30 +81,26 @@ def greedy_decode_streaming(model: TransducerModel, features: np.ndarray,
     result = DecodeResult(worst_case_latency_s=latency_of(spec, frame_ms))
     if total < 1:
         return result
-    cache = StreamState()
+    chunk, right = (total, 0) if spec is None else (spec.chunk, spec.right)
+    cache = None if spec is None else StreamState()
     state = model.predictor_start()
-    for s in range(0, total, spec.chunk):
+    for s in range(0, total, chunk):
         t0 = perf_counter()
-        end = min(total, s + spec.chunk + spec.right)
+        end = min(total, s + chunk + right)
         enc = model.encode(features[s * q:end * q], spec, cache).data
-        state = _greedy_over_frames(model, enc, s, state, result, max_symbols_per_frame)
+        state = _greedy_over_frames(model, enc, s, state, result)
         result.chunk_ms.append((perf_counter() - t0) * 1e3)
     return result
 
 
 def levenshtein(a, b) -> int:
     """Unit-cost edit distance between two token sequences."""
-    a = list(a)
     b = list(b)
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
     prev = list(range(len(b) + 1))
     for i, x in enumerate(a, start=1):
-        cur = [i] + [0] * len(b)
+        cur = [i]
         for j, y in enumerate(b, start=1):
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y))
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
         prev = cur
     return prev[-1]
 
@@ -127,55 +110,52 @@ def token_error_rate(hyp, ref) -> float:
     return levenshtein(hyp, ref) / max(1, len(list(ref)))
 
 
-def decode_mode(model: TransducerModel, features: np.ndarray, spec: ContextSpec | None,
-                frame_ms: float) -> DecodeResult:
-    if spec is None:
-        return greedy_decode_offline(model, features)
-    return greedy_decode_streaming(model, features, spec, frame_ms)
+def mode_label(spec: ContextSpec | None) -> str:
+    return "offline" if spec is None else f"streaming_C{spec.chunk}_R{spec.right}"
 
 
-def evaluate_utterances(model: TransducerModel, utterances, spec: ContextSpec | None,
-                        frame_ms: float) -> list[dict]:
-    """One row per utterance: id, mode label, latency, TER, token count, and
-    the chunk count and mean measured compute ms per chunk."""
-    rows = []
-    if spec is None:
-        label, latency = "offline", math.inf
-    else:
-        label = f"streaming_C{spec.chunk}_R{spec.right}"
-        latency = latency_of(spec, frame_ms)
-    for utt in utterances:
-        res = decode_mode(model, utt.features, spec, frame_ms)
-        rows.append({
-            "utt_id": utt.id,
+def evaluate(model: TransducerModel, utterances, modes, frame_ms: float
+             ) -> tuple[list[dict], list[dict]]:
+    """Decode every utterance in each mode, in the order given.
+
+    Returns the per-utterance rows (``utt_id``, ``mode``, ``latency_s``,
+    ``ter``, ``ref_tokens``, ``chunks``, ``chunk_compute_ms`` per chunk),
+    mode by mode, and one summary row per mode: its label ``mode``, ``spec``,
+    ``chunk_s`` and ``right_s`` (None offline), ``latency_s``,
+    ``chunk_compute_ms`` pooled over every chunk, and ``ter``, the mean of
+    the per-utterance TERs.
+    """
+    utt_rows, summary = [], []
+    for spec in modes:
+        label, latency = mode_label(spec), latency_of(spec, frame_ms)
+        rows, chunk_ms = [], []
+        for utt in utterances:
+            res = decode_mode(model, utt.features, spec, frame_ms)
+            chunk_ms += res.chunk_ms
+            rows.append({"utt_id": utt.id, "mode": label, "latency_s": latency,
+                         "ter": token_error_rate(res.tokens, list(utt.tokens)),
+                         "ref_tokens": len(utt.tokens), "chunks": res.steps,
+                         "chunk_compute_ms": sum(res.chunk_ms) / max(1, res.steps)})
+        summary.append({
             "mode": label,
+            "spec": spec,
+            "chunk_s": None if spec is None else spec.chunk * frame_ms / 1000.0,
+            "right_s": None if spec is None else spec.right * frame_ms / 1000.0,
             "latency_s": latency,
-            "ter": token_error_rate(res.tokens, list(utt.tokens)),
-            "ref_tokens": len(utt.tokens),
-            "chunks": res.steps,
-            "chunk_compute_ms": sum(res.chunk_ms) / max(1, res.steps),
+            "chunk_compute_ms": sum(chunk_ms) / max(1, len(chunk_ms)),
+            "ter": float(np.mean([r["ter"] for r in rows])) if rows else 0.0,
         })
-    return rows
+        utt_rows += rows
+    return utt_rows, summary
 
 
-def write_utterance_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["utt_id", "mode", "latency_s", "ter", "ref_tokens",
-                                                "chunks", "chunk_compute_ms"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+def write_csv(path, rows, columns) -> None:
+    """Write the ``columns`` of ``rows`` to ``path`` atomically.
 
-
-def mean_ter(rows) -> float:
-    if not rows:
-        return 0.0
-    return float(np.mean([r["ter"] for r in rows]))
-
-
-def mean_chunk_ms(rows) -> float:
-    """Measured compute ms per chunk over every chunk of ``rows``."""
-    chunks = sum(r["chunks"] for r in rows)
-    if not chunks:
-        return 0.0
-    return sum(r["chunk_compute_ms"] * r["chunks"] for r in rows) / chunks
+    A column is a row key, or a ``(header, function of the row)`` pair.
+    """
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([c if isinstance(c, str) else c[0] for c in columns])
+        writer.writerows([row[c] if isinstance(c, str) else c[1](row) for c in columns]
+                         for row in rows)

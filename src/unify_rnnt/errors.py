@@ -53,6 +53,11 @@ class ManifestMismatchError(ValueError):
     """Manifest metadata disagrees with the feature file on disk."""
 
 
+class MalformedRecordError(ValueError):
+    """A line of a JSON-lines run file (manifest, metrics) is not a JSON
+    object with the fields it needs; the message names the file and line."""
+
+
 class MissingFeatureFileError(FileNotFoundError):
     """Manifest references a feature file that does not exist."""
 

@@ -1,9 +1,11 @@
 """Toy-scale experiment harness: trend, ablation and latency-sweep runs.
 
-A run is one (strategy, seed) training job over the shared synthetic corpus,
-evaluated offline and at a fixed latency ladder.  Runs are self-contained and
-picklable, so the suite fans out over a process pool; results are gathered in
-a fixed order and are deterministic per seed regardless of worker count.
+A run is one (strategy, seed) training job over the shared synthetic corpus.
+It is evaluated by :func:`decoding.evaluate` offline and at a fixed latency
+ladder, and, for the sweep strategies, on :func:`contexts.latency_splits`;
+its result keeps the summary rows.  Runs are self-contained and picklable, so
+the suite fans out over a process pool; results are gathered in a fixed order
+and are deterministic per seed regardless of worker count.
 
 Strategies:
   offline_baseline    single mode, always offline
@@ -20,9 +22,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .contexts import ContextSets, ContextSpec
+from .contexts import ContextSets, ContextSpec, latency_splits
 from .corpus import CorpusConfig, generate_utterances
-from .decoding import evaluate_utterances, mean_chunk_ms, mean_ter
+from .decoding import evaluate, mode_label
 from .mcr import MCRConfig
 from .model import ModelConfig, TransducerModel
 from .training import ModeWeights, TrainConfig, run_training
@@ -94,67 +96,30 @@ def strategy_train_config(setup: ToySetup, strategy: str, seed: int) -> TrainCon
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def evaluate_model(model: TransducerModel, utterances, specs, left: int,
-                   frame_ms: float) -> dict:
-    """Offline TER plus TER at each (chunk, right) spec, in the order given.
-
-    ``chunk_ms`` holds the measured compute ms per chunk, under the key
-    ``"offline"`` and the spec keys.  ``utterances`` holds the per-utterance
-    rows: offline first, then each spec in turn.
-    """
-    per_utt = evaluate_utterances(model, utterances, None, frame_ms)
-    out = {"offline": mean_ter(per_utt), "specs": {}, "utterances": list(per_utt),
-           "chunk_ms": {"offline": mean_chunk_ms(per_utt)}}
-    for chunk, right in specs:
-        per_utt = evaluate_utterances(model, utterances, ContextSpec(left, chunk, right),
-                                      frame_ms)
-        out["specs"][f"{chunk},{right}"] = mean_ter(per_utt)
-        out["chunk_ms"][f"{chunk},{right}"] = mean_chunk_ms(per_utt)
-        out["utterances"].extend(per_utt)
-    return out
-
-
-def sweep_model(model: TransducerModel, utterances, budgets, left: int,
-                frame_ms: float) -> list[dict]:
-    """All (C, R = budget - C) splits per latency budget, with mean TER."""
-    rows = []
-    for budget in budgets:
-        for chunk in range(1, budget + 1):
-            right = budget - chunk
-            spec = ContextSpec(left, chunk, right)
-            ter = mean_ter(evaluate_utterances(model, utterances, spec, frame_ms))
-            rows.append({"budget": budget,
-                         "budget_s": budget * frame_ms / 1000.0,
-                         "chunk": chunk, "right": right,
-                         "chunk_s": chunk * frame_ms / 1000.0,
-                         "right_s": right * frame_ms / 1000.0,
-                         "ter": ter})
-    return rows
+def eval_modes(setup: ToySetup) -> list[ContextSpec | None]:
+    """Offline, then each eval spec in the order given."""
+    return [None] + [ContextSpec(setup.eval_left, c, r) for c, r in setup.eval_specs]
 
 
 def run_one(job: tuple) -> dict:
-    """Train one (strategy, seed) job and evaluate it; process-pool entry."""
+    """Train one (strategy, seed) job and evaluate it; process-pool entry.
+
+    ``summary`` holds :func:`decoding.evaluate`'s summary rows of
+    :func:`eval_modes`; ``sweep`` those of the latency sweep grid.
+    """
     setup, strategy, seed, want_sweep = job
     train_utts = generate_utterances(setup.train_corpus, setup.n_train)
     eval_utts = generate_utterances(setup.eval_corpus, setup.n_eval)
     cfg = strategy_train_config(setup, strategy, seed)
     model = TransducerModel(replace(setup.model, seed=seed))
     last = run_training(model, train_utts, cfg)
-    ev = evaluate_model(model, eval_utts, setup.eval_specs, setup.eval_left,
-                        setup.frame_ms)
     result = {"strategy": strategy, "seed": seed, "final": last,
-              "offline": ev["offline"], "specs": ev["specs"]}
+              "summary": evaluate(model, eval_utts, eval_modes(setup), setup.frame_ms)[1]}
     if want_sweep:
-        result["sweep"] = sweep_model(model, eval_utts, setup.budgets,
-                                      setup.eval_left, setup.frame_ms)
+        result["sweep"] = evaluate(model, eval_utts,
+                                   latency_splits(setup.eval_left, setup.budgets),
+                                   setup.frame_ms)[1]
     return result
-
-
-def default_workers() -> int:
-    env = os.environ.get("UNIFY_RNNT_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, min(4, os.cpu_count() or 1))
 
 
 def run_suite(strategies, seeds, setup: ToySetup | None = None,
@@ -166,7 +131,7 @@ def run_suite(strategies, seeds, setup: ToySetup | None = None,
     jobs = [(setup, strategy, seed, strategy in sweep_strategies)
             for strategy in strategies for seed in seeds]
     if workers is None:
-        workers = default_workers()
+        workers = max(1, min(4, os.cpu_count() or 1))
     if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_one, jobs))
@@ -179,14 +144,13 @@ def run_suite(strategies, seeds, setup: ToySetup | None = None,
 
 
 def format_suite_table(suite: dict) -> str:
-    """Human-readable TER table, strategies by latency columns."""
-    setup = suite["setup"]
-    specs = [f"{c},{r}" for c, r in setup.eval_specs]
-    header = f"{'strategy':22s} {'seed':>4s} {'offline':>8s} " + " ".join(
-        f"{s:>8s}" for s in specs)
-    lines = [header]
+    """Human-readable TER table: a line per (strategy, seed), a column per
+    eval mode, from the runs' summary rows."""
+    labels = [mode_label(spec) for spec in eval_modes(suite["setup"])]
+    lines = [f"{'strategy':22s} {'seed':>4s} " + " ".join(f"{m:>8s}" for m in labels)]
     for strategy, by_seed in suite["results"].items():
         for seed, res in sorted(by_seed.items()):
-            cells = " ".join(f"{res['specs'][s]:8.4f}" for s in specs)
-            lines.append(f"{strategy:22s} {seed:4d} {res['offline']:8.4f} {cells}")
+            cells = " ".join(f"{row['ter']:{max(8, len(row['mode']))}.4f}"
+                             for row in res["summary"])
+            lines.append(f"{strategy:22s} {seed:4d} {cells}")
     return "\n".join(lines)

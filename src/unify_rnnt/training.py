@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import time
 from dataclasses import dataclass, field
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import tensor as tz
 from .contexts import ContextSets, ContextSpec, sample_context
-from .corpus import Utterance
+from .corpus import Utterance, atomic_write
 from .errors import (CorruptCheckpointError, EmptyBatchError, NonFiniteInputError,
                      NumericalError, VersionMismatchError)
 # perfbench/spans.py patches mcr_forward, mcr_backward and rnnt_forward_single here
@@ -323,8 +322,8 @@ def run_training(model: TransducerModel, utterances: list[Utterance],
 def save_checkpoint(path, model: TransducerModel, step: int = 0,
                     optimizer: AdamW | None = None,
                     rng: np.random.Generator | None = None) -> None:
-    """Write the checkpoint to a temp file in the same directory, then rename
-    it over ``path``, so a failed write leaves the previous file intact."""
+    """Write the checkpoint atomically: a failed write leaves the previous
+    file intact."""
     if model.cfg.dtype != "float32":
         raise ValueError("checkpoints store float32 blobs; model dtype must be float32")
     header = {
@@ -342,25 +341,16 @@ def save_checkpoint(path, model: TransducerModel, step: int = 0,
                                "weight_decay": optimizer.weight_decay,
                                "lr": optimizer.lr}
     blob = json.dumps(header).encode("utf-8")
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    fh = open(tmp, "wb")
-    try:
-        with fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            for _name, p in model.param_items():
-                fh.write(p.data.astype("<f4", copy=False).tobytes())
-            if optimizer is not None:
-                for buf in optimizer.m + optimizer.v:
-                    fh.write(buf.astype("<f4", copy=False).tobytes())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        for _name, p in model.param_items():
+            fh.write(p.data.astype("<f4", copy=False).tobytes())
+        if optimizer is not None:
+            for buf in optimizer.m + optimizer.v:
+                fh.write(buf.astype("<f4", copy=False).tobytes())
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:

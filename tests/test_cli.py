@@ -1,19 +1,22 @@
 """Command-line surface: exit codes, determinism, output schemas."""
 
 import csv
+import gc
 import json
 import os
 import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from unify_rnnt.cli import main
+from unify_rnnt import cli
+from unify_rnnt.cli import main, parse_config
 from unify_rnnt.model import ModelConfig, TransducerModel
-from unify_rnnt.training import load_checkpoint, save_checkpoint
+from unify_rnnt.training import ModeWeights, TrainConfig, load_checkpoint, save_checkpoint
 
 GRID_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_mcr_grid.py"
 
@@ -274,6 +277,126 @@ class TestTrainEvalPipeline:
         save_checkpoint(ckpt, TransducerModel(model_cfg), step=1)
         rewrite_header(ckpt, edit)
         assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == code
+
+
+def untrained_checkpoint(config, out):
+    """The config's model at its initial weights: eval needs no training."""
+    out.mkdir(parents=True, exist_ok=True)
+    ckpt = out / "init.urnt"
+    save_checkpoint(ckpt, TransducerModel(ModelConfig(**yaml.safe_load(open(config))["model"])))
+    return ckpt
+
+
+def csv_lines(path):
+    return list(csv.reader(open(path, newline="")))
+
+
+def cell(value) -> str:
+    return "" if value is None else str(value)
+
+
+class TestEvalFiles:
+    def test_each_csv_is_a_projection_of_the_evaluated_rows(self, workspace, monkeypatch):
+        config, out = workspace
+        assert gen_heldout(config, out) == 0
+        ckpt = untrained_checkpoint(config, out)
+        seen, evaluate = [], cli.evaluate
+
+        def recorded(*args):
+            seen.append(evaluate(*args))
+            return seen[-1]
+        monkeypatch.setattr(cli, "evaluate", recorded)
+        assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        assert main(["sweep-latency", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        (per_utt, summary), (_, sweep) = seen
+        assert [r["mode"] for r in summary] == ["offline", "streaming_C1_R1",
+                                                "streaming_C1_R0"]
+        assert csv_lines(out / "eval_summary.csv") == [
+            ["mode", "chunk_s", "right_s", "latency_s", "chunk_compute_ms", "ter"]] + [
+            ["offline" if r["spec"] is None else "streaming"]
+            + [cell(r[k]) for k in ("chunk_s", "right_s", "latency_s", "chunk_compute_ms",
+                                    "ter")] for r in summary]
+        keys = ["utt_id", "mode", "latency_s", "ter", "ref_tokens", "chunks",
+                "chunk_compute_ms"]
+        assert csv_lines(out / "eval_utterances.csv") == [keys] + [
+            [cell(r[k]) for k in keys] for r in per_utt]
+        assert [(r["spec"].chunk, r["spec"].right) for r in sweep] == [(1, 1), (2, 0)]
+        assert csv_lines(out / "sweep_latency.csv") == [
+            ["budget_s", "chunk_s", "right_s", "ter"]] + [
+            [cell(r["latency_s"]), cell(r["chunk_s"]), cell(r["right_s"]), f"{r['ter']:.6f}"]
+            for r in sweep]
+
+    def test_input_shorter_than_one_encoder_frame_decodes_empty(self, workspace):
+        config, out = workspace
+        assert gen_heldout(config, out) == 0
+        corpus = out / "heldout" / "corpus"
+        np.zeros((1, 6), dtype="<f4").tofile(corpus / "short.f32")
+        with open(corpus / "manifest.jsonl", "a") as fh:
+            fh.write(json.dumps({"id": "short", "path": "short.f32", "frames": 1,
+                                 "tokens": [1, 2]}) + "\n")
+        ckpt = untrained_checkpoint(config, out)
+        assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        short = [r for r in csv.DictReader(open(out / "eval_utterances.csv"))
+                 if r["utt_id"] == "short"]
+        assert [r["mode"] for r in short] == ["offline", "streaming_C1_R1",
+                                              "streaming_C1_R0"]
+        for r in short:
+            assert (r["chunks"], r["chunk_compute_ms"], r["ter"]) == ("0", "0.0", "1.0")
+
+    def test_failed_write_keeps_previous_summary(self, workspace, monkeypatch):
+        config, out = workspace
+        assert gen_heldout(config, out) == 0
+        ckpt = untrained_checkpoint(config, out)
+        assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt)]) == 0
+        before = (out / "eval_summary.csv").read_bytes()
+        evaluate = cli.evaluate
+
+        def torn(*args):
+            # the second summary row lacks its columns: the write fails midway
+            per_utt, summary = evaluate(*args)
+            return per_utt, summary[:1] + [{}]
+        monkeypatch.setattr(cli, "evaluate", torn)
+        with pytest.raises(KeyError):
+            main(["eval", "--config", str(config), "--checkpoint", str(ckpt)])
+        assert (out / "eval_summary.csv").read_bytes() == before
+        assert not list(out.glob("*.tmp"))
+
+
+class TestMalformedRunFiles:
+    @pytest.mark.parametrize("line,what", [
+        ('{"id": "a", "frames": 1, "tokens": [1]}', "missing fields ['path']"),
+        ('{"id": "a", "path": ', "not JSON"),
+        ('[1, 2]', "not a JSON object"),
+    ], ids=["no-path", "not-json", "not-object"])
+    def test_bad_manifest_line_is_io_error(self, workspace, capsys, line, what):
+        config, out = workspace
+        assert main(["gen-data", "--config", str(config)]) == 0
+        manifest = out / "corpus" / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("\n".join(lines[:2] + [line] + lines[2:]) + "\n")
+        assert main(["train", "--config", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert f"{manifest}:3: {what}" in err
+
+    def test_report_on_torn_metrics_is_io_error(self, tmp_path, capsys):
+        metrics = tmp_path / "metrics.jsonl"
+        metrics.write_text('{"step": 1, "total": 2.0}\n{"step": 2, "tot')
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["report", "--out", str(tmp_path)]) == 4
+            gc.collect()
+        assert f"{metrics}:2: not JSON" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+class TestConfigDefaults:
+    def test_train_defaults_come_from_the_dataclasses(self, tmp_path):
+        data = yaml.safe_load(open(write_config(tmp_path / "c.yaml", tmp_path / "run")))
+        for key in ("context_sets", "alpha", "p_off"):
+            del data["train"][key]
+        train = parse_config(data)["train"]
+        assert train.context_sets == TrainConfig().context_sets
+        assert train.mode_weights == ModeWeights()
 
 
 class TestBenchMcr:

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unify_rnnt.contexts import (ContextSets, ContextSpec, build_attention_mask,
-                                 latency_of, plan_conv_chunks, right_context_rows,
-                                 sample_context)
+                                 latency_of, latency_splits, plan_conv_chunks,
+                                 right_context_rows, sample_context)
 from unify_rnnt.errors import EmptyContextSetError
 
 spec_strategy = st.builds(ContextSpec,
@@ -193,6 +193,17 @@ class TestLatency:
     def test_frame_duration_must_be_positive(self):
         with pytest.raises(ValueError):
             latency_of(ContextSpec(1, 1, 1), 0.0)
+        with pytest.raises(ValueError):
+            latency_of(None, 0.0)
+
+    def test_offline_latency_is_infinite(self):
+        assert latency_of(None, 40.0) == float("inf")
+
+    def test_sweep_grid_splits_each_budget(self):
+        assert latency_splits(5, [2, 3]) == [
+            ContextSpec(5, 1, 1), ContextSpec(5, 2, 0),
+            ContextSpec(5, 1, 2), ContextSpec(5, 2, 1), ContextSpec(5, 3, 0)]
+        assert latency_splits(5, []) == []
 
 
 class TestSpecValidation:

@@ -9,9 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unify_rnnt.contexts import ContextSpec, latency_of
-from unify_rnnt.decoding import (DecodeResult, greedy_decode_offline,
-                                 greedy_decode_streaming, levenshtein, mean_ter,
-                                 token_error_rate)
+from unify_rnnt.decoding import decode_mode, evaluate, levenshtein, token_error_rate
 from unify_rnnt.model import ModelConfig, StreamState, TransducerModel
 
 Utt = namedtuple("Utt", "id features tokens")
@@ -42,13 +40,13 @@ def rigged_model(kind: str):
 class TestGreedyOffline:
     def test_always_blank_gives_empty_output(self, rng):
         model = rigged_model("blank")
-        res = greedy_decode_offline(model, rng.standard_normal((12, 4)))
+        res = decode_mode(model, rng.standard_normal((12, 4)), None, 40.0)
         assert res.tokens == []
         assert res.emit_frame == []
 
     def test_always_token_hits_symbol_cap(self, rng):
         model = rigged_model("token")
-        res = greedy_decode_offline(model, rng.standard_normal((8, 4)))
+        res = decode_mode(model, rng.standard_normal((8, 4)), None, 40.0)
         T = 4
         assert len(res.tokens) == 10 * T
         assert res.tokens == [2] * (10 * T)
@@ -57,10 +55,22 @@ class TestGreedyOffline:
     def test_token_then_blank(self, rng):
         # real model: first emission recorded at its frame, order nondecreasing
         model = TransducerModel(CFG)
-        res = greedy_decode_offline(model, rng.standard_normal((10, 4)))
+        res = decode_mode(model, rng.standard_normal((10, 4)), None, 40.0)
         assert all(t != 0 for t in res.tokens)
         assert res.emit_frame == sorted(res.emit_frame)
         assert res.worst_case_latency_s == math.inf
+
+    def test_one_chunk_encoded_without_a_state(self, rng, monkeypatch):
+        model = TransducerModel(CFG)
+        calls = []
+        original = TransducerModel.encode
+
+        def encode(self, features, spec=None, state=None):
+            calls.append((len(features), spec, state))
+            return original(self, features, spec, state)
+        monkeypatch.setattr(TransducerModel, "encode", encode)
+        res = decode_mode(model, rng.standard_normal((11, 4)), None, 40.0)
+        assert calls == [(10, None, None)] and res.steps == 1
 
 
 class TestGreedyStreaming:
@@ -68,7 +78,7 @@ class TestGreedyStreaming:
         model = TransducerModel(CFG)
         feats = rng.standard_normal((12, 4))  # T = 6 encoder frames
         spec = ContextSpec(2, 2, 1)
-        res = greedy_decode_streaming(model, feats, spec, frame_ms=40.0)
+        res = decode_mode(model, feats, spec, 40.0)
         assert res.steps == 3
         assert res.worst_case_latency_s == pytest.approx(latency_of(spec, 40.0))
 
@@ -78,17 +88,16 @@ class TestGreedyStreaming:
         monkeypatch.setattr(decoding, "perf_counter", lambda: next(clock) / 1e3)
         model = TransducerModel(CFG)
         feats = rng.standard_normal((12, 4))  # T = 6 encoder frames
-        res = greedy_decode_streaming(model, feats, ContextSpec(2, 2, 1), frame_ms=40.0)
+        res = decode_mode(model, feats, ContextSpec(2, 2, 1), 40.0)
         # one perf_counter pair per chunk, 1 ms apart on the fake clock
         assert res.chunk_ms == pytest.approx([1.0] * res.steps) and res.steps == 3
-        assert greedy_decode_offline(model, feats).chunk_ms == pytest.approx([1.0])
-        rows = decoding.evaluate_utterances(
+        assert decode_mode(model, feats, None, 40.0).chunk_ms == pytest.approx([1.0])
+        rows, (summary,) = evaluate(
             model, [Utt("a", feats, [1, 2]), Utt("b", feats[:6], [1])],
-            ContextSpec(2, 2, 1), 40.0)
+            [ContextSpec(2, 2, 1)], 40.0)
         assert [r["chunks"] for r in rows] == [3, 2]
         assert [r["chunk_compute_ms"] for r in rows] == pytest.approx([1.0, 1.0])
-        assert decoding.mean_chunk_ms(rows) == pytest.approx(1.0)
-        assert decoding.mean_chunk_ms([]) == 0.0
+        assert summary["chunk_compute_ms"] == pytest.approx(1.0)
 
     def test_full_context_matches_offline_tokens(self, rng):
         model = TransducerModel(CFG)
@@ -96,8 +105,8 @@ class TestGreedyStreaming:
             feats = rng.standard_normal((int(rng.integers(6, 18)), 4))
             T = feats.shape[0] // 2
             spec = ContextSpec(T + 2, T + 2, T + 2)
-            off = greedy_decode_offline(model, feats)
-            stream = greedy_decode_streaming(model, feats, spec, 40.0)
+            off = decode_mode(model, feats, None, 40.0)
+            stream = decode_mode(model, feats, spec, 40.0)
             assert stream.tokens == off.tokens
             assert stream.emit_frame == off.emit_frame
 
@@ -105,8 +114,8 @@ class TestGreedyStreaming:
         model = TransducerModel(CFG)
         feats = rng.standard_normal((14, 4))
         spec = ContextSpec(2, 2, 1)
-        a = greedy_decode_streaming(model, feats, spec, 40.0)
-        b = greedy_decode_streaming(model, feats, spec, 40.0)
+        a = decode_mode(model, feats, spec, 40.0)
+        b = decode_mode(model, feats, spec, 40.0)
         assert a.tokens == b.tokens and a.emit_frame == b.emit_frame and a.steps == b.steps
 
     def test_never_reads_past_window(self, rng):
@@ -115,13 +124,13 @@ class TestGreedyStreaming:
         model = TransducerModel(CFG)
         feats = rng.standard_normal((16, 4))
         spec = ContextSpec(2, 2, 1)
-        base = greedy_decode_streaming(model, feats, spec, 40.0)
+        base = decode_mode(model, feats, spec, 40.0)
         # decode only the first chunk by slicing manually: perturb beyond
         # (chunk + right) * subsample and compare the first emitted prefix
         horizon = (spec.chunk + spec.right) * 2
         perturbed = feats.copy()
         perturbed[horizon:] += 100.0
-        res = greedy_decode_streaming(model, perturbed, spec, 40.0)
+        res = decode_mode(model, perturbed, spec, 40.0)
         first_chunk_base = [t for t, f in zip(base.tokens, base.emit_frame) if f < spec.chunk]
         first_chunk_pert = [t for t, f in zip(res.tokens, res.emit_frame) if f < spec.chunk]
         assert first_chunk_base == first_chunk_pert
@@ -168,7 +177,7 @@ class TestContextCache:
         h = (CFG.conv_kernel - 1) // 2
         for _ in range(25):
             feats = rng.standard_normal((int(rng.integers(20, 80)), 4))
-            greedy_decode_streaming(model, feats, spec, frame_ms=40.0)
+            decode_mode(model, feats, spec, 40.0)
         steps = [key for key in model._context_cache if key[0] == "step"]
         n = spec.chunk + spec.right
         assert 0 < len(steps) <= (spec.left + 1) * (h + 1) * n
@@ -190,11 +199,11 @@ class TestContextCache:
         feats = [rng.standard_normal((int(rng.integers(6, 40)), 4)) for _ in range(4)]
         for spec in (ContextSpec(3, 1, 0), ContextSpec(3, 2, 2)):
             for f in feats:
-                greedy_decode_streaming(model, f, spec, frame_ms=40.0)
+                decode_mode(model, f, spec, 40.0)
         assert built == []
         # offline decoding builds the layout of a length once
-        greedy_decode_offline(model, feats[0])
-        greedy_decode_offline(model, feats[0])
+        decode_mode(model, feats[0], None, 40.0)
+        decode_mode(model, feats[0], None, 40.0)
         assert built == ["build_attention_mask", "plan_conv_chunks"]
 
 
@@ -221,5 +230,43 @@ class TestTokenErrorRate:
         assert levenshtein(a, b) == levenshtein(b, a)
         assert levenshtein(a, a) == 0
 
-    def test_mean_ter_empty(self):
-        assert mean_ter([]) == 0.0
+
+
+class TestShortInput:
+    @pytest.mark.parametrize("n_frames", [0, 1])
+    @pytest.mark.parametrize("spec", [None, ContextSpec(2, 1, 0), ContextSpec(2, 2, 1)])
+    def test_shorter_than_one_encoder_frame_is_empty_in_every_mode(self, rng, n_frames,
+                                                                   spec):
+        # subsample factor 2: one raw frame makes no encoder frame
+        res = decode_mode(TransducerModel(CFG), rng.standard_normal((n_frames, 4)), spec, 40.0)
+        assert res.tokens == [] and res.emit_frame == [] and res.steps == 0
+        assert res.worst_case_latency_s == latency_of(spec, 40.0)
+
+
+class TestEvaluate:
+    def test_rows_per_mode_in_order(self, rng):
+        model = TransducerModel(CFG)
+        utts = [Utt(f"u{i}", rng.standard_normal((int(rng.integers(0, 14)), 4)), [1, 2])
+                for i in range(4)]
+        modes = [ContextSpec(2, 2, 1), None, ContextSpec(3, 1, 0)]
+        rows, summary = evaluate(model, utts, modes, 40.0)
+        labels = ["streaming_C2_R1", "offline", "streaming_C1_R0"]
+        assert [r["mode"] for r in summary] == labels
+        assert [r["spec"] for r in summary] == modes
+        assert [(r["mode"], r["utt_id"]) for r in rows] == [(m, u.id) for m in labels
+                                                           for u in utts]
+        for spec, row in zip(modes, summary):
+            res = [decode_mode(model, u.features, spec, 40.0) for u in utts]
+            ters = [token_error_rate(r.tokens, u.tokens) for r, u in zip(res, utts)]
+            assert row["ter"] == float(np.mean(ters))
+            assert row["latency_s"] == latency_of(spec, 40.0)
+            if spec is None:
+                assert row["chunk_s"] is None and row["right_s"] is None
+            else:
+                assert (row["chunk_s"], row["right_s"]) == pytest.approx(
+                    (spec.chunk * 0.04, spec.right * 0.04))
+
+    def test_no_utterances(self):
+        rows, (summary,) = evaluate(TransducerModel(CFG), [], [None], 40.0)
+        assert rows == []
+        assert summary["ter"] == 0.0 and summary["chunk_compute_ms"] == 0.0

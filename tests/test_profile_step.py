@@ -45,13 +45,13 @@ def test_prints_the_top_entries_by_self_time(profile_step, capsys, argv, title):
 def test_stream_decodes_whole_utterances_until_n_chunks(profile_step, monkeypatch):
     from unify_rnnt.contexts import ContextSpec
     steps = []
-    original = profile_step.greedy_decode_streaming
+    original = profile_step.decode_mode
 
     def counted(*args, **kwargs):
         res = original(*args, **kwargs)
         steps.append(res.steps)
         return res
-    monkeypatch.setattr(profile_step, "greedy_decode_streaming", counted)
+    monkeypatch.setattr(profile_step, "decode_mode", counted)
     n = 30
     run = profile_step.stream_decodes(profile_step.experiments.toy_setup(), 0, n,
                                       ContextSpec(2, 2, 0))
