@@ -7,10 +7,13 @@
 
 ``train`` runs ``n`` ``training.train_step`` calls at the ``dm_mcr`` config
 of ``experiments.toy_setup()``: dual mode with the consistency loss.
-``stream`` decodes eval utterances with ``decoding.decode_mode``
-at the spec ``L,C,R`` until their chunk steps sum to at least ``n``, so the
-profile holds each chunk's encoder step and its greedy loop as a real decode
-pays them.
+``stream`` first trains the model for 25 ``dm_mcr`` steps, outside the
+profile: an untrained model emits over ten times the reference tokens, and
+its greedy loop would hide the chunk steps.  It then decodes eval utterances
+with ``decoding.decode_mode`` at the spec ``L,C,R`` until their chunk steps
+sum to at least ``n``, so the profile holds each chunk's encoder step and its
+greedy loop as a real decode pays them; the title gives the tokens emitted
+per utterance.
 ``head`` makes ``n`` loss-head calls, cycling over padded batches of four
 eval utterances: the transducer loss on the offline and on the streaming
 (``L,C,R``) lattice of each batch, then the fused consistency loss with the
@@ -42,14 +45,17 @@ from unify_rnnt.rnnt_loss import JointLogits, rnnt_loss
 from unify_rnnt.training import AdamW, train_step
 
 TOP = 25
+STREAM_TRAIN_STEPS = 25
 HEAD_BATCHES = 8
 HEAD_BATCH_SIZE = 4
 
 
-def train_steps(setup, seed: int, n: int):
-    """A closure running ``n`` seeded ``train_step`` calls at ``dm_mcr``."""
+def train_steps(setup, seed: int, n: int, model: TransducerModel | None = None):
+    """A closure running ``n`` seeded ``train_step`` calls at ``dm_mcr`` on
+    ``model``, by default a fresh one drawn from ``seed``."""
     cfg = experiments.strategy_train_config(setup, "dm_mcr", seed)
-    model = TransducerModel(replace(setup.model, seed=seed))
+    if model is None:
+        model = TransducerModel(replace(setup.model, seed=seed))
     opt = AdamW(model.parameters(), lr=cfg.max_lr, weight_decay=cfg.weight_decay)
     utts = generate_utterances(replace(setup.train_corpus, seed=seed), 8 * cfg.batch_size)
     rng = np.random.default_rng(seed)
@@ -63,17 +69,21 @@ def train_steps(setup, seed: int, n: int):
 
 def stream_decodes(setup, seed: int, n: int, spec: ContextSpec):
     """A closure decoding whole utterances at ``spec`` until ``n`` chunk
-    steps are done; it returns the chunk steps and utterances decoded."""
+    steps are done, with a model trained for ``STREAM_TRAIN_STEPS`` steps;
+    it returns the chunk steps, utterances decoded and tokens emitted."""
     model = TransducerModel(replace(setup.model, seed=seed))
+    train_steps(setup, seed, STREAM_TRAIN_STEPS, model)()
     utts = generate_utterances(replace(setup.eval_corpus, seed=seed), 64)
 
-    def run() -> tuple[int, int]:
-        steps = decoded = 0
+    def run() -> tuple[int, int, int]:
+        steps = decoded = tokens = 0
         while steps < n:
             utt = utts[decoded % len(utts)]
-            steps += decode_mode(model, utt.features, spec, setup.frame_ms).steps
+            res = decode_mode(model, utt.features, spec, setup.frame_ms)
+            steps += res.steps
+            tokens += len(res.tokens)
             decoded += 1
-        return steps, decoded
+        return steps, decoded, tokens
     return run
 
 
@@ -152,9 +162,11 @@ def main(argv=None) -> int:
                  f"utterances at L={s.left} C={s.chunk} R={s.right}, seed {args.seed}")
     else:
         n = 500 if args.n is None else args.n
-        steps, decoded = profile.runcall(stream_decodes(setup, args.seed, n, args.spec))
+        steps, decoded, tokens = profile.runcall(stream_decodes(setup, args.seed, n,
+                                                                args.spec))
         s = args.spec
-        title = (f"{steps} chunk steps in {decoded} streaming decodes at "
+        title = (f"{steps} chunk steps in {decoded} streaming decodes "
+                 f"({tokens / decoded:.1f} tokens per utterance) at "
                  f"L={s.left} C={s.chunk} R={s.right}, seed {args.seed}")
 
     out = io.StringIO()

@@ -303,7 +303,7 @@ def cmd_report(args) -> int:
     out_dir = args.out
     metrics = os.path.join(out_dir, "metrics.jsonl")
     if os.path.exists(metrics):
-        records = list(read_jsonl(metrics))
+        records = [rec for _lineno, rec in read_jsonl(metrics)]
         if records:
             first, last = records[0], records[-1]
             print(f"training: {len(records)} logged steps, "

@@ -182,9 +182,9 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
 
 
 def read_jsonl(path, required: tuple[str, ...] = ()):
-    """Yield the JSON object on each nonblank line of ``path``.  A line that is
-    not one, or lacks a ``required`` field, raises :class:`MalformedRecordError`
-    naming the file and line."""
+    """Yield ``(line number, object)`` for the JSON object on each nonblank
+    line of ``path``.  A line that is not one, or lacks a ``required`` field,
+    raises :class:`MalformedRecordError` naming the file and line."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -197,7 +197,7 @@ def read_jsonl(path, required: tuple[str, ...] = ()):
                 raise MalformedRecordError(f"{path}:{lineno}: not a JSON object")
             if missing := [key for key in required if key not in rec]:
                 raise MalformedRecordError(f"{path}:{lineno}: missing fields {missing}")
-            yield rec
+            yield lineno, rec
 
 
 def generate_corpus(cfg: CorpusConfig, n: int, out_dir) -> str:
@@ -219,18 +219,40 @@ def generate_corpus(cfg: CorpusConfig, n: int, out_dir) -> str:
     return manifest_path
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_manifest(path, feat_dim: int):
-    """Yield utterances in file order, validating frame counts."""
+    """Yield utterances in file order.
+
+    A record whose ``path`` is not a string, ``frames`` not an integer or
+    ``tokens`` not a list of integers, or whose feature file holds a value
+    that is not finite, raises :class:`MalformedRecordError` naming the file
+    and line; a frame count the file disagrees with raises
+    :class:`ManifestMismatchError`.
+    """
     base = os.path.dirname(os.path.abspath(path))
-    for rec in read_jsonl(path, required=("id", "path", "frames", "tokens")):
+    for lineno, rec in read_jsonl(path, required=("id", "path", "frames", "tokens")):
+        where = f"{path}:{lineno}"
+        frames, tokens = rec["frames"], rec["tokens"]
+        if not isinstance(rec["path"], str):
+            raise MalformedRecordError(f"{where}: path {rec['path']!r} is not a string")
+        if not _is_int(frames):
+            raise MalformedRecordError(f"{where}: frames {frames!r} is not an integer")
+        if not isinstance(tokens, list) or not all(_is_int(t) for t in tokens):
+            raise MalformedRecordError(f"{where}: tokens {tokens!r} are not a list of integers")
         fpath = os.path.join(base, rec["path"])
         if not os.path.exists(fpath):
             raise MissingFeatureFileError(
                 f"utterance {rec['id']}: missing feature file {rec['path']}")
         raw = np.fromfile(fpath, dtype="<f4")
-        if raw.size != rec["frames"] * feat_dim:
+        if raw.size != frames * feat_dim:
             raise ManifestMismatchError(
-                f"utterance {rec['id']}: manifest says {rec['frames']} frames, "
+                f"utterance {rec['id']}: manifest says {frames} frames, "
                 f"file holds {raw.size // feat_dim}")
-        yield Utterance(rec["id"], raw.reshape(rec["frames"], feat_dim),
-                        np.asarray(rec["tokens"], dtype=np.int64))
+        if not np.isfinite(raw).all():
+            raise MalformedRecordError(
+                f"{where}: feature file {rec['path']} holds a value that is not finite")
+        yield Utterance(rec["id"], raw.reshape(frames, feat_dim),
+                        np.asarray(tokens, dtype=np.int64))

@@ -55,7 +55,9 @@ class ManifestMismatchError(ValueError):
 
 class MalformedRecordError(ValueError):
     """A line of a JSON-lines run file (manifest, metrics) is not a JSON
-    object with the fields it needs; the message names the file and line."""
+    object with the fields it needs, of the types it needs, or a manifest
+    line names a feature file holding a value that is not finite; the message
+    names the file and line."""
 
 
 class MissingFeatureFileError(FileNotFoundError):

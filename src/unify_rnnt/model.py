@@ -20,6 +20,14 @@ decoding: the output for chunk ``[s, s+C)`` reads frames
 * Offline (``None``) encodes as the spec ``(T, T, 0)``: one chunk, no
   copies, an all-true mask and the whole-sequence convolution.
 
+One encoder body runs on two sets of ops.  Under an active tape (training,
+and any caller that opens one) it calls the tape ops of :mod:`tensor`,
+looked up on the module at each call, and records 27 ops per call with two
+blocks.  With no tape recording (chunk steps, offline decoding,
+``decoding.evaluate``, any forward-only call) it runs the same body on
+``tensor.Kernels``, the ops' forward arithmetic on plain arrays, and gives
+the same rows bit for bit.  Either way it returns a ``Tensor``.
+
 The encoder subsamples by frame stacking, then applies blocks of
 layernorm -> masked attention -> residual -> layernorm -> depthwise
 convolution -> pointwise feedforward -> residual.  The predictor is a
@@ -94,15 +102,17 @@ class StreamState:
         self.halo: dict[int, np.ndarray] = {}
 
     @staticmethod
-    def extend(cache: dict, block: int, rows: Tensor, n_main: int, keep: int) -> Tensor:
-        """The cached rows then ``rows``, as a constant; caches the last
-        ``keep`` main rows of the two for the next step."""
-        held = rows.data
+    def extend(cache: dict, block: int, rows, n_main: int, keep: int):
+        """The cached rows then ``rows``; caches the last ``keep`` main rows
+        of the two for the next step.  ``rows`` is an array, or a tensor on
+        the tape path, whose result is then a constant."""
+        taped = isinstance(rows, Tensor)
+        held = rows.data if taped else rows
         if block in cache:
             held = np.concatenate([cache[block], held])
         end = held.shape[0] - rows.shape[0] + n_main
         cache[block] = held[max(0, end - keep):end]
-        return tz.constant(held)
+        return tz.constant(held) if taped else held
 
     def sizes(self) -> tuple[int, int]:
         """Cached key rows and halo rows, the same in every block."""
@@ -221,7 +231,8 @@ class TransducerModel:
         ``state``, run one streaming chunk step of ``spec``: ``features`` are
         the chunk's raw frames ``[s, min(T, s+C+R))``; return its
         ``min(C, n)`` main rows and cache what the next step reads.  The
-        chunk step is forward-only.
+        chunk step is forward-only.  Under a tape the body records tape ops;
+        off one it runs on the array kernels and returns a constant.
         """
         feats = np.asarray(features, dtype=self.np_dtype)
         if feats.ndim != 2 or feats.shape[1] != self.cfg.feat_dim:
@@ -242,30 +253,35 @@ class TransducerModel:
             left, n_main = spec.left, min(spec.chunk, T)
             mask, taps, taps_main = self._step_context(*state.sizes(), T, n_main)
         h = (self.cfg.conv_kernel - 1) // 2
-        p = self.params
-        x = tz.linear(tz.constant(stacked), p["in_proj.w"], p["in_proj.b"])
+        # the ops are looked up on ``tz`` at each call: perfbench wraps them there
+        taped = tz.active_tape() is not None
+        if taped:
+            ops, p, x = tz, self.params, tz.constant(stacked)
+        else:
+            ops, p, x = tz.Kernels, {n: t.data for n, t in self.params.items()}, stacked
+        x = ops.linear(x, p["in_proj.w"], p["in_proj.b"])
         for i in range(self.cfg.blocks):
             pre = f"block{i}."
-            a = tz.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
-            qh = tz.linear(a, p[pre + "attn.wq"], p[pre + "attn.bq"])
-            kh = tz.linear(a, p[pre + "attn.wk"])
-            vh = tz.linear(a, p[pre + "attn.wv"], p[pre + "attn.bv"])
+            a = ops.layer_norm(x, p[pre + "ln1.g"], p[pre + "ln1.b"])
+            qh = ops.linear(a, p[pre + "attn.wq"], p[pre + "attn.bq"])
+            kh = ops.linear(a, p[pre + "attn.wk"])
+            vh = ops.linear(a, p[pre + "attn.wv"], p[pre + "attn.bv"])
             if state is not None:
                 kh = state.extend(state.keys, i, kh, n_main, left)
                 vh = state.extend(state.values, i, vh, n_main, left)
-            attn = tz.masked_attention(qh, kh, vh, mask, self.cfg.heads)
-            x = tz.add(x, tz.linear(attn, p[pre + "attn.wo"], p[pre + "attn.bo"]))
-            c = tz.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
+            attn = ops.masked_attention(qh, kh, vh, mask, self.cfg.heads)
+            x = ops.add(x, ops.linear(attn, p[pre + "attn.wo"], p[pre + "attn.bo"]))
+            c = ops.layer_norm(x, p[pre + "ln2.g"], p[pre + "ln2.b"])
             if state is not None:
                 c = state.extend(state.halo, i, c, n_main, h)
             # the last block keeps only the main rows: no later row reads the
             # right-context copies
             last = i == self.cfg.blocks - 1
-            conv = tz.depthwise_conv1d_windows(c, p[pre + "conv.kernel"],
-                                               taps_main if last else taps)
-            f = tz.relu(tz.linear(conv, p[pre + "ff1.w"], p[pre + "ff1.b"]))
-            x = tz.add(x, tz.linear(f, p[pre + "ff2.w"], p[pre + "ff2.b"]))
-        return x
+            conv = ops.depthwise_conv1d_windows(c, p[pre + "conv.kernel"],
+                                                taps_main if last else taps)
+            f = ops.relu(ops.linear(conv, p[pre + "ff1.w"], p[pre + "ff1.b"]))
+            x = ops.add(x, ops.linear(f, p[pre + "ff2.w"], p[pre + "ff2.b"]))
+        return x if taped else tz.constant(x)
 
     def encoded_length(self, n_input_frames: int) -> int:
         return n_input_frames // self.cfg.subsample_factor

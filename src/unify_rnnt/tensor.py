@@ -10,13 +10,17 @@ are pure functions of their inputs and may run concurrently on disjoint
 tensors.
 
 A streaming chunk step calls the ops on one or two rows, so what an op does
-per call, beyond its arithmetic, sets the step's cost.  The layouts an op
-reads are therefore checked once, when they are built: an
-:class:`AttentionMask` validates its rows and keeps its additive bias (none
-when all true), a :class:`ConvTaps` keeps its largest index, and a call
-checks only that their shapes fit.  Ops wrap the arrays they make without
-copying them, and a tensor's first gradient write stores a fresh array
-instead of adding into a zeroed one.
+per call, beyond its arithmetic, sets the step's cost.  Each encoder op is
+therefore a forward kernel on plain arrays plus its backward record;
+:class:`Kernels` holds the kernels under the ops' names, and the encoder
+runs on them when no tape is recording, so a forward-only pass pays no
+``Tensor`` wrapping, tape lookup or gradient bookkeeping and gives the tape
+ops' values bit for bit.  The layouts an op reads are checked once, when
+they are built: an :class:`AttentionMask` validates its rows and keeps its
+additive bias (none when all true), a :class:`ConvTaps` keeps its largest
+index, and a call checks only that their shapes fit.  Ops wrap the arrays
+they make without copying them, and a tensor's first gradient write stores
+a fresh array instead of adding into a zeroed one.
 
 The depthwise convolution gathers the row each tap reads from a tap table
 (zero where the table says so); its input gradient gathers, for each input
@@ -158,40 +162,35 @@ def _result(inputs: tuple, data: np.ndarray) -> tuple[Tensor, Tape | None]:
 # ---------------------------------------------------------------------------
 
 
+def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.shape == b.shape or (b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]):
+        return a + b
+    if a.ndim == b.ndim == 2 and a.shape[1] == b.shape[1] and b.shape[0] < a.shape[0]:
+        return a[:b.shape[0]] + b
+    raise ValueError(f"add shapes incompatible: {a.shape} vs {b.shape}")
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise add; ``b`` may be a 1-D bias broadcast over leading axes.
 
     A 2-D ``b`` may also have fewer rows than ``a``: the sum then keeps
     ``b``'s rows, ``a[:n] + b``, a residual over the rows a layer kept.
     """
-    bias = False
-    rows = None
-    if a.shape == b.shape:
-        data = a.data + b.data
-    elif b.data.ndim == 1 and a.data.ndim >= 1 and a.shape[-1] == b.shape[0]:
-        data = a.data + b.data
-        bias = True
-    elif a.data.ndim == b.data.ndim == 2 and a.shape[1] == b.shape[1] \
-            and b.shape[0] < a.shape[0]:
-        rows = b.shape[0]
-        data = a.data[:rows] + b.data
-    else:
-        raise ValueError(f"add shapes incompatible: {a.shape} vs {b.shape}")
-    out, tape = _result((a, b), data)
+    out, tape = _result((a, b), _add(a.data, b.data))
     if tape is not None:
         def bwd():
             g = out.grad
             if g is None:
                 return
             if a.requires_grad:
-                if rows is None:
+                if g.shape == a.data.shape:
                     a.accum_grad(g)
                 else:
                     ga = np.zeros_like(a.data)
-                    ga[:rows] = g
+                    ga[:g.shape[0]] = g
                     a.accum_grad(ga)
             if b.requires_grad:
-                if bias and g.ndim > 1:
+                if b.data.ndim == 1 and g.ndim > 1:
                     b.accum_grad(g.reshape(-1, g.shape[-1]).sum(axis=0))
                 else:
                     b.accum_grad(g)
@@ -220,17 +219,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    out = x @ w
+    if b is not None:
+        out += b
+    return out
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Fused ``x @ w (+ b)`` to keep tapes short.
 
     The bias is added in place into the product, so ``b`` has the product's
     dtype and broadcasts to its shape without enlarging it.
     """
-    data = x.data @ w.data
-    if b is not None:
-        data += b.data
-    inputs = (x, w) if b is None else (x, w, b)
-    out, tape = _result(inputs, data)
+    if b is None:
+        out, tape = _result((x, w), _linear(x.data, w.data))
+    else:
+        out, tape = _result((x, w, b), _linear(x.data, w.data, b.data))
     if tape is not None:
         def bwd():
             g = out.grad
@@ -261,8 +266,12 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
+def _relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
+
+
 def relu(x: Tensor) -> Tensor:
-    out, tape = _result((x,), np.maximum(x.data, 0.0))
+    out, tape = _result((x,), _relu(x.data))
     if tape is not None:
         def bwd():
             g = out.grad
@@ -278,16 +287,23 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Row-wise layer normalization over the last axis of a 2-D input."""
-    if x.data.ndim != 2:
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The output, then the normalized rows and inverse deviations the backward reads."""
+    if x.ndim != 2:
         raise ValueError("layer_norm expects a 2-D input")
-    mu = _row_mean(x.data)
-    xc = x.data - mu
+    mu = _row_mean(x)
+    xc = x - mu
     var = _row_mean(xc * xc)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    out, tape = _result((x, gain, bias), xhat * gain.data + bias.data)
+    return xhat * gain + bias, xhat, inv
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Row-wise layer normalization over the last axis of a 2-D input."""
+    data, xhat, inv = _layer_norm(x.data, gain.data, bias.data, eps)
+    out, tape = _result((x, gain, bias), data)
     if tape is not None:
         def bwd():
             g = out.grad
@@ -427,15 +443,11 @@ class AttentionMask:
         return bias
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask,
-                     heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention under an [n, m] mask.
-
-    ``q`` is [n, d]; ``k`` and ``v`` are [m, d] with ``m >= n`` (a streaming
-    chunk step puts cached keys before its own).  The mask was checked when
-    it was built; a call checks only that its shape fits.
-    """
-    if k.shape != v.shape or q.data.ndim != 2 or k.data.ndim != 2 \
+def _masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: AttentionMask,
+                      heads: int) -> tuple:
+    """The output, then what the backward reads: the attention weights, the
+    per-head ``q``, ``k``, ``v`` and the score scale."""
+    if k.shape != v.shape or q.ndim != 2 or k.ndim != 2 \
             or q.shape[1] != k.shape[1] or k.shape[0] < q.shape[0]:
         raise ValueError(f"need q [n, d] and k, v [m >= n, d], got {q.shape}, "
                          f"{k.shape}, {v.shape}")
@@ -446,8 +458,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask,
         raise ValueError(f"mask shape {mask.shape} != ({T}, {k.shape[0]})")
 
     inv_scale = 1.0 / math.sqrt(d // heads)
-    qh, kh, vh = (_split_heads(q.data, heads), _split_heads(k.data, heads),
-                  _split_heads(v.data, heads))
+    qh, kh, vh = _split_heads(q, heads), _split_heads(k, heads), _split_heads(v, heads)
     # masked scores get -inf by adding a 0/-inf bias: the same values as
     # selecting with the mask, at a fraction of the cost.  Without a bias the
     # scores keep a -0.0 that adding 0 would make +0.0; exp makes both 1.
@@ -459,8 +470,20 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask,
     attn -= attn.max(axis=2, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=2, keepdims=True)
+    return _merge_heads(attn @ vh), attn, qh, kh, vh, inv_scale
 
-    out, tape = _result((q, k, v), _merge_heads(attn @ vh))
+
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask,
+                     heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention under an [n, m] mask.
+
+    ``q`` is [n, d]; ``k`` and ``v`` are [m, d] with ``m >= n`` (a streaming
+    chunk step puts cached keys before its own).  The mask was checked when
+    it was built; a call checks only that its shape fits.
+    """
+    data, attn, qh, kh, vh, inv_scale = _masked_attention(q.data, k.data, v.data, mask,
+                                                          heads)
+    out, tape = _result((q, k, v), data)
     if tape is not None:
         def bwd():
             g = out.grad
@@ -484,10 +507,10 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask,
 # ---------------------------------------------------------------------------
 
 
-def _check_kernel(kernel: Tensor) -> int:
-    if kernel.data.ndim != 2:
+def _check_kernel(kernel: np.ndarray) -> int:
+    if kernel.ndim != 2:
         raise ValueError("kernel must be [k, d]")
-    k = kernel.data.shape[0]
+    k = kernel.shape[0]
     if k % 2 == 0:
         raise EvenKernelError(f"kernel length {k} is even")
     return k
@@ -537,6 +560,26 @@ class ConvTaps:
         return self._readers
 
 
+def _gather_taps(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    # [k, n, d]: the rows each tap reads, zero where the table says -1
+    xz = np.concatenate([x, np.zeros((1, x.shape[1]), dtype=x.dtype)])
+    return xz[index]
+
+
+def _depthwise_conv1d_windows(x: np.ndarray, kernel: np.ndarray,
+                              taps: ConvTaps) -> np.ndarray:
+    k = _check_kernel(kernel)
+    n_in, d = x.shape
+    if kernel.shape[1] != d:
+        raise ValueError(f"kernel channels {kernel.shape[1]} != input {d}")
+    if taps.index.shape[0] != k or taps.max_index >= n_in:
+        raise ValueError(f"tap table {taps.index.shape} does not fit a {k}-tap kernel "
+                         f"over {n_in} rows")
+    # einsum adds the products over a summed index one at a time, in index
+    # order, into a zeroed output (the tests check this against a loop)
+    return np.einsum("jic,jc->ic", _gather_taps(x, taps.index), kernel)
+
+
 def depthwise_conv1d_windows(x: Tensor, kernel: Tensor, taps: ConvTaps) -> Tensor:
     """Per-channel 1-D convolution whose taps read the rows a tap table names.
 
@@ -551,32 +594,17 @@ def depthwise_conv1d_windows(x: Tensor, kernel: Tensor, taps: ConvTaps) -> Tenso
     with more than one channel; for a single channel numpy may reorder the
     sums.)
     """
-    k = _check_kernel(kernel)
-    n_in, d = x.shape
-    if kernel.data.shape[1] != d:
-        raise ValueError(f"kernel channels {kernel.data.shape[1]} != input {d}")
-    index = taps.index
-    if index.shape[0] != k or taps.max_index >= n_in:
-        raise ValueError(f"tap table {index.shape} does not fit a {k}-tap kernel "
-                         f"over {n_in} rows")
-
-    def gathered():
-        # [k, n, d]: the rows each tap reads, zero where the table says -1.
-        # The backward gathers again rather than keep a k-fold copy of x alive
-        # on the tape.
-        xz = np.concatenate([x.data, np.zeros((1, d), dtype=x.data.dtype)])
-        return xz[index]
-
-    # einsum adds the products over a summed index one at a time, in index
-    # order, into a zeroed output (the tests check this against a loop)
-    out, tape = _result((x, kernel), np.einsum("jic,jc->ic", gathered(), kernel.data))
+    out, tape = _result((x, kernel), _depthwise_conv1d_windows(x.data, kernel.data, taps))
     if tape is not None:
         def bwd():
             g = out.grad
             if g is None:
                 return
+            index = taps.index
+            k, d = kernel.data.shape
             if kernel.requires_grad:
-                kernel.accum_grad(np.einsum("jic,ic->jc", gathered(), g))
+                # gathered again rather than kept: a k-fold copy of x on the tape
+                kernel.accum_grad(np.einsum("jic,ic->jc", _gather_taps(x.data, index), g))
             if x.requires_grad:
                 # row j * n + i: what output row i passes back through tap j;
                 # the last row is the zero entry.  Each input row sums its
@@ -584,18 +612,48 @@ def depthwise_conv1d_windows(x: Tensor, kernel: Tensor, taps: ConvTaps) -> Tenso
                 # slice.
                 gk = np.zeros((index.size + 1, d), dtype=np.result_type(g, kernel.data))
                 np.multiply(g, kernel.data[:, None, :], out=gk[:-1].reshape(k, -1, d))
-                x.accum_grad(gk[taps.readers(n_in)].sum(axis=0))
+                x.accum_grad(gk[taps.readers(x.data.shape[0])].sum(axis=0))
         tape.record("depthwise_conv1d", bwd)
     return out
 
 
 def depthwise_conv1d(x: Tensor, kernel: Tensor) -> Tensor:
     """Depthwise convolution with zero same-padding over the whole sequence."""
-    k = _check_kernel(kernel)
+    k = _check_kernel(kernel.data)
     T = x.shape[0]
     if k > 2 * T + 1:
         raise ValueError(f"kernel length {k} exceeds 2*T+1 = {2 * T + 1}")
     return depthwise_conv1d_windows(x, kernel, ConvTaps.full_context(T, k))
+
+
+# ---------------------------------------------------------------------------
+# the encoder ops' forward kernels
+# ---------------------------------------------------------------------------
+
+
+class Kernels:
+    """The forward kernels of the encoder's ops on plain arrays, by op name.
+
+    Each tape op above is its kernel plus its backward record, so a kernel
+    returns what the op's ``.data`` would hold, bit for bit, and checks its
+    inputs as the op does.  ``model.TransducerModel.encode`` runs on these
+    when no tape is recording.
+    """
+
+    add = staticmethod(_add)
+    linear = staticmethod(_linear)
+    relu = staticmethod(_relu)
+    depthwise_conv1d_windows = staticmethod(_depthwise_conv1d_windows)
+
+    @staticmethod
+    def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                   eps: float = 1e-5) -> np.ndarray:
+        return _layer_norm(x, gain, bias, eps)[0]
+
+    @staticmethod
+    def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: AttentionMask,
+                         heads: int) -> np.ndarray:
+        return _masked_attention(q, k, v, mask, heads)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -378,6 +378,47 @@ class TestMalformedRunFiles:
         err = capsys.readouterr().err
         assert f"{manifest}:3: {what}" in err
 
+    @pytest.mark.parametrize("field,value,what", [
+        ("frames", 3.0, "frames 3.0 is not an integer"),
+        ("frames", "3", "frames '3' is not an integer"),
+        ("tokens", ["x"], "tokens ['x'] are not a list of integers"),
+    ], ids=["float-frames", "string-frames", "string-token"])
+    def test_mistyped_manifest_field_is_io_error(self, workspace, capsys, field, value,
+                                                 what):
+        config, out = workspace
+        assert main(["gen-data", "--config", str(config)]) == 0
+        manifest = out / "corpus" / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        rec = json.loads(lines[1])
+        rec[field] = value
+        lines[1] = json.dumps(rec)
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(config)]) == 4
+        err = capsys.readouterr().err
+        assert f"I/O error: {manifest}:2: {what}" in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_non_finite_feature_is_io_error(self, workspace, capsys, command):
+        config, out = workspace
+        if command == "train":
+            assert main(["gen-data", "--config", str(config)]) == 0
+            corpus = out / "corpus"
+            argv = ["train", "--config", str(config)]
+        else:
+            assert gen_heldout(config, out) == 0
+            corpus = out / "heldout" / "corpus"
+            argv = ["eval", "--config", str(config),
+                    "--checkpoint", str(untrained_checkpoint(config, out))]
+        manifest = corpus / "manifest.jsonl"
+        rec = json.loads(manifest.read_text().splitlines()[1])
+        feats = np.fromfile(corpus / rec["path"], dtype="<f4")
+        feats[5 * 6] = np.nan          # frame 5, first channel
+        feats.tofile(corpus / rec["path"])
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert f"I/O error: {manifest}:2: feature file {rec['path']} holds a value " \
+               "that is not finite" in err
+
     def test_report_on_torn_metrics_is_io_error(self, tmp_path, capsys):
         metrics = tmp_path / "metrics.jsonl"
         metrics.write_text('{"step": 1, "total": 2.0}\n{"step": 2, "tot')

@@ -26,7 +26,8 @@ def entries(text: str) -> list[str]:
 
 @pytest.mark.parametrize("argv,title", [
     (["stream", "--n", "4", "--spec", "3,1,1"],
-     r"\d+ chunk steps in 1 streaming decodes at L=3 C=1 R=1, seed 0"),
+     r"\d+ chunk steps in 1 streaming decodes \(\d+\.\d tokens per utterance\) "
+     r"at L=3 C=1 R=1, seed 0"),
     (["train", "--n", "1", "--seed", "2"], r"1 train_step calls at dm_mcr, seed 2"),
     (["head", "--n", "3", "--seed", "1"],
      r"3 loss-head calls on 8 batches of 4 utterances at L=12 C=1 R=0, seed 1"),
@@ -44,18 +45,19 @@ def test_prints_the_top_entries_by_self_time(profile_step, capsys, argv, title):
 
 def test_stream_decodes_whole_utterances_until_n_chunks(profile_step, monkeypatch):
     from unify_rnnt.contexts import ContextSpec
-    steps = []
+    steps, tokens = [], []
     original = profile_step.decode_mode
 
     def counted(*args, **kwargs):
         res = original(*args, **kwargs)
         steps.append(res.steps)
+        tokens.append(len(res.tokens))
         return res
     monkeypatch.setattr(profile_step, "decode_mode", counted)
     n = 30
     run = profile_step.stream_decodes(profile_step.experiments.toy_setup(), 0, n,
                                       ContextSpec(2, 2, 0))
-    assert run() == (sum(steps), len(steps))
+    assert run() == (sum(steps), len(steps), sum(tokens))
     assert sum(steps) >= n > sum(steps[:-1])
 
 
