@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Profile training steps, streaming chunk steps or loss-head calls; print the top entries by self time.
+"""Profile training steps, streaming chunk steps, loss-head calls or corpus set-up; print the top entries by self time.
 
     python scripts/profile_step.py train --n 20 --seed 0
     python scripts/profile_step.py stream --spec 12,1,0 --n 500 --seed 0
     python scripts/profile_step.py head --spec 12,1,0 --n 200 --seed 0
+    python scripts/profile_step.py setup --n 3 --seed 0
 
 ``train`` runs ``n`` ``training.train_step`` calls at the ``dm_mcr`` config
 of ``experiments.toy_setup()``: dual mode with the consistency loss.
@@ -18,7 +19,10 @@ per utterance.
 eval utterances: the transducer loss on the offline and on the streaming
 (``L,C,R``) lattice of each batch, then the fused consistency loss with the
 benchmark's tile, a third of the vocabulary; the lattices are built before
-profiling starts.  The model, the utterances and the training rng all
+profiling starts.
+``setup`` generates the train and eval corpora of ``experiments.toy_setup()``
+``n`` times, with both corpus seeds set to ``--seed``: the corpus stage of
+every set-up.  The model, the utterances and the training rng all
 derive from ``--seed``, so a profile can be reproduced; only its timings
 vary.  The whole run is profiled with cProfile and the 25 entries with the
 largest self time (``tottime``) are printed.
@@ -128,6 +132,18 @@ def head_calls(setup, seed: int, n: int, spec: ContextSpec):
     return run
 
 
+def corpus_setups(setup, seed: int, n: int):
+    """A closure generating ``setup``'s train and eval corpora ``n`` times at
+    ``seed``; it returns the frames generated."""
+    corpora = ((replace(setup.train_corpus, seed=seed), setup.n_train),
+               (replace(setup.eval_corpus, seed=seed), setup.n_eval))
+
+    def run() -> int:
+        return sum(len(utt.features) for _ in range(n) for cfg, count in corpora
+                   for utt in generate_utterances(cfg, count))
+    return run
+
+
 def parse_spec(text: str) -> ContextSpec:
     try:
         left, chunk, right = (int(v) for v in text.split(","))
@@ -138,10 +154,10 @@ def parse_spec(text: str) -> ContextSpec:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("what", choices=("train", "stream", "head"))
+    parser.add_argument("what", choices=("train", "stream", "head", "setup"))
     parser.add_argument("--n", type=int, default=None,
                         help="steps to profile (default: 20 train steps, at least 500 "
-                             "chunk steps, 200 loss-head calls)")
+                             "chunk steps, 200 loss-head calls, 3 corpus set-ups)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--spec", type=parse_spec, default=ContextSpec(12, 1, 0),
                         help="L,C,R of the chunk steps or of the streaming lattices "
@@ -160,6 +176,11 @@ def main(argv=None) -> int:
         s = args.spec
         title = (f"{n} loss-head calls on {HEAD_BATCHES} batches of {HEAD_BATCH_SIZE} "
                  f"utterances at L={s.left} C={s.chunk} R={s.right}, seed {args.seed}")
+    elif args.what == "setup":
+        n = 3 if args.n is None else args.n
+        frames = profile.runcall(corpus_setups(setup, args.seed, n))
+        title = (f"{n} generations of the train ({setup.n_train} utterances) and eval "
+                 f"({setup.n_eval} utterances) corpora, {frames} frames, seed {args.seed}")
     else:
         n = 500 if args.n is None else args.n
         steps, decoded, tokens = profile.runcall(stream_decodes(setup, args.seed, n,

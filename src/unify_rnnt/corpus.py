@@ -8,6 +8,13 @@ second).  Every frame mixes the next symbol's embedding in with weight
 future: the successor identity, carried mostly by the following frames.
 Models without right context must guess within pairs.
 
+A corpus is reproducible from its seed because every utterance takes its
+random numbers in one order: its length, then one scalar draw per token
+(``rng.integers``, or ``rng.choice`` when ``ambiguous_boost`` is not 1),
+then its durations, then one ``standard_normal`` block of
+``[sum(durations), feat_dim]`` noise for all its frames (an utterance
+generated without a ``uid`` first draws its id).
+
 Manifest format, one JSON record per line:
 ``{"id": str, "path": str, "frames": int, "tokens": [int, ...]}``
 Feature files are raw little-endian float32, row-major [frames, feat_dim].
@@ -49,6 +56,10 @@ class CorpusConfig:
             raise ValueError("coarticulation must be in [0, 1)")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
+        if self.n_symbols < 1:
+            raise ValueError("n_symbols must be >= 1")
+        if self.feat_dim < 1:
+            raise ValueError("feat_dim must be >= 1")
         if self.ambiguous_pairs * 2 > self.n_symbols:
             raise ValueError("ambiguous pairs cannot exceed n_symbols / 2")
         if self.ambiguous_boost <= 0:
@@ -120,45 +131,57 @@ def successor_sets(cfg: CorpusConfig) -> dict[int, np.ndarray]:
     return out
 
 
-def _weighted_choice(rng: np.random.Generator, candidates: np.ndarray,
-                     cfg: CorpusConfig, ambiguous: set[int]) -> int:
-    if cfg.ambiguous_boost == 1.0:
-        return int(candidates[rng.integers(len(candidates))])
-    weights = np.array([cfg.ambiguous_boost if c in ambiguous else 1.0
-                        for c in candidates])
-    weights /= weights.sum()
-    return int(rng.choice(candidates, p=weights))
+def _tables(cfg: CorpusConfig) -> tuple[np.ndarray, np.ndarray, list]:
+    """What every utterance of a corpus shares: the embeddings scaled by
+    ``1 - coarticulation`` and by ``coarticulation``, and per previous token
+    (0 before the first) its candidates with their normalized draw weights,
+    ``None`` when ``ambiguous_boost`` is 1 and a token is one uniform draw."""
+    emb = symbol_embeddings(cfg)
+    succ = successor_sets(cfg)
+    ambiguous = ambiguous_symbols(cfg)
+    draws = []
+    for c in [np.arange(1, cfg.n_symbols + 1)] + [succ[s] for s in range(1, cfg.n_symbols + 1)]:
+        p = None
+        if cfg.ambiguous_boost != 1.0:
+            p = np.array([cfg.ambiguous_boost if s in ambiguous else 1.0 for s in c])
+            p /= p.sum()
+        draws.append((c, p))
+    gamma = cfg.coarticulation
+    return (1.0 - gamma) * emb, gamma * emb, draws
 
 
 def generate_utterance(rng: np.random.Generator, cfg: CorpusConfig,
                        uid: str | None = None, tables=None) -> Utterance:
-    """Sample one utterance: token sequence, durations, noisy mixed features."""
-    if tables is None:
-        tables = (symbol_embeddings(cfg), successor_sets(cfg))
-    emb, succ = tables
-    ambiguous = ambiguous_symbols(cfg)
+    """Sample one utterance: token sequence, durations, noisy mixed features.
+
+    ``tables`` are what :func:`generate_utterances` builds once per corpus.
+    The draws keep the order the module docstring gives; the frames of all
+    symbols share one noise block.
+    """
+    own, coart, draws = _tables(cfg) if tables is None else tables
     if uid is None:
         uid = f"u{rng.integers(1 << 62):016x}"
     n = int(rng.integers(cfg.min_symbols, cfg.max_symbols + 1))
-    tokens = np.empty(n, dtype=np.int64)
-    tokens[0] = _weighted_choice(rng, np.arange(1, cfg.n_symbols + 1), cfg, ambiguous)
-    for i in range(1, n):
-        tokens[i] = _weighted_choice(rng, succ[int(tokens[i - 1])], cfg, ambiguous)
-    durations = rng.integers(cfg.min_duration, cfg.max_duration + 1, size=n)
-    gamma = cfg.coarticulation
-    frames = []
+    ids = np.zeros(n + 1, dtype=np.int64)  # ids[n] = 0: the end-of-utterance successor
+    prev = 0
     for i in range(n):
-        nxt = int(tokens[i + 1]) if i + 1 < n else 0
-        base = (1.0 - gamma) * emb[int(tokens[i])] + gamma * emb[nxt]
-        noise = rng.standard_normal((int(durations[i]), cfg.feat_dim)) * cfg.noise_sigma
-        frames.append(base[None, :] + noise)
-    features = np.concatenate(frames, axis=0).astype(np.float32)
+        candidates, p = draws[prev]
+        if p is None:
+            prev = int(candidates[rng.integers(len(candidates))])
+        else:
+            prev = int(rng.choice(candidates, p=p))
+        ids[i] = prev
+    durations = rng.integers(cfg.min_duration, cfg.max_duration + 1, size=n)
+    noise = rng.standard_normal((int(durations.sum()), cfg.feat_dim)) * cfg.noise_sigma
+    tokens = ids[:n].copy()
+    base = own[tokens] + coart[ids[1:]]
+    features = (base.repeat(durations, axis=0) + noise).astype(np.float32)
     return Utterance(uid, features, tokens)
 
 
 def generate_utterances(cfg: CorpusConfig, n: int) -> list[Utterance]:
     rng = np.random.default_rng(cfg.seed)
-    tables = (symbol_embeddings(cfg), successor_sets(cfg))
+    tables = _tables(cfg)
     return [generate_utterance(rng, cfg, uid=f"utt-{cfg.seed}-{i:05d}", tables=tables)
             for i in range(n)]
 

@@ -47,7 +47,7 @@ def _greedy_over_frames(model: TransducerModel, enc: np.ndarray, frame_base: int
                         state: np.ndarray, result: DecodeResult) -> np.ndarray:
     """Run the greedy emit loop over encoder frames, mutating ``result``.
 
-    Ties in the argmax resolve to the lowest token id (np.argmax convention).
+    Ties in the argmax resolve to the lowest token id (``ndarray.argmax``).
     At most ``MAX_SYMBOLS_PER_FRAME`` non-blank emissions per frame, then a
     forced frame advance.
     """
@@ -56,7 +56,7 @@ def _greedy_over_frames(model: TransducerModel, enc: np.ndarray, frame_base: int
         emitted = 0
         while emitted < MAX_SYMBOLS_PER_FRAME:
             logits = model.joint_vec(enc[i], pred_vec)
-            k = int(np.argmax(logits))
+            k = int(logits.argmax())
             if k == 0:
                 break
             result.tokens.append(k)

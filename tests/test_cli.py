@@ -132,6 +132,14 @@ class TestGenData:
                                       "ambiguous_pairs": 9})
         assert main(["gen-data", "--config", str(config)]) == 2
 
+    @pytest.mark.parametrize("key", ["n_symbols", "feat_dim"])
+    def test_empty_alphabet_or_feature_is_config_error(self, tmp_path, capsys, key):
+        config = write_config(tmp_path / "c.yaml", tmp_path / "run",
+                              corpus={"n_symbols": 8, "feat_dim": 6,
+                                      "ambiguous_pairs": 0, key: 0})
+        assert main(["gen-data", "--config", str(config)]) == 2
+        assert "bad corpus section" in capsys.readouterr().err
+
 
 class TestTrainEvalPipeline:
     def test_train_eval_sweep_report(self, workspace, capsys):

@@ -174,3 +174,7 @@ class TestConfigValidation:
             CorpusConfig(ambiguous_pairs=9)
         with pytest.raises(ValueError):
             CorpusConfig(ambiguous_boost=0.0)
+        with pytest.raises(ValueError, match="n_symbols"):
+            CorpusConfig(n_symbols=0, ambiguous_pairs=0)
+        with pytest.raises(ValueError, match="feat_dim"):
+            CorpusConfig(feat_dim=0)

@@ -52,6 +52,15 @@ class TestGreedyOffline:
         assert res.tokens == [2] * (10 * T)
         assert res.emit_frame == sorted(res.emit_frame)
 
+    @pytest.mark.parametrize("spec", [None, ContextSpec(2, 1, 0)])
+    @pytest.mark.parametrize("logits,token", [([0., 1., 3., 3., 3.], 2),
+                                              ([3., 0., 0., 3., 3.], 0)])
+    def test_tied_logits_pick_the_lowest_id(self, rng, monkeypatch, spec, logits, token):
+        model = TransducerModel(CFG)
+        monkeypatch.setattr(model, "joint_vec", lambda enc, pred: np.array(logits))
+        res = decode_mode(model, rng.standard_normal((8, 4)), spec, 40.0)
+        assert res.tokens == ([token] * (10 * 4) if token else [])
+
     def test_token_then_blank(self, rng):
         # real model: first emission recorded at its frame, order nondecreasing
         model = TransducerModel(CFG)

@@ -31,6 +31,9 @@ def entries(text: str) -> list[str]:
     (["train", "--n", "1", "--seed", "2"], r"1 train_step calls at dm_mcr, seed 2"),
     (["head", "--n", "3", "--seed", "1"],
      r"3 loss-head calls on 8 batches of 4 utterances at L=12 C=1 R=0, seed 1"),
+    (["setup", "--n", "1", "--seed", "3"],
+     r"1 generations of the train \(3000 utterances\) and eval \(160 utterances\) "
+     r"corpora, \d+ frames, seed 3"),
 ])
 def test_prints_the_top_entries_by_self_time(profile_step, capsys, argv, title):
     assert profile_step.main(argv) == 0
