@@ -137,22 +137,33 @@ def _parse_config(data: dict) -> dict:
 class OutputLock:
     """One process owns an output directory at a time (pid lock file).
 
-    The lock file is created atomically (``O_CREAT | O_EXCL``).  A lock left
+    The lock file is created atomically (``O_CREAT | O_EXCL``), which also
+    proves the directory writable: a directory that cannot be made, or a lock
+    file that cannot be created in it, raises ``ConfigError``.  A lock left
     by a dead or unparsable pid is removed and creation retried once; a lock
     held by a live pid raises ``OSError``.
     """
 
     def __init__(self, out_dir):
+        self.out_dir = out_dir
         self.path = os.path.join(out_dir, LOCK_NAME)
 
     def __enter__(self):
-        os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+        try:
+            os.makedirs(self.out_dir, exist_ok=True)
+        except OSError as exc:
+            raise self._unwritable(exc) from exc
         try:
             self._create()
         except FileExistsError:
             self._remove_stale()
             self._create()
+        except OSError as exc:
+            raise self._unwritable(exc) from exc
         return self
+
+    def _unwritable(self, exc: OSError) -> ConfigError:
+        return ConfigError(f"unwritable output directory {self.out_dir}: {exc}")
 
     def _create(self) -> None:
         fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
@@ -191,17 +202,6 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def _check_writable(out_dir) -> None:
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        probe = os.path.join(out_dir, ".write-probe")
-        with open(probe, "w") as fh:
-            fh.write("")
-        os.remove(probe)
-    except OSError as exc:
-        raise ConfigError(f"unwritable output directory {out_dir}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -214,7 +214,6 @@ def cmd_gen_data(args) -> int:
     if args.seed is not None:
         corpus = replace(corpus, seed=args.seed)
     n = args.n or bundle["n_utterances"]
-    _check_writable(out_dir)
     with OutputLock(out_dir):
         manifest = generate_corpus(corpus, n, os.path.join(out_dir, "corpus"))
     print(f"wrote {n} utterances, manifest at {manifest}")
@@ -224,7 +223,6 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     bundle = parse_config(_load_yaml(args.config))
     out_dir = args.out or bundle["out"]
-    _check_writable(out_dir)
     manifest = args.manifest or bundle["train_manifest"]
     if not manifest:
         raise ConfigError("train.manifest missing from config")
@@ -257,7 +255,6 @@ def _evaluate_checkpoint(args, modes_of, outputs) -> int:
     summary rows."""
     bundle = parse_config(_load_yaml(args.config))
     out_dir = args.out or bundle["out"]
-    _check_writable(out_dir)
     model = load_checkpoint(args.checkpoint, expected_config=bundle["model"])[0]
     manifest = args.manifest or bundle["eval"]["manifest"]
     if not manifest:

@@ -139,6 +139,9 @@ def latency_of(spec: ContextSpec | None, frame_ms: float) -> float:
 
 def latency_splits(left: int, budgets: Sequence[int]) -> list[ContextSpec]:
     """The latency sweep grid: every split ``(C, R = budget - C)``, ``C >= 1``,
-    of each budget in encoder frames, in budget order, then by chunk."""
+    of each budget in encoder frames, in budget order, then by chunk.  A
+    budget below 1 frame has no split and raises ``ValueError``."""
+    if any(budget < 1 for budget in budgets):
+        raise ValueError(f"latency budgets must be >= 1 frame, got {list(budgets)}")
     return [ContextSpec(left, chunk, budget - chunk)
             for budget in budgets for chunk in range(1, budget + 1)]

@@ -45,7 +45,6 @@ class CorpusConfig:
     ambiguous_pairs: int = 4
     ambiguous_boost: float = 1.0
     seed: int = 0
-    embedding_seed: int = 0
 
     def __post_init__(self):
         if self.min_duration < 1 or self.max_duration < self.min_duration:
@@ -83,10 +82,10 @@ def symbol_embeddings(cfg: CorpusConfig) -> np.ndarray:
     Distinct rows come from an orthonormal frame (scaled by EMBEDDING_SCALE)
     whenever feat_dim allows, so nearest-embedding decisions are clean.
 
-    The table depends on embedding_seed, not the sampling seed, so corpora
-    with different utterance draws (train vs eval) share one geometry.
+    The table does not depend on the sampling seed, so corpora with
+    different utterance draws (train vs eval) share one geometry.
     """
-    rng = np.random.default_rng(cfg.embedding_seed ^ 0x5EED)
+    rng = np.random.default_rng(0x5EED)
     distinct = 1 + cfg.n_symbols - cfg.ambiguous_pairs
     if distinct <= cfg.feat_dim:
         basis, _ = np.linalg.qr(rng.standard_normal((cfg.feat_dim, cfg.feat_dim)))
@@ -252,7 +251,8 @@ def load_manifest(path, feat_dim: int):
     A record whose ``path`` is not a string, ``frames`` not an integer or
     ``tokens`` not a list of integers, or whose feature file holds a value
     that is not finite, raises :class:`MalformedRecordError` naming the file
-    and line; a frame count the file disagrees with raises
+    and line, as does a token below 1: 0 is the blank id, which no target
+    holds.  A frame count the file disagrees with raises
     :class:`ManifestMismatchError`.
     """
     base = os.path.dirname(os.path.abspath(path))
@@ -265,6 +265,8 @@ def load_manifest(path, feat_dim: int):
             raise MalformedRecordError(f"{where}: frames {frames!r} is not an integer")
         if not isinstance(tokens, list) or not all(_is_int(t) for t in tokens):
             raise MalformedRecordError(f"{where}: tokens {tokens!r} are not a list of integers")
+        if any(t < 1 for t in tokens):
+            raise MalformedRecordError(f"{where}: tokens {tokens!r} hold an id below 1")
         fpath = os.path.join(base, rec["path"])
         if not os.path.exists(fpath):
             raise MissingFeatureFileError(

@@ -51,17 +51,16 @@ def _greedy_over_frames(model: TransducerModel, enc: np.ndarray, frame_base: int
     At most ``MAX_SYMBOLS_PER_FRAME`` non-blank emissions per frame, then a
     forced frame advance.
     """
-    pred_vec = state
     for i in range(enc.shape[0]):
         emitted = 0
         while emitted < MAX_SYMBOLS_PER_FRAME:
-            logits = model.joint_vec(enc[i], pred_vec)
+            logits = model.joint_vec(enc[i], state)
             k = int(logits.argmax())
             if k == 0:
                 break
             result.tokens.append(k)
             result.emit_frame.append(frame_base + i)
-            pred_vec, state = model.predict(k, state)
+            state = model.predict(k, state)
             emitted += 1
     return state
 

@@ -2,7 +2,7 @@
 
 A run is one (strategy, seed) training job over the shared synthetic corpus.
 It is evaluated by :func:`decoding.evaluate` offline and at a fixed latency
-ladder, and, for the sweep strategies, on :func:`contexts.latency_splits`;
+ladder, and, for ``dm_mcr``, on :func:`contexts.latency_splits`;
 its result keeps the summary rows.  Runs are self-contained and picklable, so
 the suite fans out over a process pool; results are gathered in a fixed order
 and are deterministic per seed regardless of worker count.
@@ -105,9 +105,10 @@ def run_one(job: tuple) -> dict:
     """Train one (strategy, seed) job and evaluate it; process-pool entry.
 
     ``summary`` holds :func:`decoding.evaluate`'s summary rows of
-    :func:`eval_modes`; ``sweep`` those of the latency sweep grid.
+    :func:`eval_modes`; a ``dm_mcr`` run's ``sweep`` holds those of the
+    latency sweep grid.
     """
-    setup, strategy, seed, want_sweep = job
+    setup, strategy, seed = job
     train_utts = generate_utterances(setup.train_corpus, setup.n_train)
     eval_utts = generate_utterances(setup.eval_corpus, setup.n_eval)
     cfg = strategy_train_config(setup, strategy, seed)
@@ -115,7 +116,7 @@ def run_one(job: tuple) -> dict:
     last = run_training(model, train_utts, cfg)
     result = {"strategy": strategy, "seed": seed, "final": last,
               "summary": evaluate(model, eval_utts, eval_modes(setup), setup.frame_ms)[1]}
-    if want_sweep:
+    if strategy == "dm_mcr":
         result["sweep"] = evaluate(model, eval_utts,
                                    latency_splits(setup.eval_left, setup.budgets),
                                    setup.frame_ms)[1]
@@ -123,13 +124,11 @@ def run_one(job: tuple) -> dict:
 
 
 def run_suite(strategies, seeds, setup: ToySetup | None = None,
-              steps: int = 2000, workers: int | None = None,
-              sweep_strategies=("dm_mcr",)) -> dict:
+              steps: int = 2000, workers: int | None = None) -> dict:
     """Run the strategy x seed grid, in parallel processes when available."""
     if setup is None:
         setup = toy_setup(steps)
-    jobs = [(setup, strategy, seed, strategy in sweep_strategies)
-            for strategy in strategies for seed in seeds]
+    jobs = [(setup, strategy, seed) for strategy in strategies for seed in seeds]
     if workers is None:
         workers = max(1, min(4, os.cpu_count() or 1))
     if workers > 1 and len(jobs) > 1:

@@ -96,8 +96,6 @@ def _validate_pair(z_off: JointLogits, z_str: JointLogits) -> None:
             f"joint shapes differ: {z_off.z.shape} vs {z_str.z.shape}")
     if not np.array_equal(z_off.t_len, z_str.t_len) or not np.array_equal(z_off.u_len, z_str.u_len):
         raise ModeShapeMismatchError("valid lengths differ between modes")
-    if z_off.blank_id != z_str.blank_id:
-        raise ModeShapeMismatchError("blank ids differ between modes")
 
 
 def _frame_runs(c0: int, c1: int, u1: int) -> tuple:

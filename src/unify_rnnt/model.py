@@ -20,13 +20,14 @@ decoding: the output for chunk ``[s, s+C)`` reads frames
 * Offline (``None``) encodes as the spec ``(T, T, 0)``: one chunk, no
   copies, an all-true mask and the whole-sequence convolution.
 
-One encoder body runs on two sets of ops.  Under an active tape (training,
-and any caller that opens one) it calls the tape ops of :mod:`tensor`,
-looked up on the module at each call, and records 27 ops per call with two
-blocks.  With no tape recording (chunk steps, offline decoding,
-``decoding.evaluate``, any forward-only call) it runs the same body on
-``tensor.Kernels``, the ops' forward arithmetic on plain arrays, and gives
-the same rows bit for bit.  Either way it returns a ``Tensor``.
+One encoder body runs on two sets of ops.  A whole-utterance encode under
+an active tape (training, and any caller that opens one) calls the tape ops
+of :mod:`tensor`, looked up on the module at each call, and records 27 ops
+per call with two blocks.  Every other call (chunk steps, tape or not,
+offline decoding, ``decoding.evaluate``, any forward-only call) runs the
+same body on ``tensor.Kernels``, the ops' forward arithmetic on plain
+arrays, and gives the same rows bit for bit.  Either way it returns a
+``Tensor``.
 
 The encoder subsamples by frame stacking, then applies blocks of
 layernorm -> masked attention -> residual -> layernorm -> depthwise
@@ -102,17 +103,14 @@ class StreamState:
         self.halo: dict[int, np.ndarray] = {}
 
     @staticmethod
-    def extend(cache: dict, block: int, rows, n_main: int, keep: int):
+    def extend(cache: dict, block: int, rows: np.ndarray, n_main: int,
+               keep: int) -> np.ndarray:
         """The cached rows then ``rows``; caches the last ``keep`` main rows
-        of the two for the next step.  ``rows`` is an array, or a tensor on
-        the tape path, whose result is then a constant."""
-        taped = isinstance(rows, Tensor)
-        held = rows.data if taped else rows
-        if block in cache:
-            held = np.concatenate([cache[block], held])
+        of the two for the next step."""
+        held = np.concatenate([cache[block], rows]) if block in cache else rows
         end = held.shape[0] - rows.shape[0] + n_main
         cache[block] = held[max(0, end - keep):end]
-        return tz.constant(held) if taped else held
+        return held
 
     def sizes(self) -> tuple[int, int]:
         """Cached key rows and halo rows, the same in every block."""
@@ -230,9 +228,10 @@ class TransducerModel:
         ``spec`` (None is offline) and return its T main rows.  With
         ``state``, run one streaming chunk step of ``spec``: ``features`` are
         the chunk's raw frames ``[s, min(T, s+C+R))``; return its
-        ``min(C, n)`` main rows and cache what the next step reads.  The
-        chunk step is forward-only.  Under a tape the body records tape ops;
-        off one it runs on the array kernels and returns a constant.
+        ``min(C, n)`` main rows and cache what the next step reads.  A
+        whole-utterance encode under a tape records tape ops; a chunk step,
+        which is forward-only, and any encode off a tape run on the array
+        kernels and return a constant.
         """
         feats = np.asarray(features, dtype=self.np_dtype)
         if feats.ndim != 2 or feats.shape[1] != self.cfg.feat_dim:
@@ -254,7 +253,7 @@ class TransducerModel:
             mask, taps, taps_main = self._step_context(*state.sizes(), T, n_main)
         h = (self.cfg.conv_kernel - 1) // 2
         # the ops are looked up on ``tz`` at each call: perfbench wraps them there
-        taped = tz.active_tape() is not None
+        taped = state is None and tz.active_tape() is not None
         if taped:
             ops, p, x = tz, self.params, tz.constant(stacked)
         else:
@@ -291,14 +290,15 @@ class TransducerModel:
     def predictor_start(self) -> np.ndarray:
         return self.params["pred.h0"].data.copy()
 
-    def predict(self, token: int, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Single recurrent step; blank is never fed by decoding convention."""
+    def predict(self, token: int, state: np.ndarray) -> np.ndarray:
+        """Single recurrent step: the state after ``token``, which is also the
+        predictor output the joint reads.  Blank is never fed by decoding
+        convention."""
         if not 0 <= int(token) < self.cfg.vocab_size:
             raise BadTokenError(f"token {token} outside [0, {self.cfg.vocab_size})")
         xe = self.params["pred.emb"].data[int(token)]
         h = np.asarray(state, dtype=self.np_dtype)
-        new_state = tz.gru_cell(xe, h, *[w.data for w in self._gru_weights])[-1]
-        return new_state, new_state
+        return tz.gru_cell(xe, h, *[w.data for w in self._gru_weights])[-1]
 
     def pred_sequence(self, targets) -> Tensor:
         """Differentiable [U+1, P] stack of predictor states for training."""

@@ -40,7 +40,6 @@ class JointLogits:
     z: np.ndarray
     t_len: np.ndarray
     u_len: np.ndarray
-    blank_id: int = 0
 
     def __post_init__(self):
         self.z = np.asarray(self.z)
@@ -55,22 +54,19 @@ class JointLogits:
             raise ValueError("t_len entries must be in [1, T_max]")
         if (self.u_len < 0).any() or (self.u_len > U1 - 1).any():
             raise ValueError("u_len entries must be in [0, U_max]")
-        if self.blank_id != 0:
-            raise ValueError("blank id is fixed to 0")
 
     @property
     def batch_size(self) -> int:
         return self.z.shape[0]
 
     @classmethod
-    def from_single(cls, z: np.ndarray, t_len: int | None = None,
-                    u_len: int | None = None) -> "JointLogits":
+    def from_single(cls, z: np.ndarray) -> "JointLogits":
+        """One whole [T, U+1, V] lattice as a batch of one."""
         z = np.asarray(z)
         if z.ndim != 3:
             raise ValueError("from_single expects [T, U+1, V]")
         T, U1, _ = z.shape
-        return cls(z[None], [T if t_len is None else t_len],
-                   [U1 - 1 if u_len is None else u_len])
+        return cls(z[None], [T], [U1 - 1])
 
 
 def _validate_targets(logits: JointLogits, targets) -> list[np.ndarray]:
@@ -83,7 +79,7 @@ def _validate_targets(logits: JointLogits, targets) -> list[np.ndarray]:
         y = np.asarray(y, dtype=np.int64).reshape(-1)
         if y.size != logits.u_len[b]:
             raise ValueError(f"targets[{b}] length {y.size} != u_len {logits.u_len[b]}")
-        if (y == logits.blank_id).any():
+        if (y == 0).any():
             raise BlankInTargetError(f"targets[{b}] contains the blank id")
         if y.size and (y.min() < 1 or y.max() >= V):
             raise ValueError(f"targets[{b}] has ids outside [1, {V})")
@@ -169,9 +165,12 @@ def _alpha_beta(logpb: np.ndarray, logpy: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def rnnt_forward_single(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Loss and logits gradient for one unpadded [T, U+1, V] lattice."""
+    """Loss and logits gradient for one unpadded [T, U+1, V] lattice; a
+    blank target raises ``BlankInTargetError`` (the loss would be corrupt)."""
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64).reshape(-1)
+    if (y == 0).any():
+        raise BlankInTargetError("targets contain the blank id")
     T, U1, V = z.shape
     U = y.size
     if U1 != U + 1:

@@ -132,12 +132,12 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def constant(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=False, dtype=dtype)
+def constant(data) -> Tensor:
+    return Tensor(data, requires_grad=False)
 
 
-def parameter(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=True, dtype=dtype)
+def parameter(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
 
 
 def _result(inputs: tuple, data: np.ndarray) -> tuple[Tensor, Tape | None]:
@@ -287,22 +287,22 @@ def _row_mean(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(a, axis=1, keepdims=True) / a.shape[1]
 
 
-def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _layer_norm(x: np.ndarray, gain: np.ndarray,
+                bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The output, then the normalized rows and inverse deviations the backward reads."""
     if x.ndim != 2:
         raise ValueError("layer_norm expects a 2-D input")
     mu = _row_mean(x)
     xc = x - mu
     var = _row_mean(xc * xc)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     xhat = xc * inv
     return xhat * gain + bias, xhat, inv
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Row-wise layer normalization over the last axis of a 2-D input."""
-    data, xhat, inv = _layer_norm(x.data, gain.data, bias.data, eps)
+    data, xhat, inv = _layer_norm(x.data, gain.data, bias.data)
     out, tape = _result((x, gain, bias), data)
     if tape is not None:
         def bwd():
@@ -646,9 +646,8 @@ class Kernels:
     depthwise_conv1d_windows = staticmethod(_depthwise_conv1d_windows)
 
     @staticmethod
-    def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-                   eps: float = 1e-5) -> np.ndarray:
-        return _layer_norm(x, gain, bias, eps)[0]
+    def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+        return _layer_norm(x, gain, bias)[0]
 
     @staticmethod
     def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: AttentionMask,

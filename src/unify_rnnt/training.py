@@ -75,7 +75,6 @@ class TrainConfig:
     seed: int = 0
     weight_decay: float = 1e-4
     clip_norm: float = 5.0
-    log_every: int = 1
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -304,7 +303,7 @@ def run_training(model: TransducerModel, utterances: list[Utterance],
             report = train_step(model, batch, rng, cfg, opt, step)
             report["wall_ms"] = (time.perf_counter() - t0) * 1000.0
             last = report
-            if log_fh and step % cfg.log_every == 0:
+            if log_fh:
                 log_fh.write(json.dumps(report) + "\n")
     finally:
         if log_fh:

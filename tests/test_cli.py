@@ -1,13 +1,11 @@
 """Command-line surface: exit codes, determinism, output schemas."""
 
 import csv
+import dataclasses
 import gc
 import json
 import os
-import runpy
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +13,10 @@ import yaml
 
 from unify_rnnt import cli
 from unify_rnnt.cli import main, parse_config
+from unify_rnnt.corpus import CorpusConfig
+from unify_rnnt.mcr import MCRConfig
 from unify_rnnt.model import ModelConfig, TransducerModel
 from unify_rnnt.training import ModeWeights, TrainConfig, load_checkpoint, save_checkpoint
-
-GRID_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_mcr_grid.py"
 
 
 def write_config(path, out_dir, **over):
@@ -92,6 +90,24 @@ class TestGenData:
                      str(blocked / "sub")])
         assert code == 2
 
+    def test_write_probe_directory_does_not_block(self, workspace):
+        # creating the lock file is the writability check: no other name is taken
+        config, out = workspace
+        (out / ".write-probe").mkdir(parents=True)
+        assert main(["gen-data", "--config", str(config)]) == 0
+
+    def test_lock_creation_failure_is_config_error(self, workspace, monkeypatch, capsys):
+        config, out = workspace
+        lock, real_open = str(out / ".unify-rnnt.lock"), os.open
+
+        def os_open(path, *args, **kwargs):
+            if os.fspath(path) == lock:
+                raise PermissionError(13, "Permission denied", path)
+            return real_open(path, *args, **kwargs)
+        monkeypatch.setattr(os, "open", os_open)
+        assert main(["gen-data", "--config", str(config)]) == 2
+        assert f"unwritable output directory {out}" in capsys.readouterr().err
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["gen-data", "--config", str(tmp_path / "nope.yaml")]) == 2
 
@@ -118,6 +134,16 @@ class TestGenData:
         config = write_config(tmp_path / "c.yaml", out,
                               train={**base["train"], "precision": "float64"})
         assert main(["gen-data", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("section,key", [("train", "log_every"),
+                                             ("corpus", "embedding_seed")])
+    def test_fixed_setting_key_rejected(self, tmp_path, capsys, section, key):
+        # every run used one value of these, so they are constants, not keys
+        out = tmp_path / "run"
+        base = yaml.safe_load(open(write_config(tmp_path / "base.yaml", out)))
+        config = write_config(tmp_path / "c.yaml", out, **{section: {**base[section], key: 0}})
+        assert main(["gen-data", "--config", str(config)]) == 2
+        assert f"bad {section} section" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section,value", [("corpus", [1, 2]),
                                                ("eval", {"specs": 3})])
@@ -194,6 +220,22 @@ class TestTrainEvalPipeline:
         heldout = manifest_ids(out / "heldout" / "corpus" / "manifest.jsonl")
         assert evaluated == heldout
         assert evaluated.isdisjoint(manifest_ids(out / "corpus" / "manifest.jsonl"))
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_budget_below_one_is_config_error(self, workspace, source):
+        config, out = workspace
+        assert gen_heldout(config, out) == 0
+        argv = ["sweep-latency", "--config", str(config),
+                "--checkpoint", str(untrained_checkpoint(config, out))]
+        if source == "config":
+            data = yaml.safe_load(open(config))
+            data["eval"]["budgets"] = [0, -3]
+            with open(config, "w") as fh:
+                yaml.safe_dump(data, fh)
+        else:
+            argv += ["--budgets", "0,-3"]
+        assert main(argv) == 2
+        assert not (out / "sweep_latency.csv").exists()
 
     @pytest.mark.parametrize("command", ["eval", "sweep-latency"])
     def test_missing_eval_manifest_is_config_error(self, tmp_path, command):
@@ -390,7 +432,8 @@ class TestMalformedRunFiles:
         ("frames", 3.0, "frames 3.0 is not an integer"),
         ("frames", "3", "frames '3' is not an integer"),
         ("tokens", ["x"], "tokens ['x'] are not a list of integers"),
-    ], ids=["float-frames", "string-frames", "string-token"])
+        ("tokens", [3, 0, 5], "tokens [3, 0, 5] hold an id below 1"),
+    ], ids=["float-frames", "string-frames", "string-token", "blank-token"])
     def test_mistyped_manifest_field_is_io_error(self, workspace, capsys, field, value,
                                                  what):
         config, out = workspace
@@ -447,6 +490,24 @@ class TestConfigDefaults:
         assert train.context_sets == TrainConfig().context_sets
         assert train.mode_weights == ModeWeights()
 
+    def test_option_set_is_pinned(self):
+        # each field is a settable value: a new one is a change to this list
+        fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+                  for cls in (TrainConfig, ModeWeights, MCRConfig, CorpusConfig, ModelConfig)}
+        assert fields == {
+            "TrainConfig": ["strategy", "mode_weights", "mcr", "context_sets", "steps",
+                            "warmup_steps", "max_lr", "min_lr", "batch_size", "seed",
+                            "weight_decay", "clip_norm"],
+            "ModeWeights": ["alpha", "p_off"],
+            "MCRConfig": ["direction", "lam", "variant", "tile", "full_grad"],
+            "CorpusConfig": ["n_symbols", "feat_dim", "min_duration", "max_duration",
+                             "min_symbols", "max_symbols", "coarticulation", "noise_sigma",
+                             "ambiguous_pairs", "ambiguous_boost", "seed"],
+            "ModelConfig": ["feat_dim", "model_dim", "heads", "blocks", "conv_kernel",
+                            "subsample_factor", "vocab_size", "predictor_dim", "joint_dim",
+                            "ff_dim", "seed", "dtype"],
+        }
+
 
 class TestBenchMcr:
     def test_bench_report_fields(self, capsys):
@@ -478,12 +539,6 @@ class TestBenchMcr:
     def test_unknown_direction_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main(["bench-mcr", "--direction", "sideways"])
-        assert exc.value.code == 2
-
-    def test_grid_script_rejects_unknown_direction(self, monkeypatch):
-        monkeypatch.setattr(sys, "argv", [str(GRID_SCRIPT), "--direction", "sideways"])
-        with pytest.raises(SystemExit) as exc:
-            runpy.run_path(str(GRID_SCRIPT), run_name="__main__")
         assert exc.value.code == 2
 
 

@@ -205,6 +205,11 @@ class TestLatency:
             ContextSpec(5, 1, 2), ContextSpec(5, 2, 1), ContextSpec(5, 3, 0)]
         assert latency_splits(5, []) == []
 
+    @pytest.mark.parametrize("budgets", [[0], [2, -3]])
+    def test_sweep_grid_rejects_budget_below_one(self, budgets):
+        with pytest.raises(ValueError, match="budgets must be >= 1"):
+            latency_splits(5, budgets)
+
 
 class TestSpecValidation:
     def test_invalid_specs_rejected(self):

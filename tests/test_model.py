@@ -95,15 +95,14 @@ def model_encode_fresh(feats):
 class TestPredictor:
     def test_predict_pure_function(self, model):
         state = model.predictor_start()
-        v1, s1 = model.predict(3, state)
-        v2, s2 = model.predict(3, state)
-        np.testing.assert_array_equal(v1, v2)
+        s1 = model.predict(3, state)
+        s2 = model.predict(3, state)
         np.testing.assert_array_equal(s1, s2)
 
     def test_sequence_equals_folded_steps(self, model):
         state = model.predictor_start()
-        _, s1 = model.predict(2, state)
-        _, s2 = model.predict(4, s1)
+        s1 = model.predict(2, state)
+        s2 = model.predict(4, s1)
         seq = model.pred_sequence(np.array([2, 4])).data
         np.testing.assert_array_equal(seq[0], model.predictor_start())
         np.testing.assert_array_equal(seq[1], s1)

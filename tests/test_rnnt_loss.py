@@ -187,6 +187,9 @@ class TestErrors:
         jl = JointLogits(np.zeros((1, 2, 2, 3)), [2], [1])
         with pytest.raises(BlankInTargetError):
             rnnt_loss(jl, [[0]])
+        # the single-lattice entry every training step calls checks it too
+        with pytest.raises(BlankInTargetError):
+            rnnt_forward_single(np.zeros((2, 4, 3)), np.array([2, 0, 1]))
 
     def test_impossible_lattice(self):
         z = np.zeros((0, 2, 2))
@@ -203,8 +206,6 @@ class TestErrors:
             JointLogits(np.zeros((1, 2, 2, 3)), [0], [1])
         with pytest.raises(ValueError):
             JointLogits(np.zeros((1, 2, 2, 3)), [2], [5])
-        with pytest.raises(ValueError):
-            JointLogits(np.zeros((1, 2, 2, 3)), [2], [1], blank_id=1)
 
 
 class TestBatching:

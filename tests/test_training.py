@@ -10,8 +10,8 @@ import pytest
 
 from unify_rnnt.contexts import ContextSets, ContextSpec, sample_context
 from unify_rnnt.corpus import CorpusConfig, generate_utterances
-from unify_rnnt.errors import (CorruptCheckpointError, EmptyBatchError,
-                               NonFiniteInputError, NumericalError,
+from unify_rnnt.errors import (BlankInTargetError, CorruptCheckpointError,
+                               EmptyBatchError, NonFiniteInputError, NumericalError,
                                VersionMismatchError)
 from unify_rnnt.mcr import MCRConfig
 from unify_rnnt.model import ModelConfig, TransducerModel
@@ -156,6 +156,17 @@ class TestSteps:
             with pytest.raises(EmptyBatchError):
                 train_step(model, [], np.random.default_rng(0),
                            small_train_cfg(strategy=strategy), opt, 1)
+
+    @pytest.mark.parametrize("strategy", ["single_mode", "dual_mode"])
+    def test_blank_in_target_rejected_before_the_update(self, utts, strategy):
+        model = TransducerModel(MODEL_CFG)
+        before = [p.data.copy() for p in model.parameters()]
+        bad = replace(utts[0], tokens=np.array([3, 0, 5]))
+        with pytest.raises(BlankInTargetError):
+            train_step(model, [bad], np.random.default_rng(0),
+                       small_train_cfg(strategy=strategy), AdamW(model.parameters()), 1)
+        for p, p0 in zip(model.parameters(), before):
+            np.testing.assert_array_equal(p.data, p0)
 
     def test_dm_alpha_one_matches_sm_offline_update(self, utts):
         batch = utts[:2]
