@@ -7,7 +7,8 @@
     python scripts/profile_step.py setup --n 3 --seed 0
 
 ``train`` runs ``n`` ``training.train_step`` calls at the ``dm_mcr`` config
-of ``experiments.toy_setup()``: dual mode with the consistency loss.
+of ``experiments.toy_setup()``: dual mode with the consistency loss; the
+title gives the tape records per step, the size of a step's graph.
 ``stream`` first trains the model for 25 ``dm_mcr`` steps, outside the
 profile: an untrained model emits over ten times the reference tokens, and
 its greedy loop would hide the chunk steps.  It then decodes eval utterances
@@ -46,6 +47,7 @@ from unify_rnnt.decoding import decode_mode
 from unify_rnnt.mcr import MCRConfig, mcr_loss
 from unify_rnnt.model import TransducerModel
 from unify_rnnt.rnnt_loss import JointLogits, rnnt_loss
+from unify_rnnt.tensor import Tape
 from unify_rnnt.training import AdamW, train_step
 
 TOP = 25
@@ -56,7 +58,8 @@ HEAD_BATCH_SIZE = 4
 
 def train_steps(setup, seed: int, n: int, model: TransducerModel | None = None):
     """A closure running ``n`` seeded ``train_step`` calls at ``dm_mcr`` on
-    ``model``, by default a fresh one drawn from ``seed``."""
+    ``model``, by default a fresh one drawn from ``seed``; it returns the
+    tape records per step."""
     cfg = experiments.strategy_train_config(setup, "dm_mcr", seed)
     if model is None:
         model = TransducerModel(replace(setup.model, seed=seed))
@@ -64,10 +67,23 @@ def train_steps(setup, seed: int, n: int, model: TransducerModel | None = None):
     utts = generate_utterances(replace(setup.train_corpus, seed=seed), 8 * cfg.batch_size)
     rng = np.random.default_rng(seed)
 
-    def run() -> None:
-        for step in range(1, n + 1):
-            batch = [utts[i] for i in rng.integers(0, len(utts), cfg.batch_size)]
-            train_step(model, batch, rng, cfg, opt, step)
+    def run() -> float:
+        """The steps; returns the tape records per step."""
+        records = 0
+        record = Tape.record
+
+        def counted(tape, name, backward_fn):
+            nonlocal records
+            records += 1
+            record(tape, name, backward_fn)
+        Tape.record = counted
+        try:
+            for step in range(1, n + 1):
+                batch = [utts[i] for i in rng.integers(0, len(utts), cfg.batch_size)]
+                train_step(model, batch, rng, cfg, opt, step)
+        finally:
+            Tape.record = record
+        return records / n
     return run
 
 
@@ -168,8 +184,9 @@ def main(argv=None) -> int:
     profile = cProfile.Profile()
     if args.what == "train":
         n = 20 if args.n is None else args.n
-        profile.runcall(train_steps(setup, args.seed, n))
-        title = f"{n} train_step calls at dm_mcr, seed {args.seed}"
+        records = profile.runcall(train_steps(setup, args.seed, n))
+        title = (f"{n} train_step calls at dm_mcr, {records:g} tape records per step, "
+                 f"seed {args.seed}")
     elif args.what == "head":
         n = 200 if args.n is None else args.n
         profile.runcall(head_calls(setup, args.seed, n, args.spec))

@@ -129,6 +129,9 @@ def _parse_config(data: dict) -> dict:
         "frame_ms": float(eval_raw.get("frame_ms", 40.0)),
         "budgets": [int(b) for b in eval_raw.get("budgets", [2, 4])],
     }
+    if any(b < 1 for b in eval_cfg["budgets"]):
+        raise ConfigError(f"bad eval section: eval.budgets {eval_cfg['budgets']} "
+                          "hold a latency budget below 1 frame")
     return {"out": out_dir, "seed": seed, "corpus": corpus, "n_utterances": n_utts,
             "model": model, "train": train, "train_manifest": manifest,
             "eval": eval_cfg}
@@ -226,7 +229,8 @@ def cmd_train(args) -> int:
     manifest = args.manifest or bundle["train_manifest"]
     if not manifest:
         raise ConfigError("train.manifest missing from config")
-    utts = list(load_manifest(manifest, bundle["corpus"].feat_dim))
+    utts = list(load_manifest(manifest, bundle["corpus"].feat_dim,
+                              bundle["model"].vocab_size))
     cfg: TrainConfig = bundle["train"]
     with OutputLock(out_dir):
         metrics = os.path.join(out_dir, "metrics.jsonl")
@@ -259,7 +263,8 @@ def _evaluate_checkpoint(args, modes_of, outputs) -> int:
     manifest = args.manifest or bundle["eval"]["manifest"]
     if not manifest:
         raise ConfigError("no eval manifest: set eval.manifest or pass --manifest")
-    utts = list(load_manifest(manifest, bundle["corpus"].feat_dim))
+    utts = list(load_manifest(manifest, bundle["corpus"].feat_dim,
+                              bundle["model"].vocab_size))
     with OutputLock(out_dir):
         rows = evaluate(model, utts, modes_of(bundle), bundle["eval"]["frame_ms"])
         for name, which, columns in outputs:

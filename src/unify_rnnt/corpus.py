@@ -245,14 +245,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def load_manifest(path, feat_dim: int):
+def load_manifest(path, feat_dim: int, vocab_size: int):
     """Yield utterances in file order.
 
     A record whose ``path`` is not a string, ``frames`` not an integer or
     ``tokens`` not a list of integers, or whose feature file holds a value
     that is not finite, raises :class:`MalformedRecordError` naming the file
-    and line, as does a token below 1: 0 is the blank id, which no target
-    holds.  A frame count the file disagrees with raises
+    and line, as does a token outside ``[1, vocab_size)``: 0 is the blank
+    id, which no target holds, and a model of ``vocab_size`` outputs has no
+    id at or past it.  A frame count the file disagrees with raises
     :class:`ManifestMismatchError`.
     """
     base = os.path.dirname(os.path.abspath(path))
@@ -267,6 +268,9 @@ def load_manifest(path, feat_dim: int):
             raise MalformedRecordError(f"{where}: tokens {tokens!r} are not a list of integers")
         if any(t < 1 for t in tokens):
             raise MalformedRecordError(f"{where}: tokens {tokens!r} hold an id below 1")
+        if any(t >= vocab_size for t in tokens):
+            raise MalformedRecordError(f"{where}: tokens {tokens!r} hold an id at or past "
+                                       f"the vocabulary size {vocab_size}")
         fpath = os.path.join(base, rec["path"])
         if not os.path.exists(fpath):
             raise MissingFeatureFileError(

@@ -109,6 +109,8 @@ def run_one(job: tuple) -> dict:
     latency sweep grid.
     """
     setup, strategy, seed = job
+    # the sweep grid checks the budgets before any work
+    sweep_specs = latency_splits(setup.eval_left, setup.budgets)
     train_utts = generate_utterances(setup.train_corpus, setup.n_train)
     eval_utts = generate_utterances(setup.eval_corpus, setup.n_eval)
     cfg = strategy_train_config(setup, strategy, seed)
@@ -117,17 +119,19 @@ def run_one(job: tuple) -> dict:
     result = {"strategy": strategy, "seed": seed, "final": last,
               "summary": evaluate(model, eval_utts, eval_modes(setup), setup.frame_ms)[1]}
     if strategy == "dm_mcr":
-        result["sweep"] = evaluate(model, eval_utts,
-                                   latency_splits(setup.eval_left, setup.budgets),
-                                   setup.frame_ms)[1]
+        result["sweep"] = evaluate(model, eval_utts, sweep_specs, setup.frame_ms)[1]
     return result
 
 
 def run_suite(strategies, seeds, setup: ToySetup | None = None,
               steps: int = 2000, workers: int | None = None) -> dict:
-    """Run the strategy x seed grid, in parallel processes when available."""
+    """Run the strategy x seed grid, in parallel processes when available.
+
+    A latency budget below 1 frame raises ``ValueError`` before any job runs.
+    """
     if setup is None:
         setup = toy_setup(steps)
+    latency_splits(setup.eval_left, setup.budgets)
     jobs = [(setup, strategy, seed) for strategy in strategies for seed in seeds]
     if workers is None:
         workers = max(1, min(4, os.cpu_count() or 1))

@@ -7,10 +7,13 @@ decoding: the output for chunk ``[s, s+C)`` reads frames
 ``[max(0, s-L), s+C+R)`` of each block's input and nothing at or past
 ``s+C+R``.
 
-* Training encodes the whole utterance once on the streaming layout of
+* A whole-utterance encode runs once on the streaming layout of
   ``contexts.right_context_rows``: the T main rows, then per chunk one copy
   row per right-context frame, computed under that chunk's mask and tap
-  table.  It returns the T main rows.
+  table.  It returns the T main rows.  A training step stacks the layouts
+  of all its (utterance, mode) segments into one (:meth:`encode_batch`):
+  every segment's main rows, then every segment's copy rows, attention kept
+  within each segment, so each segment gets the rows it gets alone.
 * Decoding calls :meth:`TransducerModel.encode` once per chunk on the chunk's
   raw frames ``[s, min(T, s+C+R))`` with a :class:`StreamState`.  The state
   holds, per block, the keys and values of the last L main rows and the
@@ -20,10 +23,12 @@ decoding: the output for chunk ``[s, s+C)`` reads frames
 * Offline (``None``) encodes as the spec ``(T, T, 0)``: one chunk, no
   copies, an all-true mask and the whole-sequence convolution.
 
-One encoder body runs on two sets of ops.  A whole-utterance encode under
-an active tape (training, and any caller that opens one) calls the tape ops
-of :mod:`tensor`, looked up on the module at each call, and records 27 ops
-per call with two blocks.  Every other call (chunk steps, tape or not,
+One encoder body runs on two sets of ops.  A whole-utterance or stacked
+encode under an active tape (training, and any caller that opens one) calls
+the tape ops of :mod:`tensor`, looked up on the module at each call: one
+input projection and 13 ops per block, 27 records with two blocks, however
+many segments are stacked (plus one row gather for the padded batch of a
+stacked encode).  Every other call (chunk steps, tape or not,
 offline decoding, ``decoding.evaluate``, any forward-only call) runs the
 same body on ``tensor.Kernels``, the ops' forward arithmetic on plain
 arrays, and gives the same rows bit for bit.  Either way it returns a
@@ -33,12 +38,15 @@ The encoder subsamples by frame stacking, then applies blocks of
 layernorm -> masked attention -> residual -> layernorm -> depthwise
 convolution -> pointwise feedforward -> residual.  The predictor is a
 single-layer gated recurrent cell over token embeddings with a learned start
-state; the joint is ``W_out . tanh(W_e enc + W_p pred + bias)``.
+state, run on one sequence or on a padded batch of them; the joint is
+``W_out . tanh(W_e enc + W_p pred + bias)``, over one lattice or a padded
+batch of lattices.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -220,6 +228,18 @@ class TransducerModel:
                                         taps, tz.ConvTaps(taps.index[:, :n_main]))
         return self._context_cache[key]
 
+    def _frame_stack(self, features: np.ndarray) -> np.ndarray:
+        """[T, q·feat_dim] rows of ``q`` consecutive frames; a partial last group is dropped."""
+        feats = np.asarray(features, dtype=self.np_dtype)
+        if feats.ndim != 2 or feats.shape[1] != self.cfg.feat_dim:
+            raise ValueError(f"features must be [T_in, {self.cfg.feat_dim}]")
+        q = self.cfg.subsample_factor
+        T = feats.shape[0] // q
+        if T < 1:
+            raise InputTooShortError(
+                f"{feats.shape[0]} frames < subsample factor {q}")
+        return feats[:T * q].reshape(T, q * self.cfg.feat_dim)
+
     def encode(self, features: np.ndarray, spec: ContextSpec | None = None,
                state: StreamState | None = None) -> Tensor:
         """Frame-stack subsample then run the masked encoder blocks.
@@ -233,31 +253,67 @@ class TransducerModel:
         which is forward-only, and any encode off a tape run on the array
         kernels and return a constant.
         """
-        feats = np.asarray(features, dtype=self.np_dtype)
-        if feats.ndim != 2 or feats.shape[1] != self.cfg.feat_dim:
-            raise ValueError(f"features must be [T_in, {self.cfg.feat_dim}]")
-        q = self.cfg.subsample_factor
-        T = feats.shape[0] // q
-        if T < 1:
-            raise InputTooShortError(
-                f"{feats.shape[0]} frames < subsample factor {q}")
-        stacked = feats[:T * q].reshape(T, q * self.cfg.feat_dim)
+        stacked = self._frame_stack(features)
+        T = stacked.shape[0]
         if state is None:
             frames, mask, taps, taps_main = self._context_for(
                 T, ContextSpec(T, T, 0) if spec is None else spec)
-            stacked, n_main = stacked[frames], T
-        else:
-            if spec is None:
-                raise ValueError("a chunk step needs a streaming spec")
-            left, n_main = spec.left, min(spec.chunk, T)
-            mask, taps, taps_main = self._step_context(*state.sizes(), T, n_main)
+            return self._blocks(stacked[frames], mask, taps, taps_main)
+        if spec is None:
+            raise ValueError("a chunk step needs a streaming spec")
+        n_main = min(spec.chunk, T)
+        mask, taps, taps_main = self._step_context(*state.sizes(), T, n_main)
+        return self._blocks(stacked, mask, taps, taps_main, state, n_main, spec.left)
+
+    def encode_batch(self, features: Sequence[np.ndarray],
+                     specs: Sequence[ContextSpec | None]) -> tuple[Tensor, np.ndarray]:
+        """Encode segments ``(features[i], specs[i])`` as one stacked layout.
+
+        Every segment's cached ``(T, spec)`` layout goes into one: all
+        segments' main rows in segment order, then all their copy rows, each
+        segment's tap table shifted to its rows and its mask kept to its rows
+        (a :class:`tensor.SegmentedMask`).  The stacked layout is assembled
+        per call and never cached.  Returns the segments' main rows padded to
+        [S, T_max, d] (rows past a segment's T repeat stacked row 0) and the
+        T of each segment.  A segment's rows are the rows ``encode`` gives it
+        alone, bit for bit from two rows up (alone, a one-row segment's
+        products run on numpy's vector kernels, which round differently),
+        and no segment reads another's frames.
+        """
+        stacked = [self._frame_stack(f) for f in features]
+        lengths = np.array([x.shape[0] for x in stacked])
+        layouts = [self._context_for(T, ContextSpec(T, T, 0) if spec is None else spec)
+                   for T, spec in zip(lengths, specs)]
+        sizes = np.array([frames.size for frames, *_ in layouts])
+        M = int(lengths.sum())
+        main_start = np.cumsum(lengths) - lengths
+        copy_start = M + np.cumsum(sizes - lengths) - (sizes - lengths)
+        taps = np.empty((self.cfg.conv_kernel, int(sizes.sum())), dtype=np.int64)
+        parts = []
+        for T, N, m0, c0, (_frames, mask, seg_taps, _main) in zip(
+                lengths, sizes, main_start, copy_start, layouts):
+            rows = np.concatenate([np.arange(m0, m0 + T), np.arange(c0, c0 + N - T)])
+            taps[:, rows] = np.where(seg_taps.index >= 0, rows[seg_taps.index], -1)
+            parts.append((rows, mask))
+        copies = [x[frames[T:]] for x, (frames, *_), T in zip(stacked, layouts, lengths)]
+        enc = self._blocks(np.concatenate(stacked + copies),
+                           tz.SegmentedMask(parts, taps.shape[1]), tz.ConvTaps(taps),
+                           tz.ConvTaps(taps[:, :M]))
+        t = np.arange(lengths.max())
+        pad = np.where(t < lengths[:, None], main_start[:, None] + t, 0)
+        return tz.embedding(enc, pad), lengths
+
+    def _blocks(self, x: np.ndarray, mask, taps, taps_main,
+                state: StreamState | None = None, n_main: int = 0, left: int = 0) -> Tensor:
+        """The input projection and the encoder blocks over a layout's rows
+        ``x``; a chunk step also reads and updates ``state``."""
         h = (self.cfg.conv_kernel - 1) // 2
         # the ops are looked up on ``tz`` at each call: perfbench wraps them there
         taped = state is None and tz.active_tape() is not None
         if taped:
-            ops, p, x = tz, self.params, tz.constant(stacked)
+            ops, p, x = tz, self.params, tz.constant(x)
         else:
-            ops, p, x = tz.Kernels, {n: t.data for n, t in self.params.items()}, stacked
+            ops, p = tz.Kernels, {n: t.data for n, t in self.params.items()}
         x = ops.linear(x, p["in_proj.w"], p["in_proj.b"])
         for i in range(self.cfg.blocks):
             pre = f"block{i}."
@@ -301,8 +357,12 @@ class TransducerModel:
         return tz.gru_cell(xe, h, *[w.data for w in self._gru_weights])[-1]
 
     def pred_sequence(self, targets) -> Tensor:
-        """Differentiable [U+1, P] stack of predictor states for training."""
-        y = np.asarray(targets, dtype=np.int64).reshape(-1)
+        """Differentiable predictor states for training: [U+1, P] for one
+        target sequence, or [B, U+1, P] for a [B, U] array of B sequences
+        (padded rows: states past a sequence's end are never read)."""
+        y = np.asarray(targets, dtype=np.int64)
+        if y.ndim != 2:
+            y = y.reshape(-1)
         if y.size and (y.min() < 0 or y.max() >= self.cfg.vocab_size):
             raise BadTokenError("target ids outside the vocabulary")
         emb = tz.embedding(self.params["pred.emb"], y)
@@ -311,14 +371,16 @@ class TransducerModel:
     # -- joint --------------------------------------------------------------
 
     def joint(self, enc: Tensor, pred: Tensor) -> Tensor:
-        """Full [T, U+1, V] joint lattice logits."""
+        """Joint lattice logits: [T, U+1, V] from enc [T, d] and pred [U+1, P];
+        batched, [N, T, U+1, V] from enc [N, T, d] and pred [N', U+1, P]
+        with N a multiple of N', lattice n reading pred[n % N']."""
         p = self.params
-        a = tz.matmul(enc, p["joint.w_enc"])
+        # the bias joins the encoder side, before the lattice-sized sum
+        a = tz.add(tz.matmul(enc, p["joint.w_enc"]), p["joint.b"])
         b = tz.matmul(pred, p["joint.w_pred"])
-        h = tz.tanh(tz.add(tz.outer_add(a, b), p["joint.b"]))
-        T, U1, H = h.shape
-        flat = tz.matmul(tz.reshape(h, (T * U1, H)), p["joint.w_out"])
-        return tz.reshape(flat, (T, U1, self.cfg.vocab_size))
+        h = tz.tanh(tz.outer_add(a, b))
+        flat = tz.matmul(tz.reshape(h, (-1, h.shape[-1])), p["joint.w_out"])
+        return tz.reshape(flat, h.shape[:-1] + (self.cfg.vocab_size,))
 
     def joint_vec(self, enc_vec: np.ndarray, pred_vec: np.ndarray) -> np.ndarray:
         """Single-cell joint logits on plain arrays, for greedy decoding."""

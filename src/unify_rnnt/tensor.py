@@ -18,7 +18,10 @@ runs on them when no tape is recording, so a forward-only pass pays no
 ops' values bit for bit.  The layouts an op reads are checked once, when
 they are built: an :class:`AttentionMask` validates its rows and keeps its
 additive bias (none when all true), a :class:`ConvTaps` keeps its largest
-index, and a call checks only that their shapes fit.  Ops wrap the arrays
+index, and a call checks only that their shapes fit.  A batched training
+step stacks several layouts into one: its tap table is one table, and its
+:class:`SegmentedMask` runs each layout's attention on that layout's rows,
+so the step records one op per layer, whatever the batch.  Ops wrap the arrays
 they make without copying them, and a tensor's first gradient write stores
 a fresh array instead of adding into a zeroed one.
 
@@ -28,8 +31,8 @@ row, the taps that read it.  The recurrent sequence loops over tokens only
 for the state recursion.  Both keep a fixed
 accumulation order, the one a loop over taps or tokens would use: taps in
 tap order from zero, rows in ascending order, per-token weight-gradient
-terms from the last token to the first.  Results therefore do not depend on
-how the work is batched.
+terms from the last token to the first (then batch rows in order).  Results
+therefore equal those of the loops, bit for bit.
 """
 
 from __future__ import annotations
@@ -65,13 +68,20 @@ class Tape:
     def backward(self, out: "Tensor", seed=1.0) -> None:
         """Seed ``out``'s gradient, then replay the tape once in reverse.
 
-        ``seed`` is a scalar or an array of ``out``'s shape.
+        ``seed`` is a scalar or an array of ``out``'s shape.  Each record is
+        dropped once it has run, so what it kept for its backward, and the
+        gradient of a tensor that no record left to run reads, are freed as
+        the replay goes: the peak holds the forward graph and the gradients
+        in flight, not every gradient of the graph at once.  The tape is
+        empty afterwards.
         """
         seed = np.asarray(seed, dtype=out.data.dtype)
         if seed.shape not in ((), out.data.shape):
             raise ValueError(f"seed shape {seed.shape} does not match output {out.data.shape}")
         out.accum_grad(seed)
-        for _name, fn in reversed(self._records):
+        records = self._records
+        while records:
+            _name, fn = records.pop()
             fn()
 
 
@@ -199,9 +209,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` with ``a`` 1-D or 2-D and ``b`` 2-D."""
-    if b.data.ndim != 2 or a.data.ndim not in (1, 2):
-        raise ValueError(f"matmul expects (1|2)-D @ 2-D, got {a.shape} @ {b.shape}")
+    """``a @ b`` with ``a`` 1-D, 2-D or 3-D and ``b`` 2-D."""
+    if b.data.ndim != 2 or a.data.ndim not in (1, 2, 3):
+        raise ValueError(f"matmul expects (1|2|3)-D @ 2-D, got {a.shape} @ {b.shape}")
     out, tape = _result((a, b), a.data @ b.data)
     if tape is not None:
         def bwd():
@@ -211,10 +221,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if a.requires_grad:
                 a.accum_grad(g @ b.data.T)
             if b.requires_grad:
-                if a.data.ndim == 2:
-                    b.accum_grad(a.data.T @ g)
-                else:
+                if a.data.ndim == 1:
                     b.accum_grad(np.outer(a.data, g))
+                else:
+                    rows = a.data.reshape(-1, a.shape[-1])
+                    b.accum_grad(rows.T @ g.reshape(-1, g.shape[-1]))
         tape.record("matmul", bwd)
     return out
 
@@ -323,6 +334,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def embedding(table: Tensor, ids) -> Tensor:
+    """Rows of ``table`` by id: ``out[...] = table[ids[...]]``, for ids of any shape.
+
+    Token embeddings are its first use; the batched training step also
+    gathers encoder rows into a padded batch with it.  The backward adds each
+    output row's gradient into the row it read.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     n = table.data.shape[0]
     if ids.size and (ids.min() < 0 or ids.max() >= n):
@@ -353,30 +370,46 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def outer_add(a: Tensor, b: Tensor) -> Tensor:
-    """``out[i, j, :] = a[i, :] + b[j, :]`` for two 2-D inputs."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ValueError(f"outer_add expects [T,d] and [U,d], got {a.shape}, {b.shape}")
-    data = a.data[:, None, :] + b.data[None, :, :]
+    """``out[i, j, :] = a[i, :] + b[j, :]`` for two 2-D inputs.
+
+    With a batch axis, ``a`` is [N, T, d] and ``b`` is [N', U, d] with N a
+    multiple of N': lattice ``n`` adds ``b[n % N']``, so several modes of a
+    batch share one predictor output.  ``out`` is [N, T, U, d].
+    """
+    if a.data.ndim != b.data.ndim or a.data.ndim not in (2, 3) or a.shape[-1] != b.shape[-1] \
+            or (a.data.ndim == 3 and a.shape[0] % b.shape[0]):
+        raise ValueError(f"outer_add expects [T,d] and [U,d], or [N,T,d] and [N',U,d] with "
+                         f"N' dividing N, got {a.shape}, {b.shape}")
+    # a 2-D pair is one lattice: N = N' = 1
+    m, u = (1, b.shape[0]) if b.data.ndim == 2 else b.shape[:2]
+    T, d = a.shape[-2:]
+    a5 = a.data.reshape(-1, m, T, 1, d)
+    data = (a5 + b.data.reshape(1, m, 1, u, d)).reshape(a.shape[:-1] + (u, d))
     out, tape = _result((a, b), data)
     if tape is not None:
         def bwd():
             g = out.grad
             if g is None:
                 return
+            g5 = g.reshape(a5.shape[:3] + (u, d))
             if a.requires_grad:
-                a.accum_grad(g.sum(axis=1))
+                a.accum_grad(g5.sum(axis=3).reshape(a.shape))
             if b.requires_grad:
-                b.accum_grad(g.sum(axis=0))
+                b.accum_grad(g5.sum(axis=(0, 2)).reshape(b.shape))
         tape.record("outer_add", bwd)
     return out
 
 
-def weighted_sum(pairs: Sequence[tuple[Tensor, float]]) -> Tensor:
-    """Scalar ``sum(w_i * t_i)`` over scalar tensors; zero weights are inert."""
+def weighted_sum(pairs: Sequence[tuple[Tensor, float | np.ndarray]]) -> Tensor:
+    """Scalar ``sum(w_i * t_i)``; zero weights are inert.
+
+    A term is a scalar tensor with a float weight, or a tensor with an array
+    of weights of its shape, which contributes their dot product.
+    """
     if not pairs:
         raise ValueError("weighted_sum needs at least one term")
     dtype = np.result_type(*[t.data.dtype for t, _ in pairs])
-    total = sum(w * t.item() for t, w in pairs)
+    total = sum(float(np.dot(w, t.data)) if np.ndim(w) else w * t.item() for t, w in pairs)
     out, tape = _result(tuple(t for t, _ in pairs), np.asarray(total, dtype=dtype))
     if tape is not None:
         def bwd():
@@ -384,7 +417,7 @@ def weighted_sum(pairs: Sequence[tuple[Tensor, float]]) -> Tensor:
             if g is None:
                 return
             for t, w in pairs:
-                if t.requires_grad and w != 0.0:
+                if t.requires_grad and np.any(w != 0.0):
                     t.accum_grad(np.asarray(float(g) * w, dtype=t.data.dtype))
         tape.record("weighted_sum", bwd)
     return out
@@ -443,21 +476,32 @@ class AttentionMask:
         return bias
 
 
-def _masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: AttentionMask,
-                      heads: int) -> tuple:
-    """The output, then what the backward reads: the attention weights, the
-    per-head ``q``, ``k``, ``v`` and the score scale."""
-    if k.shape != v.shape or q.ndim != 2 or k.ndim != 2 \
-            or q.shape[1] != k.shape[1] or k.shape[0] < q.shape[0]:
-        raise ValueError(f"need q [n, d] and k, v [m >= n, d], got {q.shape}, "
-                         f"{k.shape}, {v.shape}")
-    T, d = q.shape
-    if d % heads != 0:
-        raise ValueError(f"width {d} not divisible by {heads} heads")
-    if mask.shape != (T, k.shape[0]):
-        raise ValueError(f"mask shape {mask.shape} != ({T}, {k.shape[0]})")
+class SegmentedMask:
+    """Attention over a stacked layout whose row groups attend only within themselves.
 
-    inv_scale = 1.0 / math.sqrt(d // heads)
+    ``parts`` holds, per group, its rows of the layout (an index array, in
+    the group's own row order) and the group's :class:`AttentionMask` over
+    those rows; the groups partition the layout's ``n`` rows.  Each group's
+    scores are their own dense product, so a call costs the groups'
+    products, never one [n, n] product.  A group's rows come out bit for bit
+    as the group alone gives them.
+    """
+
+    __slots__ = ("parts", "shape")
+
+    def __init__(self, parts: Sequence[tuple[np.ndarray, AttentionMask]], n: int) -> None:
+        if sum(len(rows) for rows, _mask in parts) != n:
+            raise ValueError(f"segment rows do not partition {n} rows")
+        for rows, mask in parts:
+            if mask.shape != (len(rows), len(rows)):
+                raise ValueError(f"segment mask {mask.shape} does not fit {len(rows)} rows")
+        self.parts = list(parts)
+        self.shape = (n, n)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: AttentionMask, heads: int,
+            inv_scale: float) -> tuple:
+    """One mask's attention: the output, then what the backward reads."""
     qh, kh, vh = _split_heads(q, heads), _split_heads(k, heads), _split_heads(v, heads)
     # masked scores get -inf by adding a 0/-inf bias: the same values as
     # selecting with the mask, at a fraction of the cost.  Without a bias the
@@ -470,34 +514,72 @@ def _masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: Attenti
     attn -= attn.max(axis=2, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=2, keepdims=True)
-    return _merge_heads(attn @ vh), attn, qh, kh, vh, inv_scale
+    return _merge_heads(attn @ vh), (attn, qh, kh, vh)
 
 
-def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask,
+def _masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                      mask: AttentionMask | SegmentedMask, heads: int) -> tuple:
+    """The output, then what the backward reads: the score scale and, per
+    mask (one, or one per segment), its rows (None for all) and its
+    attention weights and per-head ``q``, ``k``, ``v``."""
+    if k.shape != v.shape or q.ndim != 2 or k.ndim != 2 \
+            or q.shape[1] != k.shape[1] or k.shape[0] < q.shape[0]:
+        raise ValueError(f"need q [n, d] and k, v [m >= n, d], got {q.shape}, "
+                         f"{k.shape}, {v.shape}")
+    T, d = q.shape
+    if d % heads != 0:
+        raise ValueError(f"width {d} not divisible by {heads} heads")
+    if mask.shape != (T, k.shape[0]):
+        raise ValueError(f"mask shape {mask.shape} != ({T}, {k.shape[0]})")
+    inv_scale = 1.0 / math.sqrt(d // heads)
+    if isinstance(mask, AttentionMask):
+        out, saved = _attend(q, k, v, mask, heads, inv_scale)
+        return out, inv_scale, [(None, saved)]
+    out = np.empty((T, d), dtype=np.result_type(q, k, v))
+    parts = []
+    for rows, part in mask.parts:
+        out[rows], saved = _attend(q[rows], k[rows], v[rows], part, heads, inv_scale)
+        parts.append((rows, saved))
+    return out, inv_scale, parts
+
+
+def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask | SegmentedMask,
                      heads: int) -> Tensor:
     """Multi-head scaled dot-product attention under an [n, m] mask.
 
     ``q`` is [n, d]; ``k`` and ``v`` are [m, d] with ``m >= n`` (a streaming
     chunk step puts cached keys before its own).  The mask was checked when
-    it was built; a call checks only that its shape fits.
+    it was built; a call checks only that its shape fits.  A
+    :class:`SegmentedMask` runs each row group's attention on its own rows
+    (then ``m == n``).
     """
-    data, attn, qh, kh, vh, inv_scale = _masked_attention(q.data, k.data, v.data, mask,
-                                                          heads)
+    data, inv_scale, parts = _masked_attention(q.data, k.data, v.data, mask, heads)
     out, tape = _result((q, k, v), data)
     if tape is not None:
         def bwd():
             g = out.grad
             if g is None:
                 return
-            go = _split_heads(g, heads)
-            if v.requires_grad:
-                v.accum_grad(_merge_heads(attn.transpose(0, 2, 1) @ go))
-            da = go @ vh.transpose(0, 2, 1)
-            ds = attn * (da - (da * attn).sum(axis=2, keepdims=True))
-            if q.requires_grad:
-                q.accum_grad(_merge_heads((ds @ kh) * inv_scale))
-            if k.requires_grad:
-                k.accum_grad(_merge_heads((ds.transpose(0, 2, 1) @ qh) * inv_scale))
+            # (input, gradient): the gradient is filled part by part when the
+            # mask has segments, whose rows partition the input's rows
+            grads = [(t, None if parts[0][0] is None else np.empty_like(t.data))
+                     for t in (v, q, k)]
+            for rows, (attn, qh, kh, vh) in parts:
+                go = _split_heads(g if rows is None else g[rows], heads)
+                da = go @ vh.transpose(0, 2, 1)
+                ds = attn * (da - (da * attn).sum(axis=2, keepdims=True))
+                for (t, full), part in zip(grads, (attn.transpose(0, 2, 1) @ go,
+                                                   (ds @ kh) * inv_scale,
+                                                   (ds.transpose(0, 2, 1) @ qh) * inv_scale)):
+                    if not t.requires_grad:
+                        continue
+                    if full is None:
+                        t.accum_grad(_merge_heads(part))
+                    else:
+                        full[rows] = _merge_heads(part)
+            for t, full in grads:
+                if t.requires_grad and full is not None:
+                    t.accum_grad(full)
         tape.record("masked_attention", bwd)
     return out
 
@@ -650,8 +732,8 @@ class Kernels:
         return _layer_norm(x, gain, bias)[0]
 
     @staticmethod
-    def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: AttentionMask,
-                         heads: int) -> np.ndarray:
+    def masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                         mask: AttentionMask | SegmentedMask, heads: int) -> np.ndarray:
         return _masked_attention(q, k, v, mask, heads)[0]
 
 
@@ -664,8 +746,11 @@ def gru_cell(xe: np.ndarray, h: np.ndarray,
              wz, uz, bz, wr, ur, br, wc, uc, bc) -> tuple[np.ndarray, ...]:
     """One gated recurrent step on plain arrays: ``(z, r, r * h, c, h_next)``.
 
-    The single definition of the cell: :func:`gru_sequence` and the decoder's
-    one-token step both evaluate it, so their states agree bit for bit.
+    ``xe`` and ``h`` are one vector each or [B, ·] rows.  The single
+    definition of the cell: :func:`gru_sequence` and the decoder's one-token
+    step both evaluate it, so a single sequence's states agree bit for bit
+    (on rows, numpy runs the products on its matrix kernels, which round
+    differently).
     """
     z = 0.5 * (np.tanh(0.5 * (xe @ wz + h @ uz + bz)) + 1.0)
     r = 0.5 * (np.tanh(0.5 * (xe @ wr + h @ ur + br)) + 1.0)
@@ -681,23 +766,27 @@ def gru_sequence(emb: Tensor, h0: Tensor,
     """Unrolled single-layer gated recurrent cell.
 
     Consumes ``emb`` of shape [U, E] starting from state ``h0`` of shape [P]
-    and returns the [U+1, P] stack of states h_0..h_U.  Backward is fused
-    backpropagation through time over the saved gate activations.
+    and returns the [U+1, P] stack of states h_0..h_U.  With a batch axis,
+    ``emb`` is [B, U, E] and the result [B, U+1, P]: the B sequences advance
+    together, one token of each per cell call on [B, E] rows.  Backward is
+    fused backpropagation through time over the saved gate activations.
     """
-    U = emb.data.shape[0]
-    P = h0.data.shape[0]
-    hs = np.empty((U + 1, P), dtype=h0.data.dtype)
+    # token-major working arrays [U(+1), *batch, width]; without a batch axis
+    # these are the inputs and outputs themselves
+    x = np.moveaxis(emb.data, -2, 0)
+    U, lead, P = x.shape[0], x.shape[1:-1], h0.data.shape[0]
+    hs = np.empty((U + 1, *lead, P), dtype=h0.data.dtype)
     hs[0] = h0.data
-    zs = np.empty((U, P), dtype=h0.data.dtype)
+    zs = np.empty((U, *lead, P), dtype=h0.data.dtype)
     rs = np.empty_like(zs)
     cs = np.empty_like(zs)
     rhs = np.empty_like(zs)
     weights = [p.data for p in (wz, uz, bz, wr, ur, br, wc, uc, bc)]
     for i in range(U):
-        zs[i], rs[i], rhs[i], cs[i], hs[i + 1] = gru_cell(emb.data[i], hs[i], *weights)
+        zs[i], rs[i], rhs[i], cs[i], hs[i + 1] = gru_cell(x[i], hs[i], *weights)
 
     inputs = (emb, h0, wz, uz, bz, wr, ur, br, wc, uc, bc)
-    out, tape = _result(inputs, hs)
+    out, tape = _result(inputs, np.ascontiguousarray(np.moveaxis(hs, 0, -2)))
     if tape is not None:
         def bwd():
             g = out.grad
@@ -707,9 +796,10 @@ def gru_sequence(emb: Tensor, h0: Tensor,
             # names holds 20 cells, and CPython's free list for tuples of
             # that size then kept ~0.4 MB of them alive over a training run
             emb, h0, wz, uz, bz, wr, ur, br, wc, uc, bc = inputs
-            demb = np.zeros_like(emb.data)
+            g = np.moveaxis(g, -2, 0)
+            demb = np.zeros_like(x)
             # gate pre-activation gradients, row n for token U-1-n (loop order)
-            pre = np.empty((3, U, P), dtype=np.result_type(hs, *weights))
+            pre = np.empty((3, U, *lead, P), dtype=np.result_type(hs, *weights))
             dh = g[U].copy()
             for n, i in enumerate(range(U - 1, -1, -1)):
                 h = hs[i]
@@ -728,14 +818,15 @@ def gru_sequence(emb: Tensor, h0: Tensor,
                 pre[0, n], pre[1, n], pre[2, n] = dac, dar, daz
                 dh = dhprev + g[i]
             if emb.requires_grad:
-                emb.accum_grad(demb)
+                emb.accum_grad(np.moveaxis(demb, 0, -2))
             if h0.requires_grad:
-                h0.accum_grad(dh)
+                h0.accum_grad(dh.reshape(-1, P).sum(axis=0) if lead else dh)
             # weight and bias gradients: outer products (or gate gradients)
-            # summed over tokens in loop order, last token first; einsum
-            # accumulates them one token at a time without a [U, P, P] buffer
-            dac, dar, daz = pre
-            xe, h, rh = emb.data[::-1], hs[:U][::-1], rhs[::-1]
+            # summed over tokens in loop order, last token first (then over
+            # the batch); einsum accumulates them one row at a time without a
+            # [U, P, P] buffer
+            dac, dar, daz = pre.reshape(3, -1, P)
+            xe, h, rh = (a[::-1].reshape(-1, a.shape[-1]) for a in (x, hs[:U], rhs))
             for p, a, inp in ((wz, daz, xe), (uz, daz, h), (wr, dar, xe),
                               (ur, dar, h), (wc, dac, xe), (uc, dac, rh)):
                 if p.requires_grad:

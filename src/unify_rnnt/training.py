@@ -6,9 +6,13 @@ mode of weight 1: offline with probability p_off, else a freshly sampled
 context spec.  Dual mode runs ``[(None, alpha), (spec, 1 - alpha)]`` on the
 same batch, plus ``lam * L_mcr`` when ``lam > 0``; the consistency term
 exists only in dual mode.  :func:`train_step` optimizes the weighted sum of
-the terms' transducer losses.  Per-utterance graphs share one tape so the
-consistency gradients couple the two forwards; batch reduction is a mean
-applied through the backward seed.  Every step reports ``loss_off`` and/or
+the terms' transducer losses, each a mean over the batch.  A step is one
+graph on one tape (:func:`batch_objective`): one stacked encode of all
+(mode, utterance) segments, one predictor pass over the padded targets, one
+padded joint of all the step's lattices, one transducer node over them and
+one consistency node, which couples the two modes' lattices of each
+utterance.  Both loss nodes compute their gradients in the forward pass and
+only scale them in the backward.  Every step reports ``loss_off`` and/or
 ``loss_str`` (one per mode run), ``loss_mcr`` in dual mode, ``spec`` when a
 streaming mode ran, and ``total``.
 
@@ -25,6 +29,7 @@ import math
 import struct
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +41,7 @@ from .errors import (CorruptCheckpointError, EmptyBatchError, NonFiniteInputErro
 # perfbench/spans.py patches mcr_forward, mcr_backward and rnnt_forward_single here
 from .mcr import MCRConfig, mcr_backward, mcr_forward
 from .model import ModelConfig, TransducerModel
-from .rnnt_loss import JointLogits, rnnt_forward_single
+from .rnnt_loss import JointLogits, rnnt_forward_single, rnnt_loss
 from .tensor import Tape, Tensor
 
 CHECKPOINT_MAGIC = b"URNTCKPT"
@@ -157,46 +162,75 @@ def clip_global_norm(params: list[Tensor], max_norm: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def rnnt_loss_node(z: Tensor, targets: np.ndarray) -> Tensor:
-    """Scalar transducer loss whose backward injects the analytic gradient."""
-    loss, grad = rnnt_forward_single(z.data, targets)
-    out = Tensor(np.asarray(loss, dtype=np.float64), requires_grad=z.requires_grad)
-    tape = tz.active_tape()
-    if tape is not None and z.requires_grad:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            z.accum_grad(grad * float(g))
-        tape.record("rnnt_loss", bwd)
-    return out
+def _loss_node(name: str, lattices: Sequence[Tensor], value, grad: np.ndarray) -> Tensor:
+    """A loss computed with its logits gradient in the forward pass.
 
-
-def mcr_loss_node(z_off: Tensor, z_str: Tensor, cfg: MCRConfig,
-                  targets: np.ndarray | None = None) -> Tensor:
-    """Scalar consistency loss; backward recomputes grads from raw logits.
-
-    ``targets`` is unused (perfbench/bench.py passes it): the full-joint
-    loss does not read the labels.
+    ``grad`` is over the lattices of ``lattices`` stacked on one batch axis
+    (a 3-D tensor is one lattice).  ``value`` is a scalar, or one loss per
+    lattice; the backward scales ``grad`` by the upstream gradient, per
+    lattice for a vector, and hands each tensor its rows.
     """
-    jl_off = JointLogits.from_single(z_off.data)
-    jl_str = JointLogits.from_single(z_str.data)
-    loss, _cells = mcr_forward(jl_off, jl_str, cfg)
-    out = Tensor(np.asarray(loss, dtype=np.float64),
-                 requires_grad=z_off.requires_grad or z_str.requires_grad)
+    out = Tensor(np.asarray(value, dtype=np.float64),
+                 requires_grad=any(z.requires_grad for z in lattices))
     tape = tz.active_tape()
     if tape is not None and out.requires_grad:
         def bwd():
             g = out.grad
             if g is None:
                 return
-            res = mcr_backward(jl_off, jl_str, cfg, seed=float(g))
-            if z_off.requires_grad:
-                z_off.accum_grad(res.grad_offline[0])
-            if z_str.requires_grad:
-                z_str.accum_grad(res.grad_streaming[0])
-        tape.record("mcr_loss", bwd)
+            scaled = grad * (g[:, None, None, None] if g.ndim else float(g))
+            start = 0
+            for z in lattices:
+                n = z.shape[0] if z.data.ndim == 4 else 1
+                if z.requires_grad:
+                    z.accum_grad(scaled[start:start + n].reshape(z.shape))
+                start += n
+        tape.record(name, bwd)
     return out
+
+
+def rnnt_loss_node(z: Tensor, targets, lengths=None) -> Tensor:
+    """Transducer losses of the lattices of ``z``, each with its analytic gradient.
+
+    ``z`` is a padded [N, T, U+1, V] batch with ``lengths`` ``(t_len,
+    u_len)`` and N target sequences, giving [N] losses; a single
+    [T, U+1, V] lattice with its target sequence is the batch of one and
+    gives a scalar.
+    """
+    if z.data.ndim == 3:
+        losses, grad = rnnt_loss(JointLogits.from_single(z.data), [targets])
+        return _loss_node("rnnt_loss", [z], losses[0], grad)
+    losses, grad = rnnt_loss(JointLogits(z.data, *lengths), targets)
+    return _loss_node("rnnt_loss", [z], losses, grad)
+
+
+def consistency_node(lattices: Sequence[Tensor], cfg: MCRConfig, lengths=None) -> Tensor:
+    """Scalar batch-reduced consistency loss between two modes' lattices.
+
+    The lattices of ``lattices``, on one batch axis, are B offline lattices
+    then the B streaming ones of the same utterances, with ``lengths``
+    ``(t_len, u_len)`` of the B utterances (whole lattices when None).  The
+    loss and both gradients come from one ``mcr_backward`` in the forward
+    pass; the backward only scales them.
+    """
+    parts = [z.data if z.data.ndim == 4 else z.data[None] for z in lattices]
+    z = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    B = z.shape[0] // 2
+    if lengths is None:
+        lengths = ([z.shape[1]] * B, [z.shape[2] - 1] * B)
+    res = mcr_backward(JointLogits(z[:B], *lengths), JointLogits(z[B:], *lengths), cfg)
+    grad = np.concatenate([res.grad_offline, res.grad_streaming])
+    return _loss_node("mcr_loss", lattices, res.loss, grad)
+
+
+def mcr_loss_node(z_off: Tensor, z_str: Tensor, cfg: MCRConfig,
+                  targets: np.ndarray | None = None) -> Tensor:
+    """One utterance's consistency loss: :func:`consistency_node` on a batch of one.
+
+    ``targets`` is unused (perfbench/bench.py passes it): the full-joint
+    loss does not read the labels.
+    """
+    return consistency_node([z_off, z_str], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -221,39 +255,59 @@ def step_modes(rng: np.random.Generator,
     return [(sample_context(cfg.context_sets, rng), 1.0)]
 
 
+def batch_objective(model: TransducerModel, batch: list[Utterance],
+                    modes: list[tuple[ContextSpec | None, float]],
+                    cfg: TrainConfig) -> tuple[Tensor, Tensor, Tensor | None]:
+    """The step's objective on the active tape, as one graph.
+
+    One stacked encode of every (mode, utterance) segment, mode-major, one
+    predictor pass over the padded targets, one padded joint of all M·B
+    lattices, one transducer node over them and, for two modes with
+    ``lam > 0``, one consistency node.  The objective is the batch mean of
+    each mode's weighted transducer loss plus ``lam`` times the consistency
+    loss.  Returns it, the [M·B] transducer losses and the consistency loss
+    (None when not run).
+    """
+    B = len(batch)
+    targets = [np.asarray(utt.tokens, dtype=np.int64).reshape(-1) for utt in batch]
+    u_len = np.array([y.size for y in targets])
+    padded = np.zeros((B, u_len.max()), dtype=np.int64)
+    for row, y in zip(padded, targets):
+        row[:y.size] = y
+    enc, t_len = model.encode_batch([utt.features for _ in modes for utt in batch],
+                                    [spec for spec, _ in modes for _ in batch])
+    z = model.joint(enc, model.pred_sequence(padded))
+    rnnt = rnnt_loss_node(z, targets * len(modes), (t_len, np.tile(u_len, len(modes))))
+    terms = [(rnnt, np.repeat([w / B for _, w in modes], B))]
+    l_mcr = None
+    if len(modes) == 2 and cfg.mcr.lam > 0.0:
+        l_mcr = consistency_node([z], cfg.mcr, (t_len[:B], u_len))
+        terms.append((l_mcr, cfg.mcr.lam))
+    return tz.weighted_sum(terms), rnnt, l_mcr
+
+
 def train_step(model: TransducerModel, batch: list[Utterance],
                rng: np.random.Generator, cfg: TrainConfig, opt: AdamW,
                step: int) -> dict:
     """One step: every mode of ``step_modes`` on the same batch, plus the
-    consistency loss between the two modes of a dual-mode step, then one
-    update.  Non-finite logits or losses raise ``NumericalError``."""
+    consistency loss between the two modes of a dual-mode step, as one
+    graph (:func:`batch_objective`), then one update.  Non-finite logits or
+    losses raise ``NumericalError``."""
     if not batch:
         raise EmptyBatchError("empty batch")
     modes = step_modes(rng, cfg)
     dual = len(modes) == 2
-    lam = cfg.mcr.lam if dual else 0.0
     B = len(batch)
-    losses = [0.0] * len(modes)
-    loss_mcr = 0.0
     opt.zero_grad()
     try:
-        for utt in batch:
-            with Tape() as tape:
-                pred = model.pred_sequence(utt.tokens)
-                zs = [model.joint(model.encode(utt.features, spec), pred) for spec, _ in modes]
-                rnnt = [rnnt_loss_node(z, utt.tokens) for z in zs]
-                terms = [(loss, w) for loss, (_, w) in zip(rnnt, modes)]
-                if lam > 0.0:
-                    l_mcr = mcr_loss_node(*zs, cfg.mcr)
-                    terms.append((l_mcr, lam))
-                    loss_mcr += l_mcr.item() / B
-                # a lone mode has weight 1, so its loss is the objective
-                objective = tz.weighted_sum(terms) if len(terms) > 1 else terms[0][0]
-                tape.backward(objective, seed=1.0 / B)
-            losses = [acc + loss.item() / B for acc, loss in zip(losses, rnnt)]
+        with Tape() as tape:
+            objective, rnnt, l_mcr = batch_objective(model, batch, modes, cfg)
+            tape.backward(objective)
     except NonFiniteInputError as exc:
         raise NumericalError(f"non-finite logits at step {step}") from exc
-    total = sum(w * loss for (_, w), loss in zip(modes, losses)) + lam * loss_mcr
+    losses = [float(rnnt.data[m * B:(m + 1) * B].mean()) for m in range(len(modes))]
+    loss_mcr = 0.0 if l_mcr is None else l_mcr.item()
+    total = sum(w * loss for (_, w), loss in zip(modes, losses)) + cfg.mcr.lam * loss_mcr
     if not math.isfinite(total):
         raise NumericalError(f"non-finite loss at step {step}")
     grad_norm = clip_global_norm(model.parameters(), cfg.clip_norm)

@@ -267,7 +267,7 @@ def test_criterion_10_plumbing_roundtrips(tmp_path):
         # manifest roundtrip is exact
         ccfg = CorpusConfig(n_symbols=8, feat_dim=6, ambiguous_pairs=2, seed=77)
         manifest = generate_corpus(ccfg, 15, tmp_path / "corpus")
-        loaded_utts = list(load_manifest(manifest, ccfg.feat_dim))
+        loaded_utts = list(load_manifest(manifest, ccfg.feat_dim, ccfg.n_symbols + 1))
         ref = generate_utterances(ccfg, 15)
         assert len(loaded_utts) == 15
         for got, want in zip(loaded_utts, ref):

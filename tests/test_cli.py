@@ -237,6 +237,35 @@ class TestTrainEvalPipeline:
         assert main(argv) == 2
         assert not (out / "sweep_latency.csv").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_budget_below_one_fails_before_any_work(self, workspace, capsys, command):
+        # every command parses eval.budgets, not only sweep-latency
+        config, out = workspace
+        data = yaml.safe_load(open(config))
+        data["eval"]["budgets"] = [2, 0]
+        with open(config, "w") as fh:
+            yaml.safe_dump(data, fh)
+        argv = [command, "--config", str(config)]
+        if command == "eval":
+            argv += ["--checkpoint", str(out / "checkpoint.urnt")]
+        assert main(argv) == 2
+        assert "eval.budgets [2, 0]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_token_past_the_vocabulary_fails_at_load(self, workspace, capsys):
+        # the last record holds it: no training step has to sample it
+        config, out = workspace
+        assert main(["gen-data", "--config", str(config)]) == 0
+        manifest = out / "corpus" / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        rec = json.loads(lines[-1])
+        rec["tokens"] = rec["tokens"][:-1] + [99]
+        lines[-1] = json.dumps(rec)
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(config)]) == 4
+        assert f"I/O error: {manifest}:{len(lines)}: tokens" in capsys.readouterr().err
+        assert not (out / "metrics.jsonl").exists()
+
     @pytest.mark.parametrize("command", ["eval", "sweep-latency"])
     def test_missing_eval_manifest_is_config_error(self, tmp_path, command):
         # no fallback to the training manifest
@@ -433,7 +462,8 @@ class TestMalformedRunFiles:
         ("frames", "3", "frames '3' is not an integer"),
         ("tokens", ["x"], "tokens ['x'] are not a list of integers"),
         ("tokens", [3, 0, 5], "tokens [3, 0, 5] hold an id below 1"),
-    ], ids=["float-frames", "string-frames", "string-token", "blank-token"])
+        ("tokens", [3, 99], "tokens [3, 99] hold an id at or past the vocabulary size 10"),
+    ], ids=["float-frames", "string-frames", "string-token", "blank-token", "token-past-vocab"])
     def test_mistyped_manifest_field_is_io_error(self, workspace, capsys, field, value,
                                                  what):
         config, out = workspace

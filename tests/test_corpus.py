@@ -116,7 +116,7 @@ class TestManifest:
     def test_roundtrip(self, tmp_path):
         cfg = CorpusConfig(seed=21)
         manifest = generate_corpus(cfg, 20, tmp_path)
-        loaded = list(load_manifest(manifest, cfg.feat_dim))
+        loaded = list(load_manifest(manifest, cfg.feat_dim, cfg.n_symbols + 1))
         reference = generate_utterances(cfg, 20)
         assert len(loaded) == 20
         for got, ref in zip(loaded, reference):
@@ -151,7 +151,7 @@ class TestManifest:
         with open(manifest, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         with pytest.raises(ManifestMismatchError, match=rec["id"]):
-            list(load_manifest(manifest, cfg.feat_dim))
+            list(load_manifest(manifest, cfg.feat_dim, cfg.n_symbols + 1))
 
     def test_missing_feature_file(self, tmp_path):
         cfg = CorpusConfig(seed=6)
@@ -159,7 +159,7 @@ class TestManifest:
         victim = json.loads(open(manifest).read().splitlines()[0])
         os.remove(os.path.join(tmp_path, victim["path"]))
         with pytest.raises(MissingFeatureFileError):
-            list(load_manifest(manifest, cfg.feat_dim))
+            list(load_manifest(manifest, cfg.feat_dim, cfg.n_symbols + 1))
 
 
 class TestConfigValidation:

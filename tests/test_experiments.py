@@ -57,3 +57,16 @@ def test_table_has_a_line_per_run_and_a_column_per_mode(tiny):
         strategy, seed, *cells = line.split()
         res = tiny[1]["results"][strategy][int(seed)]
         assert cells == [f"{r['ter']:.4f}" for r in res["summary"]]
+
+
+@pytest.mark.parametrize("entry", ["run_one", "run_suite"])
+def test_budget_below_one_fails_before_training(monkeypatch, entry):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the budgets were checked")
+    monkeypatch.setattr(experiments, "run_training", no_training)
+    setup = replace(experiments.toy_setup(steps=3), n_train=16, n_eval=4, budgets=(2, 0))
+    with pytest.raises(ValueError, match="budgets must be >= 1"):
+        if entry == "run_one":
+            experiments.run_one((setup, "sm", 0))
+        else:
+            experiments.run_suite(["sm", "dm_mcr"], (0, 1), setup=setup, workers=2)

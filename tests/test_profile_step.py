@@ -28,7 +28,8 @@ def entries(text: str) -> list[str]:
     (["stream", "--n", "4", "--spec", "3,1,1"],
      r"\d+ chunk steps in 1 streaming decodes \(\d+\.\d tokens per utterance\) "
      r"at L=3 C=1 R=1, seed 0"),
-    (["train", "--n", "1", "--seed", "2"], r"1 train_step calls at dm_mcr, seed 2"),
+    (["train", "--n", "1", "--seed", "2"],
+     r"1 train_step calls at dm_mcr, 41 tape records per step, seed 2"),
     (["head", "--n", "3", "--seed", "1"],
      r"3 loss-head calls on 8 batches of 4 utterances at L=12 C=1 R=0, seed 1"),
     (["setup", "--n", "1", "--seed", "3"],
@@ -94,3 +95,12 @@ def test_head_calls_both_transducer_losses_and_the_consistency_loss(profile_step
 def test_bad_spec_is_a_usage_error(profile_step):
     with pytest.raises(SystemExit):
         profile_step.main(["stream", "--spec", "1,2"])
+
+
+def test_train_counts_the_records_of_its_own_steps(profile_step):
+    from unify_rnnt import tensor as tz
+    record = tz.Tape.record
+    run = profile_step.train_steps(profile_step.experiments.toy_setup(), 0, 3)
+    # one graph per dual-mode step, whatever the batch: 41 records
+    assert run() == 41
+    assert tz.Tape.record is record

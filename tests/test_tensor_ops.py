@@ -611,3 +611,118 @@ class TestOpContract:
         model_op_attrs = (self.MODEL_OPS - {"depthwise_conv1d"}) | {"depthwise_conv1d_windows"}
         # depthwise_conv1d is the whole-sequence convolution oracle
         assert public == model_op_attrs | {"depthwise_conv1d"} | self.HELPERS
+
+
+class TestBatchedForms:
+    """The forms a batched training step uses: segmented attention, batched
+    matmul/outer_add/GRU, array weights, and a tape that frees as it replays."""
+
+    def test_segmented_attention_equals_each_segment_alone(self, rng):
+        n, d = 11, 8
+        order = rng.permutation(n)
+        groups = [np.sort(order[:4]), order[4:5], np.sort(order[5:])[::-1].copy()]
+        masks = []
+        for rows in groups:
+            bits = rng.random((len(rows), len(rows))) < 0.5
+            bits[:, 0] = True
+            masks.append(tz.AttentionMask(bits))
+        arrs = [rng.standard_normal((n, d)) for _ in range(3)]
+        g = rng.standard_normal((n, d))
+        qkv = [tz.parameter(a.copy()) for a in arrs]
+        with tz.Tape() as tape:
+            out = tz.masked_attention(*qkv, tz.SegmentedMask(list(zip(groups, masks)), n), 2)
+            tape.backward(out, g)
+        for rows, mask in zip(groups, masks):
+            alone = [tz.parameter(a[rows]) for a in arrs]
+            with tz.Tape() as tape:
+                ref = tz.masked_attention(*alone, mask, 2)
+                tape.backward(ref, g[rows])
+            np.testing.assert_array_equal(out.data[rows], ref.data)
+            for t, t_alone in zip(qkv, alone):
+                np.testing.assert_array_equal(t.grad[rows], t_alone.grad)
+
+    def test_segmented_mask_must_partition_the_rows(self):
+        mask = tz.AttentionMask(np.ones((2, 2), bool))
+        with pytest.raises(ValueError, match="partition"):
+            tz.SegmentedMask([(np.arange(2), mask)], 3)
+        with pytest.raises(ValueError, match="does not fit"):
+            tz.SegmentedMask([(np.arange(3), mask)], 3)
+
+    def test_batched_joint_ops_equal_each_lattice(self, rng):
+        # lattice n of a [4, T, d] batch pairs with predictor row n % 2
+        a0, b0 = rng.standard_normal((4, 3, 5)), rng.standard_normal((2, 2, 5))
+        w0 = rng.standard_normal((5, 6))
+        g = rng.standard_normal((4, 3, 2, 6))
+        a, b, w = (tz.parameter(x.copy()) for x in (a0, b0, w0))
+        with tz.Tape() as tape:
+            # the joint's projection: a [4, 3, 5] encoder side, the lattices
+            # flattened to rows, then each lattice's rows unflattened
+            enc = tz.matmul(a, tz.constant(np.eye(5)))
+            out = tz.matmul(tz.reshape(tz.outer_add(enc, b), (-1, 5)), w)
+            tape.backward(out, g.reshape(-1, 6))
+        grads_b, grad_w = np.zeros_like(b0), np.zeros_like(w0)
+        for n in range(4):
+            an, bn, wn = (tz.parameter(x.copy()) for x in (a0[n], b0[n % 2], w0))
+            with tz.Tape() as tape:
+                ref = tz.matmul(tz.reshape(tz.outer_add(an, bn), (6, 5)), wn)
+                tape.backward(ref, g[n].reshape(6, 6))
+            np.testing.assert_array_equal(out.data[6 * n:6 * (n + 1)], ref.data)
+            np.testing.assert_allclose(a.grad[n], an.grad, rtol=1e-12, atol=1e-12)
+            grads_b[n % 2] += bn.grad
+            grad_w += wn.grad
+        np.testing.assert_allclose(b.grad, grads_b, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(w.grad, grad_w, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError, match="dividing"):
+            tz.outer_add(a, tz.constant(rng.standard_normal((3, 2, 5))))
+
+    def test_array_weights_give_a_dot_product(self, rng):
+        losses = tz.parameter(rng.standard_normal(4))
+        scalar = tz.parameter(np.float64(1.5).reshape(()))
+        w = np.array([0.25, 0.0, 0.5, 0.25])
+        with tz.Tape() as tape:
+            out = tz.weighted_sum([(losses, w), (scalar, 0.3)])
+            tape.backward(out, 2.0)
+        assert out.item() == float(np.dot(w, losses.data)) + 0.3 * 1.5
+        np.testing.assert_array_equal(losses.grad, 2.0 * w)
+        assert scalar.grad == pytest.approx(0.6)
+
+    def test_batched_gru_equals_each_sequence(self, rng):
+        E, P, B, U = 3, 4, 3, 5
+        params = {n: rng.standard_normal((P,) if n.startswith("b") else
+                                         ((E, P) if n.startswith("w") else (P, P))) * 0.5
+                  for n in GRU_NAMES}
+        emb0, h00 = rng.standard_normal((B, U, E)), rng.standard_normal(P)
+        g = rng.standard_normal((B, U + 1, P))
+
+        def run(emb, gout):
+            tensors = {n: tz.parameter(params[n].copy()) for n in GRU_NAMES}
+            embt, h0t = tz.parameter(emb.copy()), tz.parameter(h00.copy())
+            with tz.Tape() as tape:
+                out = tz.gru_sequence(embt, h0t, *[tensors[n] for n in GRU_NAMES])
+                tape.backward(out, gout)
+            return out.data, embt.grad, h0t.grad, tensors
+
+        out, demb, dh0, tensors = run(emb0, g)
+        assert out.shape == (B, U + 1, P)
+        singles = [run(emb0[b], g[b]) for b in range(B)]
+        for b, (o, de, _dh, _t) in enumerate(singles):
+            np.testing.assert_allclose(out[b], o, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(demb[b], de, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dh0, sum(s[2] for s in singles), rtol=1e-12, atol=1e-12)
+        for n in GRU_NAMES:
+            np.testing.assert_allclose(tensors[n].grad, sum(s[3][n].grad for s in singles),
+                                       rtol=1e-12, atol=1e-12, err_msg=n)
+
+    def test_backward_drops_each_record_once_run(self, rng):
+        import weakref
+        x = tz.parameter(rng.standard_normal((3, 2)))
+        kept = []
+        with tz.Tape() as tape:
+            mid = tz.tanh(x)
+            kept.append(weakref.ref(mid.data))
+            out = tz.relu(mid)
+            del mid
+            tape.backward(out, np.ones((3, 2)))
+        # the records and, with them, the intermediate tensor's array are gone
+        assert tape._records == [] and kept[0]() is None
+        np.testing.assert_allclose(x.grad, (out.data > 0) * (1 - np.tanh(x.data) ** 2))
