@@ -23,6 +23,12 @@ that prints no result keeps the tail of its standard error instead.  Failed
 runs stay in the file, summaries use the pairs whose two runs both printed
 metrics, and the script lists every failed run (side, workload, seed, exit
 code, failure notes) and exits 1.
+
+``--claim METRIC:WORKLOAD`` (repeatable) prints the verdict on a claimed
+gain: both medians, the parent's interquartile range, the change's wins
+over the pairs, and "met" only when the change wins at least nine tenths of
+the pairs and its median is better than the parent's by more than the
+parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -109,6 +115,21 @@ def summarise(pairs: list[dict], better: dict) -> dict:
     return out
 
 
+def claim_verdict(summary: dict, metric: str, workload: str) -> str:
+    """One line: the medians, the parent IQR, the wins and whether the claim is met."""
+    row = summary.get(metric)
+    if row is None:
+        return f"claim {metric} on {workload}: no pair has this metric: not met"
+    par, chg = row["parent"], row["change"]
+    iqr = par["q3"] - par["q1"]
+    gain = (par["median"] - chg["median"]) * (1.0 if row["better"] == "lower" else -1.0)
+    met = row["change_wins"] >= 0.9 * row["pairs"] and gain > iqr
+    return (f"claim {metric} on {workload}: parent median {par['median']:.6g}, "
+            f"change median {chg['median']:.6g}, parent IQR {iqr:.6g}, gain {gain:.6g}, "
+            f"change wins {row['change_wins']}/{row['pairs']} pairs: "
+            f"{'met' if met else 'not met'}")
+
+
 def run_pair(trees: dict, workload: str, seed: int, seconds: float, trace: int,
              parent_first: bool) -> dict:
     order = ("parent", "change") if parent_first else ("change", "parent")
@@ -127,6 +148,8 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", default="754-763")
     p.add_argument("--trace-seeds", default="754-756", help="traced pairs; '' for none")
     p.add_argument("--out-dir", default=ROOT)
+    p.add_argument("--claim", action="append", default=[], metavar="METRIC:WORKLOAD",
+                   help="print the verdict on a claimed gain of METRIC on WORKLOAD")
     args = p.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
@@ -134,6 +157,10 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     workloads = [w["name"] for w in bench["workloads"]]
+    claims = [tuple(c.rpartition(":")[::2]) for c in args.claim]
+    for metric, workload in claims:
+        if metric not in better or workload not in workloads:
+            p.error(f"--claim {metric}:{workload}: need METRIC:WORKLOAD of BENCHMARK.json")
     seeds = seed_list(args.seeds)
     trace_seeds = seed_list(args.trace_seeds) if args.trace_seeds else []
 
@@ -146,6 +173,7 @@ def main(argv=None) -> int:
                 runs[w].append(run_pair(trees, w, seed, bench["run_seconds"], trace,
                                         parent_first=i % 2 == 0))
 
+    summaries = {w: summarise(results[w], better) for w in workloads}
     for w in workloads:
         doc = {"workload": w,
                "command": f"perfbench/run.py --workload {w} --seed SEED "
@@ -155,7 +183,7 @@ def main(argv=None) -> int:
                                     if p[side]["info"]), None) for side in trees},
                "pairs_note": "order alternates per pair; wins count pairs where the "
                              "change reads better, ties count for neither side",
-               "summary": summarise(results[w], better),
+               "summary": summaries[w],
                "pairs": results[w]}
         if traced[w]:
             doc["traced_summary"] = summarise(traced[w], better)
@@ -164,6 +192,8 @@ def main(argv=None) -> int:
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
         print(f"wrote {path}")
+    for metric, workload in claims:
+        print(claim_verdict(summaries[workload], metric, workload))
     report = failure_report([(w, trace, pair) for trace, runs in ((0, results), (1, traced))
                              for w in workloads for pair in runs[w]])
     for line in report:

@@ -5,14 +5,17 @@ analytic gradient with respect to the raw joint logits (occupancy-weighted
 softmax minus transition indicators), plus a brute-force alignment
 enumeration oracle for small lattices.
 
-Alpha and beta come from one scan (the recursion of Graves 2012, evaluated
-along anti-diagonals, whose cells are independent): beta is the alpha
-recursion on the lattice flipped along both axes, and both lattices advance
-together, one diagonal per vector step.  Each cell takes the same two
-``logaddexp`` operands in the same order as a cell-by-cell loop, so the
-values are bit-identical to it.  The scan's skewed storage is addressed
-through flat indices built once per lattice shape ``(T, U)`` and kept in a
-bounded cache, so a call pays only for its fills, copies and diagonals.
+A batch runs as one: one padded scan for all of its lattices, alpha and beta
+together (the recursion of Graves 2012, evaluated along anti-diagonals,
+whose cells are independent).  Beta is the alpha recursion on each lattice
+flipped within its own ``(t_len, u_len)``, so the scan advances 2B lattices
+of the padded shape, one diagonal per vector step.  Each cell takes the same
+two ``logaddexp`` operands in the same order as a cell-by-cell loop over its
+lattice alone, so the values are bit-identical to it, and the padding is
+never read.  The V-wide work (logsumexp, softmax, gradient) runs on the
+lattices' cells only.  The scan's skewed storage is addressed through flat
+indices built once per padded shape ``(T, U)`` and kept in a bounded cache,
+so a call pays only for its fills, copies and diagonals.
 
 Conventions: blank id is fixed to 0, target ids live in [1, V).  Losses are
 per utterance; batch reduction belongs to the caller.
@@ -74,29 +77,33 @@ def _validate_targets(logits: JointLogits, targets) -> list[np.ndarray]:
     V = logits.z.shape[3]
     if len(targets) != B:
         raise ValueError(f"expected {B} target sequences, got {len(targets)}")
-    out = []
-    for b, y in enumerate(targets):
-        y = np.asarray(y, dtype=np.int64).reshape(-1)
+    out = [np.asarray(y, dtype=np.int64).reshape(-1) for y in targets]
+    for b, y in enumerate(out):
         if y.size != logits.u_len[b]:
             raise ValueError(f"targets[{b}] length {y.size} != u_len {logits.u_len[b]}")
-        if (y == 0).any():
-            raise BlankInTargetError(f"targets[{b}] contains the blank id")
-        if y.size and (y.min() < 1 or y.max() >= V):
-            raise ValueError(f"targets[{b}] has ids outside [1, {V})")
-        out.append(y)
+    flat = np.concatenate(out)
+    if flat.size and (flat.min() < 1 or flat.max() >= V):
+        # the first offending sequence names the error
+        for b, y in enumerate(out):
+            if (y == 0).any():
+                raise BlankInTargetError(f"targets[{b}] contains the blank id")
+            if y.size and (y.min() < 1 or y.max() >= V):
+                raise ValueError(f"targets[{b}] has ids outside [1, {V})")
     return out
 
 
-def _log_probs(z: np.ndarray, y: np.ndarray):
-    """Per-cell blank and next-target log-probabilities from raw logits."""
+def _logsumexp(z: np.ndarray) -> np.ndarray:
+    """Over the last axis, shifted by its maximum."""
     m = z.max(axis=-1, keepdims=True)
-    lse = m[..., 0] + np.log(np.exp(z - m).sum(axis=-1))
+    return m[..., 0] + np.log(np.exp(z - m).sum(axis=-1))
+
+
+def _log_probs(z: np.ndarray, y: np.ndarray):
+    """Per-cell blank and next-target log-probabilities of one [T, U+1, V] lattice."""
+    lse = _logsumexp(z)
     logpb = z[:, :, 0] - lse
     U = y.size
-    if U:
-        logpy = z[:, np.arange(U), y] - lse[:, :U]
-    else:
-        logpy = np.zeros((z.shape[0], 0), dtype=z.dtype)
+    logpy = z[:, np.arange(U), y] - lse[:, :U]
     return lse, logpb, logpy
 
 
@@ -148,30 +155,112 @@ def _lattice_scan(wt: np.ndarray, wu: np.ndarray, base) -> np.ndarray:
     return S.reshape(-1, K)[idx_out].T.reshape(K, T, U + 1)
 
 
-def _alpha_beta(logpb: np.ndarray, logpy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward log-variables of one [T, U+1] lattice.
+def _alpha_beta(logpb: np.ndarray, logpy: np.ndarray, t_len=None,
+                u_len=None) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward log-variables of [T, U+1] lattices.
 
     ``alpha[t, u]`` sums the paths from (0, 0) to (t, u); ``beta[t, u]`` the
-    paths from (t, u) through the final blank.  Beta is the alpha recursion
-    on the lattice flipped along both axes, started from the final blank, so
-    one scan computes both.
+    paths from (t, u) through the final blank.  ``logpb`` is one [T, U+1]
+    lattice, or a padded [B, T, U+1] batch whose lattice b ends at cell
+    ``(t_len[b] - 1, u_len[b])``; beta is ``-inf`` past that end, alpha
+    holds whatever the padding gives.  Beta is the alpha recursion on each
+    lattice flipped within its own lengths, started from its final blank,
+    so one scan over 2B lattices computes both.
     """
-    T = logpb.shape[0]
-    wt = logpb[:T - 1]
-    alpha, beta = _lattice_scan(np.stack([wt, wt[::-1, ::-1]]),
-                                np.stack([logpy, logpy[::-1, ::-1]]),
-                                [0.0, logpb[T - 1, -1]])
-    return alpha, beta[::-1, ::-1]
+    if logpb.ndim == 2:
+        T, U1 = logpb.shape
+        alpha, beta = _alpha_beta(logpb[None], logpy[None], [T], [U1 - 1])
+        return alpha[0], beta[0]
+    B, T, U1 = logpb.shape
+    b = np.arange(B)
+    t_last = np.asarray(t_len) - 1
+    u_last = np.asarray(u_len)
+    # the mirror of cell (t, u) within its lattice; a cell past the lattice
+    # has a negative mirror, which wraps onto padding, and no cell of the
+    # lattice reads what it gets
+    tf = t_last[:, None, None] - np.arange(T)[:, None]
+    uf = u_last[:, None, None] - np.arange(U1)
+    bi = b[:, None, None]
+    scan = _lattice_scan(np.concatenate([logpb[:, :T - 1], logpb[bi, tf[:, :T - 1] - 1, uf]]),
+                         np.concatenate([logpy, logpy[bi, tf, uf[..., 1:]]]),
+                         np.concatenate([np.zeros(B), logpb[b, t_last, u_last]]))
+    beta = np.where((tf >= 0) & (uf >= 0), scan[B:][bi, tf, uf], NEG_INF)
+    return scan[:B], beta
 
 
-def rnnt_forward_single(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Loss and logits gradient for one unpadded [T, U+1, V] lattice; a
-    blank target raises ``BlankInTargetError`` (the loss would be corrupt)."""
+def _transducer_batch(z: np.ndarray, ys: list[np.ndarray], t_len: np.ndarray,
+                      u_len: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Losses and logits gradient of a padded [B, T, U+1, V] batch, in one scan.
+
+    Computed in float64 whatever ``z``'s dtype; the gradient comes back in
+    it, zero past each lattice.  The V-wide work (logsumexp, softmax,
+    gradient) runs on the lattices' cells only, gathered into rows, and the
+    padding, whatever it holds, is never read: the lattices' scan weights
+    are ``-inf`` there.  Every cell gets the values its lattice alone gives
+    it, bit for bit.
+    """
+    B, T, U1, V = z.shape
+    U = U1 - 1
+    valid = ((np.arange(T)[:, None] < t_len[:, None, None])
+             & (np.arange(U1) <= u_len[:, None, None]))
+    cells = np.flatnonzero(valid)
+    b_cell = cells // (T * U1)
+    u_cell = cells % U1
+    # the next target of each cell; the blank, unread, past the last
+    y = np.zeros((B, U1), dtype=np.int64)
+    for row, yb in zip(y, ys):
+        row[:yb.size] = yb
+    y_cell = y[b_cell, u_cell]
+    zc = np.take(z.reshape(-1, V), cells, axis=0).astype(np.float64, copy=False)
+    rows = np.arange(cells.size)
+    lse = _logsumexp(zc)
+    logpb, logpy = np.full((2, B, T, U1), NEG_INF)
+    logpb.reshape(-1)[cells] = zc[:, 0] - lse
+    logpy.reshape(-1)[cells] = zc[rows, y_cell] - lse
+    logpy = logpy[..., :U]
+    alpha, beta = _alpha_beta(logpb, logpy, t_len, u_len)
+    b = np.arange(B)
+    log_total = alpha[b, t_len - 1, u_len] + logpb[b, t_len - 1, u_len]
+    lt = log_total[:, None, None]
+
+    with np.errstate(invalid="ignore"):
+        occ = np.exp(alpha + beta - lt)
+        # blank continuation: beta of (t+1, u); the last frame completes only at u == U
+        beta_next_t = np.full((B, T, U1), NEG_INF)
+        beta_next_t[:, :T - 1] = beta[:, 1:]
+        beta_next_t[b, t_len - 1, u_len] = 0.0
+        occ_blank = np.exp(alpha + logpb + beta_next_t - lt)
+        grad = occ.reshape(-1)[cells, None] * np.exp(zc - lse[:, None])
+        grad[:, 0] -= occ_blank.reshape(-1)[cells]
+        if U:
+            occ_label = np.exp(alpha[..., :U] + logpy + beta[..., 1:] - lt)
+            # cells that emit a target; cell (b, t, u) is row (b·T + t)·U + u of occ_label
+            emits = u_cell < u_len[b_cell]
+            at = cells[emits] // U1 * U + u_cell[emits]
+            grad[rows[emits], y_cell[emits]] -= occ_label.reshape(-1)[at]
+    out = np.zeros(z.shape, dtype=z.dtype)
+    out.reshape(-1, V)[cells] = grad
+    return -log_total, out
+
+
+def rnnt_forward_single(z: np.ndarray, y, lengths=None):
+    """Transducer losses and logits gradients, one scan for all lattices.
+
+    ``z`` is a padded [B, T, U+1, V] batch with ``lengths`` ``(t_len,
+    u_len)`` and B checked target sequences ``y`` (as :func:`rnnt_loss`
+    checks them): it gives [B] losses and a gradient of ``z``'s shape and
+    dtype.  A single unpadded [T, U+1, V] lattice with one target sequence
+    is the batch of one: it gives a float loss and a float64 gradient, and
+    a blank target raises ``BlankInTargetError`` (the loss would be
+    corrupt).
+    """
+    if lengths is not None:
+        return _transducer_batch(z, y, *lengths)
     z = np.asarray(z, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64).reshape(-1)
     if (y == 0).any():
         raise BlankInTargetError("targets contain the blank id")
-    T, U1, V = z.shape
+    T, U1, _V = z.shape
     U = y.size
     if U1 != U + 1:
         raise ValueError(f"lattice has {U1} label rows but {U} targets")
@@ -179,45 +268,19 @@ def rnnt_forward_single(z: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray
         if U > 0:
             raise ImpossibleLatticeError("cannot emit targets with zero frames")
         return 0.0, np.zeros_like(z)
-
-    lse, logpb, logpy = _log_probs(z, y)
-    alpha, beta = _alpha_beta(logpb, logpy)
-    log_total = alpha[T - 1, U] + logpb[T - 1, U]
-    loss = -float(log_total)
-
-    with np.errstate(invalid="ignore"):
-        occ = np.exp(alpha + beta - log_total)
-        # blank continuation: beta of (t+1, u); final frame completes only at u == U
-        beta_next_t = np.full((T, U + 1), NEG_INF)
-        if T > 1:
-            beta_next_t[:T - 1] = beta[1:]
-        beta_next_t[T - 1, U] = 0.0
-        occ_blank = np.exp(alpha + logpb + beta_next_t - log_total)
-        grad = occ[:, :, None] * np.exp(z - lse[:, :, None])
-        grad[:, :, 0] -= occ_blank
-        if U:
-            occ_label = np.exp(alpha[:, :U] + logpy + beta[:, 1:] - log_total)
-            grad[:, np.arange(U), y] -= occ_label
-    return loss, grad
+    losses, grad = _transducer_batch(z[None], [y], np.array([T]), np.array([U]))
+    return float(losses[0]), grad[0]
 
 
 def rnnt_loss(logits: JointLogits, targets) -> tuple[np.ndarray, np.ndarray]:
     """Per-utterance negative log-likelihood and exact logits gradient.
 
     Cells outside each utterance's valid (t_len, u_len) region contribute
-    zero loss and zero gradient.
+    zero loss and zero gradient.  All lattices go through one padded scan.
     """
     ys = _validate_targets(logits, targets)
-    B = logits.batch_size
-    losses = np.zeros(B, dtype=np.float64)
-    grad = np.zeros_like(logits.z)
-    for b in range(B):
-        T = int(logits.t_len[b])
-        U = int(logits.u_len[b])
-        loss_b, grad_b = rnnt_forward_single(logits.z[b, :T, :U + 1], ys[b])
-        losses[b] = loss_b
-        grad[b, :T, :U + 1] = grad_b.astype(grad.dtype, copy=False)
-    return losses, grad
+    # looked up by name at each call: perfbench wraps it here
+    return rnnt_forward_single(logits.z, ys, (logits.t_len, logits.u_len))
 
 
 def _enumerate_paths(logpb: np.ndarray, logpy: np.ndarray, T: int, U: int) -> list[float]:

@@ -27,12 +27,13 @@ a fresh array instead of adding into a zeroed one.
 
 The depthwise convolution gathers the row each tap reads from a tap table
 (zero where the table says so); its input gradient gathers, for each input
-row, the taps that read it.  The recurrent sequence loops over tokens only
-for the state recursion.  Both keep a fixed
-accumulation order, the one a loop over taps or tokens would use: taps in
-tap order from zero, rows in ascending order, per-token weight-gradient
-terms from the last token to the first (then batch rows in order).  Results
-therefore equal those of the loops, bit for bit.
+row, the taps that read it.  It keeps the accumulation order a loop over
+taps would use: taps in tap order from zero, rows in ascending order, so
+its results equal the loop's bit for bit.  The recurrent sequence loops
+over tokens only for the state recursion; its forward and its state and
+bias gradients keep the per-token loop's order bit for bit, while its
+input and weight gradients are one matrix product each, which BLAS sums
+in its own order.
 """
 
 from __future__ import annotations
@@ -797,7 +798,6 @@ def gru_sequence(emb: Tensor, h0: Tensor,
             # that size then kept ~0.4 MB of them alive over a training run
             emb, h0, wz, uz, bz, wr, ur, br, wc, uc, bc = inputs
             g = np.moveaxis(g, -2, 0)
-            demb = np.zeros_like(x)
             # gate pre-activation gradients, row n for token U-1-n (loop order)
             pre = np.empty((3, U, *lead, P), dtype=np.result_type(hs, *weights))
             dh = g[U].copy()
@@ -814,23 +814,26 @@ def gru_sequence(emb: Tensor, h0: Tensor,
                 dar = dr * r * (1.0 - r)
                 daz = dz * z * (1.0 - z)
                 dhprev += dar @ ur.data.T + daz @ uz.data.T
-                demb[i] = dac @ wc.data.T + dar @ wr.data.T + daz @ wz.data.T
                 pre[0, n], pre[1, n], pre[2, n] = dac, dar, daz
                 dh = dhprev + g[i]
-            if emb.requires_grad:
-                emb.accum_grad(np.moveaxis(demb, 0, -2))
             if h0.requires_grad:
                 h0.accum_grad(dh.reshape(-1, P).sum(axis=0) if lead else dh)
-            # weight and bias gradients: outer products (or gate gradients)
-            # summed over tokens in loop order, last token first (then over
-            # the batch); einsum accumulates them one row at a time without a
-            # [U, P, P] buffer
+            # the rest reads only the gate gradients, so each term is one
+            # product over every (token, row) pair: the input gradient one
+            # per gate, each weight gradient one.  BLAS sums these in its own
+            # order, not the per-token loop's; in float64 they agree with the
+            # loop within 1e-12 relative
             dac, dar, daz = pre.reshape(3, -1, P)
+            if emb.requires_grad:
+                demb = dac @ wc.data.T + dar @ wr.data.T + daz @ wz.data.T
+                emb.accum_grad(np.moveaxis(demb.reshape(x.shape)[::-1], 0, -2))
             xe, h, rh = (a[::-1].reshape(-1, a.shape[-1]) for a in (x, hs[:U], rhs))
             for p, a, inp in ((wz, daz, xe), (uz, daz, h), (wr, dar, xe),
                               (ur, dar, h), (wc, dac, xe), (uc, dac, rh)):
                 if p.requires_grad:
-                    p.accum_grad(np.einsum("ui,uj->ij", inp, a))
+                    p.accum_grad(inp.T @ a)
+            # bias gradients: summed over tokens in loop order, last token
+            # first (then over the batch)
             for p, a in ((bz, daz), (br, dar), (bc, dac)):
                 if p.requires_grad:
                     p.accum_grad(a.sum(axis=0))

@@ -12,14 +12,17 @@ graph on one tape (:func:`batch_objective`): one stacked encode of all
 padded joint of all the step's lattices, one transducer node over them and
 one consistency node, which couples the two modes' lattices of each
 utterance.  Both loss nodes compute their gradients in the forward pass and
-only scale them in the backward.  Every step reports ``loss_off`` and/or
-``loss_str`` (one per mode run), ``loss_mcr`` in dual mode, ``spec`` when a
-streaming mode ran, and ``total``.
+only scale them in the backward.  The optimizer keeps every parameter,
+gradient and moment in one flat buffer (:class:`AdamW`), so clipping and
+the update are a few whole-buffer calls.  Every step reports ``loss_off``
+and/or ``loss_str`` (one per mode run), ``loss_mcr`` in dual mode, ``spec``
+when a streaming mode ran, and ``total``.
 
 Checkpoints: magic + format version + a JSON header (model config, step,
 optimizer metadata, rng state) + raw little-endian float32 parameter blobs in
-declaration order, then optimizer moment blobs.  Roundtrips are bit exact for
-float32 models.
+declaration order, then optimizer moment blobs, one per parameter.  Loading
+writes the moments into the new optimizer's buffer.  Roundtrips are bit exact
+for float32 models.
 """
 
 from __future__ import annotations
@@ -92,6 +95,10 @@ class TrainConfig:
             raise ValueError("need 0 <= min_lr <= max_lr")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not self.weight_decay >= 0:
+            raise ValueError("weight_decay must be >= 0")
+        if not self.clip_norm >= 0:
+            raise ValueError("clip_norm must be >= 0 (0 turns clipping off)")
 
 
 def cosine_lr(step: int, cfg: TrainConfig) -> float:
@@ -108,52 +115,123 @@ def cosine_lr(step: int, cfg: TrainConfig) -> float:
 
 
 class AdamW:
-    """Adaptive-moment optimizer with decoupled weight decay."""
+    """Adaptive-moment optimizer with decoupled weight decay, over one flat buffer.
+
+    The parameters (which share one dtype), their gradients and both
+    moments live in four contiguous rows of one array, in parameter order.
+    Each ``p.data``, ``p.grad``, ``m[i]`` and ``v[i]`` is a view of its
+    row, so an update, a clip or a zeroing is a few whole-buffer calls, and
+    each element takes the arithmetic of a per-parameter loop, bit for bit.
+    A ``p.data`` or ``p.grad`` rebound to another array (or a grad set to
+    None, which counts as zero) is copied into the buffer and bound to its
+    view again before the buffer is read.
+    """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
-        self.params = params
-        self.lr = lr
-        self.betas = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
+        b1, b2 = (float(b) for b in betas)
+        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
+            raise ValueError(f"betas must be in [0, 1), got {betas}")
+        if not eps > 0.0:
+            raise ValueError(f"eps must be positive, got {eps}")
+        if not weight_decay >= 0.0:
+            raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
+        self.params = list(params)
+        dtypes = {p.data.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ValueError(f"parameters must share one dtype, got {sorted(map(str, dtypes))}")
+        self.lr = float(lr)
+        self.betas = (b1, b2)
+        self.eps = float(eps)
+        self.weight_decay = float(weight_decay)
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        sizes = [p.data.size for p in self.params]
+        ends = np.cumsum(sizes, dtype=np.int64)
+        self._flat = np.zeros((4, int(ends[-1]) if sizes else 0), dtype=dtypes.pop() if dtypes
+                              else np.float64)
+        self._scratch = np.empty((2, self._flat.shape[1]), dtype=self._flat.dtype)
+        data, grad, m, v = (
+            [row[e - n:e].reshape(p.data.shape) for p, n, e in zip(self.params, sizes, ends)]
+            for row in self._flat)
+        for p, view in zip(self.params, data):
+            view[...] = p.data
+        self._views = list(zip(self.params, data, grad))
+        self.m, self.v = m, v
+        self._bind()
+
+    def _bind(self) -> None:
+        """Make every ``p.data`` and ``p.grad`` the view of its buffer row,
+        copying in any array bound since."""
+        for p, data, grad in self._views:
+            if p.data is not data:
+                data[...] = p.data
+                p.data = data
+            if p.grad is not grad:
+                if p.grad is None:
+                    grad.fill(0.0)
+                else:
+                    grad[...] = p.grad
+                p.grad = grad
+
+    def grad_buffer(self) -> np.ndarray:
+        """Every parameter's gradient, as one flat array that they all view."""
+        self._bind()
+        return self._flat[1]
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self._flat[1].fill(0.0)
+        for p, _data, grad in self._views:
+            p.grad = grad
 
     def step(self, lr: float | None = None) -> None:
         if lr is not None:
-            self.lr = lr
+            self.lr = float(lr)
         self.t += 1
         b1, b2 = self.betas
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.data -= self.lr * (update + self.weight_decay * p.data)
+        self._bind()
+        w, g, m, v = self._flat
+        a, b = self._scratch
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=a)
+        m += a
+        v *= b2
+        np.multiply(g, g, out=a)
+        a *= 1.0 - b2
+        v += a
+        # w -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd w)
+        np.divide(v, bc2, out=a)
+        np.sqrt(a, out=a)
+        a += self.eps
+        np.divide(m, bc1, out=b)
+        b /= a
+        np.multiply(w, self.weight_decay, out=a)
+        b += a
+        b *= self.lr
+        w -= b
 
 
-def clip_global_norm(params: list[Tensor], max_norm: float) -> float:
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad.astype(np.float64) ** 2).sum())
-    norm = math.sqrt(total)
+def clip_global_norm(params, max_norm: float) -> float:
+    """Scale the gradients so that their global 2-norm is at most
+    ``max_norm`` (0 means no clipping); returns the norm before scaling.
+
+    ``params`` is a list of tensors (a missing gradient counts as zero) or
+    an :class:`AdamW`, whose flat gradient buffer is clipped in place.
+    """
+    if isinstance(params, AdamW):
+        grads = [params.grad_buffer()]
+        flat = grads[0].astype(np.float64)
+        norm = math.sqrt(float(np.dot(flat, flat)))
+    else:
+        grads = [p.grad for p in params if p.grad is not None]
+        norm = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
     if max_norm > 0 and norm > max_norm:
         factor = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad *= factor
+        for g in grads:
+            g *= factor
     return norm
 
 
@@ -310,7 +388,7 @@ def train_step(model: TransducerModel, batch: list[Utterance],
     total = sum(w * loss for (_, w), loss in zip(modes, losses)) + cfg.mcr.lam * loss_mcr
     if not math.isfinite(total):
         raise NumericalError(f"non-finite loss at step {step}")
-    grad_norm = clip_global_norm(model.parameters(), cfg.clip_norm)
+    grad_norm = clip_global_norm(opt, cfg.clip_norm)
     lr = cosine_lr(step, cfg)
     opt.step(lr=lr)
     report = {"step": step, "strategy": cfg.strategy, "lr": lr}
@@ -459,10 +537,9 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None
                 opt.t = int(meta["t"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorruptCheckpointError(f"incomplete optimizer header: {exc!r}") from exc
-            for buf_list in (opt.m, opt.v):
-                for i, buf in enumerate(buf_list):
-                    raw = _read_exact(fh, buf.size * 4, "optimizer state")
-                    buf_list[i] = np.frombuffer(raw, dtype="<f4").reshape(buf.shape).astype(buf.dtype)
+            for buf in opt.m + opt.v:
+                raw = _read_exact(fh, buf.size * 4, "optimizer state")
+                buf[...] = np.frombuffer(raw, dtype="<f4").reshape(buf.shape)
         trailing = fh.read(1)
         if trailing:
             raise CorruptCheckpointError("trailing bytes after checkpoint payload")

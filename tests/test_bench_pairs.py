@@ -5,6 +5,8 @@ import json
 import textwrap
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 
 # a stand-in for perfbench/run.py: one metric, and a failure chosen per
@@ -12,6 +14,7 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
 FAKE_RUN = textwrap.dedent('''
     import argparse, json, sys
     SIDE = {side!r}
+    SHIFT = {shift!r}
     FAIL = {{("change", "decode_stream", 2): "incorrect", ("parent", "train_dual", 1): "crash"}}
     p = argparse.ArgumentParser()
     for flag in ("--workload", "--seed", "--seconds", "--trace"):
@@ -24,7 +27,8 @@ FAKE_RUN = textwrap.dedent('''
     notes = ["decode C1R0 utt 4: tokens out of range or not repeatable"] if how else []
     print(json.dumps({{"info": {{"meta": {{"side": SIDE}}, "failures": notes}}}}))
     print(json.dumps({{"correct": not how, "attempted": 2, "failed": len(notes),
-                      "metrics": {{"train_step_ms_p50": {{"value": 10.0 + int(a.seed),
+                      "metrics": {{"train_step_ms_p50": {{"value": 10.0 + int(a.seed)
+                                                                  + SHIFT.get(int(a.seed), 0.0),
                                                          "unit": "ms"}}}}}}))
     sys.exit(1 if how else 0)
 ''')
@@ -37,9 +41,11 @@ def load_script():
     return module
 
 
-def fake_tree(root: Path, side: str) -> Path:
+def fake_tree(root: Path, side: str, shift=None) -> Path:
+    """A checkout whose metric at seed s reads 10 + s, plus ``shift[s]``."""
     (root / side / "perfbench").mkdir(parents=True)
-    (root / side / "perfbench" / "run.py").write_text(FAKE_RUN.format(side=side))
+    (root / side / "perfbench" / "run.py").write_text(
+        FAKE_RUN.format(side=side, shift=shift or {}))
     return root / side
 
 
@@ -72,3 +78,41 @@ def test_clean_runs_exit_zero(tmp_path, capsys):
                         "--trace-seeds", "", "--out-dir", str(tmp_path)])
     assert code == 0
     assert "FAILED" not in capsys.readouterr().out
+
+
+def run_claim(tmp_path, capsys, shift):
+    script = load_script()
+    parent = fake_tree(tmp_path, "parent")
+    change = fake_tree(tmp_path, "change", shift)
+    # seeds 3-12: no run fails; the parent reads 13..22, an IQR of 4.5
+    code = script.main(["--parent", str(parent), "--change", str(change), "--seeds", "3-12",
+                        "--trace-seeds", "", "--out-dir", str(tmp_path),
+                        "--claim", "train_step_ms_p50:train_dual"])
+    assert code == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("claim ")]
+    assert len(lines) == 1
+    return lines[0]
+
+
+def test_claim_met_when_nine_tenths_win_by_more_than_the_parent_iqr(tmp_path, capsys):
+    line = run_claim(tmp_path, capsys, {s: -6.0 for s in range(3, 13)} | {7: 1.0})
+    assert line == ("claim train_step_ms_p50 on train_dual: parent median 17.5, "
+                    "change median 12.5, parent IQR 4.5, gain 5, "
+                    "change wins 9/10 pairs: met")
+
+
+@pytest.mark.parametrize("shift", [
+    {s: -4.0 for s in range(3, 13)},                   # every pair won, gap below the IQR
+    {s: -5.0 for s in range(3, 13)} | {7: 1.0, 8: 0.0},  # 8/10 wins
+])
+def test_claim_not_met(tmp_path, capsys, shift):
+    assert run_claim(tmp_path, capsys, shift).endswith(": not met")
+
+
+def test_claim_names_a_metric_and_workload_of_the_benchmark(tmp_path):
+    script = load_script()
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                     "--claim", "train_step_ms_p50:no_such_workload"])
+    assert exc.value.code == 2

@@ -9,6 +9,7 @@ instrumentation; they run no workload.
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -41,3 +42,43 @@ def test_instrumentation_installs_and_uninstalls(perfbench):
         instr.uninstall()
     after = (model.TransducerModel.encode, training.mcr_forward, training.clip_global_norm)
     assert all(a is b for a, b in zip(before, after))
+
+
+def test_traced_calls_record_the_spans_per_layer_reads(perfbench):
+    """``bench.per_layer`` divides the loss head's transducer time by its count
+    of ``rnnt_forward_single`` spans and reads a train step's ``AdamW.step``
+    and ``clip_global_norm`` spans: traced calls record each of them."""
+    from unify_rnnt.contexts import ContextSets
+    from unify_rnnt.corpus import CorpusConfig, generate_utterances
+    from unify_rnnt.mcr import MCRConfig
+    from unify_rnnt.model import ModelConfig, TransducerModel
+    from unify_rnnt.rnnt_loss import JointLogits
+    from unify_rnnt.training import AdamW, TrainConfig, train_step
+    bench, spans = perfbench
+    rng = np.random.default_rng(0)
+    t_len, u_len = [3, 2], [2, 0]
+    z = rng.standard_normal((2, 2, 3, 3, 5))
+    heads = [JointLogits(zm, t_len, u_len) for zm in z]
+    targets = [rng.integers(1, 5, size=u) for u in u_len]
+    model = TransducerModel(ModelConfig(feat_dim=6, model_dim=8, heads=2, blocks=1,
+                                        conv_kernel=3, vocab_size=10, predictor_dim=8,
+                                        joint_dim=8, ff_dim=8))
+    opt = AdamW(model.parameters())
+    cfg = TrainConfig(mcr=MCRConfig(lam=0.3, tile=4), steps=4, warmup_steps=1,
+                      batch_size=2,
+                      context_sets=ContextSets.from_nested([[4], [1, 2], [0, 1]]))
+    batch = generate_utterances(CorpusConfig(n_symbols=8, feat_dim=6, ambiguous_pairs=2,
+                                             min_symbols=3, max_symbols=4), 2)
+    rec = spans.Recorder()
+    instr = spans.Instrumentation(rec).install()
+    try:
+        with rec.operation("head"):
+            bench.loss_head(*heads, targets, MCRConfig(tile=2))
+        with rec.operation("train_step"):
+            train_step(model, batch, rng, cfg, opt, 1)
+    finally:
+        instr.uninstall()
+    calls = {key: acc[0] for key, acc in rec.totals().items()}
+    assert calls.get(("head", "", "rnnt_forward_single"), 0) >= 1
+    assert calls.get(("train_step", "", "AdamW.step")) == 1
+    assert calls.get(("train_step", "", "clip_global_norm")) == 1

@@ -145,6 +145,17 @@ class TestGenData:
         assert main(["gen-data", "--config", str(config)]) == 2
         assert f"bad {section} section" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("weight_decay", -1.0), ("clip_norm", -2.0)])
+    def test_optimizer_setting_that_corrupts_training_rejected(self, tmp_path, capsys,
+                                                               key, value):
+        # a negative clip_norm once turned clipping off without a word
+        out = tmp_path / "run"
+        base = yaml.safe_load(open(write_config(tmp_path / "base.yaml", out)))
+        config = write_config(tmp_path / "c.yaml", out, train={**base["train"], key: value})
+        assert main(["train", "--config", str(config)]) == 2
+        assert "bad train section" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("section,value", [("corpus", [1, 2]),
                                                ("eval", {"specs": 3})])
     def test_wrong_type_is_config_error(self, tmp_path, section, value):

@@ -3,8 +3,9 @@
 The references below are the kernels the current ones replaced, kept as
 specifications: the consistency loss as two tile sweeps (loss, then
 gradients) that each recompute both modes' logsumexps and gather every tile
-with a strided ``np.take``, and the transducer lattice scan that rebuilt its
-skew layout on every call.  The current kernels must reproduce them exactly.
+with a strided ``np.take``, the transducer lattice scan that rebuilt its
+skew layout on every call, and the transducer loss that ran that scan once
+per lattice of a batch.  The current kernels must reproduce them exactly.
 """
 
 import tracemalloc
@@ -213,6 +214,17 @@ def ref_rnnt_forward_single(z, y):
     return -float(log_total), grad
 
 
+def ref_rnnt_loss(logits, targets):
+    """The batch loss as a loop over its lattices, one scan each."""
+    losses = np.zeros(logits.batch_size)
+    grad = np.zeros_like(logits.z)
+    for b, y in enumerate(targets):
+        T, U = int(logits.t_len[b]), int(logits.u_len[b])
+        losses[b], grad_b = ref_rnnt_forward_single(logits.z[b, :T, :U + 1], y)
+        grad[b, :T, :U + 1] = grad_b.astype(grad.dtype, copy=False)
+    return losses, grad
+
+
 # ---------------------------------------------------------------------------
 # the consistency loss
 # ---------------------------------------------------------------------------
@@ -358,3 +370,29 @@ def test_cached_layouts_are_read_only():
     for idx in rl._skew_layout(3, 2):
         with pytest.raises(ValueError):
             idx[0] = 0
+
+
+# (B, T, U, V): the first lattice of each batch fills it; every frame count
+# is 1, or every target sequence empty, in the second and third shapes; the
+# last is a training step's batch
+RNNT_SHAPES = [(4, 6, 3, 5), (4, 1, 3, 5), (4, 5, 0, 4), (1, 1, 0, 3), (3, 9, 7, 6),
+               (8, 16, 11, 18)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("B,T,U,V", RNNT_SHAPES)
+def test_rnnt_loss_one_scan_equals_the_per_lattice_loop(dtype, B, T, U, V):
+    """Losses and gradients of ragged batches with non-finite padding, bit for
+    bit, through ``rnnt_loss`` and the padded form of ``rnnt_forward_single``."""
+    rng = np.random.default_rng([B, T, U, V])
+    for scale in (0.1, 2.0, 30.0):
+        z, _ = ragged_pair(rng, dtype, B, T, U, V)
+        z = JointLogits(z.z * dtype(scale), z.t_len, z.u_len)
+        targets = [rng.integers(1, V, size=u) for u in z.u_len]
+        want_losses, want_grad = ref_rnnt_loss(z, targets)
+        losses, grad = rnnt_loss(z, targets)
+        padded = rnnt_forward_single(z.z, targets, (z.t_len, z.u_len))
+        for got_losses, got_grad in ((losses, grad), padded):
+            assert got_losses.dtype == np.float64 and got_grad.dtype == dtype
+            assert got_losses.tobytes() == want_losses.tobytes()
+            assert got_grad.tobytes() == want_grad.tobytes()

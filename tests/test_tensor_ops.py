@@ -419,8 +419,12 @@ class TestTapeMechanics:
 GRU_NAMES = ["wz", "uz", "bz", "wr", "ur", "br", "wc", "uc", "bc"]
 
 
-def gru_bptt_loop(emb, hs, g, params):
-    """Gradients of gru_sequence by the per-token loop with one outer product per weight."""
+def gru_bptt_loop(emb, hs, g, params, gates=None):
+    """Gradients of gru_sequence by the per-token loop with one outer product per weight.
+
+    ``gates``, when a list, receives each token's (x, h, r*h) and gate
+    gradients (dac, dar, daz), in loop order.
+    """
     U = emb.shape[0]
     grads = {n: np.zeros_like(v) for n, v in params.items()}
     demb = np.zeros_like(emb)
@@ -437,6 +441,8 @@ def gru_bptt_loop(emb, hs, g, params):
         daz = dz * z * (1.0 - z)
         dhprev += dar @ params["ur"].T + daz @ params["uz"].T
         demb[i] = dac @ params["wc"].T + dar @ params["wr"].T + daz @ params["wz"].T
+        if gates is not None:
+            gates.append((xe, h, rh, dac, dar, daz))
         for n, a, inp in (("wc", dac, xe), ("wr", dar, xe), ("wz", daz, xe),
                           ("uc", dac, rh), ("ur", dar, h), ("uz", daz, h)):
             grads[n] += np.outer(inp, a)
@@ -444,6 +450,15 @@ def gru_bptt_loop(emb, hs, g, params):
             grads[n] += a
         dh = dhprev + g[i]
     return demb, dh, grads
+
+
+def gru_einsum_weight_grads(gates):
+    """The weight gradients as ``gru_sequence`` once took them: per weight, one
+    einsum over the tokens' rows in loop order, last token first."""
+    xe, h, rh, dac, dar, daz = (np.stack(col) for col in zip(*gates))
+    return {n: np.einsum("ui,uj->ij", inp, a)
+            for n, inp, a in (("wz", xe, daz), ("uz", h, daz), ("wr", xe, dar),
+                              ("ur", h, dar), ("wc", xe, dac), ("uc", rh, dac))}
 
 
 class TestGruSequence:
@@ -508,6 +523,9 @@ class TestGruSequence:
 
     @pytest.mark.parametrize("U,P", [(0, 5), (1, 5), (6, 5), (13, 64)])
     def test_gradients_equal_per_token_loop_bitwise(self, rng, U, P):
+        """The recurrence and the bias sums keep the loop's order: the start
+        state's and the biases' gradients equal the loop's bit for bit (the
+        products are checked against it in the test below)."""
         for dt in (np.float32, np.float64):
             params = {n: (rng.standard_normal((P,) if n.startswith("b") else (P, P)) * 0.5
                           ).astype(dt) for n in GRU_NAMES}
@@ -519,11 +537,39 @@ class TestGruSequence:
             with tz.Tape() as tape:
                 out = tz.gru_sequence(embt, h0t, *[tensors[n] for n in GRU_NAMES])
                 tape.backward(out, g)
-            demb, dh0, grads = gru_bptt_loop(emb, out.data, g, params)
-            np.testing.assert_array_equal(embt.grad, demb)
+            _demb, dh0, grads = gru_bptt_loop(emb, out.data, g, params)
             np.testing.assert_array_equal(h0t.grad, dh0)
-            for n in GRU_NAMES:
+            for n in ("bz", "br", "bc"):
                 np.testing.assert_array_equal(tensors[n].grad, grads[n], err_msg=n)
+
+    @pytest.mark.parametrize("U,P", [(0, 5), (1, 5), (6, 5), (13, 64)])
+    def test_product_gradients_match_the_loop_and_the_einsum_form(self, rng, U, P):
+        """The input and weight gradients are one product each, which BLAS
+        sums in its own order: in float64 they agree with the per-token loop
+        and with the einsum form the op used before within 1e-12 relative
+        (of each array's largest entry), in float32 within 1e-5."""
+        for dt, rtol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+            params = {n: (rng.standard_normal((P,) if n.startswith("b") else (P, P)) * 0.5
+                          ).astype(dt) for n in GRU_NAMES}
+            emb = rng.standard_normal((U, P)).astype(dt)
+            h0 = rng.standard_normal(P).astype(dt)
+            g = rng.standard_normal((U + 1, P)).astype(dt)
+            tensors = {n: tz.parameter(params[n].copy()) for n in GRU_NAMES}
+            embt, h0t = tz.parameter(emb.copy()), tz.parameter(h0.copy())
+            with tz.Tape() as tape:
+                out = tz.gru_sequence(embt, h0t, *[tensors[n] for n in GRU_NAMES])
+                tape.backward(out, g)
+            gates = []
+            demb, _dh0, grads = gru_bptt_loop(emb, out.data, g, params, gates)
+            refs = [("emb", embt.grad, demb)]
+            refs += [(n, tensors[n].grad, grads[n]) for n in GRU_NAMES]
+            if U:
+                refs += [(n, tensors[n].grad, want)
+                         for n, want in gru_einsum_weight_grads(gates).items()]
+            for name, got, want in refs:
+                assert got.dtype == dt and got.shape == want.shape, name
+                scale = np.abs(want).max(initial=0.0)
+                np.testing.assert_allclose(got, want, rtol=0, atol=rtol * scale, err_msg=name)
 
     @pytest.mark.parametrize("U", [0, 1])
     def test_short_sequences(self, rng, U):

@@ -3,7 +3,12 @@
 import json
 import math
 import os
+import struct
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +96,80 @@ class TestAdamW:
         opt.step()
         np.testing.assert_allclose(p.data, np.ones(2))
 
+    def test_flat_update_equals_the_per_parameter_loop_bitwise(self):
+        """50 steps over float32 parameters of several shapes, one of which never
+        gets a gradient; gradients arrive both through the tape's accumulation
+        into zeroed buffers and as arrays bound to ``p.grad``."""
+        rng = np.random.default_rng(7)
+        shapes = [(3, 4), (5,), (2, 3, 2), (1,), (4, 4)]
+        start = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        flat = [Tensor(a.copy(), requires_grad=True) for a in start]
+        loop = [Tensor(a.copy(), requires_grad=True) for a in start]
+        opt = AdamW(flat, lr=0.01, betas=(0.8, 0.95), eps=1e-6, weight_decay=0.05)
+        ref = RefAdamW(loop, lr=0.01, betas=(0.8, 0.95), eps=1e-6, weight_decay=0.05)
+        for step in range(50):
+            opt.zero_grad()
+            ref.zero_grad()
+            for i, (a, b) in enumerate(zip(flat, loop)):
+                if i == 3:
+                    continue  # no gradient: the loop skips it, the buffer holds zeros
+                g = rng.standard_normal(a.shape).astype(np.float32)
+                if step % 2:
+                    a.grad = g.copy()
+                    b.grad = g.copy()
+                else:
+                    a.accum_grad(g)
+                    b.accum_grad(g)
+            lr = 0.01 * (1.0 + step) / 50
+            opt.step(lr=lr)
+            ref.step(lr=lr)
+            for a, b, m, v, rm, rv in zip(flat, loop, opt.m, opt.v, ref.m, ref.v):
+                for got, want in ((a.data, b.data), (m, rm), (v, rv)):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_parameters_gradients_and_moments_view_one_buffer(self):
+        params = [Tensor(np.ones((2, 3), np.float32), requires_grad=True),
+                  Tensor(np.zeros(4, np.float32), requires_grad=True)]
+        opt = AdamW(params)
+        flat = opt.grad_buffer()
+        assert flat.shape == (10,)
+        for p, m, v in zip(params, opt.m, opt.v):
+            for arr in (p.data, p.grad, m, v):
+                assert arr.base is flat.base
+        np.testing.assert_array_equal(params[0].data, np.ones((2, 3)))
+        # a parameter rebound to a fresh array is copied back into the buffer
+        params[1].data = np.full(4, 2.0, np.float32)
+        params[1].grad = np.full(4, 3.0, np.float32)
+        np.testing.assert_array_equal(opt.grad_buffer()[6:], 3.0)
+        assert params[1].data.base is flat.base and params[1].grad.base is flat.base
+        np.testing.assert_array_equal(params[1].data, 2.0)
+
+    @pytest.mark.parametrize("kwargs", [dict(betas=(1.0, 0.999)), dict(betas=(0.9, 1.0)),
+                                        dict(betas=(-0.1, 0.999)), dict(eps=0.0),
+                                        dict(eps=-1e-8), dict(weight_decay=-1e-4),
+                                        dict(eps=float("nan"))])
+    def test_settings_that_corrupt_training_are_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            AdamW([Tensor(np.ones(2), requires_grad=True)], **kwargs)
+
+    def test_parameters_of_two_dtypes_are_rejected(self):
+        with pytest.raises(ValueError):
+            AdamW([Tensor(np.ones(2, np.float32), requires_grad=True),
+                   Tensor(np.ones(2, np.float64), requires_grad=True)])
+
+    def test_clip_global_norm_over_the_flat_buffer(self):
+        params = [Tensor(np.zeros(2), requires_grad=True, dtype=np.float64)
+                  for _ in range(3)]
+        opt = AdamW(params)
+        params[0].grad = np.array([3.0, 0.0])
+        params[1].grad = np.array([0.0, 4.0])
+        params[2].grad = None
+        norm = clip_global_norm(opt, 2.5)
+        assert norm == pytest.approx(5.0)
+        np.testing.assert_allclose(opt.grad_buffer(), [1.5, 0.0, 0.0, 2.0, 0.0, 0.0])
+        assert clip_global_norm(opt, 0.0) == pytest.approx(2.5)
+        np.testing.assert_allclose(params[1].grad, [0.0, 2.0])
+
     def test_clip_global_norm(self):
         a = Tensor(np.zeros(2), requires_grad=True, dtype=np.float64)
         b = Tensor(np.zeros(2), requires_grad=True, dtype=np.float64)
@@ -100,6 +179,46 @@ class TestAdamW:
         assert norm == pytest.approx(5.0)
         total = math.sqrt(float((a.grad ** 2).sum() + (b.grad ** 2).sum()))
         assert total == pytest.approx(2.5)
+
+
+class RefAdamW:
+    """The per-parameter update loop, kept as the specification of ``AdamW``."""
+
+    def __init__(self, params, lr, betas, eps, weight_decay):
+        self.params, self.lr, self.betas = params, lr, betas
+        self.eps, self.weight_decay, self.t = eps, weight_decay, 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
+
+    def zero_grad(self):
+        for p in self.params:
+            p.zero_grad()
+
+    def step(self, lr):
+        self.lr = lr
+        self.t += 1
+        b1, b2 = self.betas
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= self.lr * (update + self.weight_decay * p.data)
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("kwargs", [dict(weight_decay=-1.0), dict(clip_norm=-2.0),
+                                        dict(weight_decay=float("nan"))])
+    def test_settings_that_corrupt_training_are_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            small_train_cfg(**kwargs)
+
+    def test_zero_clip_norm_turns_clipping_off(self):
+        assert small_train_cfg(clip_norm=0.0).clip_norm == 0.0
 
 
 class TestStepModes:
@@ -319,6 +438,33 @@ class TestCheckpoint:
         for a, b in zip(opt.m + opt.v, opt2.m + opt2.v):
             np.testing.assert_array_equal(a, b)
 
+    def test_blobs_are_written_per_parameter(self, tmp_path):
+        """After the header: each parameter's float32 bytes in declaration
+        order, then each first moment, then each second moment, as a writer
+        that visits the parameters one by one lays them out."""
+        model = TransducerModel(MODEL_CFG)
+        opt = AdamW(model.parameters(), lr=3e-4, weight_decay=0.01)
+        rng = np.random.default_rng(2)
+        for _ in range(2):
+            for p in model.parameters():
+                p.grad = rng.standard_normal(p.shape).astype(np.float32)
+            opt.step()
+        path = tmp_path / "model.urnt"
+        save_checkpoint(path, model, step=2, optimizer=opt)
+        raw = open(path, "rb").read()
+        start = 8 + 4 + 8 + struct.unpack("<Q", raw[12:20])[0]
+        want = b"".join(p.data.astype("<f4").tobytes() for _n, p in model.param_items())
+        want += b"".join(buf.astype("<f4").tobytes() for buf in opt.m + opt.v)
+        assert raw[start:] == want
+
+    def test_out_of_range_stored_betas_are_corrupt(self, tmp_path, rewrite_header):
+        path = tmp_path / "model.urnt"
+        model = TransducerModel(MODEL_CFG)
+        save_checkpoint(path, model, step=3, optimizer=AdamW(model.parameters()))
+        rewrite_header(path, lambda header: header["optimizer"].update(betas=[1.0, 0.999]))
+        with pytest.raises(CorruptCheckpointError):
+            load_checkpoint(path)
+
     def test_truncated_file_detected(self, tmp_path):
         model = TransducerModel(MODEL_CFG)
         path = tmp_path / "model.urnt"
@@ -420,3 +566,65 @@ class TestResume:
                      opt=opt2)
         records = [json.loads(l) for l in open(metrics)]
         assert [r["step"] for r in records] == [5, 6, 7, 8]
+
+
+# runs in a fresh interpreter with one BLAS thread: results are bit-exact only
+# at a fixed thread count
+RESUME_SCRIPT = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from dataclasses import replace
+    from unify_rnnt.contexts import ContextSets
+    from unify_rnnt.corpus import CorpusConfig, generate_utterances
+    from unify_rnnt.mcr import MCRConfig
+    from unify_rnnt.model import ModelConfig, TransducerModel
+    from unify_rnnt.training import (AdamW, TrainConfig, load_checkpoint, save_checkpoint,
+                                     train_step)
+
+    model_cfg = ModelConfig(feat_dim=6, model_dim=16, heads=2, blocks=1, conv_kernel=3,
+                            vocab_size=10, predictor_dim=8, joint_dim=8, ff_dim=16, seed=5)
+    utts = generate_utterances(CorpusConfig(n_symbols=8, feat_dim=6, ambiguous_pairs=2,
+                                            seed=3, min_symbols=3, max_symbols=6), 24)
+    cfg = TrainConfig(strategy="dual_mode", mcr=MCRConfig(lam=0.3, tile=10),
+                      context_sets=ContextSets.from_nested([[4], [1, 2], [0, 1, 2]]),
+                      steps=8, warmup_steps=2, batch_size=2, clip_norm=0.5)
+    K = 5
+
+    def steps(model, opt, rng, first, last):
+        for step in range(first, last + 1):
+            idx = rng.integers(0, len(utts), size=cfg.batch_size)
+            train_step(model, [utts[int(i)] for i in idx], rng, cfg, opt, step)
+
+    whole = TransducerModel(model_cfg)
+    whole_opt = AdamW(whole.parameters(), lr=cfg.max_lr, weight_decay=cfg.weight_decay)
+    steps(whole, whole_opt, np.random.default_rng(cfg.seed), 1, K + 1)
+
+    first = TransducerModel(model_cfg)
+    first_opt = AdamW(first.parameters(), lr=cfg.max_lr, weight_decay=cfg.weight_decay)
+    rng = np.random.default_rng(cfg.seed)
+    steps(first, first_opt, rng, 1, K)
+    save_checkpoint(sys.argv[1], first, step=K, optimizer=first_opt, rng=rng)
+    resumed, step, opt, rng = load_checkpoint(sys.argv[1], expected_config=model_cfg)
+    steps(resumed, opt, rng, step + 1, K + 1)
+
+    assert opt.t == whole_opt.t == K + 1
+    pairs = [(p.data, q.data) for p, q in zip(resumed.parameters(), whole.parameters())]
+    pairs += list(zip(opt.m + opt.v, whole_opt.m + whole_opt.v))
+    bad = [i for i, (a, b) in enumerate(pairs) if a.tobytes() != b.tobytes()]
+    assert not bad, bad
+    # the loaded moments are the optimizer's views, not replaced arrays
+    assert all(buf.base is opt.grad_buffer().base for buf in opt.m + opt.v)
+    print("resumed run equals the uninterrupted run")
+""")
+
+
+def test_resume_one_step_after_a_checkpoint_equals_the_uninterrupted_run(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src),
+                                                        os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", RESUME_SCRIPT, str(tmp_path / "ck.urnt")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "resumed run equals the uninterrupted run" in done.stdout
