@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -132,6 +133,9 @@ def _parse_config(data: dict) -> dict:
     if any(b < 1 for b in eval_cfg["budgets"]):
         raise ConfigError(f"bad eval section: eval.budgets {eval_cfg['budgets']} "
                           "hold a latency budget below 1 frame")
+    if not 0 < eval_cfg["frame_ms"] < math.inf:
+        raise ConfigError(f"bad eval section: eval.frame_ms {eval_cfg['frame_ms']} "
+                          "is not a finite positive number")
     return {"out": out_dir, "seed": seed, "corpus": corpus, "n_utterances": n_utts,
             "model": model, "train": train, "train_manifest": manifest,
             "eval": eval_cfg}
@@ -301,6 +305,25 @@ def cmd_bench_mcr(args) -> int:
     return EXIT_OK
 
 
+def _read_csv(path, required: tuple[str, ...]):
+    """Yield ``("file:line", row)`` for each row of a run CSV.  A row without
+    a value in a ``required`` column raises :class:`MalformedRecordError`."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if missing := [key for key in required if row.get(key) is None]:
+                raise MalformedRecordError(f"{where}: missing fields {missing}")
+            yield where, row
+
+
+def _number(where: str, row: dict, key: str) -> float:
+    try:
+        return float(row[key])
+    except ValueError:
+        raise MalformedRecordError(f"{where}: {key} {row[key]!r} is not a number") from None
+
+
 def cmd_report(args) -> int:
     out_dir = args.out
     metrics = os.path.join(out_dir, "metrics.jsonl")
@@ -314,19 +337,17 @@ def cmd_report(args) -> int:
     summary = os.path.join(out_dir, "eval_summary.csv")
     if os.path.exists(summary):
         print("evaluation (mean TER; measured compute ms per chunk):")
-        with open(summary) as fh:
-            for row in csv.DictReader(fh):
-                chunk_ms = row.get("chunk_compute_ms")
-                chunk_ms = "n/a" if not chunk_ms else f"{float(chunk_ms):.3f}"
-                print(f"  {row['mode']:10s} latency={row['latency_s']:>6s} "
-                      f"chunk_ms={chunk_ms:>7s} ter={float(row['ter']):.4f}")
+        for where, row in _read_csv(summary, ("mode", "latency_s", "ter")):
+            chunk_ms = row.get("chunk_compute_ms")
+            chunk_ms = "n/a" if not chunk_ms else f"{_number(where, row, 'chunk_compute_ms'):.3f}"
+            print(f"  {row['mode']:10s} latency={row['latency_s']:>6s} "
+                  f"chunk_ms={chunk_ms:>7s} ter={_number(where, row, 'ter'):.4f}")
     sweep = os.path.join(out_dir, "sweep_latency.csv")
     if os.path.exists(sweep):
         print("latency sweep (budget_s, chunk_s, right_s, ter):")
-        with open(sweep) as fh:
-            for row in csv.DictReader(fh):
-                print(f"  {row['budget_s']:>6s} {row['chunk_s']:>6s} "
-                      f"{row['right_s']:>6s} {row['ter']}")
+        for _where, row in _read_csv(sweep, ("budget_s", "chunk_s", "right_s", "ter")):
+            print(f"  {row['budget_s']:>6s} {row['chunk_s']:>6s} "
+                  f"{row['right_s']:>6s} {row['ter']}")
     if not any(os.path.exists(p) for p in (metrics, summary, sweep)):
         print(f"nothing to report under {out_dir}")
     return EXIT_OK

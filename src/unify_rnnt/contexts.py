@@ -130,8 +130,8 @@ def plan_conv_chunks(T: int, spec: ContextSpec, kernel_size: int) -> np.ndarray:
 def latency_of(spec: ContextSpec | None, frame_ms: float) -> float:
     """Worst-case theoretical latency (chunk + right context) in seconds;
     offline (``None``) waits for the whole utterance, so its latency is inf."""
-    if frame_ms <= 0:
-        raise ValueError("frame_ms must be positive")
+    if not 0 < frame_ms < math.inf:
+        raise ValueError(f"frame_ms must be finite and positive, got {frame_ms}")
     if spec is None:
         return math.inf
     return (spec.chunk + spec.right) * frame_ms / 1000.0

@@ -2,10 +2,10 @@
 
 A mode is a ``ContextSpec | None``, as in :mod:`model`.  :func:`decode_mode`
 runs the greedy loop over chunks of C encoder frames, carrying the predictor
-state.  Streaming runs one encoder chunk step per chunk on its raw frames
-``[s, min(T, s+C+R))`` with a :class:`model.StreamState`, so no computation
+state, with one encoder chunk step per chunk on its raw frames
+``[s, min(T, s+C+R))`` and a :class:`model.StreamState`, so no computation
 reads past the visible horizon; its rows equal the training path's up to
-rounding.  Offline is one chunk of all T frames, encoded without a state.
+rounding.  Offline is one chunk step of ``(T, T, 0)``: all T frames.
 Input shorter than one encoder frame decodes to nothing in zero chunks.  A
 result records the measured compute time of each chunk (encoder step plus
 greedy loop) next to the theoretical latency (chunk plus right context).
@@ -69,8 +69,8 @@ def decode_mode(model: TransducerModel, features: np.ndarray, spec: ContextSpec 
                 frame_ms: float) -> DecodeResult:
     """Greedy decode in chunks of C encoder frames (offline: one chunk of T).
 
-    Each chunk encodes its frames ``[s, min(T, s + C + R))`` (offline without
-    a state, streaming as a chunk step after the cached left context), keeps
+    Each chunk encodes its frames ``[s, min(T, s + C + R))`` as a chunk step
+    after the cached left context (offline, one step of ``(T, T, 0)``), keeps
     encoder frames ``[s, s + C)`` and continues the greedy loop with the
     carried predictor state.
     """
@@ -80,13 +80,13 @@ def decode_mode(model: TransducerModel, features: np.ndarray, spec: ContextSpec 
     result = DecodeResult(worst_case_latency_s=latency_of(spec, frame_ms))
     if total < 1:
         return result
-    chunk, right = (total, 0) if spec is None else (spec.chunk, spec.right)
-    cache = None if spec is None else StreamState()
+    step = ContextSpec(total, total, 0) if spec is None else spec
+    cache = StreamState()
     state = model.predictor_start()
-    for s in range(0, total, chunk):
+    for s in range(0, total, step.chunk):
         t0 = perf_counter()
-        end = min(total, s + chunk + right)
-        enc = model.encode(features[s * q:end * q], spec, cache).data
+        end = min(total, s + step.chunk + step.right)
+        enc = model.encode(features[s * q:end * q], step, cache).data
         state = _greedy_over_frames(model, enc, s, state, result)
         result.chunk_ms.append((perf_counter() - t0) * 1e3)
     return result

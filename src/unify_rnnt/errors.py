@@ -21,10 +21,6 @@ class BlankInTargetError(ValueError):
     """A target sequence contains the blank id."""
 
 
-class ImpossibleLatticeError(ValueError):
-    """A transducer lattice with zero frames cannot emit a nonempty target."""
-
-
 class OracleTooLargeError(ValueError):
     """The alignment-enumeration oracle refuses lattices beyond its bound."""
 
@@ -54,8 +50,8 @@ class ManifestMismatchError(ValueError):
 
 
 class MalformedRecordError(ValueError):
-    """A line of a JSON-lines run file (manifest, metrics) is not a JSON
-    object with the fields it needs, of the types it needs, or a manifest
+    """A line of a run file (a JSON-lines manifest or metrics file, an eval
+    CSV) lacks a field it needs or holds one of the wrong type, or a manifest
     line names a feature file holding a value that is not finite; the message
     names the file and line."""
 

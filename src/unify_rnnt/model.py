@@ -7,32 +7,30 @@ decoding: the output for chunk ``[s, s+C)`` reads frames
 ``[max(0, s-L), s+C+R)`` of each block's input and nothing at or past
 ``s+C+R``.
 
-* A whole-utterance encode runs once on the streaming layout of
+Every encode is one of two call shapes on the one encoder body:
+
+* A stacked layout (:meth:`TransducerModel.encode_batch`, for training).
+  Each (utterance, mode) segment has the streaming layout of
   ``contexts.right_context_rows``: the T main rows, then per chunk one copy
   row per right-context frame, computed under that chunk's mask and tap
-  table.  It returns the T main rows.  A training step stacks the layouts
-  of all its (utterance, mode) segments into one (:meth:`encode_batch`):
-  every segment's main rows, then every segment's copy rows, attention kept
-  within each segment, so each segment gets the rows it gets alone.
-* Decoding calls :meth:`TransducerModel.encode` once per chunk on the chunk's
-  raw frames ``[s, min(T, s+C+R))`` with a :class:`StreamState`.  The state
-  holds, per block, the keys and values of the last L main rows and the
-  convolution's left halo, so within a step every row sees every cached and
-  new row: the step is the full-context computation over them.  The chunk's
-  right-context rows are recomputed on every step and never cached.
-* Offline (``None``) encodes as the spec ``(T, T, 0)``: one chunk, no
-  copies, an all-true mask and the whole-sequence convolution.
+  table.  The stack holds every segment's main rows, then every segment's
+  copy rows, attention kept within each segment, so each segment gets the
+  rows it gets alone.  ``encode(features, spec)`` is the stack of one.
+* A chunk step with a :class:`StreamState` (``encode(frames, spec, state)``,
+  for all decoding) on the chunk's raw frames ``[s, min(T, s+C+R))``.  The
+  state holds, per block, the keys and values of the last L main rows and
+  the convolution's left halo, so the step is the full-context computation
+  over the cached and new rows.  Right-context rows are never cached.
 
-One encoder body runs on two sets of ops.  A whole-utterance or stacked
-encode under an active tape (training, and any caller that opens one) calls
-the tape ops of :mod:`tensor`, looked up on the module at each call: one
-input projection and 13 ops per block, 27 records with two blocks, however
-many segments are stacked (plus one row gather for the padded batch of a
-stacked encode).  Every other call (chunk steps, tape or not,
-offline decoding, ``decoding.evaluate``, any forward-only call) runs the
-same body on ``tensor.Kernels``, the ops' forward arithmetic on plain
-arrays, and gives the same rows bit for bit.  Either way it returns a
-``Tensor``.
+Offline (``None``) is the spec ``(T, T, 0)``: one chunk, no copies, an
+all-true mask and the whole-sequence convolution.
+
+A stacked encode under an active tape calls the tape ops of :mod:`tensor`,
+looked up on the module at each call: 27 records with two blocks (the input
+projection and 13 ops per block), however many segments are stacked, plus
+one row gather in ``encode_batch``.  Every other call runs the same body on
+``tensor.Kernels``, the ops' forward arithmetic on plain arrays, and gives
+the same rows bit for bit.  Either way it returns a ``Tensor``.
 
 The encoder subsamples by frame stacking, then applies blocks of
 layernorm -> masked attention -> residual -> layernorm -> depthwise
@@ -192,10 +190,6 @@ class TransducerModel:
     def param_items(self) -> list[tuple[str, Tensor]]:
         return list(self.params.items())
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
-
     @property
     def np_dtype(self):
         return np.float32 if self.cfg.dtype == "float32" else np.float64
@@ -203,8 +197,7 @@ class TransducerModel:
     # -- encoder ------------------------------------------------------------
 
     def _context_for(self, T: int, spec: ContextSpec) -> tuple:
-        """Cached frame of each row, attention mask and tap table of a layout,
-        and the tap table's main-row columns, which the last block keeps."""
+        """Cached frame of each row, attention mask and tap index of a layout."""
         key = (T, spec)
         if key not in self._context_cache:
             frames, _owner = right_context_rows(T, spec)
@@ -212,8 +205,7 @@ class TransducerModel:
             taps = plan_conv_chunks(T, spec, self.cfg.conv_kernel)
             for arr in (frames, mask, taps):
                 arr.flags.writeable = False
-            self._context_cache[key] = (frames, tz.AttentionMask(mask), tz.ConvTaps(taps),
-                                        tz.ConvTaps(taps[:, :T]))
+            self._context_cache[key] = (frames, tz.AttentionMask(mask), taps)
         return self._context_cache[key]
 
     def _step_context(self, keys: int, halo: int, n: int, n_main: int) -> tuple:
@@ -245,22 +237,17 @@ class TransducerModel:
         """Frame-stack subsample then run the masked encoder blocks.
 
         Without ``state``, encode the whole utterance on the layout of
-        ``spec`` (None is offline) and return its T main rows.  With
-        ``state``, run one streaming chunk step of ``spec``: ``features`` are
-        the chunk's raw frames ``[s, min(T, s+C+R))``; return its
-        ``min(C, n)`` main rows and cache what the next step reads.  A
-        whole-utterance encode under a tape records tape ops; a chunk step,
-        which is forward-only, and any encode off a tape run on the array
-        kernels and return a constant.
+        ``spec`` (None is offline) as a stack of one segment; return its T
+        main rows.  With ``state``, run one streaming chunk step of ``spec``
+        on the chunk's raw frames ``[s, min(T, s+C+R))``; return its
+        ``min(C, n)`` main rows and cache what the next step reads.
         """
-        stacked = self._frame_stack(features)
-        T = stacked.shape[0]
         if state is None:
-            frames, mask, taps, taps_main = self._context_for(
-                T, ContextSpec(T, T, 0) if spec is None else spec)
-            return self._blocks(stacked[frames], mask, taps, taps_main)
+            return self._blocks(*self._stack([features], [spec])[0])
         if spec is None:
             raise ValueError("a chunk step needs a streaming spec")
+        stacked = self._frame_stack(features)
+        T = stacked.shape[0]
         n_main = min(spec.chunk, T)
         mask, taps, taps_main = self._step_context(*state.sizes(), T, n_main)
         return self._blocks(stacked, mask, taps, taps_main, state, n_main, spec.left)
@@ -269,16 +256,28 @@ class TransducerModel:
                      specs: Sequence[ContextSpec | None]) -> tuple[Tensor, np.ndarray]:
         """Encode segments ``(features[i], specs[i])`` as one stacked layout.
 
-        Every segment's cached ``(T, spec)`` layout goes into one: all
-        segments' main rows in segment order, then all their copy rows, each
-        segment's tap table shifted to its rows and its mask kept to its rows
-        (a :class:`tensor.SegmentedMask`).  The stacked layout is assembled
-        per call and never cached.  Returns the segments' main rows padded to
-        [S, T_max, d] (rows past a segment's T repeat stacked row 0) and the
-        T of each segment.  A segment's rows are the rows ``encode`` gives it
-        alone, bit for bit from two rows up (alone, a one-row segment's
-        products run on numpy's vector kernels, which round differently),
-        and no segment reads another's frames.
+        Returns the segments' main rows padded to [S, T_max, d] (rows past a
+        segment's T repeat stacked row 0) and the T of each segment.  Each
+        segment gets the rows ``encode`` gives it alone, bit for bit from two
+        rows up (alone, a one-row segment's products run on numpy's vector
+        kernels, which round differently); none reads another's frames.
+        """
+        layout, lengths = self._stack(features, specs)
+        enc = self._blocks(*layout)
+        t = np.arange(lengths.max())
+        start = np.cumsum(lengths) - lengths
+        pad = np.where(t < lengths[:, None], start[:, None] + t, 0)
+        return tz.embedding(enc, pad), lengths
+
+    def _stack(self, features: Sequence[np.ndarray],
+               specs: Sequence[ContextSpec | None]) -> tuple[tuple, np.ndarray]:
+        """The stacked layout of segments ``(features[i], specs[i])``, as the
+        arguments of :meth:`_blocks`, and the T of each segment.
+
+        All segments' main rows in segment order, then all their copy rows;
+        each segment's cached ``(T, spec)`` tap table is shifted to its rows
+        and its mask kept to its rows (a :class:`tensor.SegmentedMask`).  The
+        stack is assembled per call and never cached.
         """
         stacked = [self._frame_stack(f) for f in features]
         lengths = np.array([x.shape[0] for x in stacked])
@@ -290,18 +289,14 @@ class TransducerModel:
         copy_start = M + np.cumsum(sizes - lengths) - (sizes - lengths)
         taps = np.empty((self.cfg.conv_kernel, int(sizes.sum())), dtype=np.int64)
         parts = []
-        for T, N, m0, c0, (_frames, mask, seg_taps, _main) in zip(
+        for T, N, m0, c0, (_frames, mask, seg_taps) in zip(
                 lengths, sizes, main_start, copy_start, layouts):
             rows = np.concatenate([np.arange(m0, m0 + T), np.arange(c0, c0 + N - T)])
-            taps[:, rows] = np.where(seg_taps.index >= 0, rows[seg_taps.index], -1)
+            taps[:, rows] = np.where(seg_taps >= 0, rows[seg_taps], -1)
             parts.append((rows, mask))
         copies = [x[frames[T:]] for x, (frames, *_), T in zip(stacked, layouts, lengths)]
-        enc = self._blocks(np.concatenate(stacked + copies),
-                           tz.SegmentedMask(parts, taps.shape[1]), tz.ConvTaps(taps),
-                           tz.ConvTaps(taps[:, :M]))
-        t = np.arange(lengths.max())
-        pad = np.where(t < lengths[:, None], main_start[:, None] + t, 0)
-        return tz.embedding(enc, pad), lengths
+        return (np.concatenate(stacked + copies), tz.SegmentedMask(parts, taps.shape[1]),
+                tz.ConvTaps(taps), tz.ConvTaps(taps[:, :M])), lengths
 
     def _blocks(self, x: np.ndarray, mask, taps, taps_main,
                 state: StreamState | None = None, n_main: int = 0, left: int = 0) -> Tensor:

@@ -5,17 +5,19 @@ analytic gradient with respect to the raw joint logits (occupancy-weighted
 softmax minus transition indicators), plus a brute-force alignment
 enumeration oracle for small lattices.
 
-A batch runs as one: one padded scan for all of its lattices, alpha and beta
-together (the recursion of Graves 2012, evaluated along anti-diagonals,
-whose cells are independent).  Beta is the alpha recursion on each lattice
-flipped within its own ``(t_len, u_len)``, so the scan advances 2B lattices
-of the padded shape, one diagonal per vector step.  Each cell takes the same
-two ``logaddexp`` operands in the same order as a cell-by-cell loop over its
-lattice alone, so the values are bit-identical to it, and the padding is
-never read.  The V-wide work (logsumexp, softmax, gradient) runs on the
-lattices' cells only.  The scan's skewed storage is addressed through flat
-indices built once per padded shape ``(T, U)`` and kept in a bounded cache,
-so a call pays only for its fills, copies and diagonals.
+Every call takes a padded batch [B, T, U+1, V] with its lengths (a single
+lattice is the batch of one) and runs it as one: one padded scan for all of
+its lattices, alpha and beta together (the recursion of Graves 2012,
+evaluated along anti-diagonals, whose cells are independent).  Beta is the
+alpha recursion on each lattice flipped within its own ``(t_len, u_len)``,
+so the scan advances 2B lattices of the padded shape, one diagonal per
+vector step.  Each cell takes the same two ``logaddexp`` operands in the
+same order as a cell-by-cell loop over its lattice alone, so the values are
+bit-identical to it, and the padding is never read.  The V-wide work
+(logsumexp, softmax, gradient) runs on the lattices' cells only.  The
+scan's skewed storage is addressed through flat indices built once per
+padded shape ``(T, U)`` and kept in a bounded cache, so a call pays only
+for its fills, copies and diagonals.
 
 Conventions: blank id is fixed to 0, target ids live in [1, V).  Losses are
 per utterance; batch reduction belongs to the caller.
@@ -23,12 +25,12 @@ per utterance; batch reduction belongs to the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import BlankInTargetError, ImpossibleLatticeError, OracleTooLargeError
+from .errors import BlankInTargetError, OracleTooLargeError
 
 NEG_INF = -np.inf
 
@@ -61,15 +63,6 @@ class JointLogits:
     @property
     def batch_size(self) -> int:
         return self.z.shape[0]
-
-    @classmethod
-    def from_single(cls, z: np.ndarray) -> "JointLogits":
-        """One whole [T, U+1, V] lattice as a batch of one."""
-        z = np.asarray(z)
-        if z.ndim != 3:
-            raise ValueError("from_single expects [T, U+1, V]")
-        T, U1, _ = z.shape
-        return cls(z[None], [T], [U1 - 1])
 
 
 def _validate_targets(logits: JointLogits, targets) -> list[np.ndarray]:
@@ -155,22 +148,17 @@ def _lattice_scan(wt: np.ndarray, wu: np.ndarray, base) -> np.ndarray:
     return S.reshape(-1, K)[idx_out].T.reshape(K, T, U + 1)
 
 
-def _alpha_beta(logpb: np.ndarray, logpy: np.ndarray, t_len=None,
-                u_len=None) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward log-variables of [T, U+1] lattices.
+def _alpha_beta(logpb: np.ndarray, logpy: np.ndarray, t_len,
+                u_len) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward log-variables of a padded batch of lattices.
 
-    ``alpha[t, u]`` sums the paths from (0, 0) to (t, u); ``beta[t, u]`` the
-    paths from (t, u) through the final blank.  ``logpb`` is one [T, U+1]
-    lattice, or a padded [B, T, U+1] batch whose lattice b ends at cell
-    ``(t_len[b] - 1, u_len[b])``; beta is ``-inf`` past that end, alpha
-    holds whatever the padding gives.  Beta is the alpha recursion on each
-    lattice flipped within its own lengths, started from its final blank,
-    so one scan over 2B lattices computes both.
+    ``alpha[b, t, u]`` sums the paths from (0, 0) to (t, u); ``beta[b, t, u]``
+    the paths from (t, u) through the final blank.  ``logpb`` is [B, T, U+1]
+    and lattice b ends at cell ``(t_len[b] - 1, u_len[b])``; beta is
+    ``-inf`` past that end, alpha holds whatever the padding gives.  Beta is
+    the alpha recursion on each lattice flipped within its own lengths,
+    started from its final blank, so one scan over 2B lattices computes both.
     """
-    if logpb.ndim == 2:
-        T, U1 = logpb.shape
-        alpha, beta = _alpha_beta(logpb[None], logpy[None], [T], [U1 - 1])
-        return alpha[0], beta[0]
     B, T, U1 = logpb.shape
     b = np.arange(B)
     t_last = np.asarray(t_len) - 1
@@ -188,17 +176,20 @@ def _alpha_beta(logpb: np.ndarray, logpy: np.ndarray, t_len=None,
     return scan[:B], beta
 
 
-def _transducer_batch(z: np.ndarray, ys: list[np.ndarray], t_len: np.ndarray,
-                      u_len: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def rnnt_forward_single(z: np.ndarray, ys: list[np.ndarray],
+                        lengths) -> tuple[np.ndarray, np.ndarray]:
     """Losses and logits gradient of a padded [B, T, U+1, V] batch, in one scan.
 
-    Computed in float64 whatever ``z``'s dtype; the gradient comes back in
-    it, zero past each lattice.  The V-wide work (logsumexp, softmax,
-    gradient) runs on the lattices' cells only, gathered into rows, and the
-    padding, whatever it holds, is never read: the lattices' scan weights
-    are ``-inf`` there.  Every cell gets the values its lattice alone gives
-    it, bit for bit.
+    ``lengths`` is ``(t_len, u_len)`` and ``ys`` the B target sequences, as
+    :func:`rnnt_loss` checks them; a single lattice is the batch of one.
+    Computed in float64 whatever ``z``'s dtype: the losses are float64, the
+    gradient comes back in ``z``'s dtype, zero past each lattice.  The
+    V-wide work (logsumexp, softmax, gradient) runs on the lattices' cells
+    only, gathered into rows, and the padding, whatever it holds, is never
+    read: the lattices' scan weights are ``-inf`` there.  Every cell gets
+    the values its lattice alone gives it, bit for bit.
     """
+    t_len, u_len = (np.asarray(n, dtype=np.int64) for n in lengths)
     B, T, U1, V = z.shape
     U = U1 - 1
     valid = ((np.arange(T)[:, None] < t_len[:, None, None])
@@ -241,35 +232,6 @@ def _transducer_batch(z: np.ndarray, ys: list[np.ndarray], t_len: np.ndarray,
     out = np.zeros(z.shape, dtype=z.dtype)
     out.reshape(-1, V)[cells] = grad
     return -log_total, out
-
-
-def rnnt_forward_single(z: np.ndarray, y, lengths=None):
-    """Transducer losses and logits gradients, one scan for all lattices.
-
-    ``z`` is a padded [B, T, U+1, V] batch with ``lengths`` ``(t_len,
-    u_len)`` and B checked target sequences ``y`` (as :func:`rnnt_loss`
-    checks them): it gives [B] losses and a gradient of ``z``'s shape and
-    dtype.  A single unpadded [T, U+1, V] lattice with one target sequence
-    is the batch of one: it gives a float loss and a float64 gradient, and
-    a blank target raises ``BlankInTargetError`` (the loss would be
-    corrupt).
-    """
-    if lengths is not None:
-        return _transducer_batch(z, y, *lengths)
-    z = np.asarray(z, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64).reshape(-1)
-    if (y == 0).any():
-        raise BlankInTargetError("targets contain the blank id")
-    T, U1, _V = z.shape
-    U = y.size
-    if U1 != U + 1:
-        raise ValueError(f"lattice has {U1} label rows but {U} targets")
-    if T == 0:
-        if U > 0:
-            raise ImpossibleLatticeError("cannot emit targets with zero frames")
-        return 0.0, np.zeros_like(z)
-    losses, grad = _transducer_batch(z[None], [y], np.array([T]), np.array([U]))
-    return float(losses[0]), grad[0]
 
 
 def rnnt_loss(logits: JointLogits, targets) -> tuple[np.ndarray, np.ndarray]:

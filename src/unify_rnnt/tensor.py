@@ -9,21 +9,22 @@ A tape is single-threaded by contract: one graph, one thread.  Ops themselves
 are pure functions of their inputs and may run concurrently on disjoint
 tensors.
 
-A streaming chunk step calls the ops on one or two rows, so what an op does
-per call, beyond its arithmetic, sets the step's cost.  Each encoder op is
-therefore a forward kernel on plain arrays plus its backward record;
-:class:`Kernels` holds the kernels under the ops' names, and the encoder
-runs on them when no tape is recording, so a forward-only pass pays no
-``Tensor`` wrapping, tape lookup or gradient bookkeeping and gives the tape
-ops' values bit for bit.  The layouts an op reads are checked once, when
-they are built: an :class:`AttentionMask` validates its rows and keeps its
-additive bias (none when all true), a :class:`ConvTaps` keeps its largest
-index, and a call checks only that their shapes fit.  A batched training
-step stacks several layouts into one: its tap table is one table, and its
-:class:`SegmentedMask` runs each layout's attention on that layout's rows,
-so the step records one op per layer, whatever the batch.  Ops wrap the arrays
-they make without copying them, and a tensor's first gradient write stores
-a fresh array instead of adding into a zeroed one.
+The encoder has two call shapes (see :mod:`model`): a stacked layout, the
+only one a tape records, and a streaming chunk step, which calls the ops on
+one or two rows, so what an op does per call, beyond its arithmetic, sets
+the step's cost.  Each encoder op is therefore a forward kernel on plain
+arrays plus its backward record; :class:`Kernels` holds the kernels under
+the ops' names, and the encoder runs on them when no tape is recording, so
+a forward-only pass pays no ``Tensor`` wrapping, tape lookup or gradient
+bookkeeping and gives the tape ops' values bit for bit.  The layouts an op
+reads are checked once, when they are built: an :class:`AttentionMask`
+validates its rows and keeps its additive bias (none when all true), a
+:class:`ConvTaps` keeps its largest index, and a call checks only that
+their shapes fit.  A stacked layout's tap table is one table, and its
+:class:`SegmentedMask` runs each segment's attention on that segment's
+rows, so a training step records one op per layer, whatever the batch.
+Ops wrap the arrays they make without copying them, and a tensor's first
+gradient write stores a fresh array instead of adding into a zeroed one.
 
 The depthwise convolution gathers the row each tap reads from a tap table
 (zero where the table says so); its input gradient gathers, for each input
@@ -136,9 +137,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -210,9 +208,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` with ``a`` 1-D, 2-D or 3-D and ``b`` 2-D."""
-    if b.data.ndim != 2 or a.data.ndim not in (1, 2, 3):
-        raise ValueError(f"matmul expects (1|2|3)-D @ 2-D, got {a.shape} @ {b.shape}")
+    """``a @ b`` with ``a`` 2-D or 3-D and ``b`` 2-D."""
+    if b.data.ndim != 2 or a.data.ndim not in (2, 3):
+        raise ValueError(f"matmul expects (2|3)-D @ 2-D, got {a.shape} @ {b.shape}")
     out, tape = _result((a, b), a.data @ b.data)
     if tape is not None:
         def bwd():
@@ -222,11 +220,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if a.requires_grad:
                 a.accum_grad(g @ b.data.T)
             if b.requires_grad:
-                if a.data.ndim == 1:
-                    b.accum_grad(np.outer(a.data, g))
-                else:
-                    rows = a.data.reshape(-1, a.shape[-1])
-                    b.accum_grad(rows.T @ g.reshape(-1, g.shape[-1]))
+                rows = a.data.reshape(-1, a.shape[-1])
+                b.accum_grad(rows.T @ g.reshape(-1, g.shape[-1]))
         tape.record("matmul", bwd)
     return out
 
@@ -239,11 +234,13 @@ def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.nda
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Fused ``x @ w (+ b)`` to keep tapes short.
+    """Fused ``x @ w (+ b)`` over the rows of a 2-D ``x``, to keep tapes short.
 
     The bias is added in place into the product, so ``b`` has the product's
     dtype and broadcasts to its shape without enlarging it.
     """
+    if x.data.ndim != 2:
+        raise ValueError(f"linear expects 2-D rows, got {x.shape}")
     if b is None:
         out, tape = _result((x, w), _linear(x.data, w.data))
     else:
@@ -256,12 +253,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             if x.requires_grad:
                 x.accum_grad(g @ w.data.T)
             if w.requires_grad:
-                if x.data.ndim == 2:
-                    w.accum_grad(x.data.T @ g)
-                else:
-                    w.accum_grad(np.outer(x.data, g))
+                w.accum_grad(x.data.T @ g)
             if b is not None and b.requires_grad:
-                b.accum_grad(g.sum(axis=0) if g.ndim == 2 else g)
+                b.accum_grad(g.sum(axis=0))
         tape.record("linear", bwd)
     return out
 

@@ -214,24 +214,15 @@ class AdamW:
         w -= b
 
 
-def clip_global_norm(params, max_norm: float) -> float:
-    """Scale the gradients so that their global 2-norm is at most
-    ``max_norm`` (0 means no clipping); returns the norm before scaling.
-
-    ``params`` is a list of tensors (a missing gradient counts as zero) or
-    an :class:`AdamW`, whose flat gradient buffer is clipped in place.
-    """
-    if isinstance(params, AdamW):
-        grads = [params.grad_buffer()]
-        flat = grads[0].astype(np.float64)
-        norm = math.sqrt(float(np.dot(flat, flat)))
-    else:
-        grads = [p.grad for p in params if p.grad is not None]
-        norm = math.sqrt(sum(float((g.astype(np.float64) ** 2).sum()) for g in grads))
+def clip_global_norm(opt: AdamW, max_norm: float) -> float:
+    """Scale the gradients in ``opt``'s flat buffer so that their global
+    2-norm is at most ``max_norm`` (0 means no clipping); returns the norm
+    before scaling."""
+    grad = opt.grad_buffer()
+    flat = grad.astype(np.float64)
+    norm = math.sqrt(float(np.dot(flat, flat)))
     if max_norm > 0 and norm > max_norm:
-        factor = max_norm / norm
-        for g in grads:
-            g *= factor
+        grad *= max_norm / norm
     return norm
 
 
@@ -276,7 +267,8 @@ def rnnt_loss_node(z: Tensor, targets, lengths=None) -> Tensor:
     gives a scalar.
     """
     if z.data.ndim == 3:
-        losses, grad = rnnt_loss(JointLogits.from_single(z.data), [targets])
+        T, U1, _V = z.shape
+        losses, grad = rnnt_loss(JointLogits(z.data[None], [T], [U1 - 1]), [targets])
         return _loss_node("rnnt_loss", [z], losses[0], grad)
     losses, grad = rnnt_loss(JointLogits(z.data, *lengths), targets)
     return _loss_node("rnnt_loss", [z], losses, grad)

@@ -263,6 +263,23 @@ class TestTrainEvalPipeline:
         assert "eval.budgets [2, 0]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("frame_ms", [0.0, -1.0, float("nan"), float("inf")],
+                             ids=["zero", "negative", "nan", "inf"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_frame_ms_not_finite_positive_fails_before_any_work(self, workspace, capsys,
+                                                               command, frame_ms):
+        config, out = workspace
+        data = yaml.safe_load(open(config))
+        data["eval"]["frame_ms"] = frame_ms
+        with open(config, "w") as fh:
+            yaml.safe_dump(data, fh)
+        argv = [command, "--config", str(config)]
+        if command == "eval":
+            argv += ["--checkpoint", str(out / "checkpoint.urnt")]
+        assert main(argv) == 2
+        assert f"bad eval section: eval.frame_ms {frame_ms}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_token_past_the_vocabulary_fails_at_load(self, workspace, capsys):
         # the last record holds it: no training step has to sample it
         config, out = workspace
@@ -520,6 +537,21 @@ class TestMalformedRunFiles:
             gc.collect()
         assert f"{metrics}:2: not JSON" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+    @pytest.mark.parametrize("name,lines,what", [
+        ("eval_summary.csv", ["mode,chunk_s,right_s,chunk_compute_ms,ter",
+                              "offline,,,1.5,0.25"], "missing fields ['latency_s']"),
+        ("sweep_latency.csv", ["budget_s,chunk_s,right_s,ter", "0.08,0.04,0.04,0.5",
+                               "0.08,0.08"], "missing fields ['right_s', 'ter']"),
+        ("eval_summary.csv", ["mode,chunk_s,right_s,latency_s,chunk_compute_ms,ter",
+                              "offline,,,inf,1.5,abc"], "ter 'abc' is not a number"),
+    ], ids=["no-column", "short-row", "non-numeric"])
+    def test_report_on_malformed_csv_is_io_error(self, tmp_path, capsys, name, lines, what):
+        path = tmp_path / name
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["report", "--out", str(tmp_path)]) == 4
+        assert f"I/O error: {path}:{len(lines)}: {what}" in capsys.readouterr().err
 
 
 class TestConfigDefaults:

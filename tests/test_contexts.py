@@ -190,11 +190,12 @@ class TestLatency:
         assert latency_of(ContextSpec(70, 13, 13), 80.0) == pytest.approx(2.08, abs=1e-12)
         assert latency_of(ContextSpec(70, 1, 0), 80.0) == pytest.approx(0.08, abs=1e-12)
 
-    def test_frame_duration_must_be_positive(self):
+    @pytest.mark.parametrize("frame_ms", [0.0, -1.0, float("nan"), float("inf")])
+    def test_frame_duration_must_be_finite_and_positive(self, frame_ms):
         with pytest.raises(ValueError):
-            latency_of(ContextSpec(1, 1, 1), 0.0)
+            latency_of(ContextSpec(1, 1, 1), frame_ms)
         with pytest.raises(ValueError):
-            latency_of(None, 0.0)
+            latency_of(None, frame_ms)
 
     def test_offline_latency_is_infinite(self):
         assert latency_of(None, 40.0) == float("inf")

@@ -69,17 +69,17 @@ class TestGreedyOffline:
         assert res.emit_frame == sorted(res.emit_frame)
         assert res.worst_case_latency_s == math.inf
 
-    def test_one_chunk_encoded_without_a_state(self, rng, monkeypatch):
+    def test_offline_is_one_chunk_step_of_all_frames(self, rng, monkeypatch):
         model = TransducerModel(CFG)
         calls = []
         original = TransducerModel.encode
 
         def encode(self, features, spec=None, state=None):
-            calls.append((len(features), spec, state))
+            calls.append((len(features), spec, type(state)))
             return original(self, features, spec, state)
         monkeypatch.setattr(TransducerModel, "encode", encode)
         res = decode_mode(model, rng.standard_normal((11, 4)), None, 40.0)
-        assert calls == [(10, None, None)] and res.steps == 1
+        assert calls == [(10, ContextSpec(5, 5, 0), StreamState)] and res.steps == 1
 
 
 class TestGreedyStreaming:
@@ -147,24 +147,27 @@ class TestGreedyStreaming:
     @pytest.mark.parametrize("blocks,kernel", [(1, 1), (2, 3), (3, 5)])
     def test_decoder_rows_equal_training_rows(self, rng, blocks, kernel):
         # chunk steps with cached keys, values and conv halo give the rows of
-        # the training path's one masked encode, for every (L, C, R)
+        # the training path's one masked encode, for every (L, C, R); offline
+        # (one step of (T, T, 0)) gives them bit for bit
         cfg = ModelConfig(**{**CFG.__dict__, "blocks": blocks, "conv_kernel": kernel})
         model = TransducerModel(cfg)
+        specs = [None] + [ContextSpec(left, chunk, right) for left in range(0, 6)
+                          for chunk in range(1, 5) for right in range(0, 5)]
         worst = 0.0
-        for left in range(0, 6):
-            for chunk in range(1, 5):
-                for right in range(0, 5):
-                    spec = ContextSpec(left, chunk, right)
-                    feats = rng.standard_normal((int(rng.integers(2, 30)), 4))
-                    T = feats.shape[0] // 2
-                    train_rows = model.encode(feats, spec).data
-                    state, steps = StreamState(), []
-                    for s in range(0, T, chunk):
-                        end = min(T, s + chunk + right)
-                        steps.append(model.encode(feats[2 * s:2 * end], spec, state).data)
-                    decode_rows = np.concatenate(steps)
-                    assert decode_rows.shape == train_rows.shape
-                    worst = max(worst, float(np.abs(decode_rows - train_rows).max()))
+        for spec in specs:
+            feats = rng.standard_normal((int(rng.integers(2, 30)), 4))
+            T = feats.shape[0] // 2
+            train_rows = model.encode(feats, spec).data
+            step = ContextSpec(T, T, 0) if spec is None else spec
+            state, steps = StreamState(), []
+            for s in range(0, T, step.chunk):
+                end = min(T, s + step.chunk + step.right)
+                steps.append(model.encode(feats[2 * s:2 * end], step, state).data)
+            decode_rows = np.concatenate(steps)
+            assert decode_rows.shape == train_rows.shape
+            if spec is None:
+                np.testing.assert_array_equal(decode_rows, train_rows)
+            worst = max(worst, float(np.abs(decode_rows - train_rows).max()))
         assert worst <= 1e-12
 
     def test_state_keeps_left_context_and_halo(self, rng):
@@ -194,7 +197,7 @@ class TestContextCache:
         # full-context layout
         assert len(model._context_cache) == len(steps)
 
-    def test_streaming_specs_build_no_mask_or_plan(self, rng, monkeypatch):
+    def test_decoding_builds_no_training_layout(self, rng, monkeypatch):
         from unify_rnnt import model as model_module
         built = []
         for name in ("build_attention_mask", "plan_conv_chunks"):
@@ -206,14 +209,12 @@ class TestContextCache:
             monkeypatch.setattr(model_module, name, wrapped)
         model = TransducerModel(CFG)
         feats = [rng.standard_normal((int(rng.integers(6, 40)), 4)) for _ in range(4)]
-        for spec in (ContextSpec(3, 1, 0), ContextSpec(3, 2, 2)):
+        # offline decoding too: it is a chunk step, not a whole-utterance layout
+        for spec in (ContextSpec(3, 1, 0), ContextSpec(3, 2, 2), None):
             for f in feats:
                 decode_mode(model, f, spec, 40.0)
         assert built == []
-        # offline decoding builds the layout of a length once
-        decode_mode(model, feats[0], None, 40.0)
-        decode_mode(model, feats[0], None, 40.0)
-        assert built == ["build_attention_mask", "plan_conv_chunks"]
+        assert all(key[0] == "step" for key in model._context_cache)
 
 
 class TestTokenErrorRate:

@@ -1,8 +1,11 @@
-"""The encoder's two paths: the tape ops for a whole utterance under a tape,
-the array kernels off a tape and for every chunk step.
+"""The encoder's two sets of ops over its two call shapes.
 
-Both run the one body of ``TransducerModel.encode``; the kernels must give
-the rows the tape path gives, bit for bit, in every layout and dtype.
+A stacked encode (a whole utterance is the stack of one segment) runs the
+tape ops under a tape and the array kernels off it; a chunk step, which all
+decoding runs (offline is one step of ``(T, T, 0)``), runs the kernels
+whether a tape is open or not.  Both sets run the one encoder body; the
+kernels must give the rows the tape ops give, bit for bit, in every layout
+and dtype.
 """
 
 from dataclasses import replace

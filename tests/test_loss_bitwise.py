@@ -214,6 +214,15 @@ def ref_rnnt_forward_single(z, y):
     return -float(log_total), grad
 
 
+def single(z, y):
+    """One whole [T, U+1, V] lattice through the padded kernel, as a batch of
+    one, in float64 as the single-lattice form computed it."""
+    T, U1, _V = z.shape
+    losses, grad = rnnt_forward_single(np.asarray(z, dtype=np.float64)[None],
+                                       [np.asarray(y, dtype=np.int64)], ([T], [U1 - 1]))
+    return float(losses[0]), grad[0]
+
+
 def ref_rnnt_loss(logits, targets):
     """The batch loss as a loop over its lattices, one scan each."""
     losses = np.zeros(logits.batch_size)
@@ -323,7 +332,7 @@ def test_rnnt_forward_single_equals_the_per_call_skew_reference(T, U):
         want_loss, want_grad = ref_rnnt_forward_single(z, y)
         # the first use of a layout builds it; later uses read the cache
         for _ in range(2):
-            loss, grad = rnnt_forward_single(z, y)
+            loss, grad = single(z, y)
             assert loss == want_loss
             np.testing.assert_array_equal(grad, want_grad)
 
@@ -351,7 +360,7 @@ def test_skew_cache_stays_within_its_bound():
     n_shapes = rl.SKEW_CACHE_SIZE + 20
     shapes = [(1 + k % 37, k // 37) for k in range(n_shapes)]
     for T, U in shapes:
-        rnnt_forward_single(rng.standard_normal((T, U + 1, 3)), rng.integers(1, 3, size=U))
+        single(rng.standard_normal((T, U + 1, 3)), rng.integers(1, 3, size=U))
         assert rl._skew_layout.cache_info().currsize <= rl.SKEW_CACHE_SIZE
     info = rl._skew_layout.cache_info()
     assert info.currsize == rl.SKEW_CACHE_SIZE
@@ -361,7 +370,7 @@ def test_skew_cache_stays_within_its_bound():
     z = rng.standard_normal((T, U + 1, 3))
     y = rng.integers(1, 3, size=U)
     want = ref_rnnt_forward_single(z, y)
-    got = rnnt_forward_single(z, y)
+    got = single(z, y)
     assert got[0] == want[0]
     np.testing.assert_array_equal(got[1], want[1])
 
@@ -383,7 +392,7 @@ RNNT_SHAPES = [(4, 6, 3, 5), (4, 1, 3, 5), (4, 5, 0, 4), (1, 1, 0, 3), (3, 9, 7,
 @pytest.mark.parametrize("B,T,U,V", RNNT_SHAPES)
 def test_rnnt_loss_one_scan_equals_the_per_lattice_loop(dtype, B, T, U, V):
     """Losses and gradients of ragged batches with non-finite padding, bit for
-    bit, through ``rnnt_loss`` and the padded form of ``rnnt_forward_single``."""
+    bit, through ``rnnt_loss`` and ``rnnt_forward_single`` called directly."""
     rng = np.random.default_rng([B, T, U, V])
     for scale in (0.1, 2.0, 30.0):
         z, _ = ragged_pair(rng, dtype, B, T, U, V)

@@ -171,7 +171,6 @@ class TestJoint:
         tape, loss = build()
         tape.backward(loss)
         got = model.params[name].grad.copy()
-        model.zero_grad()
 
         def f(x):
             model.params[name].data = x

@@ -5,13 +5,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unify_rnnt.errors import BlankInTargetError, ImpossibleLatticeError, OracleTooLargeError
+from unify_rnnt.errors import BlankInTargetError, OracleTooLargeError
 from unify_rnnt.gradcheck import finite_difference_grad, max_rel_error
 from unify_rnnt.rnnt_loss import (ORACLE_MAX_T, ORACLE_MAX_U, JointLogits, _alpha_beta,
                                   _log_probs, rnnt_bruteforce_oracle,
                                   rnnt_forward_single, rnnt_loss)
+from unify_rnnt.tensor import Tensor
+from unify_rnnt.training import rnnt_loss_node
 
 LOG4 = 1.3862943611198906
+
+
+def single(z, y):
+    """Loss and gradient of one whole [T, U+1, V] lattice, as a batch of one."""
+    T, U1, _V = z.shape
+    losses, grad = rnnt_forward_single(z[None], [np.asarray(y)], ([T], [U1 - 1]))
+    return float(losses[0]), grad[0]
+
+
+def alpha_beta(logpb, logpy):
+    """Alpha and beta of one whole [T, U+1] lattice, as a batch of one."""
+    T, U1 = logpb.shape
+    alpha, beta = _alpha_beta(logpb[None], logpy[None], [T], [U1 - 1])
+    return alpha[0], beta[0]
 
 
 def random_instance(rng, t_max=4, u_max=3, v_max=3):
@@ -43,7 +59,7 @@ class TestKnownValues:
     def test_empty_target_is_blank_chain(self, rng):
         T, V = 4, 3
         z = rng.standard_normal((T, 1, V))
-        loss, _ = rnnt_forward_single(z, np.array([], dtype=np.int64))
+        loss, _ = single(z, np.array([], dtype=np.int64))
         lse = np.log(np.exp(z).sum(-1))
         expected = -float((z[:, 0, 0] - lse[:, 0]).sum())
         assert abs(loss - expected) < 1e-9
@@ -69,13 +85,13 @@ class TestGradient:
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(5):
             z, y = random_instance(rng)
-            _, grad = rnnt_forward_single(z, y)
-            fd = finite_difference_grad(lambda x: rnnt_forward_single(x, y)[0], z.copy())
+            _, grad = single(z, y)
+            fd = finite_difference_grad(lambda x: single(x, y)[0], z.copy())
             assert max_rel_error(grad, fd) <= 1e-5
 
     def test_grad_rows_sum_to_zero(self, rng):
         z, y = random_instance(rng)
-        _, grad = rnnt_forward_single(z, y)
+        _, grad = single(z, y)
         assert np.abs(grad.sum(axis=-1)).max() <= 1e-9
 
 
@@ -154,7 +170,7 @@ class TestLatticeScan:
         T, U = case[:2]
         z, y = lattice(*case)
         _, logpb, logpy = _log_probs(z, y)
-        alpha, beta = _alpha_beta(logpb, logpy)
+        alpha, beta = alpha_beta(logpb, logpy)
         assert alpha.shape == beta.shape == (T, U + 1)
         assert abs(alpha[T - 1, U] + logpb[T - 1, U] - beta[0, 0]) <= 1e-12
 
@@ -163,7 +179,7 @@ class TestLatticeScan:
     def test_scan_equals_cell_loop_bitwise(self, case):
         z, y = lattice(*case)
         _, logpb, logpy = _log_probs(z, y)
-        for got, want in zip(_alpha_beta(logpb, logpy), cell_loop_alpha_beta(logpb, logpy)):
+        for got, want in zip(alpha_beta(logpb, logpy), cell_loop_alpha_beta(logpb, logpy)):
             np.testing.assert_array_equal(got, want)
 
     @given(st.integers(1, ORACLE_MAX_T), st.integers(0, ORACLE_MAX_U), st.integers(2, 5),
@@ -177,7 +193,7 @@ class TestLatticeScan:
     def test_degenerate_lattices(self):
         # one frame and no targets: the total is the single blank
         _, logpb, logpy = _log_probs(np.array([[[0.3, -0.2]]]), np.array([], dtype=np.int64))
-        alpha, beta = _alpha_beta(logpb, logpy)
+        alpha, beta = alpha_beta(logpb, logpy)
         np.testing.assert_array_equal(alpha, [[0.0]])
         np.testing.assert_array_equal(beta, logpb)
 
@@ -187,14 +203,9 @@ class TestErrors:
         jl = JointLogits(np.zeros((1, 2, 2, 3)), [2], [1])
         with pytest.raises(BlankInTargetError):
             rnnt_loss(jl, [[0]])
-        # the single-lattice entry every training step calls checks it too
+        # the single-lattice node checks it too
         with pytest.raises(BlankInTargetError):
-            rnnt_forward_single(np.zeros((2, 4, 3)), np.array([2, 0, 1]))
-
-    def test_impossible_lattice(self):
-        z = np.zeros((0, 2, 2))
-        with pytest.raises(ImpossibleLatticeError):
-            rnnt_forward_single(z, np.array([1]))
+            rnnt_loss_node(Tensor(np.zeros((2, 4, 3))), np.array([2, 0, 1]))
 
     def test_target_length_mismatch(self):
         jl = JointLogits(np.zeros((1, 2, 2, 3)), [2], [1])
@@ -206,6 +217,9 @@ class TestErrors:
             JointLogits(np.zeros((1, 2, 2, 3)), [0], [1])
         with pytest.raises(ValueError):
             JointLogits(np.zeros((1, 2, 2, 3)), [2], [5])
+        # a lattice with zero frames cannot emit a nonempty target
+        with pytest.raises(ValueError):
+            JointLogits(np.zeros((1, 0, 2, 3)), [0], [1])
 
 
 class TestBatching:
@@ -220,7 +234,7 @@ class TestBatching:
         losses, grads = rnnt_loss(JointLogits(z, t_len, u_len), targets)
         for b in range(B):
             sub = z[b, :t_len[b], :u_len[b] + 1]
-            loss_b, grad_b = rnnt_forward_single(sub, targets[b])
+            loss_b, grad_b = single(sub, targets[b])
             assert abs(losses[b] - loss_b) <= 1e-12
             np.testing.assert_allclose(grads[b, :t_len[b], :u_len[b] + 1], grad_b,
                                        atol=1e-12)
