@@ -23,13 +23,28 @@ Feature files are raw little-endian float32, row-major [frames, feat_dim].
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import MalformedRecordError, ManifestMismatchError, MissingFeatureFileError
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_int_fields(cfg) -> None:
+    """Reject a bool or a non-integer in any ``int`` field of the dataclass ``cfg``.
+
+    The config modules postpone annotations, so a field's type is the string
+    it was declared with."""
+    for f in fields(cfg):
+        if f.type == "int" and not _is_int(getattr(cfg, f.name)):
+            raise ValueError(f"{f.name} must be an integer, got {getattr(cfg, f.name)!r}")
 
 
 @dataclass(frozen=True)
@@ -47,22 +62,23 @@ class CorpusConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_int_fields(self)
         if self.min_duration < 1 or self.max_duration < self.min_duration:
             raise ValueError("durations must satisfy 1 <= min <= max")
         if self.min_symbols < 1 or self.max_symbols < self.min_symbols:
             raise ValueError("utterance lengths must satisfy 1 <= min <= max")
         if not 0.0 <= self.coarticulation < 1.0:
             raise ValueError("coarticulation must be in [0, 1)")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and nonnegative")
         if self.n_symbols < 1:
             raise ValueError("n_symbols must be >= 1")
         if self.feat_dim < 1:
             raise ValueError("feat_dim must be >= 1")
         if self.ambiguous_pairs * 2 > self.n_symbols:
             raise ValueError("ambiguous pairs cannot exceed n_symbols / 2")
-        if self.ambiguous_boost <= 0:
-            raise ValueError("ambiguous_boost must be positive")
+        if not 0 < self.ambiguous_boost < math.inf:
+            raise ValueError("ambiguous_boost must be finite and positive")
 
 
 @dataclass
@@ -239,10 +255,6 @@ def generate_corpus(cfg: CorpusConfig, n: int, out_dir) -> str:
                       "tokens": [int(t) for t in utt.tokens]}
             mf.write(json.dumps(record) + "\n")
     return manifest_path
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_manifest(path, feat_dim: int, vocab_size: int):

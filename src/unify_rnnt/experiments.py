@@ -22,7 +22,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .contexts import ContextSets, ContextSpec, latency_splits
+from .contexts import ContextSets, ContextSpec, latency_of, latency_splits
 from .corpus import CorpusConfig, generate_utterances
 from .decoding import evaluate, mode_label
 from .mcr import MCRConfig
@@ -101,6 +101,13 @@ def eval_modes(setup: ToySetup) -> list[ContextSpec | None]:
     return [None] + [ContextSpec(setup.eval_left, c, r) for c, r in setup.eval_specs]
 
 
+def _sweep_specs(setup: ToySetup) -> list[ContextSpec]:
+    """The latency sweep grid; checks the budgets and the frame duration, so
+    a bad value fails before any work."""
+    latency_of(None, setup.frame_ms)
+    return latency_splits(setup.eval_left, setup.budgets)
+
+
 def run_one(job: tuple) -> dict:
     """Train one (strategy, seed) job and evaluate it; process-pool entry.
 
@@ -109,8 +116,7 @@ def run_one(job: tuple) -> dict:
     latency sweep grid.
     """
     setup, strategy, seed = job
-    # the sweep grid checks the budgets before any work
-    sweep_specs = latency_splits(setup.eval_left, setup.budgets)
+    sweep_specs = _sweep_specs(setup)
     train_utts = generate_utterances(setup.train_corpus, setup.n_train)
     eval_utts = generate_utterances(setup.eval_corpus, setup.n_eval)
     cfg = strategy_train_config(setup, strategy, seed)
@@ -127,11 +133,12 @@ def run_suite(strategies, seeds, setup: ToySetup | None = None,
               steps: int = 2000, workers: int | None = None) -> dict:
     """Run the strategy x seed grid, in parallel processes when available.
 
-    A latency budget below 1 frame raises ``ValueError`` before any job runs.
+    A latency budget below 1 frame, or a frame duration that is not finite
+    and positive, raises ``ValueError`` before any job runs.
     """
     if setup is None:
         setup = toy_setup(steps)
-    latency_splits(setup.eval_left, setup.budgets)
+    _sweep_specs(setup)
     jobs = [(setup, strategy, seed) for strategy in strategies for seed in seeds]
     if workers is None:
         workers = max(1, min(4, os.cpu_count() or 1))

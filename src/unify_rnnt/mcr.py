@@ -10,7 +10,7 @@ Every teacher direction is one weighted KL, ``a·KL(p‖q) + b·KL(q‖p)``, wit
     streaming_teacher   (0, 1)
     symmetric           (½, ½)
 
-With ``d = log p − log q`` and ``w = seed / (cells·B)`` the gradients with
+With ``d = log p − log q`` and ``w = 1 / (cells·B)`` the gradients with
 respect to the streaming and offline logits are
 
     g_str =  a·w·(q − p)  −  b·w·q·(d + KL(q‖p))
@@ -23,11 +23,11 @@ The fused path never materializes a [T, U+1, V] buffer.  Per utterance,
 one pass over the vocabulary tiles gives both modes' per-cell logsumexps;
 a tile sweep then gives p, q and d for a block of cells through fixed
 scratch blocks, from the raw logits, copied from frame-aligned views of the
-lattices.  ``mcr_backward`` reduces each tile to its share of the loss and
-to gradients in that one sweep (``full_grad`` adds a first sweep that sums
-the per-cell KLs, and takes the loss there); ``mcr_loss`` is
-``mcr_backward`` with seed 1, and ``mcr_forward`` is the loss-only sweep,
-bit-identical in its loss.  A naive materialized oracle, written per
+lattices.  ``mcr_backward``, the one implementation, reduces each tile to
+its share of the loss and to gradients in that one sweep (``full_grad``
+adds a first sweep that sums the per-cell KLs, and takes the loss there);
+``mcr_loss`` and ``mcr_forward`` are names for it, the latter keeping only
+the loss and the cell count.  A naive materialized oracle, written per
 teacher and student, is the specification, and a memory probe measures both
 paths under the instrumented allocator.
 
@@ -38,11 +38,13 @@ cells, then averaged over the batch.  Cell iteration order is fixed
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import _check_int_fields
 from .errors import ModeShapeMismatchError, NonFiniteInputError
 from .memtrack import MemoryMeter, scratch_empty, scratch_zeros
 from .rnnt_loss import JointLogits
@@ -72,12 +74,13 @@ class MCRConfig:
     full_grad: bool = False
 
     def __post_init__(self):
+        _check_int_fields(self)
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
         if self.variant != "full_joint":
             raise ValueError("variant must be 'full_joint'")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and nonnegative")
         if self.tile < 1:
             raise ValueError("tile must be >= 1")
 
@@ -209,49 +212,27 @@ class _TileKernel:
                 yield cells, runs, cols, p, q, d, x
 
 
-def _utterances(z_off: JointLogits, z_str: JointLogits, tile: int):
-    """(index, valid cells, kernel) per utterance, the kernel loaded with it."""
-    _validate_pair(z_off, z_str)
-    V = z_off.z.shape[-1]
-    n_max = int((z_off.t_len * (z_off.u_len + 1)).max())
-    kernel = _TileKernel(V, tile, z_off.z.dtype, n_max)
-    for i in range(z_off.batch_size):
-        n = kernel.load(z_off.z[i], z_str.z[i], int(z_off.t_len[i]), int(z_off.u_len[i]))
-        yield i, n, kernel
-
-
 def _kl_term(a: float, b: float, p, q, d) -> float:
     """One tile's share of ``a·KL(p‖q) + b·KL(q‖p)``."""
     return a * float(np.vdot(p, d)) - b * float(np.vdot(q, d))
 
 
-def mcr_forward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> tuple[float, int]:
-    """Batch-reduced consistency loss via the tiled path, no gradients."""
-    a, b = KL_WEIGHTS[cfg.direction]
-    total = 0.0
-    cells = 0
-    for _i, n, kernel in _utterances(z_off, z_str, cfg.tile):
-        acc = 0.0
-        for _rows, _runs, _cols, p, q, d, _x in kernel.tiles():
-            acc += _kl_term(a, b, p, q, d)
-        total += acc / n
-        cells += n
-    return total / z_off.batch_size, cells
-
-
-def mcr_backward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig,
-                 seed: float = 1.0) -> MCRResult:
-    """Loss and ``seed``-scaled gradients of the batch-reduced loss, from one
-    tile sweep per utterance (two with ``full_grad``, whose first sweep sums
-    the per-cell KLs); the loss is ``mcr_forward``'s, bit for bit."""
+def mcr_backward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> MCRResult:
+    """Loss and gradients of the batch-reduced loss, from one tile sweep per
+    utterance (two with ``full_grad``, whose first sweep sums the per-cell
+    KLs and takes the loss there)."""
+    _validate_pair(z_off, z_str)
     a, b = KL_WEIGHTS[cfg.direction]
     B = z_off.batch_size
     grad_off = np.zeros_like(z_off.z)
     grad_str = np.zeros_like(z_str.z)
+    n_max = int((z_off.t_len * (z_off.u_len + 1)).max())
+    kernel = _TileKernel(z_off.z.shape[-1], cfg.tile, z_off.z.dtype, n_max)
     total = 0.0
     cells = 0
-    for i, n, kernel in _utterances(z_off, z_str, cfg.tile):
-        w = seed / (n * B)
+    for i in range(B):
+        n = kernel.load(z_off.z[i], z_str.z[i], int(z_off.t_len[i]), int(z_off.u_len[i]))
+        w = 1.0 / (n * B)
         ws, wo = a * w, -b * w          # scales of q − p in g_str and g_off
         g_off3, g_str3 = grad_off[i], grad_str[i]
         acc = 0.0
@@ -298,6 +279,13 @@ def mcr_backward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig,
 def mcr_loss(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> MCRResult:
     """Tiled full-joint consistency loss with gradients for both modes."""
     return mcr_backward(z_off, z_str, cfg)
+
+
+def mcr_forward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> tuple[float, int]:
+    """Batch-reduced consistency loss and valid cell count: ``mcr_backward``'s,
+    its gradients dropped.  perfbench/spans.py patches this name."""
+    res = mcr_backward(z_off, z_str, cfg)
+    return res.loss, res.cells
 
 
 # ---------------------------------------------------------------------------

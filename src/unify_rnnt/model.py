@@ -51,6 +51,7 @@ import numpy as np
 from . import tensor as tz
 from .contexts import (ContextSpec, build_attention_mask, plan_conv_chunks,
                        right_context_rows)
+from .corpus import _check_int_fields
 from .errors import BadTokenError, InputTooShortError
 from .tensor import Tensor
 
@@ -71,6 +72,7 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        _check_int_fields(self)
         if self.conv_kernel % 2 == 0 or self.conv_kernel < 1:
             raise ValueError("conv_kernel must be odd and positive")
         if self.vocab_size < 2:
@@ -371,10 +373,11 @@ class TransducerModel:
         with N a multiple of N', lattice n reading pred[n % N']."""
         p = self.params
         # the bias joins the encoder side, before the lattice-sized sum
-        a = tz.add(tz.matmul(enc, p["joint.w_enc"]), p["joint.b"])
-        b = tz.matmul(pred, p["joint.w_pred"])
+        a = tz.linear(enc, p["joint.w_enc"], p["joint.b"])
+        b = tz.linear(pred, p["joint.w_pred"])
         h = tz.tanh(tz.outer_add(a, b))
-        flat = tz.matmul(tz.reshape(h, (-1, h.shape[-1])), p["joint.w_out"])
+        # the output product on 2-D rows, one BLAS product over every cell
+        flat = tz.linear(tz.reshape(h, (-1, h.shape[-1])), p["joint.w_out"])
         return tz.reshape(flat, h.shape[:-1] + (self.cfg.vocab_size,))
 
     def joint_vec(self, enc_vec: np.ndarray, pred_vec: np.ndarray) -> np.ndarray:

@@ -172,7 +172,7 @@ def _result(inputs: tuple, data: np.ndarray) -> tuple[Tensor, Tape | None]:
 
 
 def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape == b.shape or (b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]):
+    if a.shape == b.shape:
         return a + b
     if a.ndim == b.ndim == 2 and a.shape[1] == b.shape[1] and b.shape[0] < a.shape[0]:
         return a[:b.shape[0]] + b
@@ -180,7 +180,7 @@ def _add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise add; ``b`` may be a 1-D bias broadcast over leading axes.
+    """Elementwise add of two tensors of one shape.
 
     A 2-D ``b`` may also have fewer rows than ``a``: the sum then keeps
     ``b``'s rows, ``a[:n] + b``, a residual over the rows a layer kept.
@@ -199,30 +199,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                     ga[:g.shape[0]] = g
                     a.accum_grad(ga)
             if b.requires_grad:
-                if b.data.ndim == 1 and g.ndim > 1:
-                    b.accum_grad(g.reshape(-1, g.shape[-1]).sum(axis=0))
-                else:
-                    b.accum_grad(g)
+                b.accum_grad(g)
         tape.record("add", bwd)
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` with ``a`` 2-D or 3-D and ``b`` 2-D."""
-    if b.data.ndim != 2 or a.data.ndim not in (2, 3):
-        raise ValueError(f"matmul expects (2|3)-D @ 2-D, got {a.shape} @ {b.shape}")
-    out, tape = _result((a, b), a.data @ b.data)
-    if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                a.accum_grad(g @ b.data.T)
-            if b.requires_grad:
-                rows = a.data.reshape(-1, a.shape[-1])
-                b.accum_grad(rows.T @ g.reshape(-1, g.shape[-1]))
-        tape.record("matmul", bwd)
     return out
 
 
@@ -234,13 +212,14 @@ def _linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.nda
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """Fused ``x @ w (+ b)`` over the rows of a 2-D ``x``, to keep tapes short.
+    """Fused ``x @ w (+ b)`` over rows ``x`` [..., n, d] on any leading axes.
 
     The bias is added in place into the product, so ``b`` has the product's
-    dtype and broadcasts to its shape without enlarging it.
+    dtype and broadcasts to its shape without enlarging it.  The weight and
+    bias gradients sum over the rows of ``x`` with its leading axes flattened.
     """
-    if x.data.ndim != 2:
-        raise ValueError(f"linear expects 2-D rows, got {x.shape}")
+    if x.data.ndim < 2 or w.data.ndim != 2:
+        raise ValueError(f"linear expects rows [..., n, d] @ [d, m], got {x.shape} @ {w.shape}")
     if b is None:
         out, tape = _result((x, w), _linear(x.data, w.data))
     else:
@@ -252,12 +231,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
                 return
             if x.requires_grad:
                 x.accum_grad(g @ w.data.T)
+            rows = g.reshape(-1, g.shape[-1])
             if w.requires_grad:
-                w.accum_grad(x.data.T @ g)
+                w.accum_grad(x.data.reshape(-1, x.shape[-1]).T @ rows)
             if b is not None and b.requires_grad:
-                b.accum_grad(g.sum(axis=0))
+                b.accum_grad(rows.sum(axis=0))
         tape.record("linear", bwd)
     return out
+
+
+# perfbench/spans.py patches this name; the joint's products are ``linear``
+matmul = linear
 
 
 def tanh(x: Tensor) -> Tensor:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import tensor as tz
 from .contexts import ContextSets, ContextSpec, sample_context
-from .corpus import Utterance, atomic_write
+from .corpus import Utterance, _check_int_fields, atomic_write
 from .errors import (CorruptCheckpointError, EmptyBatchError, NonFiniteInputError,
                      NumericalError, VersionMismatchError)
 # perfbench/spans.py patches mcr_forward, mcr_backward and rnnt_forward_single here
@@ -85,13 +85,14 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
+        _check_int_fields(self)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
-        if self.warmup_steps > self.steps:
-            raise ValueError("warmup_steps must not exceed steps")
-        if self.max_lr <= 0:
-            raise ValueError("max_lr must be positive")
-        if self.min_lr < 0 or self.min_lr > self.max_lr:
+        if not 0 <= self.warmup_steps <= self.steps:
+            raise ValueError("need 0 <= warmup_steps <= steps")
+        if not 0 < self.max_lr < math.inf:
+            raise ValueError("max_lr must be finite and positive")
+        if not 0 <= self.min_lr <= self.max_lr:
             raise ValueError("need 0 <= min_lr <= max_lr")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")

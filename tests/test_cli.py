@@ -177,6 +177,51 @@ class TestGenData:
         assert main(["gen-data", "--config", str(config)]) == 2
         assert "bad corpus section" in capsys.readouterr().err
 
+    @staticmethod
+    def _set(tmp_path, section, key, value):
+        """A config with ``section``'s ``key`` set; ``train.mcr`` is nested."""
+        out = tmp_path / "run"
+        data = yaml.safe_load(open(write_config(tmp_path / "base.yaml", out)))
+        node = data
+        for part in section.split("."):
+            node = node[part]
+        node[key] = value
+        return write_config(tmp_path / "c.yaml", out, **data), out
+
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("train", "train", "max_lr", float("nan")), ("train", "train", "max_lr", float("inf")),
+        ("train", "train", "min_lr", float("nan")), ("train", "train", "warmup_steps", -5),
+        ("train", "train.mcr", "lambda", float("nan")),
+        ("train", "train.mcr", "lambda", float("inf")),
+        ("gen-data", "corpus", "noise_sigma", float("nan")),
+        ("gen-data", "corpus", "noise_sigma", float("inf")),
+        ("gen-data", "corpus", "ambiguous_boost", float("nan")),
+        ("gen-data", "corpus", "ambiguous_boost", float("inf")),
+    ], ids=lambda v: str(v))
+    def test_non_finite_or_out_of_range_float_is_config_error(self, tmp_path, capsys,
+                                                              command, section, key, value):
+        # these once ran training steps into a numerical failure (exit 3), or
+        # wrote NaN features that train then rejected (exit 4)
+        config, out = self._set(tmp_path, section, key, value)
+        assert main([command, "--config", str(config)]) == 2
+        assert f"bad {section} section" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("train", "model", "model_dim", 16.0), ("train", "model", "blocks", True),
+        ("train", "train", "steps", 3.5), ("train", "train", "batch_size", 2.0),
+        ("train", "train.mcr", "tile", 10.5),
+        ("gen-data", "corpus", "n_symbols", 8.0), ("gen-data", "corpus", "seed", False),
+    ], ids=lambda v: str(v))
+    def test_non_integer_in_an_integer_setting_is_config_error(self, tmp_path, capsys,
+                                                               command, section, key, value):
+        # a float here once crashed with a TypeError traceback (exit 1), or
+        # was silently accepted
+        config, out = self._set(tmp_path, section, key, value)
+        assert main([command, "--config", str(config)]) == 2
+        assert f"bad {section} section: {key} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainEvalPipeline:
     def test_train_eval_sweep_report(self, workspace, capsys):

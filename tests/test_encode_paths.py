@@ -95,7 +95,8 @@ def test_each_kernel_gives_its_ops_data(rng):
     mask = tz.AttentionMask(np.tril(np.ones((5, 5), bool)))
     taps = tz.ConvTaps.full_context(5, 3)
     kernel = rng.standard_normal((3, 4))
-    cases = [("add", (x, y)), ("add", (x, x[:2])), ("linear", (x, w)), ("linear", (x, w, y)),
+    cases = [("add", (x, x)), ("add", (x, x[:2])), ("linear", (x, w)), ("linear", (x, w, y)),
+             ("linear", (rng.standard_normal((2, 5, 4)), w, y)),
              ("relu", (x,)), ("layer_norm", (x, y, y)),
              ("masked_attention", (x, x, x, mask, 2)),
              ("depthwise_conv1d_windows", (x, kernel, taps))]

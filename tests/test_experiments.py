@@ -70,3 +70,18 @@ def test_budget_below_one_fails_before_training(monkeypatch, entry):
             experiments.run_one((setup, "sm", 0))
         else:
             experiments.run_suite(["sm", "dm_mcr"], (0, 1), setup=setup, workers=2)
+
+
+@pytest.mark.parametrize("frame_ms", [0.0, -1.0, float("nan"), float("inf")],
+                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("entry", ["run_one", "run_suite"])
+def test_bad_frame_duration_fails_before_training(monkeypatch, entry, frame_ms):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the frame duration was checked")
+    monkeypatch.setattr(experiments, "run_training", no_training)
+    setup = replace(experiments.toy_setup(steps=3), n_train=16, n_eval=4, frame_ms=frame_ms)
+    with pytest.raises(ValueError, match="frame_ms must be finite and positive"):
+        if entry == "run_one":
+            experiments.run_one((setup, "dm_mcr", 0))
+        else:
+            experiments.run_suite(["dm_mcr"], (0,), setup=setup, workers=1)

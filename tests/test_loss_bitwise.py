@@ -16,8 +16,7 @@ import pytest
 
 from unify_rnnt import rnnt_loss as rl
 from unify_rnnt.errors import NonFiniteInputError
-from unify_rnnt.mcr import (KL_WEIGHTS, MCRConfig, _validate_pair, mcr_backward,
-                            mcr_forward, mcr_loss)
+from unify_rnnt.mcr import KL_WEIGHTS, MCRConfig, _validate_pair, mcr_forward, mcr_loss
 from unify_rnnt.memtrack import MemoryMeter
 from unify_rnnt.rnnt_loss import JointLogits, rnnt_forward_single, rnnt_loss
 
@@ -114,13 +113,13 @@ def ref_mcr_forward(z_off, z_str, cfg):
     return total / z_off.batch_size, cells
 
 
-def ref_mcr_backward(z_off, z_str, cfg, seed=1.0):
+def ref_mcr_backward(z_off, z_str, cfg):
     a, b = KL_WEIGHTS[cfg.direction]
     B, V = z_off.batch_size, z_off.z.shape[-1]
     grad_off = np.zeros_like(z_off.z)
     grad_str = np.zeros_like(z_str.z)
     for i, rows, tiles in _ref_utterances(z_off, z_str, cfg.tile):
-        w = seed / (rows.size * B)
+        w = 1.0 / (rows.size * B)
         ws, wo = a * w, -b * w
         g_off2 = grad_off[i].reshape(-1, V)
         g_str2 = grad_str[i].reshape(-1, V)
@@ -274,11 +273,6 @@ def test_mcr_kernels_equal_the_two_sweep_reference(dtype, full_grad, direction, 
         assert (res.loss, res.cells) == (loss, cells)
         for got, want in ((res.grad_offline, g_off), (res.grad_streaming, g_str)):
             assert got.dtype == dtype
-            np.testing.assert_array_equal(got, want)
-        seeded = mcr_backward(a, b, cfg, seed=1.7)
-        assert seeded.loss == loss
-        for got, want in zip((seeded.grad_offline, seeded.grad_streaming),
-                             ref_mcr_backward(a, b, cfg, seed=1.7)):
             np.testing.assert_array_equal(got, want)
         assert mcr_forward(a, b, cfg) == ref_mcr_forward(a, b, cfg)
 

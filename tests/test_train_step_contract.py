@@ -237,7 +237,7 @@ def test_single_mode_draws_each_mode(setup, utts, strategy):
 
 
 @pytest.mark.parametrize("batch_size", [1, 4])
-def test_a_step_is_one_graph_of_41_records(setup, utts, batch_size, monkeypatch):
+def test_a_step_is_one_graph_of_40_records(setup, utts, batch_size, monkeypatch):
     names = []
     record = tz.Tape.record
     monkeypatch.setattr(tz.Tape, "record",
@@ -246,9 +246,9 @@ def test_a_step_is_one_graph_of_41_records(setup, utts, batch_size, monkeypatch)
     run.cfg = replace(run.cfg, batch_size=batch_size)
     run(train_step)
     # the stacked encode and its row gather (28), the predictor (2), the
-    # joint (8), then one node per loss and their weighted sum (3); the
+    # joint (7), then one node per loss and their weighted sum (3); the
     # per-utterance reference recorded 76 per utterance
-    assert len(names) == 41
+    assert len(names) == 40
     assert names.count("rnnt_loss") == names.count("mcr_loss") == 1
     assert names.count("masked_attention") == setup.model.blocks
 
