@@ -23,7 +23,7 @@ from dataclasses import replace
 import yaml
 
 from .contexts import ContextSets, ContextSpec, latency_splits
-from .corpus import CorpusConfig, generate_corpus, load_manifest, read_jsonl
+from .corpus import CorpusConfig, _is_int, generate_corpus, load_manifest, read_jsonl
 from .decoding import evaluate, write_csv
 from .errors import (CorruptCheckpointError, MalformedRecordError, ManifestMismatchError,
                      NumericalError)
@@ -84,6 +84,14 @@ def _section(data: dict, key: str) -> dict:
     return dict(section)
 
 
+def _int(value, key: str) -> int:
+    """The value of config key ``key``, which must be an integer (a bool or a
+    float is not one)."""
+    if not _is_int(value):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def parse_config(data: dict) -> dict:
     """Validated config bundle from the raw YAML mapping.
 
@@ -97,9 +105,9 @@ def parse_config(data: dict) -> dict:
 
 def _parse_config(data: dict) -> dict:
     out_dir = data.get("out", "runs/out")
-    seed = int(data.get("seed", 0))
+    seed = _int(data.get("seed", 0), "seed")
     corpus_raw = _section(data, "corpus")
-    n_utts = int(corpus_raw.pop("n_utterances", 200))
+    n_utts = _int(corpus_raw.pop("n_utterances", 200), "corpus.n_utterances")
     corpus = _build(CorpusConfig, {**corpus_raw, "seed": corpus_raw.get("seed", seed)},
                     "corpus")
     model = _build(ModelConfig, _section(data, "model"), "model")
@@ -121,14 +129,14 @@ def _parse_config(data: dict) -> dict:
     unknown = sorted(set(eval_raw) - set(EVAL_KEYS))
     if unknown:
         raise ConfigError(f"bad eval section: unknown keys {unknown}")
-    left = int(eval_raw.get("left", 70))
+    left = _int(eval_raw.get("left", 70), "eval.left")
     eval_cfg = {
         "manifest": eval_raw.get("manifest"),
         "left": left,
-        "specs": [ContextSpec(left, *(int(v) for v in pair)) for pair in
+        "specs": [ContextSpec(left, *(_int(v, "eval.specs") for v in pair)) for pair in
                   eval_raw.get("specs", [[1, 0], [1, 1], [2, 2], [4, 4]])],
         "frame_ms": float(eval_raw.get("frame_ms", 40.0)),
-        "budgets": [int(b) for b in eval_raw.get("budgets", [2, 4])],
+        "budgets": [_int(b, "eval.budgets") for b in eval_raw.get("budgets", [2, 4])],
     }
     if any(b < 1 for b in eval_cfg["budgets"]):
         raise ConfigError(f"bad eval section: eval.budgets {eval_cfg['budgets']} "
@@ -220,7 +228,7 @@ def cmd_gen_data(args) -> int:
     corpus = bundle["corpus"]
     if args.seed is not None:
         corpus = replace(corpus, seed=args.seed)
-    n = args.n or bundle["n_utterances"]
+    n = args.n if args.n is not None else bundle["n_utterances"]
     with OutputLock(out_dir):
         manifest = generate_corpus(corpus, n, os.path.join(out_dir, "corpus"))
     print(f"wrote {n} utterances, manifest at {manifest}")
@@ -320,7 +328,7 @@ def _read_csv(path, required: tuple[str, ...]):
 def _number(where: str, row: dict, key: str) -> float:
     try:
         return float(row[key])
-    except ValueError:
+    except (TypeError, ValueError):
         raise MalformedRecordError(f"{where}: {key} {row[key]!r} is not a number") from None
 
 
@@ -328,12 +336,11 @@ def cmd_report(args) -> int:
     out_dir = args.out
     metrics = os.path.join(out_dir, "metrics.jsonl")
     if os.path.exists(metrics):
-        records = [rec for _lineno, rec in read_jsonl(metrics)]
+        records = list(read_jsonl(metrics))
         if records:
-            first, last = records[0], records[-1]
-            print(f"training: {len(records)} logged steps, "
-                  f"loss {first.get('total', float('nan')):.4f} -> "
-                  f"{last.get('total', float('nan')):.4f}")
+            first, last = (_number(f"{metrics}:{lineno}", rec, "total") if "total" in rec
+                           else math.nan for lineno, rec in (records[0], records[-1]))
+            print(f"training: {len(records)} logged steps, loss {first:.4f} -> {last:.4f}")
     summary = os.path.join(out_dir, "eval_summary.csv")
     if os.path.exists(summary):
         print("evaluation (mean TER; measured compute ms per chunk):")

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import _is_int
 from .errors import EmptyContextSetError
 
 @dataclass(frozen=True)
@@ -49,12 +50,13 @@ class ContextSets:
 
     @classmethod
     def from_nested(cls, nested: Sequence[Sequence[int]]) -> "ContextSets":
-        """Build from the ``[[L...], [C...], [R...]]`` config notation."""
+        """Build from the ``[[L...], [C...], [R...]]`` config notation, whose
+        values must be integers (a bool is not one)."""
         if len(nested) != 3:
             raise ValueError("expected three candidate lists: left, chunk, right")
-        return cls(tuple(int(v) for v in nested[0]),
-                   tuple(int(v) for v in nested[1]),
-                   tuple(int(v) for v in nested[2]))
+        if bad := [v for values in nested for v in values if not _is_int(v)]:
+            raise ValueError(f"candidate values {bad} are not integers")
+        return cls(*(tuple(int(v) for v in values) for values in nested))
 
 
 def right_context_rows(T: int, spec: ContextSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -19,15 +19,16 @@ respect to the streaming and offline logits are
 where the second terms, which differentiate the teacher side of each KL,
 are added only with ``full_grad``; by default the teacher is a constant.
 
-The fused path never materializes a [T, U+1, V] buffer.  Per utterance,
-one pass over the vocabulary tiles gives both modes' per-cell logsumexps;
-a tile sweep then gives p, q and d for a block of cells through fixed
-scratch blocks, from the raw logits, copied from frame-aligned views of the
-lattices.  ``mcr_backward``, the one implementation, reduces each tile to
-its share of the loss and to gradients in that one sweep (``full_grad``
-adds a first sweep that sums the per-cell KLs, and takes the loss there);
-``mcr_loss`` and ``mcr_forward`` are names for it, the latter keeping only
-the loss and the cell count.  A naive materialized oracle, written per
+The fused path never materializes a [T, U+1, V] buffer.  ``mcr_backward``,
+the one implementation, finishes each block of up to ``_CELL_BLOCK`` valid
+cells before it starts the next: one pass over the vocabulary tiles gives
+both modes' logsumexps (an online softmax), ``full_grad`` adds a pass that
+sums the per-cell KLs and takes the loss there, and a last pass gives p, q
+and d from the raw logits and reduces each tile to its share of the loss
+and to both gradients.  Tiles are copied from runs of frames of the
+lattices into fixed scratch blocks, and no scratch buffer grows with the
+utterance.  ``mcr_loss`` and ``mcr_forward`` are names for it, the latter
+keeping only the loss and the cell count.  A naive materialized oracle, written per
 teacher and student, is the specification, and a memory probe measures both
 paths under the instrumented allocator.
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .corpus import _check_int_fields
 from .errors import ModeShapeMismatchError, NonFiniteInputError
-from .memtrack import MemoryMeter, scratch_empty, scratch_zeros
+from .memtrack import MemoryMeter, scratch_empty
 from .rnnt_loss import JointLogits
 
 KL_WEIGHTS = {"offline_teacher": (1.0, 0.0),
@@ -123,93 +124,21 @@ def _frame_runs(c0: int, c1: int, u1: int) -> tuple:
     return tuple(runs)
 
 
-class _TileKernel:
-    """Scratch blocks and the tile passes over one lattice pair's valid cells.
-
-    ``load`` takes one utterance: its valid cells (t-major, then u) are cut
-    into blocks of ``_CELL_BLOCK`` cells, each a few runs of frames, and both
-    modes' per-cell logsumexps are computed in one pass over the tiles.  A
-    tile is copied from frame-aligned views of the two lattices into one
-    ``[2, cells, width]`` block (offline, streaming).  Every working array,
-    a block's logsumexps included, is a contiguous view of a scratch buffer
-    the meter counts, and no copy makes a temporary; in-place ufuncs on
-    strided views of reused buffers are not reliable on all numpy builds.
-    """
-
-    def __init__(self, V: int, tile: int, dtype, n_max: int) -> None:
-        tw = min(tile, V)
-        self.cols = [slice(v0, min(v0 + tw, V)) for v0 in range(0, V, tw)]
-        size = min(_CELL_BLOCK, max(1, n_max)) * tw
-        # [p | q] and [d | x], each viewed as one [2, cells, width] block
-        self.bpq, self.bdx = (scratch_empty((2 * size,), dtype) for _ in range(2))
-        # per block of cells [c0, c1): both modes' logsumexps at [2·c0, 2·c1)
-        self.lse = scratch_empty((2 * max(1, n_max),), dtype)
-
-    def load(self, zo3: np.ndarray, zs3: np.ndarray, t_len: int, u_len: int) -> int:
-        """Take one utterance's [T, U+1, V] lattices; return its valid cells.
-
-        ``blocks`` then holds ``(cells, runs, lse)`` per block of cells, with
-        ``lse`` the block's [2, cells, 1] logsumexps.
-        """
-        u1 = u_len + 1
-        n = t_len * u1
-        self.z = (zo3, zs3)
-        self.blocks = []
-        for c0 in range(0, n, _CELL_BLOCK):
-            c1 = min(c0 + _CELL_BLOCK, n)
-            self.blocks.append((slice(c0, c1), _frame_runs(c0, c1, u1),
-                                self.lse[2 * c0:2 * c1].reshape(2, c1 - c0, 1)))
-        self._logsumexp()
-        return n
-
-    def _gather(self, runs, n: int, cols: slice) -> np.ndarray:
-        pair = self.bpq[:2 * n * (cols.stop - cols.start)].reshape(2, n, -1)
-        for z, dst in zip(self.z, pair):
-            for rows, shape, frames, labels in runs:
-                np.copyto(dst[rows].reshape(shape), z[frames, labels, cols])
-        return pair
-
-    @staticmethod
-    def scatter(g3: np.ndarray, runs, cols: slice, src: np.ndarray) -> None:
-        """Write a tile of a block's cell rows into a [T, U+1, V] gradient."""
+def _gather(buf: np.ndarray, zs, runs, k: int, cols: slice) -> np.ndarray:
+    """A tile of a block's ``k`` cells, copied from the frame runs of both
+    lattices ``zs`` into one contiguous [2, k, width] view of ``buf``
+    (offline, streaming)."""
+    pair = buf[:2 * k * (cols.stop - cols.start)].reshape(2, k, -1)
+    for z, dst in zip(zs, pair):
         for rows, shape, frames, labels in runs:
-            np.copyto(g3[frames, labels, cols], src[rows].reshape(shape))
+            np.copyto(dst[rows].reshape(shape), z[frames, labels, cols])
+    return pair
 
-    def _logsumexp(self) -> None:
-        """Each block's logsumexps, with running-max rescaling over the tiles."""
-        for cells, runs, m in self.blocks:
-            n = cells.stop - cells.start
-            s = self.bdx[:2 * n].reshape(2, n, 1)
-            m.fill(-np.inf)
-            s.fill(0.0)
-            for cols in self.cols:
-                pair = self._gather(runs, n, cols)
-                if not np.isfinite(pair).all():
-                    raise NonFiniteInputError("joint logits contain non-finite values")
-                new_max = np.maximum(m, pair.max(axis=2, keepdims=True))
-                np.subtract(pair, new_max, out=pair)
-                np.exp(pair, out=pair)
-                s *= np.exp(m - new_max)
-                s += pair.sum(axis=2, keepdims=True)
-                m[:] = new_max
-            np.log(s, out=s)
-            m += s
 
-    def tiles(self):
-        """(cells, runs, cols, p, q, d, x) per tile of the loaded utterance: p
-        and q are the offline and streaming softmaxes, d = log p − log q, and
-        x is a spare block of the same shape.  The caller may overwrite all
-        four."""
-        for cells, runs, lse in self.blocks:
-            n = cells.stop - cells.start
-            for cols in self.cols:
-                pair = self._gather(runs, n, cols)
-                np.subtract(pair, lse, out=pair)
-                p, q = pair
-                d, x = self.bdx[:pair.size].reshape(pair.shape)
-                np.subtract(p, q, out=d)
-                np.exp(pair, out=pair)
-                yield cells, runs, cols, p, q, d, x
+def _scatter(g3: np.ndarray, runs, cols: slice, src: np.ndarray) -> None:
+    """Write a tile of a block's cell rows into a [T, U+1, V] gradient."""
+    for rows, shape, frames, labels in runs:
+        np.copyto(g3[frames, labels, cols], src[rows].reshape(shape))
 
 
 def _kl_term(a: float, b: float, p, q, d) -> float:
@@ -218,59 +147,109 @@ def _kl_term(a: float, b: float, p, q, d) -> float:
 
 
 def mcr_backward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> MCRResult:
-    """Loss and gradients of the batch-reduced loss, from one tile sweep per
-    utterance (two with ``full_grad``, whose first sweep sums the per-cell
-    KLs and takes the loss there)."""
+    """Loss and gradients of the batch-reduced loss, one block of cells at a
+    time.
+
+    A block is up to ``_CELL_BLOCK`` consecutive valid cells of one
+    utterance, t-major, then u; it may start mid-frame.  Per block, one pass
+    over the vocabulary tiles gives both modes' logsumexps, with running-max
+    rescaling; with ``full_grad`` a second pass sums the per-cell KLs and
+    takes the block's share of the loss; a last pass gives p, q and d, the
+    share of the loss (without ``full_grad``) and both gradients.  Every
+    working array, the block's logsumexps and KL columns included, is a
+    contiguous view of a scratch buffer the meter counts, sized by one block,
+    and no copy makes a temporary; in-place ufuncs on strided views of reused
+    buffers are not reliable on all numpy builds.
+    """
     _validate_pair(z_off, z_str)
     a, b = KL_WEIGHTS[cfg.direction]
-    B = z_off.batch_size
+    B, V = z_off.batch_size, z_off.z.shape[-1]
+    tw = min(cfg.tile, V)
+    tiles = [slice(v0, min(v0 + tw, V)) for v0 in range(0, V, tw)]
+    blk = min(_CELL_BLOCK, max(1, int((z_off.t_len * (z_off.u_len + 1)).max())))
+    # [p | q] and [d | x], each viewed as one [2, cells, width] block
+    bpq, bdx = (scratch_empty((2 * blk * tw,), z_off.z.dtype) for _ in range(2))
+    # a block's logsumexps, then with full_grad its KL(p‖q) and KL sums
+    col = scratch_empty(((4 if cfg.full_grad else 2) * blk,), z_off.z.dtype)
     grad_off = np.zeros_like(z_off.z)
     grad_str = np.zeros_like(z_str.z)
-    n_max = int((z_off.t_len * (z_off.u_len + 1)).max())
-    kernel = _TileKernel(z_off.z.shape[-1], cfg.tile, z_off.z.dtype, n_max)
     total = 0.0
     cells = 0
     for i in range(B):
-        n = kernel.load(z_off.z[i], z_str.z[i], int(z_off.t_len[i]), int(z_off.u_len[i]))
+        zs, g_off3, g_str3 = (z_off.z[i], z_str.z[i]), grad_off[i], grad_str[i]
+        u1 = int(z_off.u_len[i]) + 1
+        n = int(z_off.t_len[i]) * u1
         w = 1.0 / (n * B)
         ws, wo = a * w, -b * w          # scales of q − p in g_str and g_off
-        g_off3, g_str3 = grad_off[i], grad_str[i]
         acc = 0.0
-        if cfg.full_grad:
-            kl_pq = scratch_zeros((n, 1), z_off.z.dtype)
-            kl_sum = scratch_zeros((n, 1), z_off.z.dtype)
-            for rows, _runs, _cols, p, q, d, _x in kernel.tiles():
-                acc += _kl_term(a, b, p, q, d)
-                np.multiply(p, d, out=p)
-                np.multiply(q, d, out=q)
-                kl_pq[rows] += p.sum(axis=1, keepdims=True)
-                kl_sum[rows] -= q.sum(axis=1, keepdims=True)
-            kl_sum += kl_pq                 # KL(p‖q) + KL(q‖p)
-            for rows, runs, cols, p, q, d, x in kernel.tiles():
-                np.subtract(q, p, out=x)
-                np.subtract(d, kl_pq[rows], out=d)
-                np.multiply(p, d, out=p)    # p·(d − KL(p‖q))
-                np.add(d, kl_sum[rows], out=d)
-                np.multiply(q, d, out=q)    # q·(d + KL(q‖p))
-                np.multiply(x, ws, out=d)
-                np.multiply(q, wo, out=q)
-                np.add(d, q, out=d)
-                kernel.scatter(g_str3, runs, cols, d)
-                np.multiply(p, ws, out=p)
-                np.multiply(x, wo, out=x)
-                np.add(x, p, out=x)
-                kernel.scatter(g_off3, runs, cols, x)
-            del kl_pq, kl_sum
-        else:
-            for _rows, runs, cols, p, q, d, x in kernel.tiles():
-                acc += _kl_term(a, b, p, q, d)
-                np.subtract(q, p, out=x)
-                if a:
+        for c0 in range(0, n, _CELL_BLOCK):
+            k = min(_CELL_BLOCK, n - c0)
+            runs = _frame_runs(c0, c0 + k, u1)
+            lse = col[:2 * k].reshape(2, k, 1)
+            s = bdx[:2 * k].reshape(2, k, 1)
+            lse.fill(-np.inf)
+            s.fill(0.0)
+            for cols in tiles:
+                pair = _gather(bpq, zs, runs, k, cols)
+                if not np.isfinite(pair).all():
+                    raise NonFiniteInputError("joint logits contain non-finite values")
+                new_max = np.maximum(lse, pair.max(axis=2, keepdims=True))
+                np.subtract(pair, new_max, out=pair)
+                np.exp(pair, out=pair)
+                s *= np.exp(lse - new_max)
+                s += pair.sum(axis=2, keepdims=True)
+                lse[:] = new_max
+            np.log(s, out=s)
+            lse += s
+
+            def sweep():
+                """(cols, p, q, d, x) per tile: p and q are the offline and
+                streaming softmaxes, d = log p − log q, and x is a spare block
+                of the same shape.  The caller may overwrite all four."""
+                for cols in tiles:
+                    pair = _gather(bpq, zs, runs, k, cols)
+                    np.subtract(pair, lse, out=pair)
+                    p, q = pair
+                    d, x = bdx[:pair.size].reshape(pair.shape)
+                    np.subtract(p, q, out=d)
+                    np.exp(pair, out=pair)
+                    yield cols, p, q, d, x
+
+            if cfg.full_grad:
+                kl_pq, kl_sum = col[2 * k:4 * k].reshape(2, k, 1)
+                kl_pq.fill(0.0)
+                kl_sum.fill(0.0)
+                for _cols, p, q, d, _x in sweep():
+                    acc += _kl_term(a, b, p, q, d)
+                    np.multiply(p, d, out=p)
+                    np.multiply(q, d, out=q)
+                    kl_pq += p.sum(axis=1, keepdims=True)
+                    kl_sum -= q.sum(axis=1, keepdims=True)
+                kl_sum += kl_pq                 # KL(p‖q) + KL(q‖p)
+                for cols, p, q, d, x in sweep():
+                    np.subtract(q, p, out=x)
+                    np.subtract(d, kl_pq, out=d)
+                    np.multiply(p, d, out=p)    # p·(d − KL(p‖q))
+                    np.add(d, kl_sum, out=d)
+                    np.multiply(q, d, out=q)    # q·(d + KL(q‖p))
                     np.multiply(x, ws, out=d)
-                    kernel.scatter(g_str3, runs, cols, d)
-                if b:
+                    np.multiply(q, wo, out=q)
+                    np.add(d, q, out=d)
+                    _scatter(g_str3, runs, cols, d)
+                    np.multiply(p, ws, out=p)
                     np.multiply(x, wo, out=x)
-                    kernel.scatter(g_off3, runs, cols, x)
+                    np.add(x, p, out=x)
+                    _scatter(g_off3, runs, cols, x)
+            else:
+                for cols, p, q, d, x in sweep():
+                    acc += _kl_term(a, b, p, q, d)
+                    np.subtract(q, p, out=x)
+                    if a:
+                        np.multiply(x, ws, out=d)
+                        _scatter(g_str3, runs, cols, d)
+                    if b:
+                        np.multiply(x, wo, out=x)
+                        _scatter(g_off3, runs, cols, x)
         total += acc / n
         cells += n
     return MCRResult(total / B, grad_off, grad_str, cells)

@@ -1,10 +1,10 @@
 """Byte accounting for auxiliary loss-path buffers.
 
 A ``MemoryMeter`` installed as a context manager sees every buffer the loss
-kernels allocate through :func:`scratch_empty` and friends.  Frees are
-detected through weakref finalizers, so ``peak`` reflects the true high-water
-mark of live scratch bytes.  With no active meter the helpers degrade to
-plain ``np.empty`` / ``np.zeros``.
+kernels allocate through :func:`scratch_empty`.  Frees are detected through
+weakref finalizers, so ``peak`` reflects the true high-water mark of live
+scratch bytes.  With no active meter :func:`scratch_empty` is plain
+``np.empty``.
 
 Inputs and gradient outputs are never routed through here; the meter measures
 auxiliary storage only.
@@ -68,7 +68,3 @@ def _register(arr: np.ndarray) -> np.ndarray:
 
 def scratch_empty(shape, dtype=np.float64) -> np.ndarray:
     return _register(np.empty(shape, dtype=dtype))
-
-
-def scratch_zeros(shape, dtype=np.float64) -> np.ndarray:
-    return _register(np.zeros(shape, dtype=dtype))

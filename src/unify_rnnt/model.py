@@ -77,12 +77,12 @@ class ModelConfig:
             raise ValueError("conv_kernel must be odd and positive")
         if self.vocab_size < 2:
             raise ValueError("vocab_size must be >= 2 (blank plus one token)")
-        if self.blocks < 1:
-            raise ValueError("blocks must be >= 1")
+        for name in ("feat_dim", "model_dim", "heads", "blocks", "subsample_factor",
+                     "predictor_dim", "joint_dim", "ff_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.model_dim % self.heads != 0:
             raise ValueError("model_dim must be divisible by heads")
-        if self.subsample_factor < 1:
-            raise ValueError("subsample_factor must be >= 1")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be float32 or float64")
 

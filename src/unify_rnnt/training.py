@@ -96,10 +96,10 @@ class TrainConfig:
             raise ValueError("need 0 <= min_lr <= max_lr")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not self.weight_decay >= 0:
-            raise ValueError("weight_decay must be >= 0")
-        if not self.clip_norm >= 0:
-            raise ValueError("clip_norm must be >= 0 (0 turns clipping off)")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
+        if not 0 <= self.clip_norm < math.inf:
+            raise ValueError("clip_norm must be finite and >= 0 (0 turns clipping off)")
 
 
 def cosine_lr(step: int, cfg: TrainConfig) -> float:

@@ -145,7 +145,9 @@ class TestGenData:
         assert main(["gen-data", "--config", str(config)]) == 2
         assert f"bad {section} section" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value", [("weight_decay", -1.0), ("clip_norm", -2.0)])
+    @pytest.mark.parametrize("key,value", [("weight_decay", -1.0), ("clip_norm", -2.0),
+                                           ("weight_decay", float("inf")),
+                                           ("clip_norm", float("inf"))])
     def test_optimizer_setting_that_corrupts_training_rejected(self, tmp_path, capsys,
                                                                key, value):
         # a negative clip_norm once turned clipping off without a word
@@ -179,11 +181,12 @@ class TestGenData:
 
     @staticmethod
     def _set(tmp_path, section, key, value):
-        """A config with ``section``'s ``key`` set; ``train.mcr`` is nested."""
+        """A config with ``section``'s ``key`` set; ``train.mcr`` is nested and
+        ``""`` is the top level."""
         out = tmp_path / "run"
         data = yaml.safe_load(open(write_config(tmp_path / "base.yaml", out)))
         node = data
-        for part in section.split("."):
+        for part in filter(None, section.split(".")):
             node = node[part]
         node[key] = value
         return write_config(tmp_path / "c.yaml", out, **data), out
@@ -197,11 +200,16 @@ class TestGenData:
         ("gen-data", "corpus", "noise_sigma", float("inf")),
         ("gen-data", "corpus", "ambiguous_boost", float("nan")),
         ("gen-data", "corpus", "ambiguous_boost", float("inf")),
+        ("train", "model", "heads", 0), ("train", "model", "heads", -1),
+        ("train", "model", "model_dim", -4), ("train", "model", "ff_dim", 0),
+        ("train", "model", "joint_dim", -1), ("train", "model", "feat_dim", 0),
+        ("train", "model", "predictor_dim", 0),
     ], ids=lambda v: str(v))
     def test_non_finite_or_out_of_range_float_is_config_error(self, tmp_path, capsys,
                                                               command, section, key, value):
-        # these once ran training steps into a numerical failure (exit 3), or
-        # wrote NaN features that train then rejected (exit 4)
+        # these once ran training steps into a numerical failure (exit 3),
+        # wrote NaN features that train then rejected (exit 4), or, for a
+        # model size, were accepted or crashed with a traceback (exit 1)
         config, out = self._set(tmp_path, section, key, value)
         assert main([command, "--config", str(config)]) == 2
         assert f"bad {section} section" in capsys.readouterr().err
@@ -221,6 +229,33 @@ class TestGenData:
         assert main([command, "--config", str(config)]) == 2
         assert f"bad {section} section: {key} must be an integer" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("section,key,value,what", [
+        ("", "seed", 1.7, "seed must be an integer, got 1.7"),
+        ("corpus", "n_utterances", 3.9, "corpus.n_utterances must be an integer, got 3.9"),
+        ("corpus", "n_utterances", True, "corpus.n_utterances must be an integer, got True"),
+        ("eval", "left", 12.9, "eval.left must be an integer, got 12.9"),
+        ("eval", "specs", [[1.5, 0]], "eval.specs must be an integer, got 1.5"),
+        ("eval", "budgets", [2.5], "eval.budgets must be an integer, got 2.5"),
+        ("eval", "budgets", [True], "eval.budgets must be an integer, got True"),
+        ("train", "context_sets", [[12.7], [1.9], [True]],
+         "candidate values [12.7, 1.9, True] are not integers"),
+    ], ids=["seed", "n_utterances-float", "n_utterances-bool", "left", "specs",
+            "budgets-float", "budgets-bool", "context_sets"])
+    def test_non_integer_outside_the_dataclasses_is_config_error(self, tmp_path, capsys,
+                                                                 section, key, value, what):
+        # int() once truncated these, or read a bool as 0 or 1
+        config, out = self._set(tmp_path, section, key, value)
+        assert main(["gen-data", "--config", str(config)]) == 2
+        assert what in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_utterances_flag_is_config_error(self, workspace, capsys):
+        # --n 0 once fell back to the config's utterance count
+        config, out = workspace
+        assert main(["gen-data", "--config", str(config), "--n", "0"]) == 2
+        assert "n must be >= 1" in capsys.readouterr().err
+        assert not (out / "corpus").exists()
 
 
 class TestTrainEvalPipeline:
@@ -591,12 +626,23 @@ class TestMalformedRunFiles:
                                "0.08,0.08"], "missing fields ['right_s', 'ter']"),
         ("eval_summary.csv", ["mode,chunk_s,right_s,latency_s,chunk_compute_ms,ter",
                               "offline,,,inf,1.5,abc"], "ter 'abc' is not a number"),
-    ], ids=["no-column", "short-row", "non-numeric"])
+        ("metrics.jsonl", ['{"step": 1, "total": 2.0}', '{"step": 2, "total": "abc"}'],
+         "total 'abc' is not a number"),
+        ("metrics.jsonl", ['{"step": 1, "total": null}'], "total None is not a number"),
+        ("metrics.jsonl", ['{"step": 1, "total": 2.0}', '{"step": 2, "total": [1.5]}'],
+         "total [1.5] is not a number"),
+    ], ids=["no-column", "short-row", "non-numeric", "total-string", "total-null",
+            "total-list"])
     def test_report_on_malformed_csv_is_io_error(self, tmp_path, capsys, name, lines, what):
         path = tmp_path / name
         path.write_text("\n".join(lines) + "\n")
         assert main(["report", "--out", str(tmp_path)]) == 4
         assert f"I/O error: {path}:{len(lines)}: {what}" in capsys.readouterr().err
+
+    def test_report_without_a_total_prints_nan(self, tmp_path, capsys):
+        (tmp_path / "metrics.jsonl").write_text('{"step": 1}\n{"step": 2, "total": 0.5}\n')
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        assert "training: 2 logged steps, loss nan -> 0.5000" in capsys.readouterr().out
 
 
 class TestConfigDefaults:

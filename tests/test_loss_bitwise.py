@@ -255,8 +255,9 @@ def ragged_pair(rng, dtype, B, T, U, V):
 
 
 # (B, T, U, V); 15·10 and 40·6 cells put the second cell block's first cell
-# in the middle of a frame
-SHAPES = [(3, 4, 3, 9), (2, 15, 9, 7), (3, 6, 4, 18), (1, 1, 0, 5), (2, 40, 5, 6)]
+# in the middle of a frame, and 151 label rows split a frame between two blocks
+SHAPES = [(3, 4, 3, 9), (2, 15, 9, 7), (3, 6, 4, 18), (1, 1, 0, 5), (2, 40, 5, 6),
+          (2, 2, 150, 4)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

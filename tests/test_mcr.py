@@ -11,6 +11,7 @@ from unify_rnnt.errors import ModeShapeMismatchError, NonFiniteInputError
 from unify_rnnt.gradcheck import finite_difference_grad, max_rel_error
 from unify_rnnt.mcr import (MCRConfig, mcr_backward, mcr_forward, mcr_loss,
                             mcr_memory_probe, mcr_naive_oracle)
+from unify_rnnt.memtrack import MemoryMeter
 from unify_rnnt.rnnt_loss import JointLogits
 
 DIRS = ("offline_teacher", "streaming_teacher", "symmetric")
@@ -339,3 +340,16 @@ class TestErrorsAndProbe:
         large = mcr_memory_probe((1, 8, 4, 256), tile=256)
         assert abs(small["loss_fused"] - large["loss_fused"]) <= 1e-12
         assert large["aux_bytes_fused"] > small["aux_bytes_fused"]
+
+    @pytest.mark.parametrize("full_grad", [False, True])
+    def test_peak_does_not_grow_with_lattice_length(self, rng, full_grad):
+        # scratch is sized by one block of cells; 20·13 cells already fill one
+        cfg = MCRConfig(tile=6, full_grad=full_grad)
+        peaks = []
+        for T in (20, 200):
+            a, b = (JointLogits(rng.standard_normal((2, T, 13, 18)).astype(np.float32),
+                                [T, T // 2], [12, 12]) for _ in range(2))
+            with MemoryMeter() as meter:
+                mcr_loss(a, b, cfg)
+            peaks.append(meter.peak)
+        assert peaks[0] == peaks[1], peaks
