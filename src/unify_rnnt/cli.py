@@ -3,7 +3,10 @@
 Configuration lives in one YAML file with corpus/model/train/eval sections;
 every training hyperparameter (alpha, lambda, teacher direction, context
 sets) is a named key so ablation grids are scriptable.  All outputs land
-under the configured output directory, guarded by a pid lock file.
+under the configured output directory, guarded by a lock the kernel holds:
+a lock file left behind by a run that died never blocks, and a run that
+finds the lock held exits 4.  Resuming a checkpoint past ``train.steps``
+is a config error.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 I/O error (a
 missing, corrupt or malformed run file: ``CorruptCheckpointError``,
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import fcntl
 import json
 import math
 import os
@@ -150,13 +154,14 @@ def _parse_config(data: dict) -> dict:
 
 
 class OutputLock:
-    """One process owns an output directory at a time (pid lock file).
+    """One process owns an output directory at a time: a lock the kernel holds.
 
-    The lock file is created atomically (``O_CREAT | O_EXCL``), which also
-    proves the directory writable: a directory that cannot be made, or a lock
-    file that cannot be created in it, raises ``ConfigError``.  A lock left
-    by a dead or unparsable pid is removed and creation retried once; a lock
-    held by a live pid raises ``OSError``.
+    The lock is an exclusive ``flock`` on the lock file, which the kernel
+    releases when its holder exits, however it exits, so a file left behind
+    never blocks.  Opening the lock file is the writability check: a
+    directory that cannot be made, or a lock file that cannot be opened in
+    it, raises ``ConfigError``.  A lock another process holds raises
+    ``OSError``.
     """
 
     def __init__(self, out_dir):
@@ -168,53 +173,36 @@ class OutputLock:
             os.makedirs(self.out_dir, exist_ok=True)
         except OSError as exc:
             raise self._unwritable(exc) from exc
-        try:
-            self._create()
-        except FileExistsError:
-            self._remove_stale()
-            self._create()
-        except OSError as exc:
-            raise self._unwritable(exc) from exc
-        return self
+        while True:
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o644)
+            except OSError as exc:
+                raise self._unwritable(exc) from exc
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                # the holder before us removes the file, then releases the
+                # lock: if it did so after our open, ours is the removed file
+                if os.path.samestat(os.fstat(fd), os.stat(self.path)):
+                    self._fd, fd = fd, -1
+                    return self
+            except BlockingIOError:
+                raise OSError(f"output directory {self.out_dir} is locked by a "
+                              "running process") from None
+            except FileNotFoundError:
+                pass
+            finally:
+                if fd >= 0:
+                    os.close(fd)
 
     def _unwritable(self, exc: OSError) -> ConfigError:
         return ConfigError(f"unwritable output directory {self.out_dir}: {exc}")
-
-    def _create(self) -> None:
-        fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
-
-    def _remove_stale(self) -> None:
-        try:
-            with open(self.path) as fh:
-                pid = int(fh.read().strip())
-        except FileNotFoundError:
-            return
-        except ValueError:
-            pid = -1
-        if pid > 0 and _pid_alive(pid):
-            raise OSError(f"output directory locked by running pid {pid}")
-        try:
-            os.remove(self.path)
-        except FileNotFoundError:
-            pass
 
     def __exit__(self, *exc):
         try:
             os.remove(self.path)
         except FileNotFoundError:
             pass
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
+        os.close(self._fd)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +217,8 @@ def cmd_gen_data(args) -> int:
     if args.seed is not None:
         corpus = replace(corpus, seed=args.seed)
     n = args.n if args.n is not None else bundle["n_utterances"]
+    if n < 1:
+        raise ConfigError("n must be >= 1")
     with OutputLock(out_dir):
         manifest = generate_corpus(corpus, n, os.path.join(out_dir, "corpus"))
     print(f"wrote {n} utterances, manifest at {manifest}")

@@ -5,6 +5,12 @@ model and its losses need, in 32- or 64-bit float.  A :class:`Tape` records
 one op per call while active; ``Tape.backward`` replays the records in exact
 reverse order and accumulates gradients additively into ``Tensor.grad``.
 
+An op is a forward kernel plus ``backward(g)``, which adds its inputs'
+gradients from the gradient ``g`` of its output.  ``Tape.record_output``
+runs it only for an output that received a gradient: one that nothing read,
+or that ``weighted_sum`` read with all-zero weights, keeps ``grad`` None and
+costs no backward work.
+
 A tape is single-threaded by contract: one graph, one thread.  Ops themselves
 are pure functions of their inputs and may run concurrently on disjoint
 tensors.
@@ -58,6 +64,16 @@ class Tape:
 
     def record(self, name: str, backward_fn: Callable[[], None]) -> None:
         self._records.append((name, backward_fn))
+
+    def record_output(self, name: str, out: "Tensor",
+                      backward: Callable[[np.ndarray], None]) -> None:
+        """Record an op's ``backward``, run on replay as ``backward(out.grad)``
+        only if ``out`` received a gradient."""
+        def replay() -> None:
+            g = out.grad
+            if g is not None:
+                backward(g)
+        self.record(name, replay)
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -187,10 +203,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """
     out, tape = _result((a, b), _add(a.data, b.data))
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             if a.requires_grad:
                 if g.shape == a.data.shape:
                     a.accum_grad(g)
@@ -200,7 +213,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
                     a.accum_grad(ga)
             if b.requires_grad:
                 b.accum_grad(g)
-        tape.record("add", bwd)
+        tape.record_output("add", out, backward)
     return out
 
 
@@ -225,10 +238,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     else:
         out, tape = _result((x, w, b), _linear(x.data, w.data, b.data))
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             if x.requires_grad:
                 x.accum_grad(g @ w.data.T)
             rows = g.reshape(-1, g.shape[-1])
@@ -236,7 +246,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
                 w.accum_grad(x.data.reshape(-1, x.shape[-1]).T @ rows)
             if b is not None and b.requires_grad:
                 b.accum_grad(rows.sum(axis=0))
-        tape.record("linear", bwd)
+        tape.record_output("linear", out, backward)
     return out
 
 
@@ -247,12 +257,9 @@ matmul = linear
 def tanh(x: Tensor) -> Tensor:
     out, tape = _result((x,), np.tanh(x.data))
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             x.accum_grad(g * (1.0 - out.data * out.data))
-        tape.record("tanh", bwd)
+        tape.record_output("tanh", out, backward)
     return out
 
 
@@ -263,12 +270,9 @@ def _relu(x: np.ndarray) -> np.ndarray:
 def relu(x: Tensor) -> Tensor:
     out, tape = _result((x,), _relu(x.data))
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             x.accum_grad(g * (x.data > 0.0))
-        tape.record("relu", bwd)
+        tape.record_output("relu", out, backward)
     return out
 
 
@@ -295,10 +299,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     data, xhat, inv = _layer_norm(x.data, gain.data, bias.data)
     out, tape = _result((x, gain, bias), data)
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             dxhat = g * gain.data
             if x.requires_grad:
                 m1 = _row_mean(dxhat)
@@ -308,7 +309,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
                 gain.accum_grad((g * xhat).sum(axis=0))
             if bias.requires_grad:
                 bias.accum_grad(g.sum(axis=0))
-        tape.record("layer_norm", bwd)
+        tape.record_output("layer_norm", out, backward)
     return out
 
 
@@ -325,26 +326,20 @@ def embedding(table: Tensor, ids) -> Tensor:
         raise ValueError(f"embedding ids out of range [0, {n})")
     out, tape = _result((table,), table.data[ids])
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
             np.add.at(table.grad, ids, g)
-        tape.record("embedding", bwd)
+        tape.record_output("embedding", out, backward)
     return out
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     out, tape = _result((x,), x.data.reshape(shape))
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             x.accum_grad(g.reshape(x.data.shape))
-        tape.record("reshape", bwd)
+        tape.record_output("reshape", out, backward)
     return out
 
 
@@ -366,16 +361,13 @@ def outer_add(a: Tensor, b: Tensor) -> Tensor:
     data = (a5 + b.data.reshape(1, m, 1, u, d)).reshape(a.shape[:-1] + (u, d))
     out, tape = _result((a, b), data)
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             g5 = g.reshape(a5.shape[:3] + (u, d))
             if a.requires_grad:
                 a.accum_grad(g5.sum(axis=3).reshape(a.shape))
             if b.requires_grad:
                 b.accum_grad(g5.sum(axis=(0, 2)).reshape(b.shape))
-        tape.record("outer_add", bwd)
+        tape.record_output("outer_add", out, backward)
     return out
 
 
@@ -391,14 +383,11 @@ def weighted_sum(pairs: Sequence[tuple[Tensor, float | np.ndarray]]) -> Tensor:
     total = sum(float(np.dot(w, t.data)) if np.ndim(w) else w * t.item() for t, w in pairs)
     out, tape = _result(tuple(t for t, _ in pairs), np.asarray(total, dtype=dtype))
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             for t, w in pairs:
                 if t.requires_grad and np.any(w != 0.0):
                     t.accum_grad(np.asarray(float(g) * w, dtype=t.data.dtype))
-        tape.record("weighted_sum", bwd)
+        tape.record_output("weighted_sum", out, backward)
     return out
 
 
@@ -535,10 +524,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask | Segm
     data, inv_scale, parts = _masked_attention(q.data, k.data, v.data, mask, heads)
     out, tape = _result((q, k, v), data)
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             # (input, gradient): the gradient is filled part by part when the
             # mask has segments, whose rows partition the input's rows
             grads = [(t, None if parts[0][0] is None else np.empty_like(t.data))
@@ -559,7 +545,7 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask | Segm
             for t, full in grads:
                 if t.requires_grad and full is not None:
                     t.accum_grad(full)
-        tape.record("masked_attention", bwd)
+        tape.record_output("masked_attention", out, backward)
     return out
 
 
@@ -657,10 +643,7 @@ def depthwise_conv1d_windows(x: Tensor, kernel: Tensor, taps: ConvTaps) -> Tenso
     """
     out, tape = _result((x, kernel), _depthwise_conv1d_windows(x.data, kernel.data, taps))
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             index = taps.index
             k, d = kernel.data.shape
             if kernel.requires_grad:
@@ -674,7 +657,7 @@ def depthwise_conv1d_windows(x: Tensor, kernel: Tensor, taps: ConvTaps) -> Tenso
                 gk = np.zeros((index.size + 1, d), dtype=np.result_type(g, kernel.data))
                 np.multiply(g, kernel.data[:, None, :], out=gk[:-1].reshape(k, -1, d))
                 x.accum_grad(gk[taps.readers(x.data.shape[0])].sum(axis=0))
-        tape.record("depthwise_conv1d", bwd)
+        tape.record_output("depthwise_conv1d", out, backward)
     return out
 
 
@@ -767,10 +750,7 @@ def gru_sequence(emb: Tensor, h0: Tensor,
     inputs = (emb, h0, wz, uz, bz, wr, ur, br, wc, uc, bc)
     out, tape = _result(inputs, np.ascontiguousarray(np.moveaxis(hs, 0, -2)))
     if tape is not None:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             # the tensors come from ``inputs``: a closure over all eleven
             # names holds 20 cells, and CPython's free list for tuples of
             # that size then kept ~0.4 MB of them alive over a training run
@@ -815,5 +795,5 @@ def gru_sequence(emb: Tensor, h0: Tensor,
             for p, a in ((bz, daz), (br, dar), (bc, dac)):
                 if p.requires_grad:
                     p.accum_grad(a.sum(axis=0))
-        tape.record("gru_sequence", bwd)
+        tape.record_output("gru_sequence", out, backward)
     return out

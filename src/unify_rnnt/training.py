@@ -244,10 +244,7 @@ def _loss_node(name: str, lattices: Sequence[Tensor], value, grad: np.ndarray) -
                  requires_grad=any(z.requires_grad for z in lattices))
     tape = tz.active_tape()
     if tape is not None and out.requires_grad:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
+        def backward(g):
             scaled = grad * (g[:, None, None, None] if g.ndim else float(g))
             start = 0
             for z in lattices:
@@ -255,7 +252,7 @@ def _loss_node(name: str, lattices: Sequence[Tensor], value, grad: np.ndarray) -
                 if z.requires_grad:
                     z.accum_grad(scaled[start:start + n].reshape(z.shape))
                 start += n
-        tape.record(name, bwd)
+        tape.record_output(name, out, backward)
     return out
 
 
@@ -409,10 +406,13 @@ def run_training(model: TransducerModel, utterances: list[Utterance],
     Per step the rng draws, in order: batch indices, then the draws of
     ``step_modes``.  Appends one JSON record per step to
     ``metrics_path`` and writes a final checkpoint, with the rng state, if
-    requested.
+    requested.  A ``start_step`` past ``cfg.steps`` raises ``ValueError``
+    before any step or write: the checkpoint would store the wrong step.
     """
     if not utterances:
         raise EmptyBatchError("training corpus is empty")
+    if start_step > cfg.steps:
+        raise ValueError(f"cannot resume at step {start_step} past train.steps {cfg.steps}")
     if opt is None:
         opt = AdamW(model.parameters(), lr=cfg.max_lr,
                     weight_decay=cfg.weight_decay)

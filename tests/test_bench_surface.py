@@ -48,8 +48,11 @@ def test_instrumentation_installs_and_uninstalls(perfbench):
 
 def test_traced_calls_record_the_spans_per_layer_reads(perfbench):
     """``bench.per_layer`` divides the loss head's transducer time by its count
-    of ``rnnt_forward_single`` spans and reads a train step's ``AdamW.step``
-    and ``clip_global_norm`` spans: traced calls record each of them."""
+    of ``rnnt_forward_single`` spans, reads a train step's ``AdamW.step``
+    and ``clip_global_norm`` spans, and reads each tape op's backward time
+    (``tensor.bwd_ms.<op>``) from its ``bwd.<name>`` spans: traced calls
+    record each of them."""
+    from test_tensor_ops import TestOpContract
     from unify_rnnt.contexts import ContextSets
     from unify_rnnt.corpus import CorpusConfig, generate_utterances
     from unify_rnnt.mcr import MCRConfig
@@ -84,6 +87,10 @@ def test_traced_calls_record_the_spans_per_layer_reads(perfbench):
     assert calls.get(("head", "", "rnnt_forward_single"), 0) >= 1
     assert calls.get(("train_step", "", "AdamW.step")) == 1
     assert calls.get(("train_step", "", "clip_global_norm")) == 1
+    # every op's backward is registered through the patched ``Tape.record``
+    ops = TestOpContract.MODEL_OPS | TestOpContract.LOSS_OPS
+    assert len(ops) == 14
+    assert {name for name in ops if calls.get(("train_step", "", "bwd." + name), 0) < 1} == set()
 
 
 def test_gate_call_shapes_run_on_a_tiny_model(perfbench):

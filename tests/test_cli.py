@@ -2,10 +2,15 @@
 
 import csv
 import dataclasses
+import fcntl
 import gc
 import json
 import os
+import signal
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,7 +260,17 @@ class TestGenData:
         config, out = workspace
         assert main(["gen-data", "--config", str(config), "--n", "0"]) == 2
         assert "n must be >= 1" in capsys.readouterr().err
-        assert not (out / "corpus").exists()
+        assert not out.exists()
+
+    def test_zero_utterances_in_the_config_leaves_no_directory(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        config = write_config(tmp_path / "c.yaml", out)
+        cfg = yaml.safe_load(config.read_text())
+        cfg["corpus"]["n_utterances"] = 0
+        config.write_text(yaml.safe_dump(cfg))
+        assert main(["gen-data", "--config", str(config)]) == 2
+        assert "n must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainEvalPipeline:
@@ -395,6 +410,24 @@ class TestTrainEvalPipeline:
                      "--resume", str(ckpt)]) == 0
         # resumed run starts past the stored step count (here: nothing left)
         assert (out2 / "checkpoint.urnt").exists()
+
+    def test_resume_past_the_configured_steps_is_config_error(self, workspace, tmp_path,
+                                                             capsys):
+        # a 6-step checkpoint resumed with steps: 3 would store step 3 beside
+        # an optimizer at step 6
+        config, out = workspace
+        assert main(["gen-data", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        cfg = yaml.safe_load(config.read_text())
+        cfg["train"]["steps"] = 3
+        short = tmp_path / "short.yaml"
+        short.write_text(yaml.safe_dump(cfg))
+        ckpt, metrics = out / "checkpoint.urnt", out / "metrics.jsonl"
+        before = ckpt.read_bytes(), metrics.read_bytes()
+        capsys.readouterr()
+        assert main(["train", "--config", str(short), "--resume", str(ckpt)]) == 2
+        assert "past train.steps 3" in capsys.readouterr().err
+        assert (ckpt.read_bytes(), metrics.read_bytes()) == before
 
     def test_resume_continues_rng(self, workspace, tmp_path):
         # train 3 steps, resume to 6: same rng state and spec sequence as 6 straight
@@ -713,37 +746,69 @@ class TestLocking:
         assert not (out / ".unify-rnnt.lock").exists()
 
     def test_live_lock_blocks(self, workspace):
+        # another holder's flock, on a descriptor of its own
         config, out = workspace
         out.mkdir(parents=True, exist_ok=True)
-        (out / ".unify-rnnt.lock").write_text(str(os.getpid()))
-        assert main(["gen-data", "--config", str(config)]) == 4
-        (out / ".unify-rnnt.lock").unlink()
+        lock = out / ".unify-rnnt.lock"
+        fd = os.open(lock, os.O_CREAT | os.O_WRONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            assert main(["gen-data", "--config", str(config)]) == 4
+            assert [p.name for p in out.iterdir()] == [lock.name]
+        finally:
+            os.close(fd)
+        assert main(["gen-data", "--config", str(config)]) == 0
 
-    def test_lock_taken_after_check_blocks(self, workspace, monkeypatch):
-        # another live process creates the lock between our check and our write
+    @pytest.mark.parametrize("pid", ["own", "1"])
+    def test_lock_file_naming_a_live_pid_does_not_block(self, workspace, pid):
+        # what a killed run leaves once its pid is reused: pid 1 is always alive
         config, out = workspace
-        lock = str(out / ".unify-rnnt.lock")
-        real_exists, real_open = os.path.exists, os.open
+        out.mkdir(parents=True, exist_ok=True)
+        (out / ".unify-rnnt.lock").write_text(str(os.getpid()) if pid == "own" else pid)
+        assert main(["gen-data", "--config", str(config)]) == 0
+        assert not (out / ".unify-rnnt.lock").exists()
 
-        def plant():
-            with open(lock, "x") as fh:
-                fh.write(str(os.getpid()))
+    def test_lock_on_a_replaced_file_is_taken_again(self, workspace, monkeypatch):
+        # the holder before us removes the file and another run creates it
+        # again, after our open and before our flock: ours is the removed
+        # file, so the lock must be taken on the new one
+        config, out = workspace
+        out.mkdir(parents=True, exist_ok=True)
+        lock, real_flock, locked = out / ".unify-rnnt.lock", fcntl.flock, []
 
-        def exists(path):
-            if os.fspath(path) == lock and not real_exists(lock):
-                plant()
-                return False
-            return real_exists(path)
+        def flock(fd, op):
+            if not locked:
+                lock.unlink()
+                lock.touch()
+            locked.append(os.fstat(fd).st_ino)
+            return real_flock(fd, op)
+        monkeypatch.setattr(fcntl, "flock", flock)
+        with cli.OutputLock(str(out)):
+            assert len(locked) == 2 and locked[1] == lock.stat().st_ino
+        assert not lock.exists()
 
-        def os_open(path, *args, **kwargs):
-            if os.fspath(path) == lock and not real_exists(lock):
-                plant()
-            return real_open(path, *args, **kwargs)
-
-        monkeypatch.setattr(os.path, "exists", exists)
-        monkeypatch.setattr(os, "open", os_open)
-        assert main(["gen-data", "--config", str(config)]) == 4
-        assert (out / ".unify-rnnt.lock").read_text() == str(os.getpid())
+    def test_killed_holder_leaves_the_directory_usable(self, workspace):
+        config, out = workspace
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        holder = subprocess.Popen(
+            [sys.executable, "-c", "import sys, time\n"
+             "from unify_rnnt.cli import OutputLock\n"
+             "with OutputLock(sys.argv[1]):\n"
+             "    print('locked', flush=True)\n"
+             "    time.sleep(120)\n", str(out)],
+            env=env, stdout=subprocess.PIPE, text=True)
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            assert main(["gen-data", "--config", str(config)]) == 4
+        finally:
+            holder.kill()
+            holder.wait(timeout=30)
+            holder.stdout.close()
+        assert holder.returncode == -signal.SIGKILL
+        assert (out / ".unify-rnnt.lock").exists()
+        assert main(["gen-data", "--config", str(config)]) == 0
 
     def test_stale_lock_stolen(self, workspace):
         config, out = workspace

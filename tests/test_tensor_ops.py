@@ -386,6 +386,31 @@ class TestTapeMechanics:
             tape.backward(tz.tanh(w))
         assert unused.grad is None
 
+    def test_outputs_that_got_no_gradient_run_no_backward(self, rng):
+        # one tanh(y) is read by nothing, another enters weighted_sum with
+        # zero weights, and a loss node enters it with weight 0.0: their
+        # backwards must not run, and x and w get what the graph without the
+        # three branches gives them
+        from unify_rnnt.training import rnnt_loss_node
+        x0, w0 = rng.standard_normal((4, 3)), rng.standard_normal((3, 5))
+        c = rng.standard_normal(20)
+
+        def grads(extra: bool):
+            x, w = tz.parameter(x0), tz.parameter(w0)
+            with tz.Tape() as tape:
+                y = tz.linear(x, w)
+                # weighted_sum takes array weights on a vector
+                terms, unread = [(tz.reshape(y, (20,)), c)], []
+                if extra:
+                    unread = [tz.tanh(y), tz.tanh(y), tz.reshape(y, (2, 2, 5))]
+                    unread += [tz.reshape(unread[1], (20,)), rnnt_loss_node(unread[2], [2])]
+                    terms += [(unread[3], np.zeros(20)), (unread[4], 0.0)]
+                tape.backward(tz.weighted_sum(terms))
+            assert all(t.grad is None for t in unread)
+            return x.grad, w.grad
+        for bare, full in zip(grads(False), grads(True)):
+            assert bare.tobytes() == full.tobytes()
+
     def test_backward_visits_reverse_order(self):
         seen = []
         t = tz.Tape()

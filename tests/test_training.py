@@ -556,6 +556,22 @@ class TestResume:
         records = [json.loads(l) for l in open(metrics)]
         assert [r["step"] for r in records] == [5, 6, 7, 8]
 
+    def test_resume_past_the_configured_steps_raises_before_any_write(self, utts,
+                                                                    tmp_path):
+        model = TransducerModel(MODEL_CFG)
+        before = [p.data.copy() for p in model.parameters()]
+        metrics, ckpt = tmp_path / "metrics.jsonl", tmp_path / "ck.urnt"
+        with pytest.raises(ValueError, match="past train.steps 3"):
+            run_training(model, utts, small_train_cfg(steps=3), metrics_path=metrics,
+                         checkpoint_path=ckpt, start_step=4)
+        assert not metrics.exists() and not ckpt.exists()
+        assert all(a.tobytes() == p.data.tobytes()
+                   for a, p in zip(before, model.parameters()))
+        # resuming at the last step is a no-op that still writes the checkpoint
+        run_training(model, utts, small_train_cfg(steps=3), checkpoint_path=ckpt,
+                     start_step=3)
+        assert ckpt.exists()
+
 
 # runs in a fresh interpreter with one BLAS thread: results are bit-exact only
 # at a fixed thread count
