@@ -113,6 +113,12 @@ def head_batches(setup, seed: int, spec: ContextSpec) -> list:
     model = TransducerModel(replace(setup.model, seed=seed))
     utts = generate_utterances(replace(setup.eval_corpus, seed=seed),
                                HEAD_BATCHES * HEAD_BATCH_SIZE)
+    return lattice_batches(model, utts, spec)
+
+
+def lattice_batches(model: TransducerModel, utts, spec: ContextSpec) -> list:
+    """Padded ``(offline, streaming, targets)`` lattice batches of ``model``
+    over consecutive groups of ``HEAD_BATCH_SIZE`` of ``utts``."""
     batches = []
     for b0 in range(0, len(utts), HEAD_BATCH_SIZE):
         group = utts[b0:b0 + HEAD_BATCH_SIZE]

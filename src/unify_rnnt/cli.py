@@ -6,7 +6,8 @@ sets) is a named key so ablation grids are scriptable.  All outputs land
 under the configured output directory, guarded by a lock the kernel holds:
 a lock file left behind by a run that died never blocks, and a run that
 finds the lock held exits 4.  Resuming a checkpoint past ``train.steps``
-is a config error.
+is a config error, and so is an empty training or eval manifest; both are
+found before the output directory is touched.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 I/O error (a
 missing, corrupt or malformed run file: ``CorruptCheckpointError``,
@@ -29,8 +30,8 @@ import yaml
 from .contexts import ContextSets, ContextSpec, latency_splits
 from .corpus import CorpusConfig, _is_int, generate_corpus, load_manifest, read_jsonl
 from .decoding import evaluate, write_csv
-from .errors import (CorruptCheckpointError, MalformedRecordError, ManifestMismatchError,
-                     NumericalError)
+from .errors import (CorruptCheckpointError, EmptyBatchError, MalformedRecordError,
+                     ManifestMismatchError, NumericalError)
 from .mcr import DIRECTIONS, MCRConfig, mcr_memory_probe
 from .model import ModelConfig, TransducerModel
 from .training import ModeWeights, TrainConfig, load_checkpoint, run_training
@@ -233,6 +234,9 @@ def cmd_train(args) -> int:
         raise ConfigError("train.manifest missing from config")
     utts = list(load_manifest(manifest, bundle["corpus"].feat_dim,
                               bundle["model"].vocab_size))
+    if not utts:
+        # before the lock, so a previous run's metrics.jsonl survives
+        raise EmptyBatchError("training corpus is empty")
     cfg: TrainConfig = bundle["train"]
     with OutputLock(out_dir):
         metrics = os.path.join(out_dir, "metrics.jsonl")
@@ -267,6 +271,8 @@ def _evaluate_checkpoint(args, modes_of, outputs) -> int:
         raise ConfigError("no eval manifest: set eval.manifest or pass --manifest")
     utts = list(load_manifest(manifest, bundle["corpus"].feat_dim,
                               bundle["model"].vocab_size))
+    if not utts:
+        raise EmptyBatchError("eval corpus is empty")
     with OutputLock(out_dir):
         rows = evaluate(model, utts, modes_of(bundle), bundle["eval"]["frame_ms"])
         for name, which, columns in outputs:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .contexts import ContextSpec, latency_of
 from .corpus import atomic_write
+from .errors import EmptyBatchError
 from .model import StreamState, TransducerModel
 
 MAX_SYMBOLS_PER_FRAME = 10
@@ -122,8 +123,11 @@ def evaluate(model: TransducerModel, utterances, modes, frame_ms: float
     mode by mode, and one summary row per mode: its label ``mode``, ``spec``,
     ``chunk_s`` and ``right_s`` (None offline), ``latency_s``,
     ``chunk_compute_ms`` pooled over every chunk, and ``ter``, the mean of
-    the per-utterance TERs.
+    the per-utterance TERs.  No utterances raise ``EmptyBatchError``: a mean
+    over none is not a TER.
     """
+    if not utterances:
+        raise EmptyBatchError("eval corpus is empty")
     utt_rows, summary = [], []
     for spec in modes:
         label, latency = mode_label(spec), latency_of(spec, frame_ms)
@@ -142,7 +146,7 @@ def evaluate(model: TransducerModel, utterances, modes, frame_ms: float
             "right_s": None if spec is None else spec.right * frame_ms / 1000.0,
             "latency_s": latency,
             "chunk_compute_ms": sum(chunk_ms) / max(1, len(chunk_ms)),
-            "ter": float(np.mean([r["ter"] for r in rows])) if rows else 0.0,
+            "ter": float(np.mean([r["ter"] for r in rows])),
         })
         utt_rows += rows
     return utt_rows, summary

@@ -42,7 +42,8 @@ class BadTokenError(ValueError):
 
 
 class EmptyBatchError(ValueError):
-    """A training step received an empty batch."""
+    """A training step, a training run or an evaluation received no
+    utterances."""
 
 
 class ManifestMismatchError(ValueError):

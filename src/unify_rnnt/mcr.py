@@ -26,9 +26,12 @@ both modes' logsumexps (an online softmax), ``full_grad`` adds a pass that
 sums the per-cell KLs and takes the loss there, and a last pass gives p, q
 and d from the raw logits and reduces each tile to its share of the loss
 and to both gradients.  Tiles are copied from runs of frames of the
-lattices into fixed scratch blocks, and no scratch buffer grows with the
-utterance.  ``mcr_loss`` and ``mcr_forward`` are names for it, the latter
-keeping only the loss and the cell count.  A naive materialized oracle, written per
+lattices into three fixed scratch blocks, ``[p | q]``, d and the block's
+logsumexps, and no scratch buffer grows with the utterance.  By default d
+becomes ``x = q − p`` once the loss has read it, and each gradient tile is
+``x`` scaled straight into the output, one frame run at a time.
+``mcr_loss`` and ``mcr_forward`` are names for it, the latter keeping only
+the loss and the cell count.  A naive materialized oracle, written per
 teacher and student, is the specification, and a memory probe measures both
 paths under the instrumented allocator.
 
@@ -155,11 +158,19 @@ def mcr_backward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> MCRR
     over the vocabulary tiles gives both modes' logsumexps, with running-max
     rescaling; with ``full_grad`` a second pass sums the per-cell KLs and
     takes the block's share of the loss; a last pass gives p, q and d, the
-    share of the loss (without ``full_grad``) and both gradients.  Every
-    working array, the block's logsumexps and KL columns included, is a
-    contiguous view of a scratch buffer the meter counts, sized by one block,
-    and no copy makes a temporary; in-place ufuncs on strided views of reused
-    buffers are not reliable on all numpy builds.
+    share of the loss (without ``full_grad``) and both gradients.
+
+    Scratch is three blocks the meter counts, each sized by one block of
+    cells: ``[p | q]`` (``2·blk·tw``), the block's logsumexps (``2·blk``;
+    ``4·blk`` with ``full_grad``, for the KL columns), and d.  By default d's
+    block holds pass 1's two running sums, then d, then ``x = q − p`` in d's
+    place, so it is ``max(blk·tw, 2·blk)`` long; each frame run of x is
+    multiplied by its scale straight into the gradient's strided view.  With
+    ``full_grad`` it is ``2·blk·tw``, x beside d, and the gradient terms
+    are combined in scratch before ``_scatter`` copies them out.  No ufunc's
+    output overlaps an input other than element for element in place, so
+    numpy makes no hidden overlap copy the meter would miss; the gradients
+    are fresh arrays that no input shares.
     """
     _validate_pair(z_off, z_str)
     a, b = KL_WEIGHTS[cfg.direction]
@@ -167,8 +178,11 @@ def mcr_backward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> MCRR
     tw = min(cfg.tile, V)
     tiles = [slice(v0, min(v0 + tw, V)) for v0 in range(0, V, tw)]
     blk = min(_CELL_BLOCK, max(1, int((z_off.t_len * (z_off.u_len + 1)).max())))
-    # [p | q] and [d | x], each viewed as one [2, cells, width] block
-    bpq, bdx = (scratch_empty((2 * blk * tw,), z_off.z.dtype) for _ in range(2))
+    # [p | q], viewed as one [2, cells, width] block; then d, with full_grad
+    # followed by a spare x of d's shape, else also holding pass 1's two sums
+    bpq = scratch_empty((2 * blk * tw,), z_off.z.dtype)
+    bd = scratch_empty((2 * blk * tw if cfg.full_grad else max(blk * tw, 2 * blk),),
+                       z_off.z.dtype)
     # a block's logsumexps, then with full_grad its KL(p‖q) and KL sums
     col = scratch_empty(((4 if cfg.full_grad else 2) * blk,), z_off.z.dtype)
     grad_off = np.zeros_like(z_off.z)
@@ -186,7 +200,7 @@ def mcr_backward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> MCRR
             k = min(_CELL_BLOCK, n - c0)
             runs = _frame_runs(c0, c0 + k, u1)
             lse = col[:2 * k].reshape(2, k, 1)
-            s = bdx[:2 * k].reshape(2, k, 1)
+            s = bd[:2 * k].reshape(2, k, 1)
             lse.fill(-np.inf)
             s.fill(0.0)
             for cols in tiles:
@@ -203,30 +217,31 @@ def mcr_backward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> MCRR
             lse += s
 
             def sweep():
-                """(cols, p, q, d, x) per tile: p and q are the offline and
-                streaming softmaxes, d = log p − log q, and x is a spare block
-                of the same shape.  The caller may overwrite all four."""
+                """(cols, p, q, d) per tile: p and q are the offline and
+                streaming softmaxes and d = log p − log q, all three in
+                scratch the caller may overwrite."""
                 for cols in tiles:
                     pair = _gather(bpq, zs, runs, k, cols)
                     np.subtract(pair, lse, out=pair)
                     p, q = pair
-                    d, x = bdx[:pair.size].reshape(pair.shape)
+                    d = bd[:p.size].reshape(p.shape)
                     np.subtract(p, q, out=d)
                     np.exp(pair, out=pair)
-                    yield cols, p, q, d, x
+                    yield cols, p, q, d
 
             if cfg.full_grad:
                 kl_pq, kl_sum = col[2 * k:4 * k].reshape(2, k, 1)
                 kl_pq.fill(0.0)
                 kl_sum.fill(0.0)
-                for _cols, p, q, d, _x in sweep():
+                for _cols, p, q, d in sweep():
                     acc += _kl_term(a, b, p, q, d)
                     np.multiply(p, d, out=p)
                     np.multiply(q, d, out=q)
                     kl_pq += p.sum(axis=1, keepdims=True)
                     kl_sum -= q.sum(axis=1, keepdims=True)
                 kl_sum += kl_pq                 # KL(p‖q) + KL(q‖p)
-                for cols, p, q, d, x in sweep():
+                for cols, p, q, d in sweep():
+                    x = bd[d.size:2 * d.size].reshape(d.shape)
                     np.subtract(q, p, out=x)
                     np.subtract(d, kl_pq, out=d)
                     np.multiply(p, d, out=p)    # p·(d − KL(p‖q))
@@ -241,15 +256,15 @@ def mcr_backward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> MCRR
                     np.add(x, p, out=x)
                     _scatter(g_off3, runs, cols, x)
             else:
-                for cols, p, q, d, x in sweep():
+                for cols, p, q, d in sweep():
                     acc += _kl_term(a, b, p, q, d)
-                    np.subtract(q, p, out=x)
-                    if a:
-                        np.multiply(x, ws, out=d)
-                        _scatter(g_str3, runs, cols, d)
-                    if b:
-                        np.multiply(x, wo, out=x)
-                        _scatter(g_off3, runs, cols, x)
+                    np.subtract(q, p, out=d)    # x = q − p, in d's place
+                    for rows, shape, frames, labels in runs:
+                        x = d[rows].reshape(shape)
+                        if a:
+                            np.multiply(x, ws, out=g_str3[frames, labels, cols])
+                        if b:
+                            np.multiply(x, wo, out=g_off3[frames, labels, cols])
         total += acc / n
         cells += n
     return MCRResult(total / B, grad_off, grad_str, cells)

@@ -400,6 +400,37 @@ class TestTrainEvalPipeline:
         assert main([command, "--config", str(config), "--checkpoint",
                      str(out / "checkpoint.urnt")]) == 2
 
+    @pytest.mark.parametrize("command", ["eval", "sweep-latency"])
+    def test_empty_eval_manifest_is_config_error(self, workspace, tmp_path, capsys, command):
+        # a mean over no utterances is no TER; the check runs before the lock
+        config, out = workspace
+        ckpt = untrained_checkpoint(config, tmp_path / "init")
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        fresh = tmp_path / "fresh"
+        assert main([command, "--config", str(config), "--checkpoint", str(ckpt),
+                     "--manifest", str(empty), "--out", str(fresh)]) == 2
+        assert "config error: eval corpus is empty" in capsys.readouterr().err
+        assert not fresh.exists()
+
+    def test_empty_train_manifest_keeps_the_previous_run(self, workspace, tmp_path, capsys):
+        config, out = workspace
+        assert main(["gen-data", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        metrics = out / "metrics.jsonl"
+        before = metrics.read_bytes()
+        assert before
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        capsys.readouterr()
+        assert main(["train", "--config", str(config), "--manifest", str(empty)]) == 2
+        assert "config error: training corpus is empty" in capsys.readouterr().err
+        assert metrics.read_bytes() == before
+        fresh = tmp_path / "fresh"
+        assert main(["train", "--config", str(config), "--manifest", str(empty),
+                     "--out", str(fresh)]) == 2
+        assert not fresh.exists()
+
     def test_resume_continues(self, workspace):
         config, out = workspace
         assert main(["gen-data", "--config", str(config)]) == 0

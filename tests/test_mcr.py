@@ -353,3 +353,22 @@ class TestErrorsAndProbe:
                 mcr_loss(a, b, cfg)
             peaks.append(meter.peak)
         assert peaks[0] == peaks[1], peaks
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tile", [1, 5, 6, 18])
+    @pytest.mark.parametrize("full_grad", [False, True])
+    @pytest.mark.parametrize("T,U,blk", [(20, 12, 128), (5, 3, 20)])
+    def test_peak_is_the_three_block_formula(self, rng, dtype, tile, full_grad, T, U, blk):
+        # [p | q] and the block's logsumexps, plus by default one d block that
+        # also holds pass 1's two sums, with full_grad a [d | x] block and the
+        # KL columns; blk is min(128, the longest utterance's cells)
+        a, b = (JointLogits(rng.standard_normal((2, T, U + 1, 18)).astype(dtype),
+                            [T, max(1, T // 2)], [U, U]) for _ in range(2))
+        tw = min(tile, 18)
+        if full_grad:
+            want = 4 * blk * tw + 4 * blk
+        else:
+            want = 2 * blk * tw + max(blk * tw, 2 * blk) + 2 * blk
+        with MemoryMeter() as meter:
+            mcr_loss(a, b, MCRConfig(tile=tile, full_grad=full_grad))
+        assert meter.peak == want * np.dtype(dtype).itemsize
