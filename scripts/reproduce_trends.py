@@ -9,8 +9,10 @@ seeds 0 and 1 (the table is in ROADMAP.md, open item 1), the first ordering
 reproduces: offline_baseline reads TER .356 at C1R0 against .240-.273 for
 every strategy that trains streaming.  The method's ordering does not:
 streaming_baseline is best at every streaming spec.  Runs fan out over a
-process pool; results are deterministic per seed.  ``--json-out`` dumps
-each run's summary and sweep rows (``decoding.evaluate``), specs as objects.
+pool of ``spawn`` workers at one BLAS thread each; results are deterministic
+per seed.  ``spawn`` re-imports this script in each worker, so its work
+stays under ``if __name__ == "__main__"``.  ``--json-out`` dumps each run's
+summary and sweep rows (``decoding.evaluate``), specs as objects.
 """
 
 import argparse
@@ -36,8 +38,7 @@ def main() -> int:
     strategies = list(TREND_STRATEGIES)
     if args.ablation:
         strategies += [s for s in ABLATION_STRATEGIES if s not in strategies]
-    suite = run_suite(strategies, seeds, setup=toy_setup(args.steps),
-                      steps=args.steps, workers=args.workers)
+    suite = run_suite(strategies, seeds, setup=toy_setup(args.steps), workers=args.workers)
     print(format_suite_table(suite))
 
     dm_mcr = suite["results"].get("dm_mcr", {})

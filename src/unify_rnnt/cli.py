@@ -264,6 +264,7 @@ def _evaluate_checkpoint(args, modes_of, outputs) -> int:
     ``rows`` 0 the per-utterance rows and 1 the summary rows, and print the
     summary rows."""
     bundle = parse_config(_load_yaml(args.config))
+    modes = modes_of(bundle)
     out_dir = args.out or bundle["out"]
     model = load_checkpoint(args.checkpoint, expected_config=bundle["model"])[0]
     manifest = args.manifest or bundle["eval"]["manifest"]
@@ -274,7 +275,7 @@ def _evaluate_checkpoint(args, modes_of, outputs) -> int:
     if not utts:
         raise EmptyBatchError("eval corpus is empty")
     with OutputLock(out_dir):
-        rows = evaluate(model, utts, modes_of(bundle), bundle["eval"]["frame_ms"])
+        rows = evaluate(model, utts, modes, bundle["eval"]["frame_ms"])
         for name, which, columns in outputs:
             write_csv(os.path.join(out_dir, name), rows[which], columns)
     for row in rows[1]:
@@ -417,9 +418,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

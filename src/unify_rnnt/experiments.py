@@ -4,8 +4,10 @@ A run is one (strategy, seed) training job over the shared synthetic corpus.
 It is evaluated by :func:`decoding.evaluate` offline and at a fixed latency
 ladder, and, for ``dm_mcr``, on :func:`contexts.latency_splits`;
 its result keeps the summary rows.  Runs are self-contained and picklable, so
-the suite fans out over a process pool; results are gathered in a fixed order
-and are deterministic per seed regardless of worker count.
+the suite fans out over a process pool of ``spawn`` workers, each started
+with one BLAS thread; results are gathered in a fixed order and are
+deterministic per seed regardless of the worker count and of the BLAS
+threads of the calling process.
 
 Strategies:
   offline_baseline    single mode, always offline
@@ -18,8 +20,10 @@ Strategies:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from .contexts import ContextSets, ContextSpec, latency_of, latency_splits
@@ -33,6 +37,9 @@ TREND_STRATEGIES = ("offline_baseline", "streaming_baseline", "sm", "dm", "dm_mc
 ABLATION_STRATEGIES = ("dm_mcr", "dm_mcr_offteacher", "dm_mcr_strteacher")
 
 FRAME_MS = 40.0
+# the thread counts BLAS builds read when numpy loads: a product's rounding
+# depends on how many threads split it
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -129,24 +136,39 @@ def run_one(job: tuple) -> dict:
     return result
 
 
-def run_suite(strategies, seeds, setup: ToySetup | None = None,
-              steps: int = 2000, workers: int | None = None) -> dict:
-    """Run the strategy x seed grid, in parallel processes when available.
+@contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread variables to 1 for processes started inside, then
+    restore them."""
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
 
-    A latency budget below 1 frame, or a frame duration that is not finite
-    and positive, raises ``ValueError`` before any job runs.
+
+def run_suite(strategies, seeds, setup: ToySetup, workers: int | None = None) -> dict:
+    """Run the strategy x seed grid in a pool of ``workers`` processes.
+
+    Every job runs in a ``spawn`` worker started with one BLAS thread, a
+    pool of one included, so a result does not depend on the caller's BLAS
+    threads.  ``spawn`` re-imports the caller's ``__main__``, so a script
+    that calls this must guard its entry point with ``if __name__ ==
+    "__main__"``.  A latency budget below 1 frame, or a frame duration that
+    is not finite and positive, raises ``ValueError`` before any job runs.
     """
-    if setup is None:
-        setup = toy_setup(steps)
     _sweep_specs(setup)
     jobs = [(setup, strategy, seed) for strategy in strategies for seed in seeds]
     if workers is None:
         workers = max(1, min(4, os.cpu_count() or 1))
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(job) for job in jobs]
+    with _one_blas_thread(), ProcessPoolExecutor(
+            max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        results = list(pool.map(run_one, jobs))
     table: dict = {}
     for res in results:
         table.setdefault(res["strategy"], {})[res["seed"]] = res

@@ -27,9 +27,9 @@ sums the per-cell KLs and takes the loss there, and a last pass gives p, q
 and d from the raw logits and reduces each tile to its share of the loss
 and to both gradients.  Tiles are copied from runs of frames of the
 lattices into three fixed scratch blocks, ``[p | q]``, d and the block's
-logsumexps, and no scratch buffer grows with the utterance.  By default d
-becomes ``x = q − p`` once the loss has read it, and each gradient tile is
-``x`` scaled straight into the output, one frame run at a time.
+logsumexps, and no scratch buffer grows with the utterance.  Both gradient
+forms write ``x = q − p`` scaled straight into the outputs, one frame run at
+a time; ``full_grad`` then adds each gradient's teacher side in place.
 ``mcr_loss`` and ``mcr_forward`` are names for it, the latter keeping only
 the loss and the cell count.  A naive materialized oracle, written per
 teacher and student, is the specification, and a memory probe measures both
@@ -138,12 +138,6 @@ def _gather(buf: np.ndarray, zs, runs, k: int, cols: slice) -> np.ndarray:
     return pair
 
 
-def _scatter(g3: np.ndarray, runs, cols: slice, src: np.ndarray) -> None:
-    """Write a tile of a block's cell rows into a [T, U+1, V] gradient."""
-    for rows, shape, frames, labels in runs:
-        np.copyto(g3[frames, labels, cols], src[rows].reshape(shape))
-
-
 def _kl_term(a: float, b: float, p, q, d) -> float:
     """One tile's share of ``a·KL(p‖q) + b·KL(q‖p)``."""
     return a * float(np.vdot(p, d)) - b * float(np.vdot(q, d))
@@ -164,13 +158,14 @@ def mcr_backward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> MCRR
     cells: ``[p | q]`` (``2·blk·tw``), the block's logsumexps (``2·blk``;
     ``4·blk`` with ``full_grad``, for the KL columns), and d.  By default d's
     block holds pass 1's two running sums, then d, then ``x = q − p`` in d's
-    place, so it is ``max(blk·tw, 2·blk)`` long; each frame run of x is
-    multiplied by its scale straight into the gradient's strided view.  With
-    ``full_grad`` it is ``2·blk·tw``, x beside d, and the gradient terms
-    are combined in scratch before ``_scatter`` copies them out.  No ufunc's
-    output overlaps an input other than element for element in place, so
-    numpy makes no hidden overlap copy the meter would miss; the gradients
-    are fresh arrays that no input shares.
+    place, so it is ``max(blk·tw, 2·blk)`` long.  With ``full_grad`` it is
+    ``2·blk·tw``: x goes in its spare half before the teacher sides, scaled,
+    overwrite p and q.  Both forms then share one loop: each frame run of x
+    is multiplied by its scale straight into each gradient's strided view,
+    and with ``full_grad`` its teacher side is added there in place.  No
+    ufunc's output overlaps an input other than element for element in
+    place, so numpy makes no hidden overlap copy the meter would miss; the
+    gradients are fresh arrays that no input shares.
     """
     _validate_pair(z_off, z_str)
     a, b = KL_WEIGHTS[cfg.direction]
@@ -195,6 +190,9 @@ def mcr_backward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> MCRR
         n = int(z_off.t_len[i]) * u1
         w = 1.0 / (n * B)
         ws, wo = a * w, -b * w          # scales of q − p in g_str and g_off
+        sides = ((g_str3, ws), (g_off3, wo))   # each gradient and its scale of x
+        if not cfg.full_grad:   # the teacher is a constant: a side of weight 0 stays 0
+            sides = tuple(side for side, on in zip(sides, (a, b)) if on)
         acc = 0.0
         for c0 in range(0, n, _CELL_BLOCK):
             k = min(_CELL_BLOCK, n - c0)
@@ -240,31 +238,27 @@ def mcr_backward(z_off: JointLogits, z_str: JointLogits, cfg: MCRConfig) -> MCRR
                     kl_pq += p.sum(axis=1, keepdims=True)
                     kl_sum -= q.sum(axis=1, keepdims=True)
                 kl_sum += kl_pq                 # KL(p‖q) + KL(q‖p)
-                for cols, p, q, d in sweep():
+            for cols, p, q, d in sweep():
+                if cfg.full_grad:
                     x = bd[d.size:2 * d.size].reshape(d.shape)
                     np.subtract(q, p, out=x)
                     np.subtract(d, kl_pq, out=d)
                     np.multiply(p, d, out=p)    # p·(d − KL(p‖q))
                     np.add(d, kl_sum, out=d)
                     np.multiply(q, d, out=q)    # q·(d + KL(q‖p))
-                    np.multiply(x, ws, out=d)
-                    np.multiply(q, wo, out=q)
-                    np.add(d, q, out=d)
-                    _scatter(g_str3, runs, cols, d)
+                    np.multiply(q, wo, out=q)   # the teacher sides, scaled
                     np.multiply(p, ws, out=p)
-                    np.multiply(x, wo, out=x)
-                    np.add(x, p, out=x)
-                    _scatter(g_off3, runs, cols, x)
-            else:
-                for cols, p, q, d in sweep():
+                    teachers = ((g_str3, q), (g_off3, p))
+                else:
                     acc += _kl_term(a, b, p, q, d)
-                    np.subtract(q, p, out=d)    # x = q − p, in d's place
-                    for rows, shape, frames, labels in runs:
-                        x = d[rows].reshape(shape)
-                        if a:
-                            np.multiply(x, ws, out=g_str3[frames, labels, cols])
-                        if b:
-                            np.multiply(x, wo, out=g_off3[frames, labels, cols])
+                    x, teachers = d, ()
+                    np.subtract(q, p, out=x)    # x = q − p, in d's place
+                for rows, shape, frames, labels in runs:
+                    xr = x[rows].reshape(shape)
+                    for g3, scale in sides:
+                        np.multiply(xr, scale, out=g3[frames, labels, cols])
+                    for g3, t in teachers:
+                        g3[frames, labels, cols] += t[rows].reshape(shape)
         total += acc / n
         cells += n
     return MCRResult(total / B, grad_off, grad_str, cells)

@@ -26,9 +26,11 @@ bookkeeping and gives the tape ops' values bit for bit.  The layouts an op
 reads are checked once, when they are built: an :class:`AttentionMask`
 validates its rows and keeps its additive bias (none when all true), a
 :class:`ConvTaps` keeps its largest index, and a call checks only that
-their shapes fit.  A stacked layout's tap table is one table, and its
-:class:`SegmentedMask` runs each segment's attention on that segment's
-rows, so a training step records one op per layer, whatever the batch.
+their shapes fit.  A stacked layout's tap table is one table.  Attention
+runs every mask as row groups, each group's heads written into its rows of
+the output in one copy: an :class:`AttentionMask` is one group of every
+row, and a stacked layout's :class:`SegmentedMask` is one group per
+segment, so a training step records one op per layer, whatever the batch.
 Ops wrap the arrays they make without copying them, and a tensor's first
 gradient write stores a fresh array instead of adding into a zeroed one.
 
@@ -402,10 +404,6 @@ def _split_heads(a: np.ndarray, heads: int) -> np.ndarray:
     return a.reshape(a.shape[0], heads, a.shape[1] // heads).transpose(1, 0, 2)
 
 
-def _merge_heads(a: np.ndarray) -> np.ndarray:
-    return a.transpose(1, 0, 2).reshape(a.shape[1], a.shape[0] * a.shape[2])
-
-
 class AttentionMask:
     """Boolean [n, m] attention mask, checked once, with its additive bias.
 
@@ -469,7 +467,8 @@ class SegmentedMask:
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: AttentionMask, heads: int,
             inv_scale: float) -> tuple:
-    """One mask's attention: the output, then what the backward reads."""
+    """One mask's attention: the per-head output [heads, n, dh], then what the
+    backward reads."""
     qh, kh, vh = _split_heads(q, heads), _split_heads(k, heads), _split_heads(v, heads)
     # masked scores get -inf by adding a 0/-inf bias: the same values as
     # selecting with the mask, at a fraction of the cost.  Without a bias the
@@ -482,14 +481,14 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: AttentionMask, he
     attn -= attn.max(axis=2, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=2, keepdims=True)
-    return _merge_heads(attn @ vh), (attn, qh, kh, vh)
+    return attn @ vh, (attn, qh, kh, vh)
 
 
 def _masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                       mask: AttentionMask | SegmentedMask, heads: int) -> tuple:
     """The output, then what the backward reads: the score scale and, per
-    mask (one, or one per segment), its rows (None for all) and its
-    attention weights and per-head ``q``, ``k``, ``v``."""
+    row group, its rows and its attention weights and per-head ``q``, ``k``,
+    ``v``.  An :class:`AttentionMask` is the one group of every row."""
     if k.shape != v.shape or q.ndim != 2 or k.ndim != 2 \
             or q.shape[1] != k.shape[1] or k.shape[0] < q.shape[0]:
         raise ValueError(f"need q [n, d] and k, v [m >= n, d], got {q.shape}, "
@@ -500,13 +499,13 @@ def _masked_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     if mask.shape != (T, k.shape[0]):
         raise ValueError(f"mask shape {mask.shape} != ({T}, {k.shape[0]})")
     inv_scale = 1.0 / math.sqrt(d // heads)
-    if isinstance(mask, AttentionMask):
-        out, saved = _attend(q, k, v, mask, heads, inv_scale)
-        return out, inv_scale, [(None, saved)]
+    groups = [(slice(None), mask)] if isinstance(mask, AttentionMask) else mask.parts
     out = np.empty((T, d), dtype=np.result_type(q, k, v))
     parts = []
-    for rows, part in mask.parts:
-        out[rows], saved = _attend(q[rows], k[rows], v[rows], part, heads, inv_scale)
+    for rows, part in groups:
+        oh, saved = _attend(q[rows], k[rows], v[rows], part, heads, inv_scale)
+        # the group's heads go through a [rows, heads, dh] view: one copy
+        out.reshape(T, heads, d // heads)[rows] = oh.transpose(1, 0, 2)
         parts.append((rows, saved))
     return out, inv_scale, parts
 
@@ -517,33 +516,29 @@ def masked_attention(q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask | Segm
 
     ``q`` is [n, d]; ``k`` and ``v`` are [m, d] with ``m >= n`` (a streaming
     chunk step puts cached keys before its own).  The mask was checked when
-    it was built; a call checks only that its shape fits.  A
-    :class:`SegmentedMask` runs each row group's attention on its own rows
-    (then ``m == n``).
+    it was built; a call checks only that its shape fits.  Every mask runs
+    as row groups, each group's attention on its own rows: an
+    :class:`AttentionMask` is one group of all rows, and a
+    :class:`SegmentedMask` is one group per segment (then ``m == n``).
     """
     data, inv_scale, parts = _masked_attention(q.data, k.data, v.data, mask, heads)
     out, tape = _result((q, k, v), data)
     if tape is not None:
         def backward(g):
-            # (input, gradient): the gradient is filled part by part when the
-            # mask has segments, whose rows partition the input's rows
-            grads = [(t, None if parts[0][0] is None else np.empty_like(t.data))
-                     for t in (v, q, k)]
+            # each input's gradient is filled group by group, as the groups'
+            # rows partition the input's rows, then accumulated once
+            grads = [(t, np.empty(t.data.shape, t.data.dtype)) for t in (v, q, k)]
             for rows, (attn, qh, kh, vh) in parts:
-                go = _split_heads(g if rows is None else g[rows], heads)
+                go = _split_heads(g[rows], heads)
                 da = go @ vh.transpose(0, 2, 1)
                 ds = attn * (da - (da * attn).sum(axis=2, keepdims=True))
                 for (t, full), part in zip(grads, (attn.transpose(0, 2, 1) @ go,
                                                    (ds @ kh) * inv_scale,
                                                    (ds.transpose(0, 2, 1) @ qh) * inv_scale)):
-                    if not t.requires_grad:
-                        continue
-                    if full is None:
-                        t.accum_grad(_merge_heads(part))
-                    else:
-                        full[rows] = _merge_heads(part)
+                    if t.requires_grad:
+                        full.reshape(len(full), *part.shape[::2])[rows] = part.transpose(1, 0, 2)
             for t, full in grads:
-                if t.requires_grad and full is not None:
+                if t.requires_grad:
                     t.accum_grad(full)
         tape.record_output("masked_attention", out, backward)
     return out

@@ -19,10 +19,11 @@ and/or ``loss_str`` (one per mode run), ``loss_mcr`` in dual mode, ``spec``
 when a streaming mode ran, and ``total``.
 
 Checkpoints: magic + format version + a JSON header (model config, step,
-optimizer metadata, rng state) + raw little-endian float32 parameter blobs in
-declaration order, then optimizer moment blobs, one per parameter.  Loading
-writes the moments into the new optimizer's buffer.  Roundtrips are bit exact
-for float32 models.
+optimizer metadata, rng state) + raw little-endian parameter blobs in the
+model's dtype (float32 or float64, read back from the header's model config)
+in declaration order, then optimizer moment blobs, one per parameter.
+Loading writes the moments into the new optimizer's buffer.  Roundtrips are
+bit exact.
 """
 
 from __future__ import annotations
@@ -448,8 +449,6 @@ def save_checkpoint(path, model: TransducerModel, step: int = 0,
                     rng: np.random.Generator | None = None) -> None:
     """Write the checkpoint atomically: a failed write leaves the previous
     file intact."""
-    if model.cfg.dtype != "float32":
-        raise ValueError("checkpoints store float32 blobs; model dtype must be float32")
     header = {
         "format_version": CHECKPOINT_VERSION,
         "model_config": model.config_dict(),
@@ -465,17 +464,17 @@ def save_checkpoint(path, model: TransducerModel, step: int = 0,
                                "weight_decay": optimizer.weight_decay,
                                "lr": optimizer.lr}
     blob = json.dumps(header).encode("utf-8")
+    le = np.dtype(model.cfg.dtype).newbyteorder("<")     # the blobs' dtype
     with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         for _name, p in model.param_items():
-            fh.write(p.data.astype("<f4", copy=False).tobytes())
+            fh.write(p.data.astype(le, copy=False).tobytes())
         if optimizer is not None:
             for buf in optimizer.m + optimizer.v:
-                fh.write(buf.astype("<f4", copy=False).tobytes())
-
+                fh.write(buf.astype(le, copy=False).tobytes())
 
 def _read_exact(fh, n: int, what: str) -> bytes:
     data = fh.read(n)
@@ -514,12 +513,13 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None
             raise VersionMismatchError(
                 f"stored model config {cfg} does not match expected {expected_config}")
         model = TransducerModel(cfg)
+        le = np.dtype(cfg.dtype).newbyteorder("<")
         have = {name: p.shape for name, p in model.param_items()}
         if stored != have:
             raise VersionMismatchError("parameter layout mismatch")
         for name, p in model.param_items():
-            raw = _read_exact(fh, p.data.size * 4, f"parameter {name}")
-            p.data = np.frombuffer(raw, dtype="<f4").reshape(p.shape).copy()
+            raw = _read_exact(fh, p.data.size * le.itemsize, f"parameter {name}")
+            p.data = np.frombuffer(raw, dtype=le).reshape(p.shape).copy()
         opt = None
         if header.get("optimizer"):
             meta = header["optimizer"]
@@ -531,8 +531,8 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorruptCheckpointError(f"incomplete optimizer header: {exc!r}") from exc
             for buf in opt.m + opt.v:
-                raw = _read_exact(fh, buf.size * 4, "optimizer state")
-                buf[...] = np.frombuffer(raw, dtype="<f4").reshape(buf.shape)
+                raw = _read_exact(fh, buf.size * le.itemsize, "optimizer state")
+                buf[...] = np.frombuffer(raw, dtype=le).reshape(buf.shape)
         trailing = fh.read(1)
         if trailing:
             raise CorruptCheckpointError("trailing bytes after checkpoint payload")

@@ -315,6 +315,19 @@ class TestTrainEvalPipeline:
         report = text[text.index("evaluation"):]
         assert report.count("chunk_ms=") == len(rows)
 
+    def test_float64_model_trains_and_evaluates(self, tmp_path):
+        out = tmp_path / "run"
+        base = yaml.safe_load(open(write_config(tmp_path / "base.yaml", out)))
+        config = write_config(tmp_path / "c.yaml", out,
+                              model={**base["model"], "dtype": "float64"})
+        assert main(["gen-data", "--config", str(config)]) == 0
+        assert gen_heldout(config, out) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        model = load_checkpoint(out / "checkpoint.urnt")[0]
+        assert {p.data.dtype for p in model.parameters()} == {np.dtype(np.float64)}
+        assert main(["eval", "--config", str(config), "--checkpoint",
+                     str(out / "checkpoint.urnt")]) == 0
+
     def test_eval_reads_heldout_utterances(self, workspace):
         config, out = workspace
         assert main(["gen-data", "--config", str(config)]) == 0
@@ -342,6 +355,19 @@ class TestTrainEvalPipeline:
             argv += ["--budgets", "0,-3"]
         assert main(argv) == 2
         assert not (out / "sweep_latency.csv").exists()
+
+    @pytest.mark.parametrize("budgets", ["0", "2,x", "2,,4"])
+    def test_bad_budgets_flag_leaves_no_output_directory(self, workspace, tmp_path, capsys,
+                                                         budgets):
+        # the sweep grid is built before the output lock makes the directory
+        config, out = workspace
+        assert gen_heldout(config, out) == 0
+        fresh = tmp_path / "fresh"
+        assert main(["sweep-latency", "--config", str(config), "--checkpoint",
+                     str(untrained_checkpoint(config, tmp_path / "init")),
+                     "--budgets", budgets, "--out", str(fresh)]) == 2
+        assert "config error: " in capsys.readouterr().err
+        assert not fresh.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_budget_below_one_fails_before_any_work(self, workspace, capsys, command):

@@ -1,6 +1,12 @@
 """Experiment harness: the strategy x seed suite, its runs and its table."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +36,35 @@ def tiny():
 def test_results_do_not_depend_on_the_worker_count(tiny):
     assert untimed(tiny[1]["results"]) == untimed(tiny[2]["results"])
     assert experiments.format_suite_table(tiny[1]) == experiments.format_suite_table(tiny[2])
+
+
+# one tiny suite on one worker; prints its results as JSON
+SUITE_SCRIPT = textwrap.dedent("""
+    import json
+    from dataclasses import replace
+    from unify_rnnt import experiments
+
+    setup = replace(experiments.toy_setup(steps=3), n_train=16, n_eval=4)
+    suite = experiments.run_suite(["dm_mcr"], (0,), setup=setup, workers=1)
+    print(json.dumps(suite["results"], default=repr, sort_keys=True))
+""")
+
+
+def test_results_do_not_depend_on_the_callers_blas_threads():
+    """Workers start with one BLAS thread, whatever the calling process has:
+    at two threads OpenBLAS splits the products, and their rounding, by
+    thread."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    results = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        env.update(dict.fromkeys(experiments.BLAS_THREAD_VARS, threads))
+        done = subprocess.run([sys.executable, "-c", SUITE_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        results[threads] = untimed(json.loads(done.stdout))
+    assert results["1"] == results["2"]
 
 
 def test_run_keeps_the_summary_rows_of_each_mode(tiny):
