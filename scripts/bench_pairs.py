@@ -7,9 +7,15 @@ Each checkout is a directory holding ``perfbench/`` and ``src/`` (a clone or
 an exported tree of one commit).  For every seed and every workload of
 ``BENCHMARK.json`` the script runs ``perfbench/run.py --trace 0`` once in
 each checkout, the parent first on even pair indices and the change first on
-odd ones, so a slow period of the machine falls on both sides alike.
-``--trace-seeds`` adds traced (``--trace 1``) pairs of every workload for
-the per-layer metrics.  The defaults are the seeds behind the committed
+odd ones, so a slow period of the machine falls on both sides alike.  The
+run kind ``PROBE`` (``mcr_v1024``) runs beside them at the same seeds: the
+consistency loss's memory probe ``PROBE_ARGS`` (``bench-mcr`` at V=1024,
+tile 128), whose report fields in ``PROBE_UNITS`` are its metrics, all
+better lower, and whose other fields are its run details.
+``--trace-seeds`` adds traced (``--trace 1``) pairs of every workload of
+``BENCHMARK.json`` for the per-layer metrics.  Every run is one process with
+its checkout's ``src/`` first on ``PYTHONPATH`` and one BLAS thread
+(``side_env``).  The defaults are the seeds behind the committed
 ``BENCH_*.json``; each file also records its seeds.
 
 The output file keeps every run's metrics and details, and per metric the
@@ -41,6 +47,11 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PROBE = "mcr_v1024"
+PROBE_ARGS = ["-m", "unify_rnnt.cli", "bench-mcr", "--batch", "4", "--frames", "64",
+              "--labels", "32", "--vocab", "1024", "--tile", "128", "--direction", "symmetric"]
+PROBE_UNITS = {"aux_bytes_fused": "bytes", "aux_bytes_naive": "bytes", "ratio": "frac",
+               "wall_ms_fused": "ms", "wall_ms_naive": "ms"}
 
 
 def seed_list(text: str) -> list[int]:
@@ -51,14 +62,33 @@ def seed_list(text: str) -> list[int]:
     return out
 
 
+def side_env(tree: str) -> dict:
+    """The environment of every process run on checkout ``tree``: its ``src/``
+    first on ``PYTHONPATH`` and one BLAS thread (results depend on the count)."""
+    src = os.path.join(tree, "src")
+    return {**os.environ,
+            **dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"),
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
-    done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
-    lines = done.stdout.strip().splitlines()
+    if workload == PROBE:
+        cmd = [sys.executable, *PROBE_ARGS, "--seed", str(seed)]
+    else:
+        cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(cmd, cwd=tree, env=side_env(tree), capture_output=True, text=True,
+                          check=False)
     try:
-        info = json.loads(lines[-2])["info"]
-        result = json.loads(lines[-1])
+        if workload == PROBE:
+            # one JSON report; the fields that are not metrics are the run's details
+            info = json.loads(done.stdout)
+            result = {"correct": True, "metrics": {k: {"value": info.pop(k), "unit": unit}
+                                                   for k, unit in PROBE_UNITS.items()}}
+        else:
+            lines = done.stdout.strip().splitlines()
+            info = json.loads(lines[-2])["info"]
+            result = json.loads(lines[-1])
     except (IndexError, KeyError, TypeError, ValueError):
         return {"exit": done.returncode, "info": None, "correct": False, "metrics": None,
                 "stderr_tail": done.stderr[-2000:]}
@@ -155,37 +185,44 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    better.update(dict.fromkeys(PROBE_UNITS, "lower"))
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     workloads = [w["name"] for w in bench["workloads"]]
+    # workloads interleave per seed, so all see the same machine periods; the
+    # probe is not traced
+    results = {w: [] for w in workloads + [PROBE]}
+    traced = {w: [] for w in workloads}
     claims = [tuple(c.rpartition(":")[::2]) for c in args.claim]
     for metric, workload in claims:
-        if metric not in better or workload not in workloads:
-            p.error(f"--claim {metric}:{workload}: need METRIC:WORKLOAD of BENCHMARK.json")
+        if metric not in better or workload not in results:
+            p.error(f"--claim {metric}:{workload}: need METRIC:WORKLOAD of BENCHMARK.json "
+                    f"or of {PROBE}")
     seeds = seed_list(args.seeds)
     trace_seeds = seed_list(args.trace_seeds) if args.trace_seeds else []
 
-    # workloads interleave per seed, so both see the same machine periods
-    results = {w: [] for w in workloads}
-    traced = {w: [] for w in workloads}
     for trace, runs, seed_set in ((0, results, seeds), (1, traced, trace_seeds)):
         for i, seed in enumerate(seed_set):
-            for w in workloads:
+            for w in runs:
                 runs[w].append(run_pair(trees, w, seed, bench["run_seconds"], trace,
                                         parent_first=i % 2 == 0))
 
-    summaries = {w: summarise(results[w], better) for w in workloads}
-    for w in workloads:
+    summaries = {w: summarise(results[w], better) for w in results}
+    # each side's host and package details, from its first perfbench run that printed them
+    meta = {side: next((pair[side]["info"]["meta"] for w in workloads
+                        for pair in results[w] + traced[w] if pair[side]["info"]), None)
+            for side in trees}
+    for w in results:
         doc = {"workload": w,
-               "command": f"perfbench/run.py --workload {w} --seed SEED "
-                          f"--seconds {bench['run_seconds']} --trace {{0,1}}",
-               "seeds": seeds, "trace_seeds": trace_seeds,
-               "meta": {side: next((p[side]["info"]["meta"] for p in results[w] + traced[w]
-                                    if p[side]["info"]), None) for side in trees},
+               "command": (f"python {' '.join(PROBE_ARGS)} --seed SEED" if w == PROBE else
+                           f"perfbench/run.py --workload {w} --seed SEED "
+                           f"--seconds {bench['run_seconds']} --trace {{0,1}}"),
+               "seeds": seeds, "trace_seeds": trace_seeds if w in traced else [],
+               "meta": meta,
                "pairs_note": "order alternates per pair; wins count pairs where the "
                              "change reads better, ties count for neither side",
                "summary": summaries[w],
                "pairs": results[w]}
-        if traced[w]:
+        if traced.get(w):
             doc["traced_summary"] = summarise(traced[w], better)
             doc["traced_pairs"] = traced[w]
         path = os.path.join(args.out_dir, f"BENCH_{w}.json")
@@ -195,7 +232,7 @@ def main(argv=None) -> int:
     for metric, workload in claims:
         print(claim_verdict(summaries[workload], metric, workload))
     report = failure_report([(w, trace, pair) for trace, runs in ((0, results), (1, traced))
-                             for w in workloads for pair in runs[w]])
+                             for w in runs for pair in runs[w]])
     for line in report:
         print(line)
     return 1 if report else 0

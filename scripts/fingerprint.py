@@ -6,8 +6,9 @@
 Each checkout is a directory holding ``src/`` (a clone or an exported tree of
 one commit).  The script runs one recipe against each checkout's package, in
 a subprocess per checkout with its ``src/`` first on ``PYTHONPATH`` and one
-BLAS thread (results depend on the thread count).  The recipe is fixed; it
-runs on ``experiments.toy_setup(steps=300)`` and its corpora:
+BLAS thread (``bench_pairs.side_env``; results depend on the thread count).
+The recipe is fixed; it runs on ``experiments.toy_setup(steps=300)`` and its
+corpora:
 
 - trains ``dm_mcr``, ``sm`` and ``dm_mcr_strteacher`` at seeds 11 and 12 for
   300 seeded steps each on the setup's training corpus with
@@ -42,6 +43,8 @@ import sys
 import tempfile
 from dataclasses import replace
 
+from bench_pairs import side_env
+
 SCRIPT = os.path.abspath(__file__)
 STRATEGIES = ("dm_mcr", "sm", "dm_mcr_strteacher")
 SEEDS = (11, 12)
@@ -50,7 +53,6 @@ EVAL_UTTS = 40
 HEAD_SPECS = ((12, 1, 0), (12, 2, 4))
 HEAD_TILES = (1, 5, 6, 18)
 SECTIONS = ("train", "params", "decode", "head")
-ONE_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
 def digest(*parts) -> str:
@@ -137,10 +139,7 @@ def head_records(model, utts, run: str):
 
 
 def start_recipe(tree: str) -> subprocess.Popen:
-    src = os.path.join(tree, "src")
-    env = {**os.environ, **ONE_THREAD,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    return subprocess.Popen([sys.executable, SCRIPT, "--recipe"], cwd=tree, env=env,
+    return subprocess.Popen([sys.executable, SCRIPT, "--recipe"], cwd=tree, env=side_env(tree),
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 

@@ -6,8 +6,9 @@ sets) is a named key so ablation grids are scriptable.  All outputs land
 under the configured output directory, guarded by a lock the kernel holds:
 a lock file left behind by a run that died never blocks, and a run that
 finds the lock held exits 4.  Resuming a checkpoint past ``train.steps``
-is a config error, and so is an empty training or eval manifest; both are
-found before the output directory is touched.
+is a config error, and so is an empty training or eval manifest or a
+training utterance shorter than one encoder frame; all are found before the
+output directory is touched.
 
 Exit codes: 0 ok, 2 config error, 3 numerical failure, 4 I/O error (a
 missing, corrupt or malformed run file: ``CorruptCheckpointError``,
@@ -34,7 +35,8 @@ from .errors import (CorruptCheckpointError, EmptyBatchError, MalformedRecordErr
                      ManifestMismatchError, NumericalError)
 from .mcr import DIRECTIONS, MCRConfig, mcr_memory_probe
 from .model import ModelConfig, TransducerModel
-from .training import ModeWeights, TrainConfig, load_checkpoint, run_training
+from .training import (ModeWeights, TrainConfig, check_training_corpus, load_checkpoint,
+                       run_training)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -119,7 +121,7 @@ def _parse_config(data: dict) -> dict:
 
     train_raw = _section(data, "train")
     manifest = train_raw.pop("manifest", None)
-    mw = _build(ModeWeights, {k: float(train_raw.pop(k)) for k in ("alpha", "p_off")
+    mw = _build(ModeWeights, {k: train_raw.pop(k) for k in ("alpha", "p_off")
                               if k in train_raw}, "train")
     mcr = _build(MCRConfig, train_raw.pop("mcr", {}), "train.mcr", **{"lambda": "lam"})
     if "context_sets" in train_raw:
@@ -135,19 +137,20 @@ def _parse_config(data: dict) -> dict:
     if unknown:
         raise ConfigError(f"bad eval section: unknown keys {unknown}")
     left = _int(eval_raw.get("left", 70), "eval.left")
+    frame_ms = eval_raw.get("frame_ms", 40.0)
     eval_cfg = {
         "manifest": eval_raw.get("manifest"),
         "left": left,
         "specs": [ContextSpec(left, *(_int(v, "eval.specs") for v in pair)) for pair in
                   eval_raw.get("specs", [[1, 0], [1, 1], [2, 2], [4, 4]])],
-        "frame_ms": float(eval_raw.get("frame_ms", 40.0)),
+        "frame_ms": float(frame_ms),
         "budgets": [_int(b, "eval.budgets") for b in eval_raw.get("budgets", [2, 4])],
     }
     if any(b < 1 for b in eval_cfg["budgets"]):
         raise ConfigError(f"bad eval section: eval.budgets {eval_cfg['budgets']} "
                           "hold a latency budget below 1 frame")
-    if not 0 < eval_cfg["frame_ms"] < math.inf:
-        raise ConfigError(f"bad eval section: eval.frame_ms {eval_cfg['frame_ms']} "
+    if isinstance(frame_ms, bool) or not 0 < eval_cfg["frame_ms"] < math.inf:
+        raise ConfigError(f"bad eval section: eval.frame_ms {frame_ms!r} "
                           "is not a finite positive number")
     return {"out": out_dir, "seed": seed, "corpus": corpus, "n_utterances": n_utts,
             "model": model, "train": train, "train_manifest": manifest,
@@ -234,9 +237,8 @@ def cmd_train(args) -> int:
         raise ConfigError("train.manifest missing from config")
     utts = list(load_manifest(manifest, bundle["corpus"].feat_dim,
                               bundle["model"].vocab_size))
-    if not utts:
-        # before the lock, so a previous run's metrics.jsonl survives
-        raise EmptyBatchError("training corpus is empty")
+    # before the lock, so a previous run's metrics.jsonl survives
+    check_training_corpus(utts, bundle["model"].subsample_factor)
     cfg: TrainConfig = bundle["train"]
     with OutputLock(out_dir):
         metrics = os.path.join(out_dir, "metrics.jsonl")

@@ -37,14 +37,19 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_int_fields(cfg) -> None:
-    """Reject a bool or a non-integer in any ``int`` field of the dataclass ``cfg``.
+def _check_number_fields(cfg) -> None:
+    """Reject a bool or a non-integer in any ``int`` field of the dataclass
+    ``cfg``, and a bool or a non-number in any ``float`` field (YAML reads
+    ``1e-3``, which has no dot, as a string).
 
     The config modules postpone annotations, so a field's type is the string
     it was declared with."""
     for f in fields(cfg):
-        if f.type == "int" and not _is_int(getattr(cfg, f.name)):
-            raise ValueError(f"{f.name} must be an integer, got {getattr(cfg, f.name)!r}")
+        value = getattr(cfg, f.name)
+        if f.type == "int" and not _is_int(value):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and not (_is_int(value) or isinstance(value, (float, np.floating))):
+            raise ValueError(f"{f.name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +67,7 @@ class CorpusConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_number_fields(self)
         if self.min_duration < 1 or self.max_duration < self.min_duration:
             raise ValueError("durations must satisfy 1 <= min <= max")
         if self.min_symbols < 1 or self.max_symbols < self.min_symbols:

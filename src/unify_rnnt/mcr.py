@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import _check_int_fields
+from .corpus import _check_number_fields
 from .errors import ModeShapeMismatchError, NonFiniteInputError
 from .memtrack import MemoryMeter, scratch_empty
 from .rnnt_loss import JointLogits
@@ -78,7 +78,7 @@ class MCRConfig:
     full_grad: bool = False
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_number_fields(self)
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
         if self.variant != "full_joint":
@@ -370,9 +370,13 @@ def mcr_memory_probe(shape, tile: int = 128, direction: str = "symmetric",
     ``shape`` is (B, T, U, V); lengths are full.  Reports peak auxiliary
     bytes (inputs and gradient outputs excluded) and wall time per path.
     The naive oracle runs first, so its figures do not depend on what the
-    fused path leaves behind.
+    fused path leaves behind.  B, T or V below 1, or U below 0, raises
+    ``ValueError`` before any allocation.
     """
     B, T, U, V = shape
+    if min(B, T, V) < 1 or U < 0:
+        raise ValueError(f"probe shape (B, T, U, V) = {tuple(shape)} needs B, T, V >= 1 "
+                         "and U >= 0")
     rng = np.random.default_rng(seed)
     z_off = JointLogits(rng.standard_normal((B, T, U + 1, V)), [T] * B, [U] * B)
     z_str = JointLogits(rng.standard_normal((B, T, U + 1, V)), [T] * B, [U] * B)

@@ -51,7 +51,7 @@ import numpy as np
 from . import tensor as tz
 from .contexts import (ContextSpec, build_attention_mask, plan_conv_chunks,
                        right_context_rows)
-from .corpus import _check_int_fields
+from .corpus import _check_number_fields
 from .errors import BadTokenError, InputTooShortError
 from .tensor import Tensor
 
@@ -72,7 +72,7 @@ class ModelConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_number_fields(self)
         if self.conv_kernel % 2 == 0 or self.conv_kernel < 1:
             raise ValueError("conv_kernel must be odd and positive")
         if self.vocab_size < 2:

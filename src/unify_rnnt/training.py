@@ -39,9 +39,9 @@ import numpy as np
 
 from . import tensor as tz
 from .contexts import ContextSets, ContextSpec, sample_context
-from .corpus import Utterance, _check_int_fields, atomic_write
-from .errors import (CorruptCheckpointError, EmptyBatchError, NonFiniteInputError,
-                     NumericalError, VersionMismatchError)
+from .corpus import Utterance, _check_number_fields, atomic_write
+from .errors import (CorruptCheckpointError, EmptyBatchError, InputTooShortError,
+                     NonFiniteInputError, NumericalError, VersionMismatchError)
 # perfbench/spans.py patches mcr_forward, mcr_backward and rnnt_forward_single here
 from .mcr import MCRConfig, mcr_backward, mcr_forward
 from .model import ModelConfig, TransducerModel
@@ -62,6 +62,7 @@ class ModeWeights:
     p_off: float = 0.5
 
     def __post_init__(self):
+        _check_number_fields(self)
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if not 0.0 <= self.p_off <= 1.0:
@@ -86,7 +87,7 @@ class TrainConfig:
     clip_norm: float = 5.0
 
     def __post_init__(self):
-        _check_int_fields(self)
+        _check_number_fields(self)
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
         if not 0 <= self.warmup_steps <= self.steps:
@@ -398,6 +399,19 @@ def train_step(model: TransducerModel, batch: list[Utterance],
 train_step_dm = train_step  # perfbench/bench.py imports this name
 
 
+def check_training_corpus(utterances: list[Utterance], subsample_factor: int) -> None:
+    """Reject a training corpus before any work: ``EmptyBatchError`` when it
+    holds no utterance, ``InputTooShortError`` naming the first utterance
+    shorter than one encoder frame (``subsample_factor`` raw frames), which
+    would fail whichever step first draws it."""
+    if not utterances:
+        raise EmptyBatchError("training corpus is empty")
+    for utt in utterances:
+        if len(utt.features) < subsample_factor:
+            raise InputTooShortError(f"utterance {utt.id}: {len(utt.features)} frames "
+                                     f"< subsample factor {subsample_factor}")
+
+
 def run_training(model: TransducerModel, utterances: list[Utterance],
                  cfg: TrainConfig, metrics_path=None, checkpoint_path=None,
                  start_step: int = 0, opt: AdamW | None = None,
@@ -407,11 +421,11 @@ def run_training(model: TransducerModel, utterances: list[Utterance],
     Per step the rng draws, in order: batch indices, then the draws of
     ``step_modes``.  Appends one JSON record per step to
     ``metrics_path`` and writes a final checkpoint, with the rng state, if
-    requested.  A ``start_step`` past ``cfg.steps`` raises ``ValueError``
-    before any step or write: the checkpoint would store the wrong step.
+    requested.  A corpus :func:`check_training_corpus` rejects, or a
+    ``start_step`` past ``cfg.steps`` (the checkpoint would store the wrong
+    step), raises before any step or write.
     """
-    if not utterances:
-        raise EmptyBatchError("training corpus is empty")
+    check_training_corpus(utterances, model.cfg.subsample_factor)
     if start_step > cfg.steps:
         raise ValueError(f"cannot resume at step {start_step} past train.steps {cfg.steps}")
     if opt is None:

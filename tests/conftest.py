@@ -1,5 +1,8 @@
+import importlib
 import json
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("default")
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.fixture(scope="session")
+def load_script():
+    """``load_script(name)``: the module ``scripts/<name>.py``.  ``scripts/`` goes
+    on ``sys.path``, so one script imports another as it does when run."""
+    if str(SCRIPTS) not in sys.path:
+        sys.path.insert(0, str(SCRIPTS))
+    return importlib.import_module
 
 
 @pytest.fixture

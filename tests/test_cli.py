@@ -220,19 +220,39 @@ class TestGenData:
         assert f"bad {section} section" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,section,key,value", [
-        ("train", "model", "model_dim", 16.0), ("train", "model", "blocks", True),
-        ("train", "train", "steps", 3.5), ("train", "train", "batch_size", 2.0),
-        ("train", "train.mcr", "tile", 10.5),
-        ("gen-data", "corpus", "n_symbols", 8.0), ("gen-data", "corpus", "seed", False),
+    @pytest.mark.parametrize("command,section,key,value,what", [
+        ("train", "model", "model_dim", 16.0, "model_dim must be an integer"),
+        ("train", "model", "blocks", True, "blocks must be an integer"),
+        ("train", "train", "steps", 3.5, "steps must be an integer"),
+        ("train", "train", "batch_size", 2.0, "batch_size must be an integer"),
+        ("train", "train.mcr", "tile", 10.5, "tile must be an integer"),
+        ("gen-data", "corpus", "n_symbols", 8.0, "n_symbols must be an integer"),
+        ("gen-data", "corpus", "seed", False, "seed must be an integer"),
+        # a bool is not a number in a float setting either, nor is a string
+        ("train", "train", "max_lr", True, "max_lr must be a number, got True"),
+        ("train", "train", "max_lr", "1e-3", "max_lr must be a number, got '1e-3'"),
+        ("train", "train", "min_lr", False, "min_lr must be a number, got False"),
+        ("train", "train", "weight_decay", True, "weight_decay must be a number, got True"),
+        ("train", "train", "clip_norm", True, "clip_norm must be a number, got True"),
+        ("train", "train", "alpha", True, "alpha must be a number, got True"),
+        ("train", "train", "p_off", False, "p_off must be a number, got False"),
+        ("train", "train.mcr", "lambda", True, "lam must be a number, got True"),
+        ("gen-data", "corpus", "noise_sigma", True, "noise_sigma must be a number, got True"),
+        ("gen-data", "corpus", "coarticulation", False,
+         "coarticulation must be a number, got False"),
+        ("gen-data", "corpus", "ambiguous_boost", True,
+         "ambiguous_boost must be a number, got True"),
     ], ids=lambda v: str(v))
     def test_non_integer_in_an_integer_setting_is_config_error(self, tmp_path, capsys,
-                                                               command, section, key, value):
+                                                               command, section, key, value,
+                                                               what):
         # a float here once crashed with a TypeError traceback (exit 1), or
-        # was silently accepted
+        # was silently accepted; a bool in a float setting was accepted, so
+        # max_lr: true trained at a learning rate of True, and max_lr: 1e-3
+        # exited with a message that named no setting
         config, out = self._set(tmp_path, section, key, value)
         assert main([command, "--config", str(config)]) == 2
-        assert f"bad {section} section: {key} must be an integer" in capsys.readouterr().err
+        assert f"bad {section} section: {what}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("section,key,value,what", [
@@ -245,11 +265,13 @@ class TestGenData:
         ("eval", "budgets", [True], "eval.budgets must be an integer, got True"),
         ("train", "context_sets", [[12.7], [1.9], [True]],
          "candidate values [12.7, 1.9, True] are not integers"),
+        ("eval", "frame_ms", True, "eval.frame_ms True is not a finite positive number"),
     ], ids=["seed", "n_utterances-float", "n_utterances-bool", "left", "specs",
-            "budgets-float", "budgets-bool", "context_sets"])
+            "budgets-float", "budgets-bool", "context_sets", "frame_ms-bool"])
     def test_non_integer_outside_the_dataclasses_is_config_error(self, tmp_path, capsys,
                                                                  section, key, value, what):
-        # int() once truncated these, or read a bool as 0 or 1
+        # int() once truncated these, or read a bool as 0 or 1; float() read
+        # frame_ms: true as 1.0
         config, out = self._set(tmp_path, section, key, value)
         assert main(["gen-data", "--config", str(config)]) == 2
         assert what in capsys.readouterr().err
@@ -456,6 +478,26 @@ class TestTrainEvalPipeline:
         assert main(["train", "--config", str(config), "--manifest", str(empty),
                      "--out", str(fresh)]) == 2
         assert not fresh.exists()
+
+    def test_utterance_shorter_than_one_encoder_frame_keeps_the_previous_run(
+            self, workspace, capsys):
+        # it once failed the step that first drew it, after the fresh run
+        # had emptied metrics.jsonl
+        config, out = workspace
+        assert main(["gen-data", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config)]) == 0
+        files = [out / "metrics.jsonl", out / "checkpoint.urnt"]
+        before = [f.read_bytes() for f in files]
+        corpus = out / "corpus"
+        np.zeros((1, 6), dtype="<f4").tofile(corpus / "short.f32")
+        with open(corpus / "manifest.jsonl", "a") as fh:
+            fh.write(json.dumps({"id": "short", "path": "short.f32", "frames": 1,
+                                 "tokens": [1, 2]}) + "\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == 2
+        assert ("config error: utterance short: 1 frames < subsample factor 2"
+                in capsys.readouterr().err)
+        assert [f.read_bytes() for f in files] == before
 
     def test_resume_continues(self, workspace):
         config, out = workspace
@@ -794,6 +836,16 @@ class TestBenchMcr:
         with pytest.raises(SystemExit) as exc:
             main(["bench-mcr", "--direction", "sideways"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("batch,frames", [(0, 4), (-1, 4), (1, 0)])
+    def test_sizes_below_one_are_config_error(self, capsys, batch, frames):
+        # numpy's words once reached the user: "zero-size array to reduction
+        # operation maximum which has no identity", "negative dimensions are
+        # not allowed"
+        assert main(["bench-mcr", "--batch", str(batch), "--frames", str(frames),
+                     "--labels", "2", "--vocab", "8"]) == 2
+        assert (f"config error: probe shape (B, T, U, V) = ({batch}, {frames}, 2, 8) needs "
+                "B, T, V >= 1 and U >= 0") in capsys.readouterr().err
 
 
 class TestLocking:

@@ -1,7 +1,6 @@
 """scripts/fingerprint.py over fake checkouts: equal trees pass, a last-bit
 difference in one step report fails and is named."""
 
-import importlib.util
 import shutil
 import textwrap
 from pathlib import Path
@@ -9,7 +8,6 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPT = ROOT / "scripts" / "fingerprint.py"
 
 # appended to each fake checkout's experiments.py: the recipe's toy_setup
 # shrinks to 2 steps on 8 training and 4 eval utterances
@@ -38,13 +36,6 @@ NUDGE = textwrap.dedent('''
 ''')
 
 
-def load_script():
-    spec = importlib.util.spec_from_file_location("fingerprint", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def fake_tree(root: Path, name: str, patch: str = "") -> Path:
     """A checkout holding a copy of this package with the shrunk recipe, and
     ``patch`` appended to its training module."""
@@ -58,14 +49,19 @@ def fake_tree(root: Path, name: str, patch: str = "") -> Path:
 
 
 @pytest.fixture(scope="module")
+def fingerprint(load_script):
+    return load_script("fingerprint")
+
+
+@pytest.fixture(scope="module")
 def trees(tmp_path_factory):
     root = tmp_path_factory.mktemp("checkouts")
     return fake_tree(root, "parent"), fake_tree(root, "same"), fake_tree(root, "nudged", NUDGE)
 
 
-def test_equal_trees_are_bit_identical(trees, capsys):
+def test_equal_trees_are_bit_identical(trees, capsys, fingerprint):
     parent, same, _ = trees
-    code = load_script().main(["--parent", str(parent), "--change", str(same)])
+    code = fingerprint.main(["--parent", str(parent), "--change", str(same)])
     out = capsys.readouterr().out
     assert code == 0, out
     assert out.splitlines()[-1] == "bit-identical"
@@ -73,9 +69,9 @@ def test_equal_trees_are_bit_identical(trees, capsys):
     assert "(12 records)" in out and "(120 records)" in out
 
 
-def test_a_last_bit_step_difference_fails_and_names_the_step(trees, capsys):
+def test_a_last_bit_step_difference_fails_and_names_the_step(trees, capsys, fingerprint):
     parent, _, nudged = trees
-    code = load_script().main(["--parent", str(parent), "--change", str(nudged)])
+    code = fingerprint.main(["--parent", str(parent), "--change", str(nudged)])
     out = capsys.readouterr().out
     assert code == 1, out
     assert "  train first differs at sm seed 12 step 2: parent " in out
@@ -84,10 +80,10 @@ def test_a_last_bit_step_difference_fails_and_names_the_step(trees, capsys):
     assert out.splitlines()[-1] == "DIFFERENT"
 
 
-def test_a_failed_recipe_fails_the_check(tmp_path, capsys):
+def test_a_failed_recipe_fails_the_check(tmp_path, capsys, fingerprint):
     parent = fake_tree(tmp_path, "parent")
     broken = fake_tree(tmp_path, "broken", "\nraise RuntimeError('boom')\n")
-    code = load_script().main(["--parent", str(parent), "--change", str(broken)])
+    code = fingerprint.main(["--parent", str(parent), "--change", str(broken)])
     out = capsys.readouterr().out
     assert code == 1
     assert "change: recipe exited 1; stderr ends:" in out and "RuntimeError: boom" in out

@@ -1,21 +1,13 @@
 """scripts/profile_step.py: one command prints a step's top cProfile entries."""
 
-import importlib.util
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "profile_step.py"
-
-
 @pytest.fixture(scope="module")
-def profile_step():
-    spec = importlib.util.spec_from_file_location("profile_step", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def profile_step(load_script):
+    return load_script("profile_step")
 
 
 def entries(text: str) -> list[str]:

@@ -15,8 +15,8 @@ import pytest
 from unify_rnnt.contexts import ContextSets, ContextSpec, sample_context
 from unify_rnnt.corpus import CorpusConfig, generate_utterances
 from unify_rnnt.errors import (BlankInTargetError, CorruptCheckpointError,
-                               EmptyBatchError, NonFiniteInputError, NumericalError,
-                               VersionMismatchError)
+                               EmptyBatchError, InputTooShortError, NonFiniteInputError,
+                               NumericalError, VersionMismatchError)
 from unify_rnnt.mcr import MCRConfig
 from unify_rnnt.model import ModelConfig, TransducerModel
 from unify_rnnt.tensor import Tensor
@@ -326,6 +326,23 @@ class TestSteps:
         for r in records:
             assert {"loss_off", "loss_str", "loss_mcr", "spec"} & set(r) == {"loss_off"}
             assert r["total"] == r["loss_off"]
+
+    def test_utterance_shorter_than_one_encoder_frame_raises_before_the_first_step(
+            self, utts, tmp_path, monkeypatch):
+        # it once failed whichever step first drew it
+        monkeypatch.setattr("unify_rnnt.training.train_step",
+                            lambda *a: pytest.fail("a step ran"))
+        short = replace(utts[5], id="short", features=utts[5].features[:1])
+        metrics = tmp_path / "metrics.jsonl"
+        with pytest.raises(InputTooShortError,
+                           match="utterance short: 1 frames < subsample factor 2"):
+            run_training(TransducerModel(MODEL_CFG), utts + [short], small_train_cfg(),
+                         metrics_path=metrics)
+        assert not metrics.exists()
+
+    def test_empty_corpus_raises_before_the_first_step(self, tmp_path):
+        with pytest.raises(EmptyBatchError, match="training corpus is empty"):
+            run_training(TransducerModel(MODEL_CFG), [], small_train_cfg())
 
     @pytest.mark.parametrize("strategy,p_off,lam,keys", [
         ("single_mode", 0.0, 0.3, {"loss_str", "spec"}),
